@@ -12,13 +12,19 @@ in range order, so smaller witnesses surface first and results are
 deterministic.  Solve results are memoized per full intervention assignment;
 the AC2(b) quantifier collapses onto the merged pin/actual value vector, which
 is memoized as well.
+
+The normality-aware test of the graded module reuses this search: a witness
+filter, passed to the calls that take one, drops the AC2(a) settings whose
+witness world the filter rejects.  AC2(b) does not depend on the filter, so a
+plain and a filtered AC3 on one search share its AC2(b) memo.  Both tests
+assemble their verdict in one place, ``_verdict``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import FormulaError, SearchBudgetExceeded
 from .formula import (
@@ -29,7 +35,8 @@ from .formula import (
     PrimitiveEvent,
     check_body,
 )
-from .model import CausalModel, Context, World, check_context
+from .model import CausalModel, Context, World, _settle, check_context
+from .normality import NormalityOrder, Relation
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
 
@@ -108,7 +115,6 @@ class Engine:
         check_context(model, context)
         self.model = model
         self.context = dict(context)
-        self.order = model.topological_order()
         self.endo = model.endogenous
         self.index = {n: i for i, n in enumerate(self.endo)}
         self._cache: dict[tuple, tuple[int, ...]] = {}
@@ -122,12 +128,7 @@ class Engine:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        env = dict(self.context)
-        equations = self.model.equations
-        for name in self.order:
-            pinned = key[self.index[name]]
-            env[name] = pinned if pinned is not None else equations[name].body.evaluate(env)
-        values = tuple(env[n] for n in self.endo)
+        values = _settle(self.model, self.context, interventions)
         self._cache[key] = values
         return values
 
@@ -160,11 +161,14 @@ def _check_cause(model: CausalModel, conjuncts: Sequence[PrimitiveEvent]):
         check_body(model, event)
 
 
+_WitnessFilter = Optional[Callable[[World], bool]]
+
+
 class CauseSearch:
     """Witness enumeration for one effect under one engine.
 
-    ``witness_filter`` (when given) keeps only records whose witness world it
-    accepts; this is how the normality-aware test narrows AC2(a).
+    A ``witness_filter`` (when given) keeps only AC2(a) settings whose witness
+    world it accepts; this is how the normality-aware test narrows AC2(a).
     """
 
     def __init__(
@@ -172,13 +176,11 @@ class CauseSearch:
         engine: Engine,
         effect: BooleanFormula,
         max_search: int = DEFAULT_SEARCH_BUDGET,
-        witness_filter: Optional[Callable[[World], bool]] = None,
     ):
         check_body(engine.model, effect)
         self.engine = engine
         self.effect = effect
         self.max_search = max_search
-        self.witness_filter = witness_filter
         self._phi = compile_body(engine, effect)
         self._ac2b_cache: dict[tuple, bool] = {}
 
@@ -215,6 +217,15 @@ class CauseSearch:
         self._ac2b_cache[key] = result
         return result
 
+    def _ac2b_under_pins(self, x_assignment: dict[str, int], rest: tuple[str, ...],
+                         pins: dict[str, int]) -> bool:
+        """AC2(b) with the pins re-imposed and every other non-candidate
+        variable at its actual value."""
+        actual = self.engine.actual
+        index = self.engine.index
+        designated = tuple([pins[n] if n in pins else actual[index[n]] for n in rest])
+        return self.ac2b(x_assignment, rest, designated)
+
     def check_ac2(
         self,
         conjuncts: Sequence[PrimitiveEvent],
@@ -244,17 +255,9 @@ class CauseSearch:
         witness = engine.solve_tuple(alt)
         if self._phi(witness):  # AC2(a) needs the effect to fail
             return False
-        if self.witness_filter is not None and not self.witness_filter(
-            engine.world(witness)
-        ):
-            return False
         rest = tuple(n for n in engine.endo if n not in set(x_vars))
-        pins = dict(zip(w_set, w_values))
-        designated = tuple(
-            pins[n] if n in pins else engine.actual[engine.index[n]] for n in rest
-        )
         x_assignment = {c.variable: c.value for c in conjuncts}
-        return self.ac2b(x_assignment, rest, designated)
+        return self._ac2b_under_pins(x_assignment, rest, dict(zip(w_set, w_values)))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -271,14 +274,16 @@ class CauseSearch:
         return total * (alternatives - 1)
 
     def enumerate(self, conjuncts: Sequence[PrimitiveEvent]) -> list[WitnessRecord]:
-        return list(self._search(conjuncts, stop_after_first=False))
+        return list(self._search(conjuncts, False))
 
-    def has_witness(self, conjuncts: Sequence[PrimitiveEvent]) -> bool:
-        for _ in self._search(conjuncts, stop_after_first=True):
+    def has_witness(self, conjuncts: Sequence[PrimitiveEvent],
+                    witness_filter: _WitnessFilter = None) -> bool:
+        for _ in self._search(conjuncts, True, witness_filter):
             return True
         return False
 
-    def _search(self, conjuncts: Sequence[PrimitiveEvent], stop_after_first: bool):
+    def _search(self, conjuncts: Sequence[PrimitiveEvent], stop_after_first: bool,
+                witness_filter: _WitnessFilter = None):
         engine = self.engine
         _check_cause(engine.model, conjuncts)
         if not self.ac1(conjuncts):
@@ -301,8 +306,6 @@ class CauseSearch:
         ]
         x_assignment = {c.variable: c.value for c in conjuncts}
         rest = tuple(n for n in engine.endo if n not in x_set)
-        rest_pos = {n: i for i, n in enumerate(rest)}
-        actual_rest = tuple(engine.actual[engine.index[n]] for n in rest)
         phi = self._phi
         for size in range(len(rest) + 1):
             for w_vars in itertools.combinations(rest, size):
@@ -315,17 +318,14 @@ class CauseSearch:
                         witness = engine.solve_tuple(assignment)
                         if phi(witness):
                             continue
-                        if self.witness_filter is not None and not self.witness_filter(
+                        if witness_filter is not None and not witness_filter(
                             engine.world(witness)
                         ):
                             continue
                         passing.append((alt, witness))
                     if not passing:
                         continue
-                    designated = list(actual_rest)
-                    for name, value in pins.items():
-                        designated[rest_pos[name]] = value
-                    if not self.ac2b(x_assignment, rest, tuple(designated)):
+                    if not self._ac2b_under_pins(x_assignment, rest, pins):
                         continue
                     for alt, witness in passing:
                         yield WitnessRecord(
@@ -337,13 +337,14 @@ class CauseSearch:
                         if stop_after_first:
                             return
 
-    def ac3(self, conjuncts: Sequence[PrimitiveEvent]) -> bool:
+    def ac3(self, conjuncts: Sequence[PrimitiveEvent],
+            witness_filter: _WitnessFilter = None) -> bool:
         """Minimality: no strict nonempty sub-conjunction already passes."""
         if len(conjuncts) == 1:
             return True
         for size in range(1, len(conjuncts)):
             for subset in itertools.combinations(conjuncts, size):
-                if self.ac1(subset) and self.has_witness(subset):
+                if self.ac1(subset) and self.has_witness(subset, witness_filter):
                     return False
         return True
 
@@ -405,40 +406,83 @@ def is_actual_cause(
     max_search: int = DEFAULT_SEARCH_BUDGET,
 ) -> CauseVerdict:
     """Plain-mode verdict: AC1, witness enumeration, and AC3."""
+    return _verdict(model, context, cause, effect, max_search, None)
+
+
+def _verdict(
+    model: CausalModel,
+    context: Context,
+    cause: CandidateCause | Sequence[PrimitiveEvent],
+    effect: BooleanFormula,
+    max_search: int,
+    order: Optional[NormalityOrder],
+) -> CauseVerdict:
+    """Verdict of the plain test, or of the normality-filtered one when an
+    order is given."""
     cause = cause if isinstance(cause, CandidateCause) else CandidateCause(tuple(cause))
     engine = Engine(model, context)
     search = CauseSearch(engine, effect, max_search=max_search)
-    return _verdict_from_search(search, cause)
-
-
-def _verdict_from_search(search: CauseSearch, cause: CandidateCause) -> CauseVerdict:
     conjuncts = cause.conjuncts
     ac1 = search.ac1(conjuncts)
-    witnesses = tuple(search.enumerate(conjuncts)) if ac1 else ()
-    ac3 = search.ac3(conjuncts)
-    is_cause = bool(ac1 and witnesses and ac3)
+    hp_witnesses = tuple(search.enumerate(conjuncts)) if ac1 else ()
+    ac3_hp = search.ac3(conjuncts)
+    is_hp = bool(ac1 and hp_witnesses and ac3_hp)
+    if order is None:
+        admissible, ac3, is_extended = hp_witnesses, ac3_hp, None
+        best = tuple(
+            engine.world(v) for v in sorted({r.world.values for r in hp_witnesses})
+        )
+    else:
+        actual = engine.actual_world()
+
+        def admits(world: World) -> bool:
+            return order.admits(world, actual)
+
+        admissible = tuple(r for r in hp_witnesses if admits(r.world))
+        ac3 = search.ac3(conjuncts, admits)
+        is_extended = bool(ac1 and admissible and ac3)
+        best = best_witnesses(order, (r.world for r in admissible))
     if not ac1:
         failed = "AC1"
-    elif not witnesses:
+    elif not admissible:
         failed = "AC2"
     elif not ac3:
         failed = "AC3"
     else:
         failed = None
-    best = tuple(sorted({r.world.values for r in witnesses}))
     return CauseVerdict(
         cause=cause,
-        effect=search.effect,
-        mode="hp",
+        effect=effect,
+        mode="hp" if order is None else "extended",
         ac1=ac1,
-        hp_witnesses=witnesses,
-        admissible_witnesses=witnesses,
+        hp_witnesses=hp_witnesses,
+        admissible_witnesses=admissible,
         ac3=ac3,
-        is_cause_hp=is_cause,
-        is_cause_extended=None,
-        best_witnesses=tuple(search.engine.world(v) for v in best),
+        is_cause_hp=is_hp,
+        is_cause_extended=is_extended,
+        best_witnesses=best,
         failed_clause=failed,
     )
+
+
+def best_witnesses(
+    order: NormalityOrder, worlds: Iterable[World]
+) -> tuple[World, ...]:
+    """Maximal worlds under the order, deduplicated, in value order."""
+    distinct: dict[tuple, World] = {}
+    for world in worlds:
+        distinct.setdefault(world.values, world)
+    candidates = [distinct[k] for k in sorted(distinct)]
+    best = []
+    for world in candidates:
+        dominated = any(
+            order.compare(other, world) is Relation.MORE_NORMAL
+            for other in candidates
+            if other.values != world.values
+        )
+        if not dominated:
+            best.append(world)
+    return tuple(best)
 
 
 def find_all_causes(

@@ -20,7 +20,6 @@ from . import dsl
 from .checker import (
     DEFAULT_SEARCH_BUDGET,
     CauseVerdict,
-    Engine,
     WitnessRecord,
     find_all_causes,
     is_actual_cause,
@@ -145,7 +144,7 @@ def _dispatch(args) -> list[tuple[str, dict]]:
 
 def _select_queries(document: dsl.ParsedDocument, args) -> list[dsl.Query]:
     wanted = {
-        "satisfies": dsl.SatisfiesQuery,
+        "satisfies": (dsl.SatisfiesQuery,),
         "check": (dsl.CauseQuery,),
         "witnesses": (dsl.WitnessQuery, dsl.CauseQuery),
         "grade": (dsl.GradeQuery,),
@@ -154,15 +153,12 @@ def _select_queries(document: dsl.ParsedDocument, args) -> list[dsl.Query]:
         query = dsl.parse_query(args.query, document)
         if args.command == "witnesses" and isinstance(query, dsl.CauseQuery):
             query = dsl.WitnessQuery(query.cause, query.effect, query.context)
-        if not isinstance(query, wanted if isinstance(wanted, tuple) else (wanted,)):
+        if not isinstance(query, wanted):
             raise UsageError(
                 f"the {args.command} command expects a matching query kind"
             )
         return [query]
-    queries = [
-        q for q in document.queries
-        if isinstance(q, wanted if isinstance(wanted, tuple) else (wanted,))
-    ]
+    queries = [q for q in document.queries if isinstance(q, wanted)]
     if args.context:
         queries = [q for q in queries if q.context == args.context]
     if not queries:
@@ -286,7 +282,7 @@ def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
     else:
         verdict = is_actual_cause(document.model, context, query.cause,
                                   query.effect, max_search=args.max_search)
-    actual = Engine(document.model, context).actual_world()
+    actual = solve(document.model, context)
     text = dsl.format_query(query)
     return _verdict_payload(text, verdict, order, actual)
 
@@ -312,7 +308,7 @@ def _run_grade(document, query: dsl.GradeQuery, args, order) -> dict:
     ext = ExtendedCausalModel(document.model, order)
     result = grade_candidates(ext, context, list(query.candidates), query.effect,
                               max_search=args.max_search)
-    actual = Engine(document.model, context).actual_world()
+    actual = solve(document.model, context)
     entries: list = []
     for pair in result.pairs:
         if pair.relation == "first_above":

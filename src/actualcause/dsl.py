@@ -27,7 +27,7 @@ document or a list of diagnostics, each carrying a source span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Optional
 
 from .checker import CandidateCause
 from .errors import ActualCauseError
@@ -751,20 +751,6 @@ class _DocumentBuilder:
         def is_endo(name: str) -> bool:
             return declared[name].kind == ENDOGENOUS
 
-        def check_event(name: str, value: int, span: SourceSpan,
-                        where: str = "") -> bool:
-            if name not in declared:
-                self.error(span, f"undeclared variable {name}")
-                return False
-            if not is_endo(name):
-                self.error(span, f"{name} is exogenous; {where or 'this'} needs an "
-                                 f"endogenous variable")
-                return False
-            if value not in declared[name].values:
-                self.error(span, f"value {value} outside the range of {name}")
-                return False
-            return True
-
         model = CausalModel(
             [Variable(raw.name, raw.kind, raw.values) for raw in self.variables],
             [Equation(raw.name, raw.body) for raw in self.variables
@@ -859,7 +845,8 @@ class _DocumentBuilder:
                 world = {}
                 ok = True
                 for name, value, span in side:
-                    if not check_event(name, value, span, "a norm world"):
+                    if not _check_event(model, name, value, span, "a norm world",
+                                        self.errors):
                         ok = False
                         continue
                     if name in world:
@@ -912,50 +899,12 @@ class _DocumentBuilder:
                 contexts[raw.name] = assignment
 
         # queries
+        context_names = {raw.name for raw in self.contexts}
         queries: list[Query] = []
         for raw in self.queries:
-            ctx_name, ctx_span = raw.context
-            if ctx_name not in {c.name for c in self.contexts}:
-                self.error(ctx_span, f"unknown context {ctx_name}")
-                continue
-            ok = True
-            for name, value, span in raw.effect_refs:
-                if not check_event(name, value, span, "a formula"):
-                    ok = False
-            causes: list[CandidateCause] = []
-            for cause_refs in raw.causes:
-                seen_vars = set()
-                events = []
-                for name, value, span in cause_refs:
-                    if not check_event(name, value, span, "a candidate cause"):
-                        ok = False
-                        continue
-                    if name in seen_vars:
-                        self.error(span, f"candidate cause repeats variable {name}")
-                        ok = False
-                        continue
-                    seen_vars.add(name)
-                    events.append(PrimitiveEvent(name, value))
-                if events:
-                    causes.append(CandidateCause(tuple(events)))
-            for name, value, span in raw.interventions:
-                if not check_event(name, value, span, "an intervention"):
-                    ok = False
-            if not ok:
-                continue
-            if raw.kind == "solve":
-                queries.append(SolveQuery(ctx_name))
-            elif raw.kind == "satisfies":
-                formula = CausalFormula(
-                    tuple((n, v) for n, v, _ in raw.interventions), raw.effect
-                )
-                queries.append(SatisfiesQuery(formula, ctx_name))
-            elif raw.kind == "cause":
-                queries.append(CauseQuery(causes[0], raw.effect, ctx_name))
-            elif raw.kind == "witnesses":
-                queries.append(WitnessQuery(causes[0], raw.effect, ctx_name))
-            elif raw.kind == "grade":
-                queries.append(GradeQuery(tuple(causes), raw.effect, ctx_name))
+            query = _check_query(raw, model, context_names, self.errors)
+            if query is not None:
+                queries.append(query)
 
         if self.errors:
             return None
@@ -991,12 +940,9 @@ def parse_document(text: str, stop_at_first: bool = False) -> ParsedDocument:
         builder.add_line(tokens)
     document = builder.build()
     if document is None:
-        errors = sorted(builder.errors, key=lambda d: (d.span.line, d.span.column))
+        errors = sorted(builder.errors, key=_position)
         raise DslError(errors[:1] if stop_at_first else errors)
     return document
-
-
-parse_model = parse_document
 
 
 def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
@@ -1015,76 +961,81 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
         raw = _parse_query_line(cur, keyword)
     except _LineSyntaxError as exc:
         raise DslError([exc.diagnostic]) from None
-    if document is None:
-        return _unchecked_query(raw)
-    return _check_query_against(raw, document)
-
-
-def _check_query_against(raw: _RawQuery, document: ParsedDocument) -> Query:
-    declared = {v.name: v for v in document.model.variables}
     errors: list[Diagnostic] = []
+    if document is None:
+        query = _check_query(raw, None, (), errors)
+    else:
+        query = _check_query(raw, document.model, document.contexts, errors)
+    if query is None:
+        raise DslError(sorted(errors, key=_position))
+    return query
 
-    def check_event(name, value, span, where):
-        if name not in declared:
-            errors.append(Diagnostic(span, f"undeclared variable {name}"))
-            return False
-        if declared[name].kind != ENDOGENOUS:
-            errors.append(Diagnostic(span, f"{name} is exogenous; {where} needs an "
-                                           f"endogenous variable"))
-            return False
-        if value not in declared[name].range:
-            errors.append(Diagnostic(span, f"value {value} outside the range of {name}"))
-            return False
+
+def _position(diagnostic: Diagnostic) -> tuple[int, int]:
+    return diagnostic.span.line, diagnostic.span.column
+
+
+def _check_event(model: CausalModel, name: str, value: int, span: SourceSpan,
+                 where: str, errors: list[Diagnostic]) -> bool:
+    """Whether a primitive event names an endogenous variable at a value in
+    its range; appends a diagnostic when it does not."""
+    if not model.has_variable(name):
+        message = f"undeclared variable {name}"
+    elif not model.is_endogenous(name):
+        message = f"{name} is exogenous; {where} needs an endogenous variable"
+    elif value not in model.range_of(name):
+        message = f"value {value} outside the range of {name}"
+    else:
         return True
+    errors.append(Diagnostic(span, message))
+    return False
+
+
+def _check_query(raw: _RawQuery, model: Optional[CausalModel],
+                 context_names: Container[str],
+                 errors: list[Diagnostic]) -> Optional[Query]:
+    """Check a raw query line against the model and the context names and
+    build it; returns None when the line has faults, each appended to errors
+    as a diagnostic.  Without a model only the shape of the candidate causes
+    is checked."""
+    count = len(errors)
+
+    def event_ok(name: str, value: int, span: SourceSpan, where: str) -> bool:
+        return model is None or _check_event(model, name, value, span, where, errors)
 
     ctx_name, ctx_span = raw.context
-    if ctx_name not in document.contexts:
+    if model is not None and ctx_name not in context_names:
         errors.append(Diagnostic(ctx_span, f"unknown context {ctx_name}"))
     for name, value, span in raw.effect_refs:
-        check_event(name, value, span, "a formula")
+        event_ok(name, value, span, "a formula")
     for name, value, span in raw.interventions:
-        check_event(name, value, span, "an intervention")
+        event_ok(name, value, span, "an intervention")
     causes = []
     for cause_refs in raw.causes:
-        events = []
-        seen = set()
+        events: dict[str, PrimitiveEvent] = {}
         for name, value, span in cause_refs:
-            if not check_event(name, value, span, "a candidate cause"):
+            if not event_ok(name, value, span, "a candidate cause"):
                 continue
-            if name in seen:
-                errors.append(Diagnostic(span, f"candidate cause repeats {name}"))
+            if name in events:
+                errors.append(Diagnostic(span, f"candidate cause repeats variable {name}"))
                 continue
-            seen.add(name)
-            events.append(PrimitiveEvent(name, value))
+            events[name] = PrimitiveEvent(name, value)
         if events:
-            causes.append(CandidateCause(tuple(events)))
-    if errors:
-        raise DslError(errors)
-    return _assemble_query(raw, causes)
-
-
-def _unchecked_query(raw: _RawQuery) -> Query:
-    causes = [
-        CandidateCause(tuple(PrimitiveEvent(n, v) for n, v, _ in refs))
-        for refs in raw.causes
-    ]
-    return _assemble_query(raw, causes)
-
-
-def _assemble_query(raw: _RawQuery, causes: list[CandidateCause]) -> Query:
-    ctx = raw.context[0]
+            causes.append(CandidateCause(tuple(events.values())))
+    if len(errors) > count:
+        return None
     if raw.kind == "solve":
-        return SolveQuery(ctx)
+        return SolveQuery(ctx_name)
     if raw.kind == "satisfies":
         formula = CausalFormula(
             tuple((n, v) for n, v, _ in raw.interventions), raw.effect
         )
-        return SatisfiesQuery(formula, ctx)
+        return SatisfiesQuery(formula, ctx_name)
     if raw.kind == "cause":
-        return CauseQuery(causes[0], raw.effect, ctx)
+        return CauseQuery(causes[0], raw.effect, ctx_name)
     if raw.kind == "witnesses":
-        return WitnessQuery(causes[0], raw.effect, ctx)
-    return GradeQuery(tuple(causes), raw.effect, ctx)
+        return WitnessQuery(causes[0], raw.effect, ctx_name)
+    return GradeQuery(tuple(causes), raw.effect, ctx_name)
 
 
 # -- pretty printer -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import FormulaError
-from .model import CausalModel, Context, World, intervene, solve
+from .model import CausalModel, Context, World, _settle, check_context
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,17 @@ def evaluate(body: BooleanFormula, world: World | Mapping[str, int]) -> bool:
 
 
 def satisfies(model: CausalModel, context: Context, formula: CausalFormula) -> bool:
-    """Truth of a causal formula in the model under the context."""
+    """Truth of a causal formula in the model under the context.
+
+    The body is evaluated in the solution with each variable of the
+    intervention prefix held at its value, which is the solution of the
+    intervened model without building that model.
+    """
     model.require_valid()
     check_formula(model, formula)
-    if formula.interventions:
-        intervened = intervene(model, dict(formula.interventions))
-    else:
-        intervened = model
-    return evaluate(formula.body, solve(intervened, context))
+    check_context(model, context)
+    values = _settle(model, context, dict(formula.interventions))
+    return evaluate(formula.body, model.world_from_values(values))
 
 
 def format_body(body: BooleanFormula, parent: str = "") -> str:

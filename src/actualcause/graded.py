@@ -3,21 +3,23 @@
 The extended test is the plain one with a single added demand: the world a
 contingency produces must be at least as normal as the actual world before it
 may serve as a witness.  Minimality is re-checked against the filtered test.
-Candidates are then graded by their maximally normal witnesses.
+Both tests share one search and one verdict assembly, in the checker module;
+this module supplies the order.  Candidates are then graded by their
+maximally normal witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .checker import (
     DEFAULT_SEARCH_BUDGET,
     CandidateCause,
-    CauseSearch,
     CauseVerdict,
-    Engine,
+    _verdict,
+    best_witnesses,  # defined beside the verdict that uses it; public here
 )
 from .formula import BooleanFormula
 from .model import CausalModel, Context, World
@@ -42,69 +44,7 @@ def is_extended_cause(
     The verdict also carries the plain-mode outcome: every unfiltered witness
     is listed, and ``is_cause_hp`` uses plain minimality.
     """
-    cause = cause if isinstance(cause, CandidateCause) else CandidateCause(tuple(cause))
-    engine = Engine(ext.base, context)
-    actual = engine.actual_world()
-    order = ext.order
-
-    def admissible(world: World) -> bool:
-        return order.admits(world, actual)
-
-    plain = CauseSearch(engine, effect, max_search=max_search)
-    filtered = CauseSearch(
-        engine, effect, max_search=max_search, witness_filter=admissible
-    )
-    conjuncts = cause.conjuncts
-    ac1 = plain.ac1(conjuncts)
-    hp_witnesses = tuple(plain.enumerate(conjuncts)) if ac1 else ()
-    admissible_witnesses = tuple(
-        r for r in hp_witnesses if admissible(r.world)
-    )
-    ac3_hp = plain.ac3(conjuncts)
-    ac3_ext = filtered.ac3(conjuncts)
-    is_hp = bool(ac1 and hp_witnesses and ac3_hp)
-    is_ext = bool(ac1 and admissible_witnesses and ac3_ext)
-    if not ac1:
-        failed = "AC1"
-    elif not admissible_witnesses:
-        failed = "AC2"
-    elif not ac3_ext:
-        failed = "AC3"
-    else:
-        failed = None
-    return CauseVerdict(
-        cause=cause,
-        effect=effect,
-        mode="extended",
-        ac1=ac1,
-        hp_witnesses=hp_witnesses,
-        admissible_witnesses=admissible_witnesses,
-        ac3=ac3_ext,
-        is_cause_hp=is_hp,
-        is_cause_extended=is_ext,
-        best_witnesses=best_witnesses(order, (r.world for r in admissible_witnesses)),
-        failed_clause=failed,
-    )
-
-
-def best_witnesses(
-    order: NormalityOrder, worlds: Iterable[World]
-) -> tuple[World, ...]:
-    """Maximal worlds under the order, deduplicated, in value order."""
-    distinct: dict[tuple, World] = {}
-    for world in worlds:
-        distinct.setdefault(world.values, world)
-    candidates = [distinct[k] for k in sorted(distinct)]
-    best = []
-    for world in candidates:
-        dominated = any(
-            order.compare(other, world) is Relation.MORE_NORMAL
-            for other in candidates
-            if other.values != world.values
-        )
-        if not dominated:
-            best.append(world)
-    return tuple(best)
+    return _verdict(ext.base, context, cause, effect, max_search, ext.order)
 
 
 @dataclass(frozen=True)

@@ -273,21 +273,7 @@ class CausalModel:
         """Endogenous variables ordered so references point backwards."""
         if self._topo is None:
             self.require_valid()
-            order: list[str] = []
-            seen: set[str] = set()
-
-            def visit(name: str):
-                if name in seen:
-                    return
-                seen.add(name)
-                for ref in sorted(self.equations[name].body.referenced()):
-                    if ref in self._endo_index:
-                        visit(ref)
-                order.append(name)
-
-            for name in self.endogenous:
-                visit(name)
-            self._topo = tuple(order)
+            self._topo, _ = _reference_walk(self)
         return self._topo
 
     def __eq__(self, other) -> bool:
@@ -338,7 +324,7 @@ def _validate(model: CausalModel) -> ValidationReport:
         # Later checks assume a well-formed signature.
         return ValidationReport(tuple(problems))
 
-    cycle = _find_reference_cycle(model)
+    _, cycle = _reference_walk(model)
     if cycle is not None:
         path = " -> ".join(cycle)
         problems.append(ValidationProblem("cycle", f"equations form a cycle: {path}"))
@@ -348,34 +334,43 @@ def _validate(model: CausalModel) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _find_reference_cycle(model: CausalModel) -> Optional[list[str]]:
-    """First cycle in the endogenous reference graph, as a closed path."""
-    color: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
+def _reference_walk(model: CausalModel) -> tuple[tuple[str, ...], Optional[list[str]]]:
+    """Depth-first walk of the endogenous reference graph.
 
-    def visit(name: str) -> Optional[list[str]]:
-        color[name] = 0
-        stack.append(name)
-        for ref in sorted(model.equations[name].body.referenced()):
-            if ref not in model._endo_index:
-                continue
-            state = color.get(ref)
-            if state == 0:
-                return stack[stack.index(ref):] + [ref]
-            if state is None:
-                found = visit(ref)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[name] = 1
-        return None
+    Roots are taken in declaration order and references in name order.
+    Returns the post-order, which is an evaluation order when the graph is
+    acyclic, and the first cycle met, as a closed path, or None.  The walk
+    keeps its own stack, so long chains cannot exhaust the interpreter's.
+    """
+    done: dict[str, bool] = {}  # False while on the current path
+    order: list[str] = []
 
-    for name in model.endogenous:
-        if name not in color:
-            found = visit(name)
-            if found is not None:
-                return found
-    return None
+    def endo_refs(name: str):
+        refs = sorted(model.equations[name].body.referenced())
+        return iter([r for r in refs if r in model._endo_index])
+
+    for root in model.endogenous:
+        if root in done:
+            continue
+        done[root] = False
+        path = [root]
+        pending = [endo_refs(root)]
+        while pending:
+            for ref in pending[-1]:
+                state = done.get(ref)
+                if state is None:
+                    done[ref] = False
+                    path.append(ref)
+                    pending.append(endo_refs(ref))
+                    break
+                if state is False:
+                    return tuple(order), path[path.index(ref):] + [ref]
+            else:
+                pending.pop()
+                name = path.pop()
+                done[name] = True
+                order.append(name)
+    return tuple(order), None
 
 
 def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
@@ -439,14 +434,28 @@ def solve(model: CausalModel, context: Context) -> World:
     """Unique solution of the equations under the given context.
 
     Evaluates in topological order of the reference graph, so each equation
-    sees its inputs already settled.
+    sees its inputs already settled.  Every other solve in the package (the
+    memoized counterfactuals of the search, the intervention prefix of a
+    causal formula) runs the same loop with some variables pinned.
     """
     model.require_valid()
     check_context(model, context)
+    return World(model.endogenous, _settle(model, context, {}))
+
+
+def _settle(
+    model: CausalModel, context: Context, pinned: Mapping[str, int]
+) -> tuple[int, ...]:
+    """Endogenous values, in declaration order, of the valid model under a
+    checked context, with each pinned variable held at its pinned value."""
     env: dict[str, int] = dict(context)
+    equations = model.equations
     for name in model.topological_order():
-        env[name] = model.equations[name].body.evaluate(env)
-    return World(model.endogenous, tuple(env[n] for n in model.endogenous))
+        if name in pinned:
+            env[name] = pinned[name]
+        else:
+            env[name] = equations[name].body.evaluate(env)
+    return tuple([env[n] for n in model.endogenous])
 
 
 def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:

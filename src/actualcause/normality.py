@@ -14,6 +14,10 @@ the other's, each mark landing on an equal-or-worse mark of the same variable
 or on a severity-dominating mark.  Marks of distinct variables never
 substitute for each other unless a severity chain says so, which is what
 keeps genuinely conflicting worlds incomparable.
+
+Both kinds of order are reflexive-transitive closures of a stated relation:
+over marks for derived orders, over worlds for explicit ones.  One routine,
+``_closure``, computes both, by a search from each node.
 """
 
 from __future__ import annotations
@@ -234,19 +238,10 @@ def assign_behavior(
     if not spec.behavior_rankings:
         raise NormalityError("no behavior rankings declared")
     validate_spec(model, spec)
-    env = world.as_dict()
-    assigned: dict[str, str] = {}
-    for ranking in spec.behavior_rankings:
-        name = ranking.variable
-        for behavior in ranking.behaviors:
-            if behavior.body.evaluate(env) == world[name]:
-                assigned[name] = behavior.label
-                break
-        else:
-            raise NormalityError(
-                f"no declared behavior for {name} is consistent with world {world}"
-            )
-    return assigned
+    return {
+        ranking.variable: _consistent_behavior(ranking, world)[1]
+        for ranking in spec.behavior_rankings
+    }
 
 
 def world_marks(
@@ -263,26 +258,23 @@ def world_marks(
         if spec.mechanism:
             behaviors = spec.behaviors_for(name)
             if behaviors is not None:
-                found = _consistent_behavior(behaviors, world)
-                if found is None:
-                    raise NormalityError(
-                        f"no declared behavior for {name} is consistent with "
-                        f"world {world}"
-                    )
-                rank, label = found
+                rank, label = _consistent_behavior(behaviors, world)
                 if rank > 0:
                     marks.append(("behavior", name, rank, label))
     return tuple(marks)
 
 
-def _consistent_behavior(
-    ranking: BehaviorRanking, world: World
-) -> Optional[tuple[int, str]]:
+def _consistent_behavior(ranking: BehaviorRanking, world: World) -> tuple[int, str]:
+    """Rank and label of the most typical behavior that reproduces the
+    variable's value given the rest of the world."""
     env = world.as_dict()
     for rank, behavior in enumerate(ranking.behaviors):
         if behavior.body.evaluate(env) == world[ranking.variable]:
             return rank, behavior.label
-    return None
+    raise NormalityError(
+        f"no declared behavior for {ranking.variable} is consistent with "
+        f"world {world}"
+    )
 
 
 def _close_dominance(
@@ -314,16 +306,26 @@ def _close_dominance(
     for chain in spec.severity_chains:
         for (n1, v1), (n2, v2) in zip(chain, chain[1:]):
             edges.add((by_feature[("value", n1, v1)], by_feature[("value", n2, v2)]))
-    # Warshall closure over the (small) mark universe.
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(edges):
-            for c, d in list(edges):
-                if b == c and (a, d) not in edges:
-                    edges.add((a, d))
-                    changed = True
-    return frozenset(edges)
+    return _closure(universe, edges)
+
+
+def _closure(nodes: Iterable, edges: Iterable[tuple]) -> frozenset[tuple]:
+    """Reflexive-transitive closure: every pair (a, b) of nodes such that b
+    is reachable from a along the edges.  Edge ends must be nodes."""
+    successors: dict = {n: [] for n in nodes}
+    for a, b in edges:
+        successors[a].append(b)
+    pairs = set()
+    for start in successors:
+        reached = {start}
+        stack = [start]
+        while stack:
+            for nxt in successors[stack.pop()]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        pairs.update((start, b) for b in reached)
+    return frozenset(pairs)
 
 
 def _embeds(
@@ -382,7 +384,7 @@ def explicit_order(
         edges.add((left.values, right.values))
         if op == "==":
             edges.add((right.values, left.values))
-    closure = _transitive_closure(nodes, edges)
+    closure = _closure(nodes, edges)
     for left, op, right in stated:
         if op == ">" and (right.values, left.values) in closure:
             cycle = _find_path(nodes, edges, right.values, left.values)
@@ -392,7 +394,7 @@ def explicit_order(
                 f"{model.world_from_values(right.values)} strictly more normal "
                 f"than each other (via {pretty})"
             )
-    return ExplicitOrder(model, frozenset(closure))
+    return ExplicitOrder(model, closure)
 
 
 def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:
@@ -406,21 +408,6 @@ def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:
                 raise NormalityError(f"world value {name}={value} outside range")
         return world
     return model.world(world)
-
-
-def _transitive_closure(
-    nodes: set[tuple], edges: set[tuple[tuple, tuple]]
-) -> set[tuple[tuple, tuple]]:
-    closure = {(n, n) for n in nodes} | set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return closure
 
 
 def _find_path(

@@ -25,7 +25,7 @@ from actualcause.corpus import load_document
 from actualcause.dsl import DslError, parse_document
 from actualcause.oracle import oracle_is_cause, oracle_is_extended_cause
 
-from conftest import all_contexts, random_model, random_typicality
+from random_models import all_contexts, random_model, random_typicality
 
 
 def event(name, value):

@@ -25,7 +25,7 @@ from actualcause import (
 )
 from actualcause.formula import evaluate
 
-from conftest import all_contexts, random_model
+from random_models import all_contexts, random_model
 
 
 def event(name, value):

@@ -224,6 +224,34 @@ def test_query_semantic_errors(documents):
         parse_query("cause A=1 for D=1 @ nowhere", doc)
 
 
+QUERY_BASE = """exo U : {0,1}
+var A : {0,1} = U
+var B : {0,1} = A
+context c : U=1
+"""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("cause Q=1 for B=1 @ c", "undeclared variable Q"),
+    ("cause U=1 for B=1 @ c",
+     "U is exogenous; a candidate cause needs an endogenous variable"),
+    ("satisfies [U<-0](B=1) @ c",
+     "U is exogenous; an intervention needs an endogenous variable"),
+    ("cause A=1 for B=9 @ c", "value 9 outside the range of B"),
+    ("cause A=1 & A=1 for B=1 @ c", "candidate cause repeats variable A"),
+    ("grade {A=1, A=0 & A=1} for B=1 @ c", "candidate cause repeats variable A"),
+    ("witnesses A=1 for B=1 @ nowhere", "unknown context nowhere"),
+])
+def test_query_faults_read_the_same_in_documents_and_inline(line, message):
+    with pytest.raises(DslError) as in_document:
+        parse_document(QUERY_BASE + line + "\n")
+    with pytest.raises(DslError) as inline:
+        parse_query(line, parse_document(QUERY_BASE))
+    messages = [d.message for d in in_document.value.diagnostics]
+    assert messages == [message]
+    assert [d.message for d in inline.value.diagnostics] == messages
+
+
 def test_boolean_bodies_in_queries(documents):
     doc = documents["poisoning.scm.txt"]
     query = parse_query("cause A=1 for D=1 | !(B=0 & R=1) @ u11", doc)

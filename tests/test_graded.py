@@ -17,7 +17,7 @@ from actualcause import (
     solve,
 )
 
-from conftest import all_contexts, random_model, random_typicality
+from random_models import all_contexts, random_model, random_typicality
 
 
 def event(name, value):

@@ -43,6 +43,22 @@ def test_two_node_cycle_reported():
     assert "X" in cycle[0].message and "Y" in cycle[0].message
 
 
+def test_long_chain_declared_effect_first_validates_and_solves():
+    # Declaring the end of the chain first makes every graph walk descend
+    # the whole chain from the first root.
+    n = 1500
+    links = [Equation("X0", Ref("U"))] + [
+        Equation(f"X{i}", Ref(f"X{i - 1}")) for i in range(1, n)
+    ]
+    model = CausalModel(
+        [binary("U", "exogenous")] + [binary(f"X{i}") for i in reversed(range(n))],
+        reversed(links),
+    )
+    assert validate_model(model).ok
+    world = solve(model, {"U": 1})
+    assert world.values == (1,) * n
+
+
 def test_out_of_range_constant_is_totality_violation():
     model = CausalModel([binary("X")], [Equation("X", Const(2))])
     report = validate_model(model)
@@ -179,7 +195,7 @@ def test_semantic_parents_match_brute_force_on_random_models():
     import itertools
     import random
 
-    from conftest import random_model
+    from random_models import random_model
 
     rng = random.Random(31337)
     for _ in range(20):

@@ -4,13 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actualcause import (
+    CausalModel,
+    Equation,
     NormalityError,
+    Ref,
     Relation,
     TrivialOrder,
     TypicalitySpec,
     ValueRanking,
+    Variable,
     assign_behavior,
     compare,
     derive_from_typicality,
@@ -18,7 +23,7 @@ from actualcause import (
 )
 from actualcause.normality import world_marks
 
-from conftest import random_model, random_typicality
+from random_models import random_model, random_typicality
 
 
 def world_of(model, **values):
@@ -285,6 +290,55 @@ def test_unmentioned_worlds_are_incomparable(documents):
     stray = model.world({"H": 0, "W": 1, "D": 1})
     assert compare(order, stray, model.world(a)) is Relation.INCOMPARABLE
     assert compare(order, stray, stray) is Relation.EQUALLY_NORMAL
+
+
+@st.composite
+def stated_relations(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    worlds = list(itertools.product((0, 1), repeat=n))
+    world = st.integers(min_value=0, max_value=len(worlds) - 1)
+    relations = draw(st.lists(st.tuples(world, st.sampled_from((">", "==")), world),
+                              max_size=12))
+    return n, worlds, relations
+
+
+@given(stated_relations())
+@settings(max_examples=150, deadline=None)
+def test_explicit_closure_is_reachability(case):
+    n, worlds, relations = case
+    names = [f"V{i}" for i in range(n)]
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1))]
+        + [Variable(name, "endogenous", (0, 1)) for name in names],
+        [Equation(name, Ref("U")) for name in names],
+    )
+    successors = {i: set() for i in range(len(worlds))}
+    for a, op, b in relations:
+        successors[a].add(b)
+        if op == "==":
+            successors[b].add(a)
+
+    def reachable(start):
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in successors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    reach = {i: reachable(i) for i in successors}
+    stated = [(dict(zip(names, worlds[a])), op, dict(zip(names, worlds[b])))
+              for a, op, b in relations]
+    if any(op == ">" and a in reach[b] for a, op, b in relations):
+        with pytest.raises(NormalityError):
+            explicit_order(model, stated)
+        return
+    order = explicit_order(model, stated)
+    for i, j in itertools.product(range(len(worlds)), repeat=2):
+        assert order.at_least_as_normal(
+            model.world_from_values(worlds[i]), model.world_from_values(worlds[j])
+        ) == (j in reach[i])
 
 
 # -- behavior assignment ----------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_pair_candidates_match_oracle_on_random_models():
     import random
 
     from actualcause import derive_from_typicality, is_actual_cause, solve
-    from conftest import all_contexts, random_model, random_typicality
+    from random_models import all_contexts, random_model, random_typicality
 
     rng = random.Random(424242)
     for _ in range(15):

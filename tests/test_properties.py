@@ -21,7 +21,7 @@ from actualcause import (
 )
 from actualcause.dsl import DslError, parse_document
 
-from conftest import all_contexts, random_model, random_typicality
+from random_models import all_contexts, random_model, random_typicality
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -112,10 +112,17 @@ def test_trivial_order_changes_nothing(seed):
     actual = solve(model, context)
     effect_var = model.endogenous[-1]
     effect = PrimitiveEvent(effect_var, actual[effect_var])
-    for name in model.endogenous:
-        candidate = CandidateCause((PrimitiveEvent(name, actual[name]),))
-        assert is_extended_cause(ext, context, candidate, effect).is_cause \
-            == is_actual_cause(model, context, candidate, effect).is_cause
+    fields = ("is_cause", "ac1", "hp_witnesses", "ac3", "is_cause_hp",
+              "best_witnesses", "failed_clause")
+    for size in (1, 2):
+        for names in itertools.combinations(model.endogenous, size):
+            candidate = CandidateCause(
+                tuple(PrimitiveEvent(n, actual[n]) for n in names)
+            )
+            extended = is_extended_cause(ext, context, candidate, effect)
+            plain = is_actual_cause(model, context, candidate, effect)
+            for field in fields:
+                assert getattr(extended, field) == getattr(plain, field), field
 
 
 @given(SEEDS)
