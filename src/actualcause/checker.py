@@ -11,7 +11,12 @@ Search layout: contingency sets grow by cardinality and settings are visited
 in range order, so smaller witnesses surface first and results are
 deterministic.  Solve results are memoized per full intervention assignment;
 the AC2(b) quantifier collapses onto the merged pin/actual value vector, which
-is memoized as well.
+is memoized as well.  Each witness decision is memoized per sub-conjunction
+and filter, so AC3 and the candidate sweep decide a sub-conjunction once.
+AC2(b) enumerates only the re-impositions of variables downstream of a pin
+that differs from the world under the candidate alone: by induction in
+topological order, every other variable takes that world's value under any
+sub-assignment, so re-imposing it is a no-op.
 
 The normality-aware test of the graded module reuses this search: a witness
 filter, passed to the calls that take one, drops the AC2(a) settings whose
@@ -35,7 +40,7 @@ from .formula import (
     PrimitiveEvent,
     check_body,
 )
-from .model import CausalModel, Context, World, _settle, check_context
+from .model import CausalModel, Context, World, _reach_masks, _settle, check_context
 from .normality import NormalityOrder, Relation
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
@@ -183,6 +188,7 @@ class CauseSearch:
         self.max_search = max_search
         self._phi = compile_body(engine, effect)
         self._ac2b_cache: dict[tuple, bool] = {}
+        self._decisions: dict[tuple, bool] = {}
 
     # -- clause checks ---------------------------------------------------------
 
@@ -195,16 +201,27 @@ class CauseSearch:
     def ac2b(self, x_assignment: dict[str, int], rest: tuple[str, ...],
              designated: tuple[int, ...]) -> bool:
         """AC2(b) for the merged pin/actual vector over the non-candidate
-        variables: the effect must survive re-imposing every sub-assignment."""
+        variables: the effect must survive re-imposing every sub-assignment.
+
+        Only positions downstream of a designated value that differs from
+        ``base``, the world under the candidate alone, can change a solution,
+        so only their sub-assignments are enumerated."""
         key = (tuple(sorted(x_assignment.items())), rest, designated)
         cached = self._ac2b_cache.get(key)
         if cached is not None:
             return cached
         engine = self.engine
         phi = self._phi
+        index = engine.index
+        base = engine.solve_tuple(x_assignment)
+        reach = _reach_masks(engine.model)
+        changed = 0
+        for name, value in zip(rest, designated):
+            if value != base[index[name]]:
+                changed |= reach[index[name]]
+        positions = [i for i, name in enumerate(rest) if changed >> index[name] & 1]
         result = True
-        positions = range(len(rest))
-        for size in range(len(rest) + 1):
+        for size in range(len(positions) + 1):
             for subset in itertools.combinations(positions, size):
                 assignment = dict(x_assignment)
                 for i in subset:
@@ -278,9 +295,14 @@ class CauseSearch:
 
     def has_witness(self, conjuncts: Sequence[PrimitiveEvent],
                     witness_filter: _WitnessFilter = None) -> bool:
-        for _ in self._search(conjuncts, True, witness_filter):
-            return True
-        return False
+        """Whether some witness passes; decided once per conjunction and
+        filter (the filter by identity) on this search."""
+        key = (tuple(conjuncts), witness_filter)
+        found = self._decisions.get(key)
+        if found is None:
+            found = any(True for _ in self._search(conjuncts, True, witness_filter))
+            self._decisions[key] = found
+        return found
 
     def _search(self, conjuncts: Sequence[PrimitiveEvent], stop_after_first: bool,
                 witness_filter: _WitnessFilter = None):

@@ -70,6 +70,12 @@ RESERVED = {
     "on", "off", "min", "max", "ite", "table",
 }
 
+# Deepest nesting of parentheses, negations and min/max/ite calls a line may
+# use.  The parsers and the tree walks over formulas and equation bodies
+# recurse once per level, so this keeps them far inside the interpreter's
+# recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -243,6 +249,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -277,6 +284,13 @@ class _Cursor:
 
     def fail(self, message: str):
         raise _LineSyntaxError(Diagnostic(self.peek().span, message))
+
+    def enter(self):
+        """Open one more level of nesting (the caller closes it by
+        decrementing ``depth``)."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
 
 # -- raw per-line records (phase A output) ----------------------------------------
@@ -400,20 +414,25 @@ class _ExprParser:
             cur.next()
             return Const(int(token.text))
         if token.kind == "(":
+            cur.enter()
             cur.next()
             node = self._additive()
             cur.expect(")")
+            cur.depth -= 1
             return node
         if token.kind == "ident":
             if token.text in ("min", "max"):
+                cur.enter()
                 cur.next()
                 cur.expect("(")
                 left = self._additive()
                 cur.expect(",")
                 right = self._additive()
                 cur.expect(")")
+                cur.depth -= 1
                 return BinOp(token.text, left, right)
             if token.text == "ite":
+                cur.enter()
                 cur.next()
                 cur.expect("(")
                 left = self._additive()
@@ -424,6 +443,7 @@ class _ExprParser:
                 cur.expect(",")
                 other = self._additive()
                 cur.expect(")")
+                cur.depth -= 1
                 return Ite(left, right, then, other)
             if token.text == "table":
                 return self._table()
@@ -509,12 +529,16 @@ class _BodyParser:
         return Conjunction(tuple(operands))
 
     def _negation(self) -> BooleanFormula:
-        if self.cur.accept("!"):
-            return Negation(self._negation())
-        if self.cur.peek().kind == "(":
-            self.cur.next()
-            node = self._disjunction()
-            self.cur.expect(")")
+        cur = self.cur
+        if cur.peek().kind in ("!", "("):
+            cur.enter()
+            if cur.accept("!"):
+                node = Negation(self._negation())
+            else:
+                cur.next()
+                node = self._disjunction()
+                cur.expect(")")
+            cur.depth -= 1
             return node
         name = _parse_name(self.cur, "variable name")
         self.cur.expect("=")

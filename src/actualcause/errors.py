@@ -22,11 +22,19 @@ class SearchBudgetExceeded(ActualCauseError):
 
     def __init__(self, candidates: int, budget: int):
         super().__init__(
-            f"witness search needs {candidates} candidate settings, "
-            f"budget allows {budget}"
+            f"witness search needs {_count(candidates)} candidate settings, "
+            f"budget allows {_count(budget)}"
         )
         self.candidates = candidates
         self.budget = budget
+
+
+def _count(n: int) -> str:
+    """Decimal below 10^12; above, a power of two, so that an estimate of any
+    size renders short and without a decimal conversion."""
+    if n < 10**12:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
 
 
 class OracleCapExceeded(ActualCauseError):

@@ -211,6 +211,7 @@ class CausalModel:
         self._endo_index = {n: i for i, n in enumerate(self.endogenous)}
         self._report: Optional[ValidationReport] = None
         self._topo: Optional[tuple[str, ...]] = None
+        self._reach: Optional[tuple[int, ...]] = None
         # Set by intervene(): interventions on a validated model cannot break
         # validity, so children skip re-validation.
         self._assume_valid = False
@@ -371,6 +372,25 @@ def _reference_walk(model: CausalModel) -> tuple[tuple[str, ...], Optional[list[
                 done[name] = True
                 order.append(name)
     return tuple(order), None
+
+
+def _reach_masks(model: CausalModel) -> tuple[int, ...]:
+    """Per endogenous position, the bitmask over endogenous positions of the
+    variable and of its descendants: every variable whose equation refers to
+    it, directly or through other equations.
+
+    Computed once per valid model, children before parents.
+    """
+    if model._reach is None:
+        index = model._endo_index
+        reach = [1 << i for i in range(len(model.endogenous))]
+        for name in reversed(model.topological_order()):
+            mask = reach[index[name]]
+            for ref in model.equations[name].body.referenced():
+                if ref in index:
+                    reach[index[ref]] |= mask
+        model._reach = tuple(reach)
+    return model._reach
 
 
 def _totality_problems(model: CausalModel) -> list[ValidationProblem]:

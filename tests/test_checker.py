@@ -6,6 +6,7 @@ import random
 import pytest
 
 from actualcause import (
+    BinOp,
     CandidateCause,
     CausalModel,
     Equation,
@@ -23,6 +24,8 @@ from actualcause import (
     is_actual_cause,
     solve,
 )
+from actualcause import checker
+from actualcause.checker import CauseSearch, Engine
 from actualcause.formula import evaluate
 
 from random_models import all_contexts, random_model
@@ -155,6 +158,101 @@ def test_ac2_matches_direct_expansion_on_random_models():
             model, context, conjuncts, effect, w_set, w_values, x_prime)
 
 
+def _ternary_model(rng):
+    """Random acyclic model over {0,1,2}: three to five endogenous
+    variables, each later one a random table over some earlier ones."""
+    n = rng.randint(3, 5)
+    names = [f"V{i}" for i in range(n)]
+    variables = [Variable("U", "exogenous", (0, 1, 2))]
+    equations = [Equation("V0", Ref("U"))]
+    for i in range(1, n):
+        parents = tuple(sorted(rng.sample(names[:i], rng.randint(1, min(i, 2)))))
+        rows = tuple((combo, rng.randrange(3))
+                     for combo in itertools.product((0, 1, 2), repeat=len(parents)))
+        equations.append(Equation(names[i], Table(parents, rows)))
+    variables += [Variable(name, "endogenous", (0, 1, 2)) for name in names]
+    return CausalModel(variables, equations)
+
+
+def _downstream(model, names):
+    """The given variables and every variable whose equation reaches one."""
+    found = set(names)
+    for name in model.topological_order():
+        if found & model.equations[name].body.referenced():
+            found.add(name)
+    return found
+
+
+def test_ac2_restriction_matches_direct_expansion_on_ternary_models():
+    # AC2(b) skips the re-impositions that no changed pin can reach; the
+    # literal expansion tries them all.  Candidate values are drawn from the
+    # whole range, so the world under the candidate alone often differs from
+    # the actual one.  Draws whose AC2(a) fails never reach AC2(b), so they
+    # are not counted.
+    rng = random.Random(31)
+    verdicts = []
+    dropped = 0
+    while len(verdicts) < 150:
+        model = _ternary_model(rng)
+        context = {"U": rng.randrange(3)}
+        actual = solve(model, context)
+        effect_var = rng.choice(model.endogenous[:-1])
+        effect = event(effect_var, actual[effect_var])
+        x_var = rng.choice(model.endogenous)
+        conjuncts = (event(x_var, rng.randrange(3)),)
+        others = [v for v in model.endogenous if v != x_var]
+        w_set = tuple(rng.sample(others, rng.randint(0, len(others))))
+        w_values = tuple(actual[v] if rng.random() < 0.5 else rng.randrange(3)
+                         for v in w_set)
+        x_prime = (rng.randrange(3),)
+        witness = solve(intervene(model, {x_var: x_prime[0], **dict(zip(w_set, w_values))}),
+                        context)
+        if evaluate(effect, witness):
+            continue
+        got = check_ac2(model, context, cand(*conjuncts), effect,
+                        w_set, w_values, x_prime)
+        assert got == _direct_ac2(model, context, conjuncts, effect,
+                                  w_set, w_values, x_prime)
+        verdicts.append(got)
+        base = solve(intervene(model, {x_var: conjuncts[0].value}), context)
+        designated = dict(zip(w_set, w_values))
+        changed = [v for v in others if designated.get(v, actual[v]) != base[v]]
+        if set(others) - _downstream(model, changed):
+            dropped += 1
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+    assert dropped >= 75
+
+
+def test_ac2b_skips_a_variable_off_every_changed_path(monkeypatch):
+    # S is pinned at its actual value and nothing reaches it from the
+    # changed pin M=0, so no AC2(b) sub-assignment re-imposes it.
+    model = CausalModel(
+        [Variable("UL", "exogenous", (0, 1)), Variable("UM", "exogenous", (0, 1)),
+         Variable("US", "exogenous", (0, 1)),
+         Variable("L", "endogenous", (0, 1)), Variable("M", "endogenous", (0, 1)),
+         Variable("S", "endogenous", (0, 1)), Variable("F", "endogenous", (0, 1)),
+         Variable("G", "endogenous", (0, 1))],
+        [Equation("L", Ref("UL")), Equation("M", Ref("UM")),
+         Equation("S", Ref("US")),
+         Equation("F", BinOp("max", Ref("L"), Ref("M"))), Equation("G", Ref("F"))],
+    )
+    context = {"UL": 1, "UM": 1, "US": 1}
+    args = (cand(event("L", 1)), event("F", 1), ("M", "S"), (0, 1), (0,))
+    solved = []
+    original = Engine.solve_tuple
+
+    def spy(engine, interventions):
+        solved.append(dict(interventions))
+        return original(engine, interventions)
+
+    monkeypatch.setattr(Engine, "solve_tuple", spy)
+    assert check_ac2(model, context, *args) is True
+    assert _direct_ac2(model, context, (event("L", 1),), *args[1:]) is True
+    ac2b_solves = [s for s in solved if s.get("L") == 1]
+    assert {"L": 1, "M": 0, "F": 1, "G": 1} in ac2b_solves
+    assert not [s for s in ac2b_solves if "S" in s]
+
+
 # -- witness enumeration -------------------------------------------------------
 
 
@@ -202,6 +300,15 @@ def test_enumeration_order_is_small_sets_first(documents):
     sizes = [len(r.w_set) for r in records]
     assert sizes == sorted(sizes)
     assert records  # A=1 passes through some contingency
+
+
+def test_budget_error_renders_huge_estimates_briefly():
+    exc = SearchBudgetExceeded(3**9100, 1 << 24)
+    assert len(str(exc)) < 200
+    assert exc.candidates == 3**9100
+    assert str(SearchBudgetExceeded(999_999_999_999, 10)) == (
+        "witness search needs 999999999999 candidate settings, budget allows 10"
+    )
 
 
 def test_search_budget_guard(documents):
@@ -314,3 +421,47 @@ def test_candidate_cause_invariants():
         CandidateCause(())
     with pytest.raises(FormulaError):
         CandidateCause((event("X", 1), event("X", 0)))
+
+
+def test_witness_memo_keeps_filtered_and_plain_decisions_apart(documents):
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    conjuncts = (event("L", 1),)
+
+    def reject(world):
+        return False
+
+    for filtered_first in (False, True):
+        search = CauseSearch(Engine(doc.model, doc.contexts["u11"]), event("F", 1))
+        if filtered_first:
+            assert search.has_witness(conjuncts, reject) is False
+        assert search.has_witness(conjuncts) is True
+        assert search.has_witness(conjuncts, reject) is False
+        assert search.has_witness(conjuncts) is True
+
+
+def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
+    # Guards the witness-decision memo and the AC2(b) restriction: without
+    # the memo AC3 re-decides the single conjuncts (88 counterfactual
+    # lookups), without the restriction AC2(b) solves no-op re-impositions
+    # (86 lookups, 46 distinct solves).  The search before both: 91 lookups,
+    # 46 distinct solves.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    counts = {"solve_tuple": 0, "settle": 0}
+    solve_tuple, settle = Engine.solve_tuple, checker._settle
+
+    def counting_solve_tuple(engine, interventions):
+        counts["solve_tuple"] += 1
+        return solve_tuple(engine, interventions)
+
+    def counting_settle(*args):
+        counts["settle"] += 1
+        return settle(*args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", counting_solve_tuple)
+    monkeypatch.setattr(checker, "_settle", counting_settle)
+    found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
+                                                     max_conjuncts=2)]
+             for name, context in doc.contexts.items()}
+    assert found == {"u11": ["L=1", "M=1", "F=1"], "u10": ["L=1", "F=1"]}
+    assert counts["solve_tuple"] <= 70
+    assert counts["settle"] <= 44

@@ -154,3 +154,49 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "(A=1, R=1, B=0, D=1)" in result.stdout
+
+
+def _document(tmp_path, text):
+    path = tmp_path / "doc.scm.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+DEEP_MODEL = "exo U : {0,1}\nvar F : {0,1} = U\ncontext c : U=1\n"
+
+
+def test_deep_parentheses_exit_one(tmp_path):
+    body = "(" * 2000 + "F=1" + ")" * 2000
+    path = _document(tmp_path, DEEP_MODEL + f"satisfies {body} @ c\n")
+    code, _, err = run(["satisfies", path, "--format", "json"])
+    assert code == 1
+    assert err.startswith("error: 4:") and "nesting deeper than" in err
+
+
+def test_deep_negation_exits_one(tmp_path):
+    path = _document(tmp_path, DEEP_MODEL)
+    code, _, err = run(["check", path, "cause F=1 for " + "!" * 3000 + "F=1 @ c"])
+    assert code == 1
+    assert err.startswith("error:") and "nesting deeper than" in err
+
+
+def test_nesting_one_under_the_cap_is_answered(tmp_path):
+    from actualcause.dsl import MAX_NESTING
+
+    body = "!" * (MAX_NESTING - 1) + "F=1"
+    path = _document(tmp_path, DEEP_MODEL + f"satisfies {body} @ c\n")
+    code, out, _ = run(["satisfies", path, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["holds"] is False
+
+
+def test_budget_error_on_a_long_chain_is_one_short_line(tmp_path):
+    links = ["var X0 : {0,1} = U"] + [f"var X{i} : {{0,1}} = X{i - 1}"
+                                     for i in range(1, 1500)]
+    path = _document(tmp_path, "\n".join(["exo U : {0,1}", *reversed(links),
+                                          "context c : U=1"]))
+    code, out, err = run(["check", path, "cause X1498=1 for X1499=1 @ c"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: witness search needs at least 2^")
+    assert len(err.splitlines()) == 1 and len(err) < 200

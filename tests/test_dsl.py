@@ -5,6 +5,7 @@ import pytest
 from actualcause import BinOp, Ref
 from actualcause.corpus import fixture_path
 from actualcause.dsl import (
+    MAX_NESTING,
     CauseQuery,
     DslError,
     GradeQuery,
@@ -271,3 +272,52 @@ def test_parser_never_crashes_on_garbage():
             assert exc.diagnostics
             for diagnostic in exc.diagnostics:
                 assert 0 <= diagnostic.span.offset <= len(text.encode("utf-8")) + 1
+
+
+DEEP_MODEL = "exo U : {0,1}\nvar F : {0,1} = U\ncontext c : U=1\n"
+
+
+@pytest.mark.parametrize("line", [
+    "satisfies " + "(" * 2000 + "F=1" + ")" * 2000 + " @ c",
+    "satisfies " + "!" * 3000 + "F=1 @ c",
+    "cause F=1 for " + "!(" * 60 + "F=1" + ")" * 60 + " @ c",
+    "var G : {0,1} = " + "(" * 2000 + "U" + ")" * 2000,
+    "var G : {0,1} = " + "max(U, " * 2000 + "U" + ")" * 2000,
+    "var G : {0,1} = " + "ite(U == 1, " * 150 + "U" + ", 0)" * 150,
+], ids=["parens", "negation", "query", "expr-parens", "max", "ite"])
+def test_deep_nesting_is_a_located_diagnostic(line):
+    text = DEEP_MODEL + line + "\n"
+    with pytest.raises(DslError) as excinfo:
+        parse_document(text)
+    [diagnostic] = excinfo.value.diagnostics
+    assert diagnostic.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert diagnostic.span.line == 4
+
+
+def test_nesting_at_the_cap_parses_and_evaluates():
+    from actualcause import satisfies, solve
+
+    at_cap = "!(" * (MAX_NESTING // 2) + "F=1" + ")" * (MAX_NESTING // 2)
+    under_cap = "!" * (MAX_NESTING - 1) + "F=1"
+    doc = parse_document(DEEP_MODEL
+                         + f"satisfies {at_cap} @ c\nsatisfies {under_cap} @ c\n"
+                         + "var G : {0,1} = " + "max(U, " * MAX_NESTING + "U"
+                         + ")" * MAX_NESTING + "\n")
+    context = doc.contexts["c"]
+    assert solve(doc.model, context)["G"] == 1
+    first, second = doc.queries
+    assert satisfies(doc.model, context, first.formula) is True
+    assert satisfies(doc.model, context, second.formula) is False
+    assert parse_document(pretty_print(doc)) == doc
+
+
+def test_bundled_fixtures_stay_far_under_the_nesting_cap():
+    for name in ALL_FIXTURES:
+        text = fixture_path(name).read_text(encoding="utf-8")
+        for line in text.splitlines():
+            depth = deepest = 0
+            for char in line.split("#")[0]:
+                depth += char == "("
+                deepest = max(deepest, depth)
+                depth -= char == ")"
+            assert deepest + line.count("!") < MAX_NESTING // 4, (name, line)

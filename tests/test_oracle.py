@@ -107,6 +107,33 @@ def test_sweep_matches_oracle_on_poisoning(documents):
                                                effect), names
 
 
+def test_sweep_matches_oracle_on_random_models():
+    # Pairs reuse the single-conjunct decisions of the sweep for AC3, so the
+    # sweep is checked against the reference over every context.
+    import itertools
+    import random
+
+    from actualcause import find_all_causes, solve
+    from random_models import all_contexts, random_model
+
+    rng = random.Random(515)
+    for _ in range(15):
+        model = random_model(rng)
+        for context in all_contexts(model):
+            actual = solve(model, context)
+            effect = event(model.endogenous[-1], actual[model.endogenous[-1]])
+            swept = [c.conjuncts for c in find_all_causes(model, context, effect,
+                                                          max_conjuncts=2)]
+            expected = [
+                conjuncts
+                for size in (1, 2)
+                for names in itertools.combinations(model.endogenous, size)
+                for conjuncts in [tuple(event(n, actual[n]) for n in names)]
+                if oracle_is_cause(model, context, conjuncts, effect)
+            ]
+            assert swept == expected, context
+
+
 def test_contingency_slot_for_untouched_variables(documents):
     # Leaving the backup's readiness out of the pin set changes nothing: it
     # sits at its actual value either way.
