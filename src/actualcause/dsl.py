@@ -540,9 +540,9 @@ class _BodyParser:
                 cur.expect(")")
             cur.depth -= 1
             return node
-        name = _parse_name(self.cur, "variable name")
-        self.cur.expect("=")
-        value = _parse_int_value(self.cur)
+        name = _parse_name(cur, "variable name")
+        cur.expect("=")
+        value = _parse_int_value(cur)
         self.refs.append((name.text, value, name.span))
         return PrimitiveEvent(name.text, value)
 
