@@ -22,7 +22,10 @@ The normality-aware test of the graded module reuses this search: a witness
 filter, passed to the calls that take one, drops the AC2(a) settings whose
 witness world the filter rejects.  AC2(b) does not depend on the filter, so a
 plain and a filtered AC3 on one search share its AC2(b) memo.  Both tests
-assemble their verdict in one place, ``_verdict``.
+assemble their verdicts in one place, ``_verdicts``, which decides every
+candidate of a call on one search.  Its filter is one closure per call that
+asks the order once per distinct witness world; that memo, like the search's,
+lives as long as the call.
 """
 
 from __future__ import annotations
@@ -428,63 +431,78 @@ def is_actual_cause(
     max_search: int = DEFAULT_SEARCH_BUDGET,
 ) -> CauseVerdict:
     """Plain-mode verdict: AC1, witness enumeration, and AC3."""
-    return _verdict(model, context, cause, effect, max_search, None)
+    return _verdicts(model, context, (cause,), effect, max_search, None)[0]
 
 
-def _verdict(
+def _verdicts(
     model: CausalModel,
     context: Context,
-    cause: CandidateCause | Sequence[PrimitiveEvent],
+    causes: Iterable[CandidateCause | Sequence[PrimitiveEvent]],
     effect: BooleanFormula,
     max_search: int,
     order: Optional[NormalityOrder],
-) -> CauseVerdict:
-    """Verdict of the plain test, or of the normality-filtered one when an
-    order is given."""
-    cause = cause if isinstance(cause, CandidateCause) else CandidateCause(tuple(cause))
+) -> tuple[CauseVerdict, ...]:
+    """Verdicts of the plain test, or of the normality-filtered one when an
+    order is given, for each candidate in turn on one search.
+
+    The filtered test uses one witness filter for the whole call, decided once
+    per distinct witness world; the search's decision memo keys the filter by
+    identity, so the candidates share their filtered decisions.  The best
+    witnesses compare worlds pairwise, so the order should read each world's
+    key once (a ``_QueryOrder`` made for this call)."""
+    causes = [c if isinstance(c, CandidateCause) else CandidateCause(tuple(c))
+              for c in causes]
     engine = Engine(model, context)
     search = CauseSearch(engine, effect, max_search=max_search)
-    conjuncts = cause.conjuncts
-    ac1 = search.ac1(conjuncts)
-    hp_witnesses = tuple(search.enumerate(conjuncts)) if ac1 else ()
-    ac3_hp = search.ac3(conjuncts)
-    is_hp = bool(ac1 and hp_witnesses and ac3_hp)
-    if order is None:
-        admissible, ac3, is_extended = hp_witnesses, ac3_hp, None
-        best = tuple(
-            engine.world(v) for v in sorted({r.world.values for r in hp_witnesses})
-        )
-    else:
+    if order is not None:
         actual = engine.actual_world()
+        admitted: dict[tuple, bool] = {}
 
         def admits(world: World) -> bool:
-            return order.admits(world, actual)
+            found = admitted.get(world.values)
+            if found is None:
+                found = admitted[world.values] = order.admits(world, actual)
+            return found
 
-        admissible = tuple(r for r in hp_witnesses if admits(r.world))
-        ac3 = search.ac3(conjuncts, admits)
-        is_extended = bool(ac1 and admissible and ac3)
-        best = best_witnesses(order, (r.world for r in admissible))
-    if not ac1:
-        failed = "AC1"
-    elif not admissible:
-        failed = "AC2"
-    elif not ac3:
-        failed = "AC3"
-    else:
-        failed = None
-    return CauseVerdict(
-        cause=cause,
-        effect=effect,
-        mode="hp" if order is None else "extended",
-        ac1=ac1,
-        hp_witnesses=hp_witnesses,
-        admissible_witnesses=admissible,
-        ac3=ac3,
-        is_cause_hp=is_hp,
-        is_cause_extended=is_extended,
-        best_witnesses=best,
-        failed_clause=failed,
-    )
+    verdicts = []
+    for cause in causes:
+        conjuncts = cause.conjuncts
+        ac1 = search.ac1(conjuncts)
+        hp_witnesses = tuple(search.enumerate(conjuncts)) if ac1 else ()
+        ac3_hp = search.ac3(conjuncts)
+        is_hp = bool(ac1 and hp_witnesses and ac3_hp)
+        if order is None:
+            admissible, ac3, is_extended = hp_witnesses, ac3_hp, None
+            best = tuple(
+                engine.world(v) for v in sorted({r.world.values for r in hp_witnesses})
+            )
+        else:
+            admissible = tuple(r for r in hp_witnesses if admits(r.world))
+            ac3 = search.ac3(conjuncts, admits)
+            is_extended = bool(ac1 and admissible and ac3)
+            best = best_witnesses(order, (r.world for r in admissible))
+        if not ac1:
+            failed = "AC1"
+        elif not admissible:
+            failed = "AC2"
+        elif not ac3:
+            failed = "AC3"
+        else:
+            failed = None
+        verdicts.append(CauseVerdict(
+            cause=cause,
+            effect=effect,
+            mode="hp" if order is None else "extended",
+            ac1=ac1,
+            hp_witnesses=hp_witnesses,
+            admissible_witnesses=admissible,
+            ac3=ac3,
+            is_cause_hp=is_hp,
+            is_cause_extended=is_extended,
+            best_witnesses=best,
+            failed_clause=failed,
+        ))
+    return tuple(verdicts)
 
 
 def best_witnesses(

@@ -230,25 +230,16 @@ def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery) -> d
     })
 
 
-def _witness_payload(
-    record: WitnessRecord,
-    order: Optional[NormalityOrder],
-    actual: Optional[World],
-) -> dict:
-    if order is None:
-        admissible = True
-        relation = None
-    else:
-        verdict = order.compare(record.world, actual)
-        admissible = verdict in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL)
-        relation = verdict.value
+def _witness_payload(record: WitnessRecord, relation: Optional[Relation]) -> dict:
+    """One witness; ``relation`` is its world's relation to the actual world,
+    None in plain mode."""
     return {
         "w_set": list(record.w_set),
         "w_values": list(record.w_values),
         "x_prime": list(record.x_prime),
         "world": record.world.as_dict(),
-        "admissible": admissible,
-        "relation_to_actual": relation,
+        "admissible": relation in (None, Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL),
+        "relation_to_actual": None if relation is None else relation.value,
     }
 
 
@@ -258,13 +249,18 @@ def _verdict_payload(
     order: Optional[NormalityOrder],
     actual: Optional[World],
 ) -> dict:
+    relations: dict[tuple, Relation] = {}  # per distinct witness world
+    if order is not None:
+        for record in verdict.hp_witnesses:
+            if record.world.values not in relations:
+                relations[record.world.values] = order.compare(record.world, actual)
     return ("check", {
         "query": query_text,
         "mode": verdict.mode,
         "ac1": verdict.ac1,
         "is_cause": verdict.is_cause,
         "witnesses": [
-            _witness_payload(record, order, actual)
+            _witness_payload(record, relations.get(record.world.values))
             for record in verdict.hp_witnesses
         ],
         "best_witnesses": [world.as_dict() for world in verdict.best_witnesses],

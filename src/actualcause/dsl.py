@@ -391,20 +391,29 @@ class _ExprParser:
     def parse(self) -> Expr:
         return self._additive()
 
+    # Each operator of a chain opens one level of nesting: the chain parses to
+    # a left-deep tree that deep, and the tree is walked recursively.
+
     def _additive(self) -> Expr:
+        cur = self.cur
         node = self._multiplicative()
-        while True:
-            if self.cur.accept("+"):
-                node = BinOp("+", node, self._multiplicative())
-            elif self.cur.accept("-"):
-                node = BinOp("-", node, self._multiplicative())
-            else:
-                return node
+        opened = 0
+        while cur.peek().kind in ("+", "-"):
+            cur.enter()
+            opened += 1
+            node = BinOp(cur.next().kind, node, self._multiplicative())
+        cur.depth -= opened
+        return node
 
     def _multiplicative(self) -> Expr:
+        cur = self.cur
         node = self._atom()
-        while self.cur.accept("*"):
-            node = BinOp("*", node, self._atom())
+        opened = 0
+        while cur.peek().kind == "*":
+            cur.enter()
+            opened += 1
+            node = BinOp(cur.next().kind, node, self._atom())
+        cur.depth -= opened
         return node
 
     def _atom(self) -> Expr:

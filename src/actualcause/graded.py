@@ -6,6 +6,12 @@ may serve as a witness.  Minimality is re-checked against the filtered test.
 Both tests share one search and one verdict assembly, in the checker module;
 this module supplies the order.  Candidates are then graded by their
 maximally normal witnesses.
+
+A grading decides every candidate on one search, so the candidates share one
+solve memo, one AC2(b) memo, one witness filter and its decisions.  Each query
+wraps the order in a ``_QueryOrder``, which reads each distinct world's marks
+once; covering asks only the weak relation (``admits``).  Nothing outlives
+the call.
 """
 
 from __future__ import annotations
@@ -18,12 +24,12 @@ from .checker import (
     DEFAULT_SEARCH_BUDGET,
     CandidateCause,
     CauseVerdict,
-    _verdict,
+    _verdicts,
     best_witnesses,  # defined beside the verdict that uses it; public here
 )
 from .formula import BooleanFormula
 from .model import CausalModel, Context, World
-from .normality import NormalityOrder, Relation
+from .normality import NormalityOrder, Relation, _QueryOrder
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,8 @@ def is_extended_cause(
     The verdict also carries the plain-mode outcome: every unfiltered witness
     is listed, and ``is_cause_hp`` uses plain minimality.
     """
-    return _verdict(ext.base, context, cause, effect, max_search, ext.order)
+    return _verdicts(ext.base, context, (cause,), effect, max_search,
+                     _QueryOrder(ext.order))[0]
 
 
 @dataclass(frozen=True)
@@ -96,17 +103,15 @@ def grade_candidates(
     and beat it somewhere; mutual covering grades them equal.  Candidates that
     fail the extended test sit below every passing one.
     """
-    verdicts = tuple(
-        is_extended_cause(ext, context, c, effect, max_search=max_search)
-        for c in candidates
-    )
+    order = _QueryOrder(ext.order)
+    verdicts = _verdicts(ext.base, context, candidates, effect, max_search, order)
     pairs = []
     for i, j in itertools.combinations(range(len(candidates)), 2):
         pairs.append(
             GradedPair(
                 first=candidates[i],
                 second=candidates[j],
-                relation=_pair_relation(ext.order, verdicts[i], verdicts[j]),
+                relation=_pair_relation(order, verdicts[i], verdicts[j]),
             )
         )
     return GradingResult(verdicts=verdicts, pairs=tuple(pairs))
@@ -139,13 +144,7 @@ def _pair_relation(
 def _covers(
     order: NormalityOrder, covering: Sequence[World], covered: Sequence[World]
 ) -> bool:
-    return all(
-        any(
-            order.compare(b1, b2) in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL)
-            for b1 in covering
-        )
-        for b2 in covered
-    )
+    return all(any(order.admits(b1, b2) for b1 in covering) for b2 in covered)
 
 
 def _strictly_exceeds(

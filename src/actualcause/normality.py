@@ -18,6 +18,14 @@ keeps genuinely conflicting worlds incomparable.
 Both kinds of order are reflexive-transitive closures of a stated relation:
 over marks for derived orders, over worlds for explicit ones.  One routine,
 ``_closure``, computes both, by a search from each node.
+
+Every order decides its weak relation on a key it reads off each world: the
+marks for derived orders, the values for explicit ones.  ``world_marks``
+computes marks by position, from value-to-rank tables and behavior rankings
+that the derived order builds once.  ``admits`` is the weak relation alone,
+half the work of ``compare``.  A query that compares many worlds wraps its
+order in ``_QueryOrder``, which reads each distinct world's key once; the
+memo lives as long as that query, never on the order itself.
 """
 
 from __future__ import annotations
@@ -85,8 +93,8 @@ Mark = tuple[str, str, int, object]
 
 
 class NormalityOrder:
-    """Base class; subclasses define the weak relation, compare() derives the
-    four-way verdict from it."""
+    """Base class; subclasses define the weak relation on world keys,
+    compare() derives the four-way verdict from it."""
 
     provenance = "abstract"
 
@@ -94,13 +102,14 @@ class NormalityOrder:
         self.model = model
 
     def at_least_as_normal(self, s: World, s2: World) -> bool:
-        raise NotImplementedError
+        return self._weak(self._key(s), self._key(s2))
 
     def compare(self, s: World, s2: World) -> Relation:
         self._check_world(s)
         self._check_world(s2)
-        ge = self.at_least_as_normal(s, s2)
-        le = self.at_least_as_normal(s2, s)
+        key, key2 = self._key(s), self._key(s2)
+        ge = self._weak(key, key2)
+        le = self._weak(key2, key)
         if ge and le:
             return Relation.EQUALLY_NORMAL
         if ge:
@@ -110,8 +119,18 @@ class NormalityOrder:
         return Relation.INCOMPARABLE
 
     def admits(self, s: World, s2: World) -> bool:
-        """True when s is at least as normal as s2 (weak relation)."""
-        return self.compare(s, s2) in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL)
+        """True when s is at least as normal as s2: the weak relation alone,
+        which is ``compare(s, s2)`` in (MORE_NORMAL, EQUALLY_NORMAL)."""
+        self._check_world(s)
+        self._check_world(s2)
+        return self.at_least_as_normal(s, s2)
+
+    def _key(self, world: World):
+        """What the weak relation reads of a world."""
+        return world.values
+
+    def _weak(self, key, key2) -> bool:
+        raise NotImplementedError
 
     def _check_world(self, world: World):
         if world.variables != self.model.endogenous:
@@ -125,7 +144,7 @@ class TrivialOrder(NormalityOrder):
 
     provenance = "trivial"
 
-    def at_least_as_normal(self, s: World, s2: World) -> bool:
+    def _weak(self, key, key2) -> bool:
         return True
 
 
@@ -136,12 +155,24 @@ class DerivedOrder(NormalityOrder):
         super().__init__(model)
         self.spec = spec
         self._dominance = _close_dominance(model, spec)
+        # What world_marks reads per endogenous position: the variable, its
+        # value -> rank table and its behavior ranking (None when undeclared).
+        self._positions = tuple(
+            (
+                name,
+                _value_ranks(spec.ranking_for(name)),
+                spec.behaviors_for(name) if spec.mechanism else None,
+            )
+            for name in model.endogenous
+        )
 
     def marks(self, world: World) -> tuple[Mark, ...]:
-        return world_marks(self.model, self.spec, world)
+        return world_marks(self, world)
 
-    def at_least_as_normal(self, s: World, s2: World) -> bool:
-        return _embeds(self.marks(s), self.marks(s2), self._dominance)
+    _key = marks
+
+    def _weak(self, key, key2) -> bool:
+        return _embeds(key, key2, self._dominance)
 
 
 class ExplicitOrder(NormalityOrder):
@@ -151,10 +182,27 @@ class ExplicitOrder(NormalityOrder):
         super().__init__(model)
         self._closure = closure
 
-    def at_least_as_normal(self, s: World, s2: World) -> bool:
-        if s.values == s2.values:
-            return True
-        return (s.values, s2.values) in self._closure
+    def _weak(self, key, key2) -> bool:
+        return key == key2 or (key, key2) in self._closure
+
+
+class _QueryOrder(NormalityOrder):
+    """An order as one query sees it: each distinct world's key is computed
+    once, and the memo goes with the query."""
+
+    def __init__(self, order: NormalityOrder):
+        super().__init__(order.model)
+        self._order = order
+        self._keys: dict[tuple, object] = {}
+
+    def _key(self, world: World):
+        keys = self._keys
+        if world.values not in keys:
+            keys[world.values] = self._order._key(world)
+        return keys[world.values]
+
+    def _weak(self, key, key2) -> bool:
+        return self._order._weak(key, key2)
 
 
 def compare(order: NormalityOrder, s: World, s2: World) -> Relation:
@@ -244,24 +292,26 @@ def assign_behavior(
     }
 
 
-def world_marks(
-    model: CausalModel, spec: TypicalitySpec, world: World
-) -> tuple[Mark, ...]:
-    """Atypicality marks of a world under the given declarations."""
+def world_marks(order: DerivedOrder, world: World) -> tuple[Mark, ...]:
+    """Atypicality marks of a world under the order's declarations, read by
+    position from the tables the order built."""
     marks: list[Mark] = []
-    for name in model.endogenous:
-        ranking = spec.ranking_for(name)
-        if ranking is not None:
-            rank = ranking.ranking.index(world[name])
+    for (name, ranks, behaviors), value in zip(order._positions, world.values):
+        if ranks is not None:
+            rank = ranks[value]
             if rank > 0:
-                marks.append(("value", name, rank, world[name]))
-        if spec.mechanism:
-            behaviors = spec.behaviors_for(name)
-            if behaviors is not None:
-                rank, label = _consistent_behavior(behaviors, world)
-                if rank > 0:
-                    marks.append(("behavior", name, rank, label))
+                marks.append(("value", name, rank, value))
+        if behaviors is not None:
+            rank, label = _consistent_behavior(behaviors, world)
+            if rank > 0:
+                marks.append(("behavior", name, rank, label))
     return tuple(marks)
+
+
+def _value_ranks(ranking: Optional[ValueRanking]) -> Optional[dict[int, int]]:
+    if ranking is None:
+        return None
+    return {value: rank for rank, value in enumerate(ranking.ranking)}
 
 
 def _consistent_behavior(ranking: BehaviorRanking, world: World) -> tuple[int, str]:

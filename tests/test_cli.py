@@ -180,6 +180,16 @@ def test_deep_negation_exits_one(tmp_path):
     assert err.startswith("error:") and "nesting deeper than" in err
 
 
+def test_flat_sum_of_1500_terms_exits_one(tmp_path):
+    terms = " + ".join(["U"] * 1500)
+    path = _document(tmp_path, DEEP_MODEL + f"var G : {{0,1}} = min(1, {terms})\n")
+    code, out, err = run(["solve", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 4:") and "nesting deeper than" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_nesting_one_under_the_cap_is_answered(tmp_path):
     from actualcause.dsl import MAX_NESTING
 

@@ -294,6 +294,25 @@ def test_deep_nesting_is_a_located_diagnostic(line):
     assert diagnostic.span.line == 4
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_flat_operator_chain_counts_against_the_cap(op):
+    # A chain parses to a left-deep tree, one level per operator, which the
+    # validator and the solver walk recursively.
+    from actualcause import solve
+
+    long_chain = f" {op} ".join(["U"] * 1500)
+    with pytest.raises(DslError) as excinfo:
+        doc = parse_document(DEEP_MODEL + f"var G : {{0,1}} = min(1, {long_chain})\n")
+        solve(doc.model, doc.contexts["c"])
+    [diagnostic] = excinfo.value.diagnostics
+    assert diagnostic.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert (diagnostic.span.line, diagnostic.span.column) == (4, 22 + 4 * MAX_NESTING)
+    at_cap = f" {op} ".join(["U"] * (MAX_NESTING - 1))  # under max and min
+    doc = parse_document(DEEP_MODEL + f"var G : {{0,1}} = max(0, min(1, {at_cap}))\n")
+    assert solve(doc.model, doc.contexts["c"])["G"] == (0 if op == "-" else 1)
+    assert parse_document(pretty_print(doc)) == doc
+
+
 def test_nesting_at_the_cap_parses_and_evaluates():
     from actualcause import satisfies, solve
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 from actualcause import (
     CandidateCause,
@@ -14,8 +15,13 @@ from actualcause import (
     grade_candidates,
     is_actual_cause,
     is_extended_cause,
+    derive_from_typicality,
     solve,
 )
+from actualcause import checker, normality
+from actualcause.dsl import GradeQuery
+from actualcause.errors import OracleCapExceeded
+from actualcause.oracle import oracle_is_extended_cause
 
 from random_models import all_contexts, random_model, random_typicality
 
@@ -257,3 +263,108 @@ def test_monotonic_filtering(documents):
                 assert set(verdict.admissible_witnesses) <= set(verdict.hp_witnesses)
                 if verdict.is_cause_extended:
                     assert verdict.is_cause_hp
+
+
+# -- one search per grading ----------------------------------------------------------
+
+
+def _check_grading_matches_single_queries(ext, context, candidates, effect):
+    result = grade_candidates(ext, context, candidates, effect)
+    assert [v.cause for v in result.verdicts] == list(candidates)
+    for candidate, verdict in zip(candidates, result.verdicts):
+        # Every field, witness order and best witnesses included.
+        assert verdict == is_extended_cause(ext, context, candidate, effect)
+        try:
+            expected = oracle_is_extended_cause(ext, context, candidate, effect)
+        except OracleCapExceeded:
+            continue
+        assert verdict.is_cause_extended == expected
+
+
+def test_grading_matches_single_queries_on_fixture_grades(documents):
+    graded = 0
+    for doc in documents.values():
+        if not doc.has_normality():
+            continue
+        ext = ext_of(doc)
+        for query in doc.queries:
+            if isinstance(query, GradeQuery):
+                _check_grading_matches_single_queries(
+                    ext, doc.contexts[query.context], query.candidates, query.effect)
+                graded += 1
+    assert graded >= 8
+
+
+def test_grading_matches_single_queries_on_random_models():
+    rng = random.Random(41)
+    pairs = 0
+    for _ in range(25):
+        model = random_model(rng, max_endo=5)
+        ext = ExtendedCausalModel(
+            model, derive_from_typicality(model, random_typicality(rng, model)))
+        for context in all_contexts(model):
+            actual = solve(model, context)
+            effect = event(model.endogenous[-1], actual[model.endogenous[-1]])
+            singles = [cand(event(n, actual[n])) for n in model.endogenous[:-1]]
+            names = rng.sample(model.endogenous, 2)
+            pair = cand(*(event(n, actual[n]) for n in names))
+            flipped = cand(event(names[0], 1 - actual[names[0]]),
+                           event(names[1], actual[names[1]]))
+            _check_grading_matches_single_queries(
+                ext, context, singles + [pair, flipped], effect)
+            pairs += 1
+    assert pairs >= 25
+
+
+def test_grading_work_stays_within_one_lookup_per_world(documents, monkeypatch):
+    # Guards the per-query memos: each world's marks are computed once per
+    # query (the witness worlds and the actual world), the filter asks the
+    # order once per witness world, and a grading builds one engine for all
+    # its candidates.
+    marked = []
+    asked = []
+    engines = []
+    world_marks, engine_init = normality.world_marks, checker.Engine.__init__
+    admits = normality.NormalityOrder.admits
+
+    def counting_admits(order, s, s2):
+        asked.append((s.values, s2.values))
+        return admits(order, s, s2)
+
+    def counting_marks(*args):
+        marked.append(args[-1].values)  # the world
+        return world_marks(*args)
+
+    def counting_init(engine, model, context):
+        engines.append(context)
+        engine_init(engine, model, context)
+
+    monkeypatch.setattr(normality, "world_marks", counting_marks)
+    monkeypatch.setattr(checker.Engine, "__init__", counting_init)
+    monkeypatch.setattr(normality.NormalityOrder, "admits", counting_admits)
+    doc = documents["legal_fire.scm.txt"]
+    ext = ext_of(doc)
+    context = doc.contexts["careless"]
+    actual = solve(doc.model, context).values
+    fire = event("F", 1)
+
+    verdict = is_extended_cause(ext, context, cand(event("AN", 1)), fire)
+    assert verdict.is_cause_extended and len(verdict.hp_witnesses) > 1
+    assert actual in marked and len(engines) == 1
+    assert max(Counter(marked).values()) == 1, Counter(marked).most_common(2)
+    assert set(marked) <= {r.world.values for r in verdict.hp_witnesses} | {actual}
+    assert len(asked) == len(set(asked)) < len(verdict.hp_witnesses)
+
+    marked.clear()
+    asked.clear()
+    engines.clear()
+    result = grade_candidates(ext, context,
+                              [cand(event("AN", 1)), cand(event("BC", 1))], fire)
+    assert result.pairs[0].relation == "first_above"
+    assert len(engines) == 1
+    assert actual in marked
+    assert max(Counter(marked).values()) == 1, Counter(marked).most_common(2)
+    assert set(marked) <= {r.world.values for v in result.verdicts
+                           for r in v.hp_witnesses} | {actual}
+    filter_asks = [pair for pair in asked if pair[1] == actual]
+    assert len(filter_asks) == len(set(filter_asks))

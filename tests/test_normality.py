@@ -21,7 +21,7 @@ from actualcause import (
     derive_from_typicality,
     explicit_order,
 )
-from actualcause.normality import world_marks
+from actualcause.normality import DerivedOrder, _QueryOrder, world_marks
 
 from random_models import random_model, random_typicality
 
@@ -123,8 +123,8 @@ def test_dominance_soundness_random(documents):
         ]
         for s in worlds:
             for s2 in worlds:
-                marks = world_marks(model, spec, s)
-                marks2 = world_marks(model, spec, s2)
+                marks = world_marks(order, s)
+                marks2 = world_marks(order, s2)
                 if _submultiset(marks, marks2) and len(marks) < len(marks2):
                     assert compare(order, s, s2) is Relation.MORE_NORMAL
                 if sorted(marks) == sorted(marks2):
@@ -422,3 +422,81 @@ def test_trivial_order_equates_everything(documents):
     w1 = world_of(doc.model, A=1, R=1, B=0, D=1)
     w2 = world_of(doc.model, A=0, R=0, B=0, D=0)
     assert compare(order, w1, w2) is Relation.EQUALLY_NORMAL
+
+
+# -- the weak relation and table-driven marks ------------------------------------------
+
+
+def _reference_marks(model, spec, world):
+    """Marks found by scanning the declarations by name, one variable at a
+    time, as the rankings are written."""
+    marks = []
+    for name in model.endogenous:
+        ranking = spec.ranking_for(name)
+        if ranking is not None:
+            rank = ranking.ranking.index(world[name])
+            if rank > 0:
+                marks.append(("value", name, rank, world[name]))
+        behaviors = spec.behaviors_for(name) if spec.mechanism else None
+        if behaviors is not None:
+            env = world.as_dict()
+            for rank, behavior in enumerate(behaviors.behaviors):
+                if behavior.body.evaluate(env) == world[name]:
+                    break
+            else:
+                raise NormalityError(f"no behavior of {name} fits {world}")
+            if rank > 0:
+                marks.append(("behavior", name, rank, behavior.label))
+    return tuple(marks)
+
+
+def _check_weak_relation_and_marks(order, worlds, pairs):
+    view = _QueryOrder(order)
+    for s, s2 in pairs:
+        relation = order.compare(s, s2)
+        assert order.admits(s, s2) == (
+            relation in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL))
+        assert view.compare(s, s2) is relation
+        assert view.admits(s, s2) == order.admits(s, s2)
+    if isinstance(order, DerivedOrder):
+        for world in worlds:
+            try:
+                expected = _reference_marks(order.model, order.spec, world)
+            except NormalityError:
+                with pytest.raises(NormalityError):
+                    world_marks(order, world)
+                continue
+            assert world_marks(order, world) == expected
+            assert order.marks(world) == expected
+
+
+def _all_worlds(model):
+    return [model.world_from_values(values) for values in itertools.product(
+        *(model.range_of(n) for n in model.endogenous))]
+
+
+def test_admits_is_the_weak_relation_on_fixture_orders(documents):
+    rng = random.Random(17)
+    kinds = set()
+    for name, doc in _fixture_orders(documents):
+        worlds = _all_worlds(doc.model)
+        if len(worlds) <= 32:
+            pairs = list(itertools.product(worlds, repeat=2))
+        else:
+            pairs = [(rng.choice(worlds), rng.choice(worlds)) for _ in range(1500)]
+        for order in (doc.normality_order(), TrivialOrder(doc.model)):
+            kinds.add(order.provenance)
+            if isinstance(order, DerivedOrder) and order.spec.mechanism:
+                kinds.add("mechanism")
+            _check_weak_relation_and_marks(order, worlds, pairs)
+    assert kinds == {"derived", "explicit", "trivial", "mechanism"}
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_admits_is_the_weak_relation_on_random_orders(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_endo=5)
+    order = derive_from_typicality(model, random_typicality(rng, model))
+    worlds = _all_worlds(model)
+    _check_weak_relation_and_marks(order, worlds, itertools.product(worlds, repeat=2))
