@@ -43,7 +43,15 @@ from .formula import (
     PrimitiveEvent,
     check_body,
 )
-from .model import CausalModel, Context, World, _reach_masks, _settle, check_context
+from .model import (
+    CausalModel,
+    Context,
+    World,
+    _event_fault,
+    _reach_masks,
+    _settle,
+    check_context,
+)
 from .normality import NormalityOrder, Relation
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
@@ -166,7 +174,9 @@ def compile_body(engine: Engine, body: BooleanFormula) -> Callable[[tuple[int, .
 
 def _check_cause(model: CausalModel, conjuncts: Sequence[PrimitiveEvent]):
     for event in conjuncts:
-        check_body(model, event)
+        fault = _event_fault(model, event.variable, event.value, "a candidate cause")
+        if fault is not None:
+            raise FormulaError(fault)
 
 
 _WitnessFilter = Optional[Callable[[World], bool]]
@@ -196,6 +206,7 @@ class CauseSearch:
     # -- clause checks ---------------------------------------------------------
 
     def ac1(self, conjuncts: Sequence[PrimitiveEvent]) -> bool:
+        _check_cause(self.engine.model, conjuncts)
         actual = self.engine.actual
         if not all(actual[self.engine.index[c.variable]] == c.value for c in conjuncts):
             return False
@@ -263,13 +274,10 @@ class CauseSearch:
         if len(w_set) != len(w_values) or len(x_prime) != len(x_vars):
             raise FormulaError("mismatched setting lengths")
         for name, value in zip(w_set, w_values):
-            if not model.has_variable(name) or not model.is_endogenous(name):
-                raise FormulaError(f"contingency variable {name} is not endogenous")
-            if value not in model.range_of(name):
-                raise FormulaError(f"contingency value {name}={value} outside range")
-        for name, value in zip(x_vars, x_prime):
-            if value not in model.range_of(name):
-                raise FormulaError(f"alternative value {name}={value} outside range")
+            fault = _event_fault(model, name, value, "a contingency")
+            if fault is not None:
+                raise FormulaError(fault)
+        _check_cause(model, [PrimitiveEvent(*e) for e in zip(x_vars, x_prime)])
         alt = dict(zip(x_vars, x_prime))
         alt.update(zip(w_set, w_values))
         witness = engine.solve_tuple(alt)
@@ -310,7 +318,6 @@ class CauseSearch:
     def _search(self, conjuncts: Sequence[PrimitiveEvent], stop_after_first: bool,
                 witness_filter: _WitnessFilter = None):
         engine = self.engine
-        _check_cause(engine.model, conjuncts)
         if not self.ac1(conjuncts):
             return
         if not conjuncts:
@@ -386,7 +393,6 @@ def check_ac1(
     conjuncts = _conjuncts(cause)
     engine = Engine(model, context)
     search = CauseSearch(engine, effect)
-    _check_cause(model, conjuncts)
     return search.ac1(conjuncts)
 
 

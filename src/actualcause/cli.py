@@ -128,7 +128,7 @@ def _dispatch(args) -> list[tuple[str, dict]]:
         if isinstance(query, dsl.SatisfiesQuery):
             results.append(_run_satisfies(document, query))
         elif isinstance(query, dsl.CauseQuery):
-            if getattr(args, "all_causes", None):
+            if getattr(args, "all_causes", None) is not None:
                 results.append(_run_all_causes(document, query, args, order))
             else:
                 results.append(_run_check(document, query, args, order))

@@ -53,6 +53,7 @@ from .model import (
     Ref,
     Table,
     Variable,
+    _event_fault,
 )
 from .normality import (
     Behavior,
@@ -60,6 +61,7 @@ from .normality import (
     NormalityOrder,
     TypicalitySpec,
     ValueRanking,
+    _spec_faults,
     derive_from_typicality,
     explicit_order,
 )
@@ -315,6 +317,7 @@ class _RawTypical:
 
 @dataclass
 class _RawSeverity:
+    span: SourceSpan
     chain: tuple[tuple[str, int, SourceSpan], ...]
 
 
@@ -492,21 +495,22 @@ class _ExprParser:
         return Table(tuple(t.text for t in args), tuple(rows))
 
 
-def _parse_assignment_list(cur: _Cursor) -> tuple[tuple[str, int, SourceSpan], ...]:
-    """name=value, name=value, ... (shared by contexts and world literals)."""
+def _parse_events(cur: _Cursor, op: str,
+                  sep: str) -> tuple[tuple[str, int, SourceSpan], ...]:
+    """``name op value (sep name op value)*``: contexts, world literals,
+    severity chains, candidate causes and intervention prefixes."""
     items = []
     while True:
         name = _parse_name(cur, "variable name")
-        cur.expect("=")
-        value = _parse_int_value(cur)
-        items.append((name.text, value, name.span))
-        if not cur.accept(","):
+        cur.expect(op)
+        items.append((name.text, _parse_int_value(cur), name.span))
+        if not cur.accept(sep):
             return tuple(items)
 
 
 def _parse_world_literal(cur: _Cursor) -> tuple[tuple[str, int, SourceSpan], ...]:
     cur.expect("(")
-    items = _parse_assignment_list(cur)
+    items = _parse_events(cur, "=", ",")
     cur.expect(")")
     return items
 
@@ -556,93 +560,43 @@ class _BodyParser:
         return PrimitiveEvent(name.text, value)
 
 
-def _parse_conjunction_of_events(
-    cur: _Cursor,
-) -> tuple[BooleanFormula, tuple[tuple[str, int, SourceSpan], ...]]:
-    """A & B & ... of primitive events (candidate-cause position)."""
-    refs = []
-    events = []
-    while True:
-        name = _parse_name(cur, "variable name")
-        cur.expect("=")
-        value = _parse_int_value(cur)
-        refs.append((name.text, value, name.span))
-        events.append(PrimitiveEvent(name.text, value))
-        if not cur.accept("&"):
-            break
-    return tuple(events), tuple(refs)
-
-
 def _parse_query_line(cur: _Cursor, keyword: Token) -> _RawQuery:
     kind = keyword.text
-    if kind == "solve":
-        cur.expect("@")
-        ctx = _parse_name(cur, "context name")
-        cur.expect_end()
-        return _RawQuery("solve", keyword.span, (ctx.text, ctx.span))
+    causes: list[tuple[tuple[str, int, SourceSpan], ...]] = []
+    interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
+    body, parser = None, _BodyParser(cur)
     if kind == "satisfies":
-        interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
         if cur.accept("["):
-            items = []
             if cur.peek().kind != "]":
-                while True:
-                    name = _parse_name(cur, "variable name")
-                    cur.expect("<-")
-                    value = _parse_int_value(cur)
-                    items.append((name.text, value, name.span))
-                    if not cur.accept(","):
-                        break
+                interventions = _parse_events(cur, "<-", ",")
             cur.expect("]")
-            interventions = tuple(items)
-        parser = _BodyParser(cur)
         if cur.accept("("):
             body = parser.parse()
             cur.expect(")")
         else:
             body = parser.parse()
-        cur.expect("@")
-        ctx = _parse_name(cur, "context name")
-        cur.expect_end()
-        return _RawQuery(
-            "satisfies", keyword.span, (ctx.text, ctx.span),
-            effect=body, effect_refs=tuple(parser.refs), interventions=interventions,
-        )
-    if kind in ("cause", "witnesses"):
-        events, refs = _parse_conjunction_of_events(cur)
+    elif kind in ("cause", "witnesses", "grade"):
+        if kind == "grade":
+            cur.expect("{")
+            causes.append(_parse_events(cur, "=", "&"))
+            while cur.accept(","):
+                causes.append(_parse_events(cur, "=", "&"))
+            cur.expect("}")
+        else:
+            causes.append(_parse_events(cur, "=", "&"))
         for_token = cur.expect("ident", "'for'")
         if for_token.text != "for":
             raise _LineSyntaxError(Diagnostic(for_token.span, "expected 'for'"))
-        parser = _BodyParser(cur)
         body = parser.parse()
-        cur.expect("@")
-        ctx = _parse_name(cur, "context name")
-        cur.expect_end()
-        return _RawQuery(
-            kind, keyword.span, (ctx.text, ctx.span),
-            causes=(refs,), effect=body, effect_refs=tuple(parser.refs),
-        )
-    if kind == "grade":
-        cur.expect("{")
-        causes = []
-        while True:
-            _, refs = _parse_conjunction_of_events(cur)
-            causes.append(refs)
-            if not cur.accept(","):
-                break
-        cur.expect("}")
-        for_token = cur.expect("ident", "'for'")
-        if for_token.text != "for":
-            raise _LineSyntaxError(Diagnostic(for_token.span, "expected 'for'"))
-        parser = _BodyParser(cur)
-        body = parser.parse()
-        cur.expect("@")
-        ctx = _parse_name(cur, "context name")
-        cur.expect_end()
-        return _RawQuery(
-            "grade", keyword.span, (ctx.text, ctx.span),
-            causes=tuple(causes), effect=body, effect_refs=tuple(parser.refs),
-        )
-    raise _LineSyntaxError(Diagnostic(keyword.span, f"unknown query {kind!r}"))
+    elif kind != "solve":
+        raise _LineSyntaxError(Diagnostic(keyword.span, f"unknown query {kind!r}"))
+    cur.expect("@")
+    ctx = _parse_name(cur, "context name")
+    cur.expect_end()
+    return _RawQuery(
+        kind, keyword.span, (ctx.text, ctx.span), causes=tuple(causes),
+        effect=body, effect_refs=tuple(parser.refs), interventions=interventions,
+    )
 
 
 # -- document assembly --------------------------------------------------------------
@@ -698,19 +652,9 @@ class _DocumentBuilder:
                 cur.expect_end()
                 self.typicals.append(_RawTypical(name.text, name.span, tuple(ranking)))
             elif keyword.text == "severity":
-                chain = []
-                while True:
-                    name = _parse_name(cur, "variable name")
-                    cur.expect("=")
-                    value = _parse_int_value(cur)
-                    chain.append((name.text, value, name.span))
-                    if not cur.accept("<"):
-                        break
+                chain = _parse_events(cur, "=", "<")
                 cur.expect_end()
-                if len(chain) < 2:
-                    self.error(keyword.span, "severity needs at least two features")
-                else:
-                    self.severities.append(_RawSeverity(tuple(chain)))
+                self.severities.append(_RawSeverity(keyword.span, chain))
             elif keyword.text == "mechanism":
                 token = cur.expect("ident", "'on' or 'off'")
                 if token.text not in ("on", "off"):
@@ -752,7 +696,7 @@ class _DocumentBuilder:
             elif keyword.text == "context":
                 name = _parse_name(cur, "context name")
                 cur.expect(":")
-                items = _parse_assignment_list(cur)
+                items = _parse_events(cur, "=", ",")
                 cur.expect_end()
                 self.contexts.append(_RawContext(name.text, name.span, items))
             elif keyword.text in ("cause", "grade", "witnesses", "solve", "satisfies"):
@@ -767,13 +711,13 @@ class _DocumentBuilder:
     def build(self) -> Optional[ParsedDocument]:
         if self.errors:
             return None
-        declared: dict[str, _RawVar] = {}
+        declared: set[str] = set()
         for raw in self.variables:
             if raw.name in declared:
                 self.error(raw.span, f"variable {raw.name} declared twice")
             if len(set(raw.values)) != len(raw.values):
                 self.error(raw.span, f"range of {raw.name} repeats a value")
-            declared[raw.name] = raw
+            declared.add(raw.name)
         for raw in self.variables:
             for name, span in raw.refs:
                 if name not in declared:
@@ -781,163 +725,75 @@ class _DocumentBuilder:
         if self.errors:
             return None
 
-        def is_endo(name: str) -> bool:
-            return declared[name].kind == ENDOGENOUS
-
         model = CausalModel(
             [Variable(raw.name, raw.kind, raw.values) for raw in self.variables],
             [Equation(raw.name, raw.body) for raw in self.variables
              if raw.kind == ENDOGENOUS],
         )
 
-        # typicality section
+        # typicality section: its rules are normality's
         typicality = None
-        mech_on = self.mechanism[0] if self.mechanism else False
         if self.typicals or self.severities or self.behaviors or self.mechanism:
-            rankings = []
-            seen = set()
-            for raw in self.typicals:
-                if raw.name in seen:
-                    self.error(raw.span, f"typicality for {raw.name} declared twice")
-                    continue
-                seen.add(raw.name)
-                if raw.name not in declared:
-                    self.error(raw.span, f"undeclared variable {raw.name}")
-                    continue
-                if not is_endo(raw.name):
-                    self.error(raw.span, f"typicality targets exogenous {raw.name}")
-                    continue
-                if sorted(raw.ranking) != sorted(declared[raw.name].values):
-                    self.error(raw.span,
-                               f"typicality for {raw.name} must rank each of its "
-                               f"values exactly once")
-                    continue
-                rankings.append(ValueRanking(raw.name, raw.ranking))
-            chains = []
-            for raw in self.severities:
-                ok = True
-                for name, value, span in raw.chain:
-                    ranking = next((r for r in rankings if r.variable == name), None)
-                    if ranking is None:
-                        self.error(span, f"severity feature {name}={value} has no "
-                                         f"typicality ranking")
-                        ok = False
-                    elif value not in ranking.ranking:
-                        self.error(span, f"value {value} outside the range of {name}")
-                        ok = False
-                    elif ranking.ranking.index(value) == 0:
-                        self.error(span, f"severity feature {name}={value} is that "
-                                         f"variable's typical value")
-                        ok = False
-                if ok:
-                    chains.append(tuple((n, v) for n, v, _ in raw.chain))
-            behavior_rankings = []
-            seen = set()
-            for raw in self.behaviors:
-                if not mech_on:
-                    self.error(raw.span, "behavior rankings require 'mechanism on'")
-                    continue
-                if raw.name in seen:
-                    self.error(raw.span, f"behaviors for {raw.name} declared twice")
-                    continue
-                seen.add(raw.name)
-                if raw.name not in declared or not is_endo(raw.name):
-                    self.error(raw.span, f"behaviors target unknown or exogenous "
-                                         f"variable {raw.name}")
-                    continue
-                ok = True
-                for name, span in raw.refs:
-                    if name not in declared:
-                        self.error(span, f"undeclared variable {name}")
-                        ok = False
-                    elif not is_endo(name):
-                        self.error(span, f"behavior expressions may reference only "
-                                         f"endogenous variables; {name} is exogenous")
-                        ok = False
-                if ok:
-                    behavior_rankings.append(
-                        BehaviorRanking(
-                            raw.name,
-                            tuple(Behavior(label, body)
-                                  for label, body in raw.behaviors),
-                        )
-                    )
             typicality = TypicalitySpec(
-                value_rankings=tuple(rankings),
-                severity_chains=tuple(chains),
-                mechanism=mech_on,
-                behavior_rankings=tuple(behavior_rankings),
+                value_rankings=tuple(ValueRanking(raw.name, raw.ranking)
+                                     for raw in self.typicals),
+                severity_chains=tuple(tuple((n, v) for n, v, _ in raw.chain)
+                                      for raw in self.severities),
+                mechanism=self.mechanism is not None and self.mechanism[0],
+                behavior_rankings=tuple(
+                    BehaviorRanking(raw.name, tuple(Behavior(label, body)
+                                                    for label, body in raw.behaviors))
+                    for raw in self.behaviors
+                ),
             )
+            for place, message in _spec_faults(model, typicality):
+                self.error(self._spec_span(place), message)
 
         # explicit norm relations
-        endo_names = [raw.name for raw in self.variables if raw.kind == ENDOGENOUS]
         norms = []
         for raw in self.norms:
             sides = []
             for side in (raw.left, raw.right):
                 world = {}
-                ok = True
                 for name, value, span in side:
-                    if not _check_event(model, name, value, span, "a norm world",
-                                        self.errors):
-                        ok = False
+                    fault = _event_fault(model, name, value, "a norm world")
+                    if fault is None and name in world:
+                        fault = f"world assigns {name} twice"
+                    if fault is not None:
+                        self.error(span, fault)
                         continue
-                    if name in world:
-                        self.error(span, f"world assigns {name} twice")
-                        ok = False
                     world[name] = value
-                missing = [n for n in endo_names if n not in world]
+                missing = [n for n in model.endogenous if n not in world]
                 if missing:
                     self.error(raw.span,
                                f"norm world is missing variables: {', '.join(missing)}")
-                    ok = False
-                sides.append(world if ok else None)
-            if sides[0] is not None and sides[1] is not None:
-                norms.append((sides[0], raw.op, sides[1]))
+                sides.append(world)
+            norms.append((sides[0], raw.op, sides[1]))
 
         # contexts
-        exo_names = [raw.name for raw in self.variables if raw.kind == EXOGENOUS]
         contexts: dict[str, dict[str, int]] = {}
         for raw in self.contexts:
             if raw.name in contexts:
                 self.error(raw.span, f"context {raw.name} declared twice")
                 continue
-            assignment = {}
-            ok = True
+            assignment = contexts[raw.name] = {}
             for name, value, span in raw.items:
-                if name not in declared:
-                    self.error(span, f"undeclared variable {name}")
-                    ok = False
-                    continue
-                if declared[name].kind != EXOGENOUS:
-                    self.error(span, f"context assigns endogenous variable {name}")
-                    ok = False
-                    continue
-                if value not in declared[name].values:
-                    self.error(span, f"value {value} outside the range of {name}")
-                    ok = False
-                    continue
-                if name in assignment:
-                    self.error(span, f"context assigns {name} twice")
-                    ok = False
+                fault = _event_fault(model, name, value, "context", EXOGENOUS)
+                if fault is None and name in assignment:
+                    fault = f"context assigns {name} twice"
+                if fault is not None:
+                    self.error(span, fault)
                     continue
                 assignment[name] = value
-            missing = [n for n in exo_names if n not in assignment]
+            missing = [n for n in model.exogenous if n not in assignment]
             if missing:
                 self.error(raw.span,
                            f"context {raw.name} is missing exogenous variables: "
                            f"{', '.join(missing)}")
-                ok = False
-            if ok:
-                contexts[raw.name] = assignment
 
         # queries
-        context_names = {raw.name for raw in self.contexts}
-        queries: list[Query] = []
-        for raw in self.queries:
-            query = _check_query(raw, model, context_names, self.errors)
-            if query is not None:
-                queries.append(query)
+        queries = [_check_query(raw, model, contexts, self.errors)
+                   for raw in self.queries]
 
         if self.errors:
             return None
@@ -948,6 +804,18 @@ class _DocumentBuilder:
             contexts=contexts,
             queries=tuple(queries),
         )
+
+    def _spec_span(self, place: tuple) -> SourceSpan:
+        """Where a fault of the typicality spec sits in the source."""
+        section, i = place[:2]
+        if section == "ranking":
+            return self.typicals[i].span
+        if section == "behavior":
+            return self.behaviors[i].span
+        if section == "reference":
+            return next(span for name, span in self.behaviors[i].refs if name == place[2])
+        raw = self.severities[i]
+        return raw.span if place[2] is None else raw.chain[place[2]][2]
 
 
 def _lex_document(text: str) -> tuple[list[list[Token]], list[Diagnostic]]:
@@ -1008,62 +876,45 @@ def _position(diagnostic: Diagnostic) -> tuple[int, int]:
     return diagnostic.span.line, diagnostic.span.column
 
 
-def _check_event(model: CausalModel, name: str, value: int, span: SourceSpan,
-                 where: str, errors: list[Diagnostic]) -> bool:
-    """Whether a primitive event names an endogenous variable at a value in
-    its range; appends a diagnostic when it does not."""
-    if not model.has_variable(name):
-        message = f"undeclared variable {name}"
-    elif not model.is_endogenous(name):
-        message = f"{name} is exogenous; {where} needs an endogenous variable"
-    elif value not in model.range_of(name):
-        message = f"value {value} outside the range of {name}"
-    else:
-        return True
-    errors.append(Diagnostic(span, message))
-    return False
-
-
 def _check_query(raw: _RawQuery, model: Optional[CausalModel],
                  context_names: Container[str],
                  errors: list[Diagnostic]) -> Optional[Query]:
     """Check a raw query line against the model and the context names and
     build it; returns None when the line has faults, each appended to errors
     as a diagnostic.  Without a model only the shape of the candidate causes
-    is checked."""
+    and of the intervention prefix is checked."""
     count = len(errors)
 
-    def event_ok(name: str, value: int, span: SourceSpan, where: str) -> bool:
-        return model is None or _check_event(model, name, value, span, where, errors)
+    def events(refs, where: str, what: str) -> dict[str, int]:
+        """The events of a list that keep the event rule, and, when ``what``
+        names the list, that do not repeat a variable."""
+        found: dict[str, int] = {}
+        for name, value, span in refs:
+            fault = None if model is None else _event_fault(model, name, value, where)
+            if fault is None and what and name in found:
+                fault = f"{what} repeats variable {name}"
+            if fault is not None:
+                errors.append(Diagnostic(span, fault))
+                continue
+            found[name] = value
+        return found
 
     ctx_name, ctx_span = raw.context
     if model is not None and ctx_name not in context_names:
         errors.append(Diagnostic(ctx_span, f"unknown context {ctx_name}"))
-    for name, value, span in raw.effect_refs:
-        event_ok(name, value, span, "a formula")
-    for name, value, span in raw.interventions:
-        event_ok(name, value, span, "an intervention")
-    causes = []
-    for cause_refs in raw.causes:
-        events: dict[str, PrimitiveEvent] = {}
-        for name, value, span in cause_refs:
-            if not event_ok(name, value, span, "a candidate cause"):
-                continue
-            if name in events:
-                errors.append(Diagnostic(span, f"candidate cause repeats variable {name}"))
-                continue
-            events[name] = PrimitiveEvent(name, value)
-        if events:
-            causes.append(CandidateCause(tuple(events.values())))
+    events(raw.effect_refs, "a formula", "")
+    interventions = events(raw.interventions, "an intervention", "intervention")
+    conjunctions = [events(refs, "a candidate cause", "candidate cause")
+                    for refs in raw.causes]
     if len(errors) > count:
         return None
+    causes = [CandidateCause(tuple(PrimitiveEvent(*e) for e in found.items()))
+              for found in conjunctions]
     if raw.kind == "solve":
         return SolveQuery(ctx_name)
     if raw.kind == "satisfies":
-        formula = CausalFormula(
-            tuple((n, v) for n, v, _ in raw.interventions), raw.effect
-        )
-        return SatisfiesQuery(formula, ctx_name)
+        return SatisfiesQuery(CausalFormula(tuple(interventions.items()), raw.effect),
+                              ctx_name)
     if raw.kind == "cause":
         return CauseQuery(causes[0], raw.effect, ctx_name)
     if raw.kind == "witnesses":

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import FormulaError
-from .model import CausalModel, Context, World, _settle, check_context
+from .model import (
+    CausalModel,
+    Context,
+    World,
+    _event_fault,
+    _settle,
+    check_context,
+)
 
 
 @dataclass(frozen=True)
@@ -75,17 +82,9 @@ def variables_in(body: BooleanFormula) -> frozenset[str]:
 def check_body(model: CausalModel, body: BooleanFormula):
     """Reject bodies naming unknown/exogenous variables or off-range values."""
     if isinstance(body, PrimitiveEvent):
-        if not model.has_variable(body.variable):
-            raise FormulaError(f"formula references unknown variable {body.variable}")
-        if not model.is_endogenous(body.variable):
-            raise FormulaError(
-                f"primitive events range over endogenous variables; "
-                f"{body.variable} is exogenous"
-            )
-        if body.value not in model.range_of(body.variable):
-            raise FormulaError(
-                f"value {body.value} outside the range of {body.variable}"
-            )
+        fault = _event_fault(model, body.variable, body.value, "a formula")
+        if fault is not None:
+            raise FormulaError(fault)
     elif isinstance(body, Negation):
         check_body(model, body.operand)
     else:
@@ -96,12 +95,9 @@ def check_body(model: CausalModel, body: BooleanFormula):
 def check_formula(model: CausalModel, formula: CausalFormula):
     check_body(model, formula.body)
     for name, value in formula.interventions:
-        if not model.has_variable(name):
-            raise FormulaError(f"intervention targets unknown variable {name}")
-        if not model.is_endogenous(name):
-            raise FormulaError(f"intervention targets exogenous variable {name}")
-        if value not in model.range_of(name):
-            raise FormulaError(f"intervention value {name}={value} outside range")
+        fault = _event_fault(model, name, value, "an intervention")
+        if fault is not None:
+            raise FormulaError(fault)
 
 
 def evaluate(body: BooleanFormula, world: World | Mapping[str, int]) -> bool:

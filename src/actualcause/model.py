@@ -241,14 +241,10 @@ class CausalModel:
         missing = [n for n in self.endogenous if n not in assignment]
         if missing:
             raise ModelError(f"world is missing endogenous variables: {missing}")
-        extra = [n for n in assignment if n not in self._endo_index]
-        if extra:
-            raise ModelError(f"world assigns non-endogenous names: {extra}")
-        for name in self.endogenous:
-            if assignment[name] not in self.variable(name).range:
-                raise ModelError(
-                    f"world value {name}={assignment[name]} outside range"
-                )
+        for name, value in assignment.items():
+            fault = _event_fault(self, name, value, "a world")
+            if fault is not None:
+                raise ModelError(fault)
         return World(self.endogenous, tuple(assignment[n] for n in self.endogenous))
 
     def world_from_values(self, values: tuple[int, ...]) -> World:
@@ -438,16 +434,32 @@ def validate_model(model: CausalModel) -> ValidationReport:
     return model.validate()
 
 
+def _event_fault(model: CausalModel, name: str, value: int, where: str,
+                 kind: str = ENDOGENOUS) -> Optional[str]:
+    """The event rule: ``name=value``, stated in ``where``, names a declared
+    variable of the given kind at a value in its range.  Returns the fault's
+    message, or None when the event keeps the rule."""
+    variable = model._by_name.get(name)
+    if variable is None:
+        return f"undeclared variable {name}"
+    if variable.kind != kind:
+        if kind == EXOGENOUS:
+            return f"{where} assigns endogenous variable {name}"
+        return f"{name} is exogenous; {where} needs an endogenous variable"
+    if value not in variable.range:
+        return f"value {value} outside the range of {name}"
+    return None
+
+
 def check_context(model: CausalModel, context: Context):
     """Reject contexts that are partial or out of range."""
     for name in model.exogenous:
         if name not in context:
             raise ModelError(f"context is missing exogenous variable {name}")
-        if context[name] not in model.range_of(name):
-            raise ModelError(f"context value {name}={context[name]} outside range")
-    for name in context:
-        if name not in model.exogenous:
-            raise ModelError(f"context assigns non-exogenous name {name}")
+    for name, value in context.items():
+        fault = _event_fault(model, name, value, "context", EXOGENOUS)
+        if fault is not None:
+            raise ModelError(fault)
 
 
 def solve(model: CausalModel, context: Context) -> World:
@@ -485,11 +497,9 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     unchanged.
     """
     for name, value in setting.items():
-        var = model.variable(name)
-        if var.kind != ENDOGENOUS:
-            raise ModelError(f"cannot intervene on exogenous variable {name}")
-        if value not in var.range:
-            raise ModelError(f"intervention {name}={value} outside range")
+        fault = _event_fault(model, name, value, "an intervention")
+        if fault is not None:
+            raise ModelError(fault)
     equations = [
         Equation(t, Const(setting[t])) if t in setting else eq
         for t, eq in model.equations.items()

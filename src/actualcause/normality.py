@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import NormalityError
-from .model import CausalModel, Expr, World
+from .model import CausalModel, Expr, World, _event_fault
 
 
 class Relation(Enum):
@@ -213,57 +213,73 @@ def compare(order: NormalityOrder, s: World, s2: World) -> Relation:
 
 
 def validate_spec(model: CausalModel, spec: TypicalitySpec):
-    seen = set()
-    for ranking in spec.value_rankings:
+    """Raise the first fault of the spec, if it has one."""
+    for _, message in _spec_faults(model, spec):
+        raise NormalityError(message)
+
+
+def _spec_faults(model: CausalModel, spec: TypicalitySpec) -> Iterator[tuple[tuple, str]]:
+    """Every fault of a typicality spec, with the place of the declaration
+    that has it: ("ranking", i) for the i-th value ranking, ("severity", i, j)
+    for the j-th feature of the i-th chain (j None for the chain as a whole),
+    ("behavior", i) for the i-th behavior ranking and ("reference", i, name)
+    for a name its expressions refer to.  Severity features are checked
+    against the value rankings that have no fault."""
+    rankings: dict[str, ValueRanking] = {}
+    names = [ranking.variable for ranking in spec.value_rankings]
+    for i, ranking in enumerate(spec.value_rankings):
         name = ranking.variable
-        if name in seen:
-            raise NormalityError(f"typicality for {name} declared twice")
-        seen.add(name)
-        if not model.has_variable(name) or not model.is_endogenous(name):
-            raise NormalityError(f"typicality declared for unknown variable {name}")
-        if sorted(ranking.ranking) != sorted(model.range_of(name)):
-            raise NormalityError(
-                f"typicality for {name} must rank each of its values exactly once"
-            )
-    for chain in spec.severity_chains:
+        if name in names[:i]:
+            yield ("ranking", i), f"typicality for {name} declared twice"
+        elif not model.has_variable(name):
+            yield ("ranking", i), f"undeclared variable {name}"
+        elif not model.is_endogenous(name):
+            yield ("ranking", i), f"typicality targets exogenous {name}"
+        elif sorted(ranking.ranking) != sorted(model.range_of(name)):
+            yield ("ranking", i), (f"typicality for {name} must rank each of its "
+                                   f"values exactly once")
+        else:
+            rankings[name] = ranking
+    for i, chain in enumerate(spec.severity_chains):
         if len(chain) < 2:
-            raise NormalityError("a severity chain needs at least two features")
-        if len(set(chain)) != len(chain):
-            raise NormalityError("severity chain repeats a feature")
-        for name, value in chain:
-            ranking = spec.ranking_for(name)
-            if ranking is None:
-                raise NormalityError(
-                    f"severity feature {name}={value} has no typicality ranking"
-                )
-            if value not in ranking.ranking:
-                raise NormalityError(f"severity value {name}={value} outside range")
-            if ranking.ranking.index(value) == 0:
-                raise NormalityError(
-                    f"severity feature {name}={value} is that variable's typical value"
-                )
-    if spec.behavior_rankings and not spec.mechanism:
-        raise NormalityError("behavior rankings require mechanism mode")
-    seen = set()
-    for ranking in spec.behavior_rankings:
+            yield ("severity", i, None), "severity needs at least two features"
+        for j, (name, value) in enumerate(chain):
+            ranking = rankings.get(name)
+            if (name, value) in chain[:j]:
+                fault = "severity chain repeats a feature"
+            elif ranking is None:
+                fault = f"severity feature {name}={value} has no typicality ranking"
+            else:
+                fault = _event_fault(model, name, value, "a severity feature")
+                if fault is None and ranking.ranking[0] == value:
+                    fault = (f"severity feature {name}={value} is that variable's "
+                             f"typical value")
+            if fault is not None:
+                yield ("severity", i, j), fault
+    targets = set()
+    for i, ranking in enumerate(spec.behavior_rankings):
         name = ranking.variable
-        if name in seen:
-            raise NormalityError(f"behaviors for {name} declared twice")
-        seen.add(name)
+        if not spec.mechanism:
+            yield ("behavior", i), "behavior rankings require 'mechanism on'"
+            continue
+        if name in targets:
+            yield ("behavior", i), f"behaviors for {name} declared twice"
+            continue
+        targets.add(name)
         if not model.has_variable(name) or not model.is_endogenous(name):
-            raise NormalityError(f"behaviors declared for unknown variable {name}")
-        if not ranking.behaviors:
-            raise NormalityError(f"behavior ranking for {name} is empty")
+            yield ("behavior", i), f"behaviors target unknown or exogenous variable {name}"
+            continue
         labels = [b.label for b in ranking.behaviors]
-        if len(set(labels)) != len(labels):
-            raise NormalityError(f"behavior ranking for {name} repeats a label")
-        for behavior in ranking.behaviors:
-            for ref in sorted(behavior.body.referenced()):
-                if not model.has_variable(ref) or not model.is_endogenous(ref):
-                    raise NormalityError(
-                        f"behavior {behavior.label!r} for {name} references "
-                        f"non-endogenous name {ref}"
-                    )
+        if not labels:
+            yield ("behavior", i), f"behavior ranking for {name} is empty"
+        elif len(set(labels)) != len(labels):
+            yield ("behavior", i), f"behavior ranking for {name} repeats a label"
+        for ref in sorted(set().union(*(b.body.referenced() for b in ranking.behaviors))):
+            if not model.has_variable(ref):
+                yield ("reference", i, ref), f"undeclared variable {ref}"
+            elif not model.is_endogenous(ref):
+                yield ("reference", i, ref), (f"behavior expressions may reference only "
+                                              f"endogenous variables; {ref} is exogenous")
 
 
 def derive_from_typicality(model: CausalModel, spec: TypicalitySpec) -> DerivedOrder:
@@ -454,8 +470,9 @@ def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:
                 "world does not range over this model's endogenous variables"
             )
         for name, value in zip(world.variables, world.values):
-            if value not in model.range_of(name):
-                raise NormalityError(f"world value {name}={value} outside range")
+            fault = _event_fault(model, name, value, "a world")
+            if fault is not None:
+                raise NormalityError(fault)
         return world
     return model.world(world)
 

@@ -87,6 +87,32 @@ def test_ac2_rejects_overlapping_contingency(documents):
         )
 
 
+@pytest.mark.parametrize("cause, setting, message", [
+    (event("Q", 1), {}, "undeclared variable Q"),
+    (event("UL", 1), {}, "UL is exogenous; a candidate cause needs an endogenous variable"),
+    (event("L", 7), {}, "value 7 outside the range of L"),
+    (event("L", 1), {"w_set": ("UM",)},
+     "UM is exogenous; a contingency needs an endogenous variable"),
+    (event("L", 1), {"w_values": (5,)}, "value 5 outside the range of M"),
+    (event("L", 1), {"x_prime": (2,)}, "value 2 outside the range of L"),
+], ids=["undeclared", "exogenous", "out-of-range", "exogenous-contingency",
+        "contingency-value", "alternative-value"])
+def test_ill_formed_candidates_and_settings_are_rejected(documents, cause, setting, message):
+    # Every entry point checks the candidate cause, also when AC1 fails on it.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    model, context, effect = doc.model, doc.contexts["u11"], event("F", 1)
+    settings = {"w_set": ("M",), "w_values": (0,), "x_prime": (0,), **setting}
+    calls = [lambda: check_ac2(model, context, cand(cause), effect, **settings)]
+    if not setting:
+        calls += [lambda: is_actual_cause(model, context, cand(cause), effect),
+                  lambda: check_ac1(model, context, cand(cause), effect),
+                  lambda: enumerate_witnesses(model, context, cand(cause), effect)]
+    for call in calls:
+        with pytest.raises(FormulaError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
 def _direct_ac2(model, context, conjuncts, effect, w_set, w_values, x_prime):
     """Literal expansion of both clauses, for cross-checking check_ac2."""
     x_vars = [c.variable for c in conjuncts]

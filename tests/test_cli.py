@@ -210,3 +210,32 @@ def test_budget_error_on_a_long_chain_is_one_short_line(tmp_path):
     assert out == ""
     assert err.startswith("error: witness search needs at least 2^")
     assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+def test_all_causes_needs_at_least_one_conjunct():
+    for k in ("0", "-1"):
+        code, out, err = run(["check", fx("forest_fire_disjunctive.scm.txt"),
+                              "cause L=1 for F=1 @ u11", "--all-causes", k])
+        assert (code, out) == (1, "")
+        assert err == "error: max_conjuncts must be at least 1\n"
+
+
+SPEC_BASE = ("exo U : {0,1}\nvar A : {0,1} = U\nvar B : {0,1} = A\n"
+             "typical A = 0 > 1\ncontext c : U=1\n")
+
+
+def test_spec_and_query_faults_are_located_in_every_command(tmp_path):
+    faulty = [
+        ("typical B = 0 > 1\nseverity A=1 < B=1 < A=1\n",
+         "error: 7:22: severity chain repeats a feature"),
+        ('mechanism on\nbehavior B : "same" = A > "same" = 1\n',
+         "error: 7:10: behavior ranking for B repeats a label"),
+        ("satisfies [A<-0, A<-1](B=1) @ c\n",
+         "error: 6:18: intervention repeats variable A"),
+    ]
+    for lines, message in faulty:
+        path = _document(tmp_path, SPEC_BASE + lines)
+        for argv in (["validate", path], ["check", path, "cause A=1 for B=1 @ c"],
+                     ["satisfies", path]):
+            code, out, err = run(argv)
+            assert (code, out, err) == (1, "", message + "\n"), argv

@@ -1,14 +1,29 @@
 """Parsing, diagnostics, spans, queries, and the round-trip printer."""
 
+import random
+
 import pytest
 
-from actualcause import BinOp, Ref
-from actualcause.corpus import fixture_path
+from actualcause import (
+    Behavior,
+    BehaviorRanking,
+    BinOp,
+    Const,
+    FormulaError,
+    NormalityError,
+    PrimitiveEvent,
+    Ref,
+    TypicalitySpec,
+    ValueRanking,
+    derive_from_typicality,
+)
+from actualcause.corpus import fixture_dir, fixture_path
 from actualcause.dsl import (
     MAX_NESTING,
     CauseQuery,
     DslError,
     GradeQuery,
+    ParsedDocument,
     SatisfiesQuery,
     SolveQuery,
     WitnessQuery,
@@ -16,25 +31,9 @@ from actualcause.dsl import (
     parse_query,
     pretty_print,
 )
+from actualcause.formula import check_body
 
-ALL_FIXTURES = [
-    "forest_fire_disjunctive.scm.txt",
-    "forest_fire_conjunctive.scm.txt",
-    "poisoning.scm.txt",
-    "bogus_prevention.scm.txt",
-    "bogus_prevention_pn.scm.txt",
-    "omission_a.scm.txt",
-    "omission_b.scm.txt",
-    "omission_c.scm.txt",
-    "omission_d.scm.txt",
-    "office_pens.scm.txt",
-    "background_conditions.scm.txt",
-    "causal_chain.scm.txt",
-    "legal_fire.scm.txt",
-    "preemption.scm.txt",
-    "short_circuit.scm.txt",
-    "short_circuit_intentions.scm.txt",
-]
+ALL_FIXTURES = sorted(path.name for path in fixture_dir().glob("*.scm.txt"))
 
 
 def test_forest_fire_equation_shape(documents):
@@ -242,6 +241,7 @@ context c : U=1
     ("cause A=1 & A=1 for B=1 @ c", "candidate cause repeats variable A"),
     ("grade {A=1, A=0 & A=1} for B=1 @ c", "candidate cause repeats variable A"),
     ("witnesses A=1 for B=1 @ nowhere", "unknown context nowhere"),
+    ("satisfies [A<-0, A<-1](B=1) @ c", "intervention repeats variable A"),
 ])
 def test_query_faults_read_the_same_in_documents_and_inline(line, message):
     with pytest.raises(DslError) as in_document:
@@ -340,3 +340,114 @@ def test_bundled_fixtures_stay_far_under_the_nesting_cap():
                 deepest = max(deepest, depth)
                 depth -= char == ")"
             assert deepest + line.count("!") < MAX_NESTING // 4, (name, line)
+
+
+# -- repeating one item of a list ----------------------------------------------
+
+LIST_SEPARATORS = ",&<>"
+
+
+def _list_separators(code):
+    """(position, bracket depth) of each list separator of a line: ',', '&',
+    '<' and '>', leaving out the arrows '<-' and '->' and quoted labels."""
+    found, depth, quoted = [], 0, False
+    for i, char in enumerate(code):
+        if char == '"':
+            quoted = not quoted
+        elif quoted:
+            continue
+        elif char in "([{":
+            depth += 1
+        elif char in ")]}":
+            depth -= 1
+        elif (char in LIST_SEPARATORS and code[i:i + 2] != "<-"
+              and code[i - 1:i + 1] != "->"):
+            found.append((i, depth))
+    return found
+
+
+def _repeat_item(code, position, depth):
+    """The line with the item after the separator at ``position`` repeated:
+    the item runs to the next separator at its depth, the end of its
+    brackets, the query's '|', 'for' or '@', or the end of the line."""
+    separators = {i for i, d in _list_separators(code) if d == depth}
+    level, end = depth, position + 1
+    while end < len(code):
+        char = code[end]
+        level += (char in "([{") - (char in ")]}")
+        if level < depth or (level == depth and (
+                end in separators or char in "@|" or code.startswith(" for ", end))):
+            break
+        end += 1
+    return code[:end] + code[position:end] + code[end:]
+
+
+@pytest.mark.parametrize("filename", ALL_FIXTURES)
+def test_repeating_a_list_item_is_caught_on_its_line(filename):
+    # Each mutant repeats one item of one list: a range value, a ranking
+    # value, a severity feature, a behavior, a world or context entry, an
+    # argument, a conjunct, a candidate or an intervention.  The document
+    # either stays well-formed, its normality order included, or gets a
+    # diagnostic on the mutated line.
+    rng = random.Random(0)
+    lines = fixture_path(filename).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        code = line.split("#")[0]
+        separators = _list_separators(code)
+        if not separators:
+            continue
+        mutated = _repeat_item(code, *rng.choice(separators))
+        text = "\n".join(lines[:number - 1] + [mutated] + lines[number:]) + "\n"
+        try:
+            document = parse_document(text)
+        except DslError as exc:
+            assert any(d.span.line == number for d in exc.diagnostics), mutated
+            continue
+        if document.has_normality():
+            document.normality_order()
+
+
+# -- one rule, one message -----------------------------------------------------
+
+RULE_BASE = "exo U : {0,1}\nvar A : {0,1} = U\nvar B : {0,1} = A\ncontext c : U=1\n"
+RANKED = (ValueRanking("A", (0, 1)), ValueRanking("B", (0, 1)))
+NO_POISON = Behavior("no poison", Const(0))
+
+
+@pytest.mark.parametrize("spec, keyword", [
+    (TypicalitySpec((ValueRanking("A", (0, 1)), ValueRanking("A", (1, 0)))), "typical"),
+    (TypicalitySpec((ValueRanking("A", (0,)),)), "typical"),
+    (TypicalitySpec(RANKED[:1], ((("A", 1), ("B", 1)),)), "severity"),
+    (TypicalitySpec(RANKED, ((("A", 0), ("B", 1)),)), "severity"),
+    (TypicalitySpec(RANKED, ((("A", 1), ("B", 1), ("A", 1)),)), "severity"),
+    (TypicalitySpec(RANKED, ((("A", 1),),)), "severity"),
+    (TypicalitySpec(behavior_rankings=(
+        BehaviorRanking("B", (NO_POISON, Behavior("mirrors", Ref("A")))),)), "behavior"),
+    (TypicalitySpec(mechanism=True, behavior_rankings=(
+        BehaviorRanking("B", (NO_POISON, NO_POISON)),)), "behavior"),
+    (TypicalitySpec(mechanism=True, behavior_rankings=(
+        BehaviorRanking("B", (NO_POISON, Behavior("follows", Ref("U")))),)), "behavior"),
+], ids=["typical-twice", "ranking-misses-a-value", "unranked-feature", "typical-feature",
+        "repeated-feature", "one-feature", "behavior-without-mechanism",
+        "repeated-label", "exogenous-reference"])
+def test_spec_faults_read_the_same_in_documents_and_the_library(spec, keyword):
+    base = parse_document(RULE_BASE)
+    text = pretty_print(ParsedDocument(base.model, spec, (), base.contexts, ()))
+    with pytest.raises(NormalityError) as library:
+        derive_from_typicality(base.model, spec)
+    with pytest.raises(DslError) as in_document:
+        parse_document(text)
+    [diagnostic] = in_document.value.diagnostics
+    assert diagnostic.message == str(library.value)
+    assert text.splitlines()[diagnostic.span.line - 1].startswith(keyword)
+
+
+@pytest.mark.parametrize("event", [PrimitiveEvent("Q", 1), PrimitiveEvent("U", 1),
+                                   PrimitiveEvent("B", 9)],
+                         ids=["undeclared", "exogenous", "out-of-range"])
+def test_event_faults_read_the_same_in_documents_and_the_library(event):
+    with pytest.raises(FormulaError) as library:
+        check_body(parse_document(RULE_BASE).model, event)
+    with pytest.raises(DslError) as in_document:
+        parse_document(RULE_BASE + f"cause A=1 for {event} @ c\n")
+    assert [d.message for d in in_document.value.diagnostics] == [str(library.value)]
