@@ -26,6 +26,23 @@ assemble their verdicts in one place, ``_verdicts``, which decides every
 candidate of a call on one search.  Its filter is one closure per call that
 asks the order once per distinct witness world; that memo, like the search's,
 lives as long as the call.
+
+Before the search, monotonicity refutes alternatives.  Take an alternative
+x' with x' >= x componentwise (s = +1) or x' <= x (s = -1), where x holds
+the candidate's actual values.  Each endogenous variable gets a sign
+relative to the candidate's variables X: +1 on X, 0 off the descendants of
+X, and otherwise the common value of the products (direction times sign)
+over its parents of non-zero sign.  An equation's direction in a parent is
+0, +1 or -1 when it is constant, non-decreasing or non-increasing in that
+parent.  The sign is unknown when two parents disagree, or when a direction
+is mixed or unknown: an equation whose references have more than
+``model.DIRECTION_CAP`` combinations has unknown directions.  When the effect
+is built from events with & and | alone, and each event Y=v has sign 0, or
+sign times s = +1 with v the top of Y's range, or sign times s = -1 with v
+its bottom, then the effect under x and any pins implies the effect under x'
+and the same pins.  AC2(b) needs the former and AC2(a) the negation of the
+latter, so no witness uses x', in plain and normality-aware tests alike, and
+the search drops x'.
 """
 
 from __future__ import annotations
@@ -47,6 +64,7 @@ from .model import (
     CausalModel,
     Context,
     World,
+    _directions,
     _event_fault,
     _reach_masks,
     _settle,
@@ -202,6 +220,7 @@ class CauseSearch:
         self._phi = compile_body(engine, effect)
         self._ac2b_cache: dict[tuple, bool] = {}
         self._decisions: dict[tuple, bool] = {}
+        self._signs: dict[tuple[str, ...], dict[str, Optional[int]]] = {}
 
     # -- clause checks ---------------------------------------------------------
 
@@ -328,14 +347,21 @@ class CauseSearch:
         if budget > self.max_search:
             raise SearchBudgetExceeded(budget, self.max_search)
         model = engine.model
-        x_vars = [c.variable for c in conjuncts]
+        x_vars = tuple(c.variable for c in conjuncts)
         x_set = set(x_vars)
         actual_x = tuple(c.value for c in conjuncts)
+        signs = self._signs.get(x_vars)
+        if signs is None:
+            signs = self._signs[x_vars] = _signs(model, x_vars)
+        preserved = {0: False, 1: _preserved(model, self.effect, signs, 1),
+                     -1: _preserved(model, self.effect, signs, -1)}
         alternatives = [
             combo
             for combo in itertools.product(*(model.range_of(v) for v in x_vars))
-            if combo != actual_x
+            if combo != actual_x and not preserved[_shift(actual_x, combo)]
         ]
+        if not alternatives:
+            return
         x_assignment = {c.variable: c.value for c in conjuncts}
         rest = tuple(n for n in engine.endo if n not in x_set)
         phi = self._phi
@@ -379,6 +405,60 @@ class CauseSearch:
                 if self.ac1(subset) and self.has_witness(subset, witness_filter):
                     return False
         return True
+
+
+def _signs(model: CausalModel, x_vars: Sequence[str]) -> dict[str, Optional[int]]:
+    """Sign of each endogenous variable relative to the candidate variables:
+    how it moves when they all rise, or None when that is unknown."""
+    index = model._endo_index
+    reach = _reach_masks(model)
+    downstream = 0
+    for name in x_vars:
+        downstream |= reach[index[name]]
+    signs: dict[str, Optional[int]] = {}
+    for name in model.topological_order():
+        if name in x_vars:
+            sign = 1
+        elif downstream >> index[name] & 1:
+            sign = 0
+            for parent, way in _directions(model, name).items():
+                parent_sign = signs.get(parent, 0)
+                if parent_sign == 0 or way == 0:
+                    continue
+                if parent_sign is None or way is None or sign not in (0, way * parent_sign):
+                    sign = None
+                    break
+                sign = way * parent_sign
+        else:
+            sign = 0
+        signs[name] = sign
+    return signs
+
+
+def _preserved(model: CausalModel, body: BooleanFormula,
+               signs: dict[str, Optional[int]], s: int) -> bool:
+    """Whether the effect holding under the candidate's actual values implies
+    it holding under any alternative shifted the way ``s`` says, the pins
+    held alike in both worlds."""
+    if isinstance(body, PrimitiveEvent):
+        sign = signs[body.variable]
+        if sign is None:
+            return False
+        values = model.range_of(body.variable)
+        return sign == 0 or body.value == (max(values) if sign * s > 0 else min(values))
+    if isinstance(body, (Conjunction, Disjunction)):
+        return all(_preserved(model, op, signs, s) for op in body.operands)
+    return False
+
+
+def _shift(actual: tuple[int, ...], alternative: tuple[int, ...]) -> int:
+    """1 when the alternative is componentwise at or above the actual
+    values, -1 when at or below, 0 otherwise."""
+    if all(a >= b for a, b in zip(alternative, actual)):
+        return 1
+    if all(a <= b for a, b in zip(alternative, actual)):
+        return -1
+    return 0
 
 
 # -- public operations ---------------------------------------------------------

@@ -61,6 +61,7 @@ from .normality import (
     NormalityOrder,
     TypicalitySpec,
     ValueRanking,
+    _explicit_closure,
     _spec_faults,
     derive_from_typicality,
     explicit_order,
@@ -143,6 +144,10 @@ class GradeQuery:
 Query = SolveQuery | SatisfiesQuery | CauseQuery | WitnessQuery | GradeQuery
 
 
+_BOTH_SOURCES = ("document declares both typicality and explicit norm relations; "
+                 "pick one source for the ordering")
+
+
 @dataclass
 class ParsedDocument:
     model: CausalModel
@@ -156,10 +161,7 @@ class ParsedDocument:
 
     def normality_order(self) -> NormalityOrder:
         if self.typicality is not None and self.explicit_norms:
-            raise ActualCauseError(
-                "document declares both typicality and explicit norm relations; "
-                "pick one source for the ordering"
-            )
+            raise ActualCauseError(_BOTH_SOURCES)
         if self.explicit_norms:
             return explicit_order(
                 self.model,
@@ -570,11 +572,12 @@ def _parse_query_line(cur: _Cursor, keyword: Token) -> _RawQuery:
             if cur.peek().kind != "]":
                 interventions = _parse_events(cur, "<-", ",")
             cur.expect("]")
-        if cur.accept("("):
-            body = parser.parse()
-            cur.expect(")")
-        else:
-            body = parser.parse()
+        # The brackets that format_formula puts around a body are not
+        # counted, so that a body at the nesting cap round-trips.
+        enclosed = cur.peek().kind == "("
+        cur.depth -= enclosed
+        body = parser.parse()
+        cur.depth += enclosed
     elif kind in ("cause", "witnesses", "grade"):
         if kind == "grade":
             cur.expect("{")
@@ -749,8 +752,9 @@ class _DocumentBuilder:
             for place, message in _spec_faults(model, typicality):
                 self.error(self._spec_span(place), message)
 
-        # explicit norm relations
+        # explicit norm relations: their order's rule is normality's
         norms = []
+        located = len(self.errors)
         for raw in self.norms:
             sides = []
             for side in (raw.left, raw.right):
@@ -769,6 +773,12 @@ class _DocumentBuilder:
                                f"norm world is missing variables: {', '.join(missing)}")
                 sides.append(world)
             norms.append((sides[0], raw.op, sides[1]))
+        if norms and typicality is not None:
+            self.error(self.norms[0].span, _BOTH_SOURCES)
+        elif len(self.errors) == located:
+            stated = [(model.world(a), op, model.world(b)) for a, op, b in norms]
+            for i, message in _explicit_closure(model, stated)[1]:
+                self.error(self.norms[i].span, message)
 
         # contexts
         contexts: dict[str, dict[str, int]] = {}

@@ -9,6 +9,7 @@ functions, so shared models are safe to use concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -212,6 +213,7 @@ class CausalModel:
         self._report: Optional[ValidationReport] = None
         self._topo: Optional[tuple[str, ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
+        self._directions: dict[str, dict[str, Optional[int]]] = {}
         # Set by intervene(): interventions on a validated model cannot break
         # validity, so children skip re-validation.
         self._assume_valid = False
@@ -390,7 +392,9 @@ def _reach_masks(model: CausalModel) -> tuple[int, ...]:
 
 
 def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
-    """Exhaustively evaluate each equation over its referenced ranges."""
+    """Check that each equation stays in its target's range: proved by the
+    equation's interval when that fits the range, else by evaluating it over
+    its referenced ranges."""
     problems = []
     for target in model.endogenous:
         eq = model.equations[target]
@@ -406,6 +410,13 @@ def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
                     )
                 )
                 continue
+        bounds = _bounds(model, eq.body)
+        if bounds is not None:
+            low, high = bounds
+            if high - low < len(target_range) and all(
+                value in target_range for value in range(low, high + 1)
+            ):
+                continue
         for combo in itertools.product(*(model.range_of(r) for r in refs)):
             env = dict(zip(refs, combo))
             value = eq.body.evaluate(env)
@@ -419,6 +430,44 @@ def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
                 )
                 break
     return problems
+
+
+def _bounds(model: CausalModel, expr: Expr) -> Optional[tuple[int, int]]:
+    """An interval holding every value the expression takes over the ranges
+    of the variables it references, by interval arithmetic; None when a table
+    in it lacks a row, which only evaluation reports."""
+    if isinstance(expr, Const):
+        return expr.value, expr.value
+    if isinstance(expr, Ref):
+        values = model.range_of(expr.name)
+        return min(values), max(values)
+    if isinstance(expr, Table):
+        if _missing_table_rows(model, expr) is not None:
+            return None
+        values = [value for _, value in expr.rows]
+        return min(values), max(values)
+    if isinstance(expr, Ite):
+        parts = [_bounds(model, e) for e in (expr.left, expr.right, expr.then, expr.other)]
+        if None in parts:
+            return None
+        (low, high), (low2, high2) = parts[2:]
+        return min(low, low2), max(high, high2)
+    left, right = _bounds(model, expr.left), _bounds(model, expr.right)
+    if left is None or right is None:
+        return None
+    (a, b), (c, d) = left, right
+    if expr.op == "min":
+        return min(a, c), min(b, d)
+    if expr.op == "max":
+        return max(a, c), max(b, d)
+    if expr.op == "+":
+        return a + c, b + d
+    if expr.op == "-":
+        return a - d, b - c
+    if expr.op == "*":
+        corners = (a * c, a * d, b * c, b * d)
+        return min(corners), max(corners)
+    return None
 
 
 def _missing_table_rows(model: CausalModel, table: Table) -> Optional[tuple[int, ...]]:
@@ -545,26 +594,59 @@ def dependence_graph(model: CausalModel) -> DependenceGraph:
 
 def semantic_parents(model: CausalModel, target: str) -> tuple[str, ...]:
     """Variables whose value actually matters to the target's equation."""
-    eq = model.equations[target]
-    refs = sorted(eq.body.referenced())
-    parents = []
-    for candidate in refs:
-        others = [r for r in refs if r != candidate]
-        found = False
-        for combo in itertools.product(*(model.range_of(r) for r in others)):
-            env = dict(zip(others, combo))
-            seen = set()
-            for value in model.range_of(candidate):
-                env[candidate] = value
-                seen.add(eq.body.evaluate(env))
-                if len(seen) > 1:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            parents.append(candidate)
-    return tuple(parents)
+    directions = _equation_directions(model, target, None)
+    return tuple(name for name, way in directions.items() if way != 0)
+
+
+# Past this many combinations of an equation's references, its directions
+# are unknown: the search then refutes nothing through it.
+DIRECTION_CAP = 1 << 12
+
+
+def _equation_directions(
+    model: CausalModel, target: str, cap: Optional[int]
+) -> dict[str, Optional[int]]:
+    """Direction of the target's equation in each variable it references, in
+    name order: 0 when the output never moves with the variable, 1 when it
+    never falls and -1 when it never rises as the variable steps up its
+    range, every other reference held fixed; None when it does both (mixed),
+    or when the references have more than ``cap`` combinations (unknown).
+
+    One walk over the product of the references' ranges, each in numeric
+    order; neighbours along a reference then sit one stride apart."""
+    body = model.equations[target].body
+    refs = sorted(body.referenced())
+    ranges = [sorted(model.range_of(r)) for r in refs]
+    size = math.prod(len(values) for values in ranges)
+    if cap is not None and size > cap:
+        return dict.fromkeys(refs)
+    outputs = [
+        body.evaluate(dict(zip(refs, combo))) for combo in itertools.product(*ranges)
+    ]
+    directions: dict[str, Optional[int]] = {}
+    stride = size
+    for name, values in zip(refs, ranges):
+        stride //= len(values)
+        top = len(values) - 1
+        rises = falls = False
+        for p in range(size - stride):
+            if p // stride % len(values) != top:
+                step = outputs[p + stride] - outputs[p]
+                rises |= step > 0
+                falls |= step < 0
+        directions[name] = None if rises and falls else int(rises) - int(falls)
+    return directions
+
+
+def _directions(model: CausalModel, target: str) -> dict[str, Optional[int]]:
+    """The target equation's directions under ``DIRECTION_CAP``, computed
+    once per model, on first use."""
+    found = model._directions.get(target)
+    if found is None:
+        found = model._directions[target] = _equation_directions(
+            model, target, DIRECTION_CAP
+        )
+    return found
 
 
 def equation_isomorphism(

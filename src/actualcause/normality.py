@@ -442,6 +442,18 @@ def explicit_order(
         if op not in (">", "=="):
             raise NormalityError(f"unknown relation operator {op!r}")
         stated.append((_as_world(model, left), op, _as_world(model, right)))
+    closure, faults = _explicit_closure(model, stated)
+    for _, message in faults:
+        raise NormalityError(message)
+    return ExplicitOrder(model, closure)
+
+
+def _explicit_closure(
+    model: CausalModel, stated: Sequence[tuple[World, str, World]]
+) -> tuple[frozenset[tuple[tuple, tuple]], list[tuple[int, str]]]:
+    """Closure of the stated relations over world values, and the fault of
+    each strict relation that the closure also makes hold the other way
+    around, with that relation's index."""
     edges: set[tuple[tuple, tuple]] = set()
     nodes: set[tuple] = set()
     for left, op, right in stated:
@@ -451,16 +463,17 @@ def explicit_order(
         if op == "==":
             edges.add((right.values, left.values))
     closure = _closure(nodes, edges)
-    for left, op, right in stated:
+    faults = []
+    for i, (left, op, right) in enumerate(stated):
         if op == ">" and (right.values, left.values) in closure:
             cycle = _find_path(nodes, edges, right.values, left.values)
             pretty = " >= ".join(str(model.world_from_values(v)) for v in cycle)
-            raise NormalityError(
+            faults.append((i, (
                 f"relations make {model.world_from_values(left.values)} and "
                 f"{model.world_from_values(right.values)} strictly more normal "
                 f"than each other (via {pretty})"
-            )
-    return ExplicitOrder(model, closure)
+            )))
+    return closure, faults
 
 
 def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:

@@ -10,8 +10,15 @@ import itertools
 import random
 
 from actualcause import (
+    BinOp,
     CausalModel,
+    Conjunction,
+    Const,
+    Disjunction,
     Equation,
+    Ite,
+    Negation,
+    PrimitiveEvent,
     Ref,
     Table,
     TypicalitySpec,
@@ -53,6 +60,104 @@ def random_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
     # Declaration order: exogenous drivers first, then endogenous nodes.
     variables.sort(key=lambda v: (v.kind != "exogenous", v.name))
     return CausalModel(variables, equations)
+
+
+def random_monotone_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
+    """Random acyclic model over binary and ternary ranges, some declared
+    out of numeric order.
+
+    Most tables step a score through sorted cut points, where the score adds
+    some parents' values and the others' distances from their tops, so the
+    table is non-decreasing ("up") in the former and non-increasing ("down")
+    in the latter; the rest are arbitrary, which makes mixed edges.  Parentless
+    nodes copy their own exogenous driver.
+    """
+    n = rng.randint(2, max_endo)
+    endo = [f"V{i}" for i in range(n)]
+    ranges = []
+    for _ in endo:
+        values = list(range(rng.choice((2, 3))))
+        if rng.random() < 0.3:
+            rng.shuffle(values)
+        ranges.append(tuple(values))
+    variables = [Variable(name, "endogenous", values) for name, values in zip(endo, ranges)]
+    equations = []
+    for i, name in enumerate(endo):
+        parents = sorted(rng.sample(range(i), rng.randint(min(i, 1), min(i, 2))))
+        if not parents:
+            variables.append(Variable(f"U{i}", "exogenous", ranges[i]))
+            equations.append(Equation(name, Ref(f"U{i}")))
+            continue
+        ways = [rng.choice((1, -1)) for _ in parents]
+        tops = [len(ranges[p]) - 1 for p in parents]
+        cuts = sorted(rng.randint(0, sum(tops) + 1) for _ in range(len(ranges[i]) - 1))
+        mixed = rng.random() < 0.25
+        rows = []
+        for combo in itertools.product(*(sorted(ranges[p]) for p in parents)):
+            if mixed:
+                out = rng.randrange(len(ranges[i]))
+            else:
+                score = sum(v if way > 0 else top - v
+                            for v, way, top in zip(combo, ways, tops))
+                out = sum(cut <= score for cut in cuts)
+            rows.append((combo, out))
+        equations.append(
+            Equation(name, Table(tuple(endo[p] for p in parents), tuple(rows)))
+        )
+    variables.sort(key=lambda v: (v.kind != "exogenous", v.name))
+    return CausalModel(variables, equations)
+
+
+def random_effect(rng: random.Random, model: CausalModel, world, depth: int = 2):
+    """Random effect over the model's endogenous variables: events joined
+    by & and |, now and then negated.  Most events hold in ``world``; the
+    rest name the top or the bottom of their variable's range."""
+    if depth == 0 or rng.random() < 0.4:
+        name = rng.choice(model.endogenous)
+        if rng.random() < 0.7:
+            event = PrimitiveEvent(name, world[name])
+        else:
+            event = PrimitiveEvent(name, rng.choice((min, max))(model.range_of(name)))
+        return Negation(event) if rng.random() < 0.15 else event
+    operands = tuple(random_effect(rng, model, world, depth - 1)
+                     for _ in range(rng.randint(2, 3)))
+    node = (Conjunction if rng.random() < 0.5 else Disjunction)(operands)
+    return Negation(node) if rng.random() < 0.1 else node
+
+
+def random_expression(rng: random.Random, depth: int = 3):
+    """Random equation body over the variables of ``EXPRESSION_RANGES``:
+    every operator, ite and nested tables."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return Const(rng.randint(-2, 2))
+        return Ref(rng.choice(sorted(EXPRESSION_RANGES)))
+    kind = rng.choice(("min", "max", "+", "-", "*", "ite", "table"))
+    if kind == "ite":
+        return Ite(*(random_expression(rng, depth - 1) for _ in range(4)))
+    if kind == "table":
+        args = tuple(sorted(rng.sample(sorted(EXPRESSION_RANGES), rng.randint(1, 2))))
+        rows = tuple(
+            (combo, rng.randint(-2, 2))
+            for combo in itertools.product(*(EXPRESSION_RANGES[a] for a in args))
+        )
+        return Table(args, rows)
+    return BinOp(kind, random_expression(rng, depth - 1),
+                 random_expression(rng, depth - 1))
+
+
+# Ranges of the variables random_expression draws on: unsorted, negative
+# and wider-than-binary values on purpose.
+EXPRESSION_RANGES = {"A": (0, 1), "B": (2, -1, 0), "C": (1, 3, 2)}
+
+
+def expression_model(body) -> CausalModel:
+    """Model whose one endogenous variable T computes ``body`` from
+    exogenous variables ranging over ``EXPRESSION_RANGES``."""
+    variables = [Variable(name, "exogenous", values)
+                 for name, values in EXPRESSION_RANGES.items()]
+    variables.append(Variable("T", "endogenous", (0,)))
+    return CausalModel(variables, [Equation("T", body)])
 
 
 def all_contexts(model: CausalModel):

@@ -9,8 +9,10 @@ from actualcause import (
     BinOp,
     CandidateCause,
     CausalModel,
+    Const,
     Equation,
     FormulaError,
+    Negation,
     PrimitiveEvent,
     Ref,
     SearchBudgetExceeded,
@@ -465,13 +467,8 @@ def test_witness_memo_keeps_filtered_and_plain_decisions_apart(documents):
         assert search.has_witness(conjuncts) is True
 
 
-def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
-    # Guards the witness-decision memo and the AC2(b) restriction: without
-    # the memo AC3 re-decides the single conjuncts (88 counterfactual
-    # lookups), without the restriction AC2(b) solves no-op re-impositions
-    # (86 lookups, 46 distinct solves).  The search before both: 91 lookups,
-    # 46 distinct solves.
-    doc = documents["forest_fire_disjunctive.scm.txt"]
+def _count_lookups(monkeypatch):
+    """Counts of counterfactual lookups and of distinct solves from here on."""
     counts = {"solve_tuple": 0, "settle": 0}
     solve_tuple, settle = Engine.solve_tuple, checker._settle
 
@@ -485,9 +482,59 @@ def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
 
     monkeypatch.setattr(Engine, "solve_tuple", counting_solve_tuple)
     monkeypatch.setattr(checker, "_settle", counting_settle)
+    return counts
+
+
+def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
+    # Guards the witness-decision memo, the AC2(b) restriction and the
+    # refutation by monotonicity: without the memo AC3 re-decides the single
+    # conjuncts (88 counterfactual lookups), without the restriction AC2(b)
+    # solves no-op re-impositions (86 lookups, 46 distinct solves), and
+    # without the refutation the unlit source and the pairs holding it are
+    # searched in full (70 lookups, 44 distinct solves).  The search before
+    # all three: 91 lookups, 46 distinct solves.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    counts = _count_lookups(monkeypatch)
     found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
                                                      max_conjuncts=2)]
              for name, context in doc.contexts.items()}
     assert found == {"u11": ["L=1", "M=1", "F=1"], "u10": ["L=1", "F=1"]}
-    assert counts["solve_tuple"] <= 70
-    assert counts["settle"] <= 44
+    assert counts["solve_tuple"] <= 53
+    assert counts["settle"] <= 36
+
+
+def test_unlit_source_is_refuted_without_a_counterfactual(documents, monkeypatch):
+    # Raising M only helps F = max(L, M) to 1: the one lookup is the actual
+    # world, which AC1 reads.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    counts = _count_lookups(monkeypatch)
+    verdict = is_actual_cause(doc.model, doc.contexts["u10"], cand(event("M", 0)),
+                              event("F", 1))
+    assert verdict.ac1 and verdict.failed_clause == "AC2"
+    assert counts == {"solve_tuple": 1, "settle": 1}
+
+
+def test_refutation_follows_a_non_increasing_edge():
+    # B = 1 - A falls as A rises, so F = max(B, C) does too: raising A can
+    # break F=1 and is not refuted, while raising C is.
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1)), Variable("UC", "exogenous", (0, 1))]
+        + [Variable(name, "endogenous", (0, 1)) for name in "ABCF"],
+        [Equation("A", Ref("U")), Equation("B", BinOp("-", Const(1), Ref("A"))),
+         Equation("C", Ref("UC")), Equation("F", BinOp("max", Ref("B"), Ref("C")))],
+    )
+    context = {"U": 0, "UC": 0}
+    assert checker._signs(model, ["A"]) == {"A": 1, "B": -1, "C": 0, "F": -1}
+    verdict = is_actual_cause(model, context, cand(event("A", 0)), event("F", 1))
+    assert verdict.is_cause
+    assert [r.x_prime for r in verdict.hp_witnesses] == [(1,), (1,)]
+    assert not is_actual_cause(model, context, cand(event("C", 0)),
+                               event("F", 1)).hp_witnesses
+    # F=0 is the bottom of F's range, so raising A keeps it and lowering A
+    # may not.
+    signs = checker._signs(model, ["A"])
+    assert checker._preserved(model, event("F", 0), signs, 1)
+    assert not checker._preserved(model, event("F", 0), signs, -1)
+    # A negation is never taken as kept: !(F=0) is F=1 here, which raising A
+    # can break.
+    assert not checker._preserved(model, Negation(event("F", 0)), signs, 1)

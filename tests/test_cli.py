@@ -190,6 +190,14 @@ def test_flat_sum_of_1500_terms_exits_one(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_satisfies_body_may_start_with_a_group(tmp_path):
+    path = _document(tmp_path, DEEP_MODEL + "satisfies (F=0) | F=1 @ c\n"
+                                            "satisfies (F=0) & F=1 @ c\n")
+    code, out, _ = run(["satisfies", path, "--format", "json"])
+    assert code == 0
+    assert [answer["holds"] for answer in json.loads(out)] == [True, False]
+
+
 def test_nesting_one_under_the_cap_is_answered(tmp_path):
     from actualcause.dsl import MAX_NESTING
 
@@ -225,16 +233,25 @@ SPEC_BASE = ("exo U : {0,1}\nvar A : {0,1} = U\nvar B : {0,1} = A\n"
 
 
 def test_spec_and_query_faults_are_located_in_every_command(tmp_path):
+    unranked = SPEC_BASE.replace("typical A = 0 > 1\n", "")
     faulty = [
-        ("typical B = 0 > 1\nseverity A=1 < B=1 < A=1\n",
+        (SPEC_BASE + "typical B = 0 > 1\nseverity A=1 < B=1 < A=1\n",
          "error: 7:22: severity chain repeats a feature"),
-        ('mechanism on\nbehavior B : "same" = A > "same" = 1\n',
+        (SPEC_BASE + 'mechanism on\nbehavior B : "same" = A > "same" = 1\n',
          "error: 7:10: behavior ranking for B repeats a label"),
-        ("satisfies [A<-0, A<-1](B=1) @ c\n",
+        (SPEC_BASE + "satisfies [A<-0, A<-1](B=1) @ c\n",
          "error: 6:18: intervention repeats variable A"),
+        (SPEC_BASE + "norm (A=0, B=0) > (A=1, B=1)\n",
+         "error: 6:1: document declares both typicality and explicit norm "
+         "relations; pick one source for the ordering"),
+        (unranked + "norm (A=0, B=0) > (A=1, B=1)\nnorm (A=1, B=1) > (A=0, B=0)\n",
+         "error: 5:1: relations make (A=0, B=0) and (A=1, B=1) strictly more "
+         "normal than each other (via (A=1, B=1) >= (A=0, B=0))\n"
+         "error: 6:1: relations make (A=1, B=1) and (A=0, B=0) strictly more "
+         "normal than each other (via (A=0, B=0) >= (A=1, B=1))"),
     ]
-    for lines, message in faulty:
-        path = _document(tmp_path, SPEC_BASE + lines)
+    for text, message in faulty:
+        path = _document(tmp_path, text)
         for argv in (["validate", path], ["check", path, "cause A=1 for B=1 @ c"],
                      ["satisfies", path]):
             code, out, err = run(argv)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from actualcause import (
+    ActualCauseError,
     Behavior,
     BehaviorRanking,
     BinOp,
@@ -16,6 +17,7 @@ from actualcause import (
     TypicalitySpec,
     ValueRanking,
     derive_from_typicality,
+    explicit_order,
 )
 from actualcause.corpus import fixture_dir, fixture_path
 from actualcause.dsl import (
@@ -201,6 +203,16 @@ def test_parse_satisfies_query(documents):
     assert query.formula.interventions == (("M", 0),)
 
 
+@pytest.mark.parametrize("op", ["|", "&"])
+def test_satisfies_body_may_start_with_a_group(documents, op):
+    # A leading group is one operand, as it is after 'for' in a cause line.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    for prefix in ("", "[M<-0]"):
+        query = parse_query(f"satisfies {prefix}(L=1) {op} M=1 @ u11", doc)
+        cause = parse_query(f"cause L=1 for (L=1) {op} M=1 @ u11", doc)
+        assert query.formula.body == cause.effect
+
+
 def test_parse_solve_and_witnesses(documents):
     doc = documents["forest_fire_disjunctive.scm.txt"]
     assert isinstance(parse_query("solve @ u11", doc), SolveQuery)
@@ -328,6 +340,9 @@ def test_nesting_at_the_cap_parses_and_evaluates():
     assert satisfies(doc.model, context, first.formula) is True
     assert satisfies(doc.model, context, second.formula) is False
     assert parse_document(pretty_print(doc)) == doc
+    # The printer brackets a satisfies body; the brackets are no level.
+    at_cap = parse_document(DEEP_MODEL + "satisfies " + "!" * MAX_NESTING + "F=1 @ c\n")
+    assert parse_document(pretty_print(at_cap)) == at_cap
 
 
 def test_bundled_fixtures_stay_far_under_the_nesting_cap():
@@ -451,3 +466,32 @@ def test_event_faults_read_the_same_in_documents_and_the_library(event):
     with pytest.raises(DslError) as in_document:
         parse_document(RULE_BASE + f"cause A=1 for {event} @ c\n")
     assert [d.message for d in in_document.value.diagnostics] == [str(library.value)]
+
+
+NORM_BASE = "exo U : {0,1}\nvar A : {0,1} = U\ncontext c : U=1\n"
+
+
+def test_contradictory_norms_read_the_same_in_documents_and_the_library():
+    model = parse_document(NORM_BASE).model
+    relations = [({"A": 0}, ">", {"A": 1}), ({"A": 1}, "==", {"A": 0})]
+    with pytest.raises(NormalityError) as library:
+        explicit_order(model, relations)
+    text = NORM_BASE + "norm (A=0) > (A=1)\nnorm (A=1) == (A=0)\n"
+    with pytest.raises(DslError) as in_document:
+        parse_document(text)
+    [diagnostic] = in_document.value.diagnostics
+    assert diagnostic.message == str(library.value)
+    assert (diagnostic.span.line, diagnostic.span.column) == (4, 1)
+
+
+def test_typicality_and_norms_together_are_located_on_the_first_norm():
+    base = parse_document(NORM_BASE + "typical A = 0 > 1\n")
+    norms = (({"A": 0}, ">", {"A": 1}),)
+    both = ParsedDocument(base.model, base.typicality, norms, base.contexts, ())
+    with pytest.raises(ActualCauseError) as library:
+        both.normality_order()
+    with pytest.raises(DslError) as in_document:
+        parse_document(pretty_print(both))
+    [diagnostic] = in_document.value.diagnostics
+    assert diagnostic.message == str(library.value)
+    assert pretty_print(both).splitlines()[diagnostic.span.line - 1].startswith("norm")

@@ -77,6 +77,24 @@ def test_partial_table_is_totality_violation():
     assert any(p.kind == "totality" for p in report.problems)
 
 
+def test_wide_sum_is_proved_total_by_its_interval():
+    import time
+
+    from actualcause.dsl import parse_document
+
+    names = [f"A{i}" for i in range(30)]
+    text = "".join(f"exo {name} : {{0,1}}\n" for name in names)
+    start = time.perf_counter()
+    model = parse_document(text + f"var S : {{0,1}} = min(1, {' + '.join(names)})\n").model
+    assert validate_model(model).ok
+    assert time.perf_counter() - start < 0.1
+    # Past the range, the message is the enumeration's.
+    spill = CausalModel([binary("A", "exogenous"), binary("B", "exogenous"), binary("S")],
+                        [Equation("S", BinOp("+", Ref("A"), Ref("B")))])
+    [problem] = validate_model(spill).problems
+    assert problem.message == "equation for S yields 2 (outside range) at {'A': 1, 'B': 1}"
+
+
 def test_missing_equation_reported():
     model = CausalModel([binary("X"), binary("Y")], [Equation("X", Const(0))])
     report = validate_model(model)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +20,20 @@ from actualcause import (
     satisfies,
     solve,
 )
+from actualcause import checker, oracle
+from actualcause.checker import CauseSearch, Engine
 from actualcause.dsl import DslError, parse_document
+from actualcause.model import _bounds, _equation_directions
 
-from random_models import all_contexts, random_model, random_typicality
+from random_models import (
+    all_contexts,
+    expression_model,
+    random_effect,
+    random_expression,
+    random_model,
+    random_monotone_model,
+    random_typicality,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -160,3 +172,84 @@ def test_parser_total_on_arbitrary_bytes(blob):
         parse_document(text)
     except DslError as exc:
         assert exc.diagnostics
+
+
+# -- equation analysis -----------------------------------------------------------
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_equation_interval_and_directions_agree_with_evaluation(seed):
+    rng = random.Random(seed)
+    body = random_expression(rng)
+    model = expression_model(body)
+    refs = sorted(body.referenced())
+    outputs = {
+        combo: body.evaluate(dict(zip(refs, combo)))
+        for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs))
+    }
+    low, high = _bounds(model, body)
+    assert all(low <= value <= high for value in outputs.values())
+    directions = _equation_directions(model, "T", None)
+    assert list(directions) == refs
+    for i, name in enumerate(refs):
+        ways = set()  # signs of the output's change over every raise of name
+        for combo, value in outputs.items():
+            for raised in model.range_of(name):
+                if raised > combo[i]:
+                    after = outputs[combo[:i] + (raised,) + combo[i + 1:]]
+                    ways.add((after > value) - (after < value))
+        ways.discard(0)
+        assert directions[name] == (ways.pop() if len(ways) == 1 else
+                                    0 if not ways else None), name
+    capped = _equation_directions(model, "T", len(outputs) - 1)
+    assert capped == (dict.fromkeys(refs) if refs else {})
+
+
+# -- refutation by monotonicity ----------------------------------------------------
+
+
+def _oracle_passes(model, context, conjuncts, effect, x_prime):
+    """The oracle's literal AC2 expansion, for one alternative only."""
+    actual = solve(model, context)
+    x_vars = [c.variable for c in conjuncts]
+    x_actual = {c.variable: c.value for c in conjuncts}
+    others = [v for v in model.endogenous if v not in x_vars]
+    for w_size in range(len(others) + 1):
+        for w_vars in itertools.combinations(others, w_size):
+            z_rest = [v for v in others if v not in w_vars]
+            for w_vals in itertools.product(*(model.range_of(v) for v in w_vars)):
+                setting = dict(zip(x_vars, x_prime))
+                setting.update(zip(w_vars, w_vals))
+                if not oracle._holds(effect, oracle._solve_with(model, context, setting)) \
+                        and oracle._ac2b(model, context, x_actual, w_vars, w_vals,
+                                         z_rest, actual, effect):
+                    return True
+    return False
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_refuted_alternatives_have_no_witness(seed):
+    rng = random.Random(seed)
+    model = (random_monotone_model if rng.random() < 0.8 else random_model)(rng)
+    context = rng.choice(list(all_contexts(model)))
+    actual = solve(model, context)
+    effect = random_effect(rng, model, actual)
+    names = rng.sample(model.endogenous, rng.randint(1, 2))
+    conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
+    actual_x = tuple(c.value for c in conjuncts)
+    signs = checker._signs(model, names)
+    preserved = {0: False, 1: checker._preserved(model, effect, signs, 1),
+                 -1: checker._preserved(model, effect, signs, -1)}
+    refuted = {
+        alt for alt in itertools.product(*(model.range_of(n) for n in names))
+        if alt != actual_x and preserved[checker._shift(actual_x, alt)]
+    }
+    pruned = CauseSearch(Engine(model, context), effect).enumerate(conjuncts)
+    with mock.patch.object(checker, "_preserved", return_value=False):
+        unpruned = CauseSearch(Engine(model, context), effect).enumerate(conjuncts)
+    assert pruned == unpruned
+    assert not refuted & {record.x_prime for record in unpruned}
+    for alt in refuted:
+        assert not _oracle_passes(model, context, conjuncts, effect, alt)
