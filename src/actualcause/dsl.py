@@ -67,6 +67,8 @@ from .normality import (
     explicit_order,
 )
 
+_QUERY_KEYWORDS = ("cause", "grade", "witnesses", "solve", "satisfies")
+
 RESERVED = {
     "exo", "var", "typical", "severity", "mechanism", "behavior", "norm",
     "context", "cause", "grade", "witnesses", "solve", "satisfies", "for",
@@ -702,7 +704,7 @@ class _DocumentBuilder:
                 items = _parse_events(cur, "=", ",")
                 cur.expect_end()
                 self.contexts.append(_RawContext(name.text, name.span, items))
-            elif keyword.text in ("cause", "grade", "witnesses", "solve", "satisfies"):
+            elif keyword.text in _QUERY_KEYWORDS:
                 self.queries.append(_parse_query_line(cur, keyword))
             else:
                 self.error(keyword.span, f"unknown keyword {keyword.text!r}")
@@ -758,15 +760,8 @@ class _DocumentBuilder:
         for raw in self.norms:
             sides = []
             for side in (raw.left, raw.right):
-                world = {}
-                for name, value, span in side:
-                    fault = _event_fault(model, name, value, "a norm world")
-                    if fault is None and name in world:
-                        fault = f"world assigns {name} twice"
-                    if fault is not None:
-                        self.error(span, fault)
-                        continue
-                    world[name] = value
+                world = _events(side, model, "a norm world", "world assigns {} twice",
+                                self.errors)
                 missing = [n for n in model.endogenous if n not in world]
                 if missing:
                     self.error(raw.span,
@@ -786,15 +781,9 @@ class _DocumentBuilder:
             if raw.name in contexts:
                 self.error(raw.span, f"context {raw.name} declared twice")
                 continue
-            assignment = contexts[raw.name] = {}
-            for name, value, span in raw.items:
-                fault = _event_fault(model, name, value, "context", EXOGENOUS)
-                if fault is None and name in assignment:
-                    fault = f"context assigns {name} twice"
-                if fault is not None:
-                    self.error(span, fault)
-                    continue
-                assignment[name] = value
+            assignment = contexts[raw.name] = _events(
+                raw.items, model, "context", "context assigns {} twice", self.errors,
+                EXOGENOUS)
             missing = [n for n in model.exogenous if n not in assignment]
             if missing:
                 self.error(raw.span,
@@ -863,9 +852,7 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
         raise DslError(lex_errors)
     cur = _Cursor(tokens)
     keyword = cur.peek()
-    if keyword.kind != "ident" or keyword.text not in (
-        "cause", "grade", "witnesses", "solve", "satisfies"
-    ):
+    if keyword.kind != "ident" or keyword.text not in _QUERY_KEYWORDS:
         raise DslError([Diagnostic(keyword.span, "expected a query keyword")])
     cur.next()
     try:
@@ -894,27 +881,14 @@ def _check_query(raw: _RawQuery, model: Optional[CausalModel],
     as a diagnostic.  Without a model only the shape of the candidate causes
     and of the intervention prefix is checked."""
     count = len(errors)
-
-    def events(refs, where: str, what: str) -> dict[str, int]:
-        """The events of a list that keep the event rule, and, when ``what``
-        names the list, that do not repeat a variable."""
-        found: dict[str, int] = {}
-        for name, value, span in refs:
-            fault = None if model is None else _event_fault(model, name, value, where)
-            if fault is None and what and name in found:
-                fault = f"{what} repeats variable {name}"
-            if fault is not None:
-                errors.append(Diagnostic(span, fault))
-                continue
-            found[name] = value
-        return found
-
     ctx_name, ctx_span = raw.context
     if model is not None and ctx_name not in context_names:
         errors.append(Diagnostic(ctx_span, f"unknown context {ctx_name}"))
-    events(raw.effect_refs, "a formula", "")
-    interventions = events(raw.interventions, "an intervention", "intervention")
-    conjunctions = [events(refs, "a candidate cause", "candidate cause")
+    _events(raw.effect_refs, model, "a formula", "", errors)
+    interventions = _events(raw.interventions, model, "an intervention",
+                            "intervention repeats variable {}", errors)
+    conjunctions = [_events(refs, model, "a candidate cause",
+                            "candidate cause repeats variable {}", errors)
                     for refs in raw.causes]
     if len(errors) > count:
         return None
@@ -930,6 +904,24 @@ def _check_query(raw: _RawQuery, model: Optional[CausalModel],
     if raw.kind == "witnesses":
         return WitnessQuery(causes[0], raw.effect, ctx_name)
     return GradeQuery(tuple(causes), raw.effect, ctx_name)
+
+
+def _events(refs, model: Optional[CausalModel], where: str, repeat: str,
+            errors: list[Diagnostic], kind: str = ENDOGENOUS) -> dict[str, int]:
+    """The events of a list, each ``(name, value, span)``, that keep the event
+    rule for ``kind`` (checked only given a model) and, when ``repeat`` is a
+    message, do not repeat a variable; each fault is appended to errors,
+    ``repeat`` formatted with the repeated name."""
+    found: dict[str, int] = {}
+    for name, value, span in refs:
+        fault = None if model is None else _event_fault(model, name, value, where, kind)
+        if fault is None and repeat and name in found:
+            fault = repeat.format(name)
+        if fault is not None:
+            errors.append(Diagnostic(span, fault))
+            continue
+        found[name] = value
+    return found
 
 
 # -- pretty printer -----------------------------------------------------------------

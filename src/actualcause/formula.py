@@ -68,17 +68,6 @@ class CausalFormula:
             raise FormulaError("intervention prefix repeats a variable")
 
 
-def variables_in(body: BooleanFormula) -> frozenset[str]:
-    if isinstance(body, PrimitiveEvent):
-        return frozenset((body.variable,))
-    if isinstance(body, Negation):
-        return variables_in(body.operand)
-    out: frozenset[str] = frozenset()
-    for operand in body.operands:
-        out |= variables_in(operand)
-    return out
-
-
 def check_body(model: CausalModel, body: BooleanFormula):
     """Reject bodies naming unknown/exogenous variables or off-range values."""
     if isinstance(body, PrimitiveEvent):
@@ -124,26 +113,19 @@ def satisfies(model: CausalModel, context: Context, formula: CausalFormula) -> b
     return evaluate(formula.body, model.world_from_values(values))
 
 
-def format_body(body: BooleanFormula, parent: str = "") -> str:
+def format_body(body: BooleanFormula) -> str:
     """Canonical rendering; parenthesizes only where precedence demands."""
     if isinstance(body, PrimitiveEvent):
         return str(body)
     if isinstance(body, Negation):
-        inner = format_body(body.operand, "!")
+        inner = format_body(body.operand)
         if isinstance(body.operand, (Conjunction, Disjunction)):
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(body, Conjunction):
-        parts = []
-        for op in body.operands:
-            text = format_body(op, "&")
-            if isinstance(op, Disjunction):
-                text = f"({text})"
-            parts.append(text)
-        text = " & ".join(parts)
-        return text
-    parts = [format_body(op, "|") for op in body.operands]
-    return " | ".join(parts)
+        return " & ".join(f"({format_body(op)})" if isinstance(op, Disjunction)
+                          else format_body(op) for op in body.operands)
+    return " | ".join(format_body(op) for op in body.operands)
 
 
 def format_formula(formula: CausalFormula) -> str:

@@ -113,23 +113,30 @@ class Ite:
 
 @dataclass(frozen=True)
 class Table:
-    """Explicit lookup from argument-value tuples to results."""
+    """Explicit lookup from argument-value tuples to results; where rows
+    repeat an argument tuple, the first one counts."""
 
     args: tuple[str, ...]
     rows: tuple[tuple[tuple[int, ...], int], ...]
 
+    def __post_init__(self):
+        # The row map every evaluation reads; built last row first, so the
+        # first row for an argument tuple is the one kept.
+        object.__setattr__(self, "_map", dict(reversed(self.rows)))
+
     def referenced(self) -> frozenset[str]:
         return frozenset(self.args)
 
-    def row_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.rows)
-
     def evaluate(self, env: Mapping[str, int]) -> int:
         key = tuple(env[a] for a in self.args)
-        for args, value in self.rows:
-            if args == key:
-                return value
-        raise ModelError(f"table has no row for arguments {key}")
+        value = self._map.get(key)
+        if value is None:
+            raise _MissingRow(f"table({', '.join(self.args)}) has no row for {key}")
+        return value
+
+
+class _MissingRow(ModelError):
+    """A table met an argument tuple it has no row for."""
 
 
 Expr = Const | Ref | BinOp | Ite | Table
@@ -392,60 +399,49 @@ def _reach_masks(model: CausalModel) -> tuple[int, ...]:
 
 
 def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
-    """Check that each equation stays in its target's range: proved by the
-    equation's interval when that fits the range, else by evaluating it over
-    its referenced ranges."""
+    """Check that each equation has a value in its target's range at every
+    combination of its references: proved by the equation's interval when
+    that fits the range, else by walking the combinations to the first
+    fault, a missing table row or a value outside the range."""
     problems = []
     for target in model.endogenous:
-        eq = model.equations[target]
-        refs = sorted(eq.body.referenced())
+        body = model.equations[target].body
         target_range = set(model.range_of(target))
-        if isinstance(eq.body, Table):
-            missing = _missing_table_rows(model, eq.body)
-            if missing is not None:
-                problems.append(
-                    ValidationProblem(
-                        "totality",
-                        f"table for {target} has no row for {refs} = {missing}",
-                    )
-                )
-                continue
-        bounds = _bounds(model, eq.body)
+        bounds = _bounds(model, body)
         if bounds is not None:
             low, high = bounds
             if high - low < len(target_range) and all(
                 value in target_range for value in range(low, high + 1)
             ):
                 continue
-        for combo in itertools.product(*(model.range_of(r) for r in refs)):
-            env = dict(zip(refs, combo))
-            value = eq.body.evaluate(env)
-            if value not in target_range:
-                problems.append(
-                    ValidationProblem(
-                        "totality",
-                        f"equation for {target} yields {value} (outside range) "
-                        f"at {dict(env)}",
-                    )
-                )
-                break
+        for env, output in _walk(model, body):
+            if isinstance(output, _MissingRow):
+                message = f"equation for {target} has no value at {env}: {output}"
+            elif output not in target_range:
+                message = f"equation for {target} yields {output} (outside range) at {env}"
+            else:
+                continue
+            problems.append(ValidationProblem("totality", message))
+            break
     return problems
 
 
 def _bounds(model: CausalModel, expr: Expr) -> Optional[tuple[int, int]]:
     """An interval holding every value the expression takes over the ranges
     of the variables it references, by interval arithmetic; None when a table
-    in it lacks a row, which only evaluation reports."""
+    in it lacks a row somewhere on its arguments' ranges, which only the walk
+    can tell from a row the expression never reaches."""
     if isinstance(expr, Const):
         return expr.value, expr.value
     if isinstance(expr, Ref):
         values = model.range_of(expr.name)
         return min(values), max(values)
     if isinstance(expr, Table):
-        if _missing_table_rows(model, expr) is not None:
+        rows = expr._map
+        if any(combo not in rows for combo in
+               itertools.product(*(model.range_of(a) for a in expr.args))):
             return None
-        values = [value for _, value in expr.rows]
-        return min(values), max(values)
+        return min(rows.values()), max(rows.values())
     if isinstance(expr, Ite):
         parts = [_bounds(model, e) for e in (expr.left, expr.right, expr.then, expr.other)]
         if None in parts:
@@ -470,12 +466,19 @@ def _bounds(model: CausalModel, expr: Expr) -> Optional[tuple[int, int]]:
     return None
 
 
-def _missing_table_rows(model: CausalModel, table: Table) -> Optional[tuple[int, ...]]:
-    rows = table.row_map()
-    for combo in itertools.product(*(model.range_of(a) for a in table.args)):
-        if combo not in rows:
-            return combo
-    return None
+def _walk(model: CausalModel, body: Expr):
+    """Every combination of the values of the body's references, as an env,
+    with the body's output there, or with the missing-row fault met instead.
+    Names in sorted order, each range ascending, the last name fastest; any
+    other fault of evaluation is raised."""
+    refs = sorted(body.referenced())
+    for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs)):
+        env = dict(zip(refs, combo))
+        try:
+            output = body.evaluate(env)
+        except _MissingRow as fault:
+            output = fault
+        yield env, output
 
 
 def validate_model(model: CausalModel) -> ValidationReport:
@@ -612,17 +615,19 @@ def _equation_directions(
     range, every other reference held fixed; None when it does both (mixed),
     or when the references have more than ``cap`` combinations (unknown).
 
-    One walk over the product of the references' ranges, each in numeric
-    order; neighbours along a reference then sit one stride apart."""
+    Reads the outputs of ``_walk``; neighbours along a reference sit one
+    stride apart in it."""
     body = model.equations[target].body
     refs = sorted(body.referenced())
     ranges = [sorted(model.range_of(r)) for r in refs]
     size = math.prod(len(values) for values in ranges)
     if cap is not None and size > cap:
         return dict.fromkeys(refs)
-    outputs = [
-        body.evaluate(dict(zip(refs, combo))) for combo in itertools.product(*ranges)
-    ]
+    outputs = []
+    for _, output in _walk(model, body):
+        if isinstance(output, _MissingRow):
+            raise output
+        outputs.append(output)
     directions: dict[str, Optional[int]] = {}
     stride = size
     for name, values in zip(refs, ranges):

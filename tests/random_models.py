@@ -125,25 +125,31 @@ def random_effect(rng: random.Random, model: CausalModel, world, depth: int = 2)
     return Negation(node) if rng.random() < 0.1 else node
 
 
-def random_expression(rng: random.Random, depth: int = 3):
+def random_expression(rng: random.Random, depth: int = 3, ragged: bool = False):
     """Random equation body over the variables of ``EXPRESSION_RANGES``:
-    every operator, ite and nested tables."""
+    every operator, ite and nested tables.  With ``ragged``, a table may
+    drop rows and repeat argument tuples with other values, in any order."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
             return Const(rng.randint(-2, 2))
         return Ref(rng.choice(sorted(EXPRESSION_RANGES)))
     kind = rng.choice(("min", "max", "+", "-", "*", "ite", "table"))
     if kind == "ite":
-        return Ite(*(random_expression(rng, depth - 1) for _ in range(4)))
+        return Ite(*(random_expression(rng, depth - 1, ragged) for _ in range(4)))
     if kind == "table":
         args = tuple(sorted(rng.sample(sorted(EXPRESSION_RANGES), rng.randint(1, 2))))
-        rows = tuple(
+        rows = [
             (combo, rng.randint(-2, 2))
             for combo in itertools.product(*(EXPRESSION_RANGES[a] for a in args))
-        )
-        return Table(args, rows)
-    return BinOp(kind, random_expression(rng, depth - 1),
-                 random_expression(rng, depth - 1))
+        ]
+        if ragged:
+            rows = [row for row in rows if rng.random() < 0.85]
+            repeats = rng.sample(rows, min(len(rows), rng.randint(0, 2)))
+            rows += [(combo, rng.randint(-2, 2)) for combo, _ in repeats]
+            rng.shuffle(rows)
+        return Table(args, tuple(rows))
+    return BinOp(kind, random_expression(rng, depth - 1, ragged),
+                 random_expression(rng, depth - 1, ragged))
 
 
 # Ranges of the variables random_expression draws on: unsorted, negative
@@ -151,12 +157,12 @@ def random_expression(rng: random.Random, depth: int = 3):
 EXPRESSION_RANGES = {"A": (0, 1), "B": (2, -1, 0), "C": (1, 3, 2)}
 
 
-def expression_model(body) -> CausalModel:
-    """Model whose one endogenous variable T computes ``body`` from
-    exogenous variables ranging over ``EXPRESSION_RANGES``."""
+def expression_model(body, target_range: tuple[int, ...] = (0,)) -> CausalModel:
+    """Model whose one endogenous variable T, over ``target_range``, computes
+    ``body`` from exogenous variables ranging over ``EXPRESSION_RANGES``."""
     variables = [Variable(name, "exogenous", values)
                  for name, values in EXPRESSION_RANGES.items()]
-    variables.append(Variable("T", "endogenous", (0,)))
+    variables.append(Variable("T", "endogenous", target_range))
     return CausalModel(variables, [Equation("T", body)])
 
 

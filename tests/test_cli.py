@@ -198,6 +198,19 @@ def test_satisfies_body_may_start_with_a_group(tmp_path):
     assert [answer["holds"] for answer in json.loads(out)] == [True, False]
 
 
+def test_nested_table_without_a_row_is_reported_by_validate(tmp_path):
+    path = _document(tmp_path, "exo A : {0,1}\n"
+                               "var X : {0,1} = min(1, table(A){(0) -> 1})\n"
+                               "context c : A=1\n")
+    code, out, err = run(["validate", path])
+    assert (code, err) == (0, "")
+    assert out == ("model: invalid\n  totality: equation for X has no value at "
+                   "{'A': 1}: table(A) has no row for (1,)\n")
+    code, out, err = run(["solve", path, "@c"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: model failed validation: equation for X")
+
+
 def test_nesting_one_under_the_cap_is_answered(tmp_path):
     from actualcause.dsl import MAX_NESTING
 

@@ -16,6 +16,7 @@ from actualcause import (
     solve,
     validate_model,
 )
+from actualcause.model import ValidationProblem
 
 
 def binary(name, kind="endogenous"):
@@ -73,8 +74,47 @@ def test_partial_table_is_totality_violation():
         [Equation("X", Const(0)),
          Equation("Y", Table(("X",), (((0,), 1),)))],
     )
-    report = validate_model(model)
-    assert any(p.kind == "totality" for p in report.problems)
+    [problem] = validate_model(model).problems
+    assert problem == ValidationProblem(
+        "totality", "equation for Y has no value at {'X': 1}: table(X) has no row for (1,)")
+
+
+def test_nested_table_without_a_reached_row_is_one_totality_problem():
+    from actualcause.dsl import parse_document
+
+    model = parse_document("exo A : {0,1}\n"
+                           "var X : {0,1} = min(1, table(A){(0) -> 1})\n").model
+    [problem] = validate_model(model).problems
+    assert problem == ValidationProblem(
+        "totality", "equation for X has no value at {'A': 1}: table(A) has no row for (1,)")
+    # A row the equation never reaches may be missing.
+    unreached = parse_document(
+        "exo A : {0,1}\nvar X : {0,1} = ite(A == 0, table(A){(0) -> 1}, 0)\n").model
+    assert validate_model(unreached).ok
+
+
+def test_a_library_operator_fault_still_raises_from_validate():
+    model = CausalModel([binary("A", "exogenous"), binary("X")],
+                        [Equation("X", BinOp("/", Ref("A"), Const(1)))])
+    with pytest.raises(ModelError, match="unknown operator"):
+        validate_model(model)
+
+
+def test_the_first_of_repeated_table_rows_counts():
+    from actualcause import Table
+    from actualcause.dsl import parse_document
+
+    # Were the last row kept, Y would be 3 at X=0: outside its range.
+    doc = parse_document("exo U : {0,1}\nvar X : {0,1} = U\n"
+                         "var Y : {0,1} = table(X){(0) -> 1, (1) -> 0, (0) -> 3}\n"
+                         "context c : U=0\n")
+    table = doc.model.equations["Y"].body
+    assert table.evaluate({"X": 0}) == 1
+    assert validate_model(doc.model).ok
+    assert solve(doc.model, doc.contexts["c"]).as_dict() == {"X": 0, "Y": 1}
+    assert semantic_parents(doc.model, "Y") == ("X",)
+    nested = Table(("X",), (((0,), 0), ((1,), 1), ((1,), 0)))
+    assert BinOp("+", nested, Const(0)).evaluate({"X": 1}) == 1
 
 
 def test_wide_sum_is_proved_total_by_its_interval():

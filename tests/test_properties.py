@@ -10,6 +10,7 @@ from actualcause import (
     CandidateCause,
     CausalFormula,
     ExtendedCausalModel,
+    ModelError,
     PrimitiveEvent,
     TrivialOrder,
     derive_from_typicality,
@@ -19,11 +20,12 @@ from actualcause import (
     is_extended_cause,
     satisfies,
     solve,
+    validate_model,
 )
 from actualcause import checker, oracle
 from actualcause.checker import CauseSearch, Engine
 from actualcause.dsl import DslError, parse_document
-from actualcause.model import _bounds, _equation_directions
+from actualcause.model import _bounds, _equation_directions, _walk
 
 from random_models import (
     all_contexts,
@@ -204,6 +206,35 @@ def test_equation_interval_and_directions_agree_with_evaluation(seed):
                                     0 if not ways else None), name
     capped = _equation_directions(model, "T", len(outputs) - 1)
     assert capped == (dict.fromkeys(refs) if refs else {})
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_totality_and_interval_agree_with_the_walk_over_ragged_tables(seed):
+    rng = random.Random(seed)
+    body = random_expression(rng, ragged=True)
+    low = rng.randint(-4, 2)
+    model = expression_model(body, tuple(range(low, low + rng.randint(1, 6))))
+    refs = sorted(body.referenced())
+    walk = list(_walk(model, body))
+    expected = []
+    for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs)):
+        env = dict(zip(refs, combo))
+        try:
+            expected.append((env, body.evaluate(env)))
+        except ModelError as fault:
+            expected.append((env, str(fault)))
+    assert [(env, str(out) if isinstance(out, Exception) else out)
+            for env, out in walk] == expected
+    missing = any(isinstance(out, ModelError) for _, out in walk)
+    outside = any(out not in model.range_of("T") for _, out in walk
+                  if not isinstance(out, ModelError))
+    problems = validate_model(model).problems
+    assert [p.kind for p in problems] == (["totality"] if missing or outside else [])
+    bounds = _bounds(model, body)
+    if bounds is not None:
+        assert not missing
+        assert all(bounds[0] <= out <= bounds[1] for _, out in walk)
 
 
 # -- refutation by monotonicity ----------------------------------------------------
