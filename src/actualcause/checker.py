@@ -9,10 +9,11 @@ candidate values (AC2b).  AC3 prunes candidates with a smaller working core.
 
 Search layout: contingency sets grow by cardinality and settings are visited
 in range order, so smaller witnesses surface first and results are
-deterministic.  Solve results are memoized per full intervention assignment;
-the AC2(b) quantifier collapses onto the merged pin/actual value vector, which
-is memoized as well.  Each witness decision is memoized per sub-conjunction
-and filter, so AC3 and the candidate sweep decide a sub-conjunction once.
+deterministic.  A counterfactual is solved from the actual world by
+re-running only the pins' descendants, memoized per pin vector; the AC2(b)
+quantifier collapses onto the merged pin/actual vector, memoized as well.
+Each witness decision is memoized per sub-conjunction and filter, so AC3 and
+the candidate sweep decide a sub-conjunction once.
 AC2(b) enumerates only the re-impositions of variables downstream of a pin
 that differs from the world under the candidate alone: by induction in
 topological order, every other variable takes that world's value under any
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, SearchBudgetExceeded
 from .formula import (
@@ -66,8 +67,10 @@ from .model import (
     World,
     _directions,
     _event_fault,
+    _kernel,
     _reach_masks,
     _settle,
+    _start,
     check_context,
 )
 from .normality import NormalityOrder, Relation
@@ -142,27 +145,46 @@ class CauseVerdict:
 
 
 class Engine:
-    """Solver bound to one model and context, memoized per intervention set."""
+    """Solver bound to one model and context, memoized per pin vector: the
+    value pinned at each endogenous position, or None where none is."""
 
     def __init__(self, model: CausalModel, context: Context):
         model.require_valid()
         check_context(model, context)
         self.model = model
-        self.context = dict(context)
         self.endo = model.endogenous
-        self.index = {n: i for i, n in enumerate(self.endo)}
+        self.index = model._endo_index
+        self.reach = _reach_masks(model)
         self._cache: dict[tuple, tuple[int, ...]] = {}
-        self.actual = self.solve_tuple({})
+        # Per mask of pinned positions, the steps a solve re-runs; with
+        # nothing pinned, the first solve runs them all for the actual world.
+        self._plans: dict[int, tuple] = {0: _kernel(model)}
+        self._env = _start(model, context)
+        self.actual = self.solve_tuple((None,) * len(self.endo))
+        self._env[:len(self.endo)] = self.actual
 
-    def solve_tuple(self, interventions: dict[str, int]) -> tuple[int, ...]:
-        key = [None] * len(self.endo)
-        for name, value in interventions.items():
-            key[self.index[name]] = value
-        key = tuple(key)
+    def key(self, assignment: Mapping[str, int]) -> tuple:
+        """The pin vector of an assignment to endogenous variables."""
+        return tuple(map(assignment.get, self.endo))
+
+    def solve_tuple(self, key: tuple) -> tuple[int, ...]:
+        """Endogenous values with the pin vector's values held, from the
+        actual world by re-running only the pins' descendants' equations."""
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        values = _settle(self.model, self.context, interventions)
+        env = self._env.copy()
+        pinned = below = 0
+        for i, value in enumerate(key):
+            if value is not None:
+                env[i] = value
+                pinned |= 1 << i
+                below |= self.reach[i]
+        plan = self._plans.get(pinned)
+        if plan is None:
+            plan = self._plans[pinned] = tuple(
+                step for step in self._plans[0] if (below & ~pinned) >> step[0] & 1)
+        values = _settle(self.model, env, plan)
         self._cache[key] = values
         return values
 
@@ -231,80 +253,42 @@ class CauseSearch:
             return False
         return self._phi(actual)
 
-    def ac2b(self, x_assignment: dict[str, int], rest: tuple[str, ...],
-             designated: tuple[int, ...]) -> bool:
-        """AC2(b) for the merged pin/actual vector over the non-candidate
-        variables: the effect must survive re-imposing every sub-assignment.
+    def ac2b(self, x_key: tuple, pins: Sequence[Optional[int]]) -> bool:
+        """AC2(b) for the candidate's and a contingency's pin vectors: the
+        effect must survive re-imposing every sub-assignment, off the
+        candidate, of the merged vector: the pins, elsewhere the actual values.
 
-        Only positions downstream of a designated value that differs from
+        Only positions downstream of a merged value that differs from
         ``base``, the world under the candidate alone, can change a solution,
         so only their sub-assignments are enumerated."""
-        key = (tuple(sorted(x_assignment.items())), rest, designated)
+        engine = self.engine
+        designated = tuple([a if p is None else p for p, a in zip(pins, engine.actual)])
+        key = (x_key, designated)
         cached = self._ac2b_cache.get(key)
         if cached is not None:
             return cached
-        engine = self.engine
         phi = self._phi
-        index = engine.index
-        base = engine.solve_tuple(x_assignment)
-        reach = _reach_masks(engine.model)
+        reach = engine.reach
+        base = engine.solve_tuple(x_key)
+        rest = [i for i, value in enumerate(x_key) if value is None]
         changed = 0
-        for name, value in zip(rest, designated):
-            if value != base[index[name]]:
-                changed |= reach[index[name]]
-        positions = [i for i, name in enumerate(rest) if changed >> index[name] & 1]
+        for i in rest:
+            if designated[i] != base[i]:
+                changed |= reach[i]
+        positions = [i for i in rest if changed >> i & 1]
         result = True
         for size in range(len(positions) + 1):
             for subset in itertools.combinations(positions, size):
-                assignment = dict(x_assignment)
+                assignment = list(x_key)
                 for i in subset:
-                    assignment[rest[i]] = designated[i]
-                if not phi(engine.solve_tuple(assignment)):
+                    assignment[i] = designated[i]
+                if not phi(engine.solve_tuple(tuple(assignment))):
                     result = False
                     break
             if not result:
                 break
         self._ac2b_cache[key] = result
         return result
-
-    def _ac2b_under_pins(self, x_assignment: dict[str, int], rest: tuple[str, ...],
-                         pins: dict[str, int]) -> bool:
-        """AC2(b) with the pins re-imposed and every other non-candidate
-        variable at its actual value."""
-        actual = self.engine.actual
-        index = self.engine.index
-        designated = tuple([pins[n] if n in pins else actual[index[n]] for n in rest])
-        return self.ac2b(x_assignment, rest, designated)
-
-    def check_ac2(
-        self,
-        conjuncts: Sequence[PrimitiveEvent],
-        w_set: Sequence[str],
-        w_values: Sequence[int],
-        x_prime: Sequence[int],
-    ) -> bool:
-        engine = self.engine
-        model = engine.model
-        x_vars = [c.variable for c in conjuncts]
-        if set(w_set) & set(x_vars):
-            raise FormulaError("contingency set overlaps the candidate cause")
-        if len(set(w_set)) != len(tuple(w_set)):
-            raise FormulaError("contingency set repeats a variable")
-        if len(w_set) != len(w_values) or len(x_prime) != len(x_vars):
-            raise FormulaError("mismatched setting lengths")
-        for name, value in zip(w_set, w_values):
-            fault = _event_fault(model, name, value, "a contingency")
-            if fault is not None:
-                raise FormulaError(fault)
-        _check_cause(model, [PrimitiveEvent(*e) for e in zip(x_vars, x_prime)])
-        alt = dict(zip(x_vars, x_prime))
-        alt.update(zip(w_set, w_values))
-        witness = engine.solve_tuple(alt)
-        if self._phi(witness):  # AC2(a) needs the effect to fail
-            return False
-        rest = tuple(n for n in engine.endo if n not in set(x_vars))
-        x_assignment = {c.variable: c.value for c in conjuncts}
-        return self._ac2b_under_pins(x_assignment, rest, dict(zip(w_set, w_values)))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -362,18 +346,24 @@ class CauseSearch:
         ]
         if not alternatives:
             return
-        x_assignment = {c.variable: c.value for c in conjuncts}
+        index = engine.index
+        x_positions = [index[v] for v in x_vars]
+        x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in engine.endo if n not in x_set)
         phi = self._phi
         for size in range(len(rest) + 1):
             for w_vars in itertools.combinations(rest, size):
+                w_positions = [index[v] for v in w_vars]
                 for w_values in itertools.product(*(model.range_of(v) for v in w_vars)):
-                    pins = dict(zip(w_vars, w_values))
+                    pins = [None] * len(index)
+                    for i, value in zip(w_positions, w_values):
+                        pins[i] = value
+                    key = pins.copy()
                     passing: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
                     for alt in alternatives:
-                        assignment = dict(zip(x_vars, alt))
-                        assignment.update(pins)
-                        witness = engine.solve_tuple(assignment)
+                        for i, value in zip(x_positions, alt):
+                            key[i] = value
+                        witness = engine.solve_tuple(tuple(key))
                         if phi(witness):
                             continue
                         if witness_filter is not None and not witness_filter(
@@ -383,7 +373,7 @@ class CauseSearch:
                         passing.append((alt, witness))
                     if not passing:
                         continue
-                    if not self._ac2b_under_pins(x_assignment, rest, pins):
+                    if not self.ac2b(x_key, pins):
                         continue
                     for alt, witness in passing:
                         yield WitnessRecord(
@@ -489,7 +479,23 @@ def check_ac2(
     engine = Engine(model, context)
     search = CauseSearch(engine, effect)
     _check_cause(model, conjuncts)
-    return search.check_ac2(conjuncts, w_set, w_values, x_prime)
+    x_vars = [c.variable for c in conjuncts]
+    if set(w_set) & set(x_vars):
+        raise FormulaError("contingency set overlaps the candidate cause")
+    if len(set(w_set)) != len(tuple(w_set)):
+        raise FormulaError("contingency set repeats a variable")
+    if len(w_set) != len(w_values) or len(x_prime) != len(x_vars):
+        raise FormulaError("mismatched setting lengths")
+    for name, value in zip(w_set, w_values):
+        fault = _event_fault(model, name, value, "a contingency")
+        if fault is not None:
+            raise FormulaError(fault)
+    _check_cause(model, [PrimitiveEvent(*e) for e in zip(x_vars, x_prime)])
+    pins = dict(zip(w_set, w_values))
+    witness = engine.solve_tuple(engine.key({**dict(zip(x_vars, x_prime)), **pins}))
+    if search._phi(witness):  # AC2(a) needs the effect to fail
+        return False
+    return search.ac2b(engine.key({c.variable: c.value for c in conjuncts}), engine.key(pins))
 
 
 def enumerate_witnesses(

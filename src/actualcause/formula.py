@@ -17,7 +17,9 @@ from .model import (
     Context,
     World,
     _event_fault,
+    _kernel,
     _settle,
+    _start,
     check_context,
 )
 
@@ -109,7 +111,10 @@ def satisfies(model: CausalModel, context: Context, formula: CausalFormula) -> b
     model.require_valid()
     check_formula(model, formula)
     check_context(model, context)
-    values = _settle(model, context, dict(formula.interventions))
+    env = _start(model, context)
+    for name, value in formula.interventions:
+        env[model.endo_index(name)] = value
+    values = _settle(model, env, [step for step in _kernel(model) if env[step[0]] is None])
     return evaluate(formula.body, model.world_from_values(values))
 
 

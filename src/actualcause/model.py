@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ModelError
 
@@ -220,6 +221,7 @@ class CausalModel:
         self._report: Optional[ValidationReport] = None
         self._topo: Optional[tuple[str, ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
+        self._compiled: Optional[tuple[tuple[int, Callable], ...]] = None
         self._directions: dict[str, dict[str, Optional[int]]] = {}
         # Set by intervene(): interventions on a validated model cannot break
         # validity, so children skip re-validation.
@@ -517,29 +519,75 @@ def check_context(model: CausalModel, context: Context):
 def solve(model: CausalModel, context: Context) -> World:
     """Unique solution of the equations under the given context.
 
-    Evaluates in topological order of the reference graph, so each equation
-    sees its inputs already settled.  Every other solve in the package (the
-    memoized counterfactuals of the search, the intervention prefix of a
-    causal formula) runs the same loop with some variables pinned.
+    Runs every compiled equation in topological order, so each sees its
+    inputs settled.  Every other solve runs the same loop, ``_settle``: a
+    formula's intervention prefix skips the pinned equations, and a
+    counterfactual of the search re-runs only the pins' descendants.
     """
     model.require_valid()
     check_context(model, context)
-    return World(model.endogenous, _settle(model, context, {}))
+    return World(model.endogenous, _settle(model, _start(model, context), _kernel(model)))
 
 
-def _settle(
-    model: CausalModel, context: Context, pinned: Mapping[str, int]
-) -> tuple[int, ...]:
-    """Endogenous values, in declaration order, of the valid model under a
-    checked context, with each pinned variable held at its pinned value."""
-    env: dict[str, int] = dict(context)
-    equations = model.equations
-    for name in model.topological_order():
-        if name in pinned:
-            env[name] = pinned[name]
-        else:
-            env[name] = equations[name].body.evaluate(env)
-    return tuple([env[n] for n in model.endogenous])
+def _start(model: CausalModel, context: Context) -> list:
+    """The env list before any equation runs: None at each endogenous
+    position, then the context's values, each in declaration order."""
+    return [None] * len(model.endogenous) + [context[name] for name in model.exogenous]
+
+
+def _settle(model: CausalModel, env: list, plan) -> tuple[int, ...]:
+    """Endogenous values after running the plan's (position, compiled
+    equation) pairs, in topological order, over the env list; a position the
+    plan skips, a pin or a variable no pin reaches, keeps its env value."""
+    for position, equation in plan:
+        env[position] = equation(env)
+    return tuple(env[:len(model.endogenous)])
+
+
+def _kernel(model: CausalModel) -> tuple[tuple[int, Callable], ...]:
+    """(position, compiled equation) of each endogenous variable of the
+    valid model, in topological order; compiled once per model."""
+    if model._compiled is None:
+        positions = {name: i for i, name in enumerate(model.endogenous + model.exogenous)}
+        model._compiled = tuple(
+            (positions[name], _compile(model.equations[name].body, positions))
+            for name in model.topological_order()
+        )
+    return model._compiled
+
+
+_OPERATORS = {"min": min, "max": max, "+": operator.add, "-": operator.sub,
+              "*": operator.mul}
+
+
+def _compile(expr: Expr, positions: Mapping[str, int]) -> Callable[[list], int]:
+    """A closure computing the expression from an env list, reading each
+    variable at its position; on a missing table row it raises what
+    ``expr.evaluate`` raises."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, Ref):
+        return operator.itemgetter(positions[expr.name])
+    if isinstance(expr, Table):
+        where = [positions[a] for a in expr.args]
+        # itemgetter yields the bare value of one position, a tuple of more
+        rows = {k[0] if len(where) == 1 else k: v for k, v in expr._map.items()}
+        key_of = operator.itemgetter(*where) if where else lambda env: ()
+
+        def table(env):
+            value = rows.get(key_of(env))
+            if value is None:  # the reference evaluation raises the fault
+                expr.evaluate({a: env[p] for a, p in zip(expr.args, where)})
+            return value
+        return table
+    if isinstance(expr, Ite):
+        left, right, then, other = (_compile(e, positions)
+                                    for e in (expr.left, expr.right, expr.then, expr.other))
+        return lambda env: then(env) if left(env) == right(env) else other(env)
+    fn = _OPERATORS[expr.op]  # validation has rejected any other operator
+    left, right = _compile(expr.left, positions), _compile(expr.right, positions)
+    return lambda env: fn(left(env), right(env))
 
 
 def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:

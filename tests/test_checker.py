@@ -26,7 +26,7 @@ from actualcause import (
     is_actual_cause,
     solve,
 )
-from actualcause import checker
+from actualcause import checker, model as model_module
 from actualcause.checker import CauseSearch, Engine
 from actualcause.formula import evaluate
 
@@ -269,9 +269,9 @@ def test_ac2b_skips_a_variable_off_every_changed_path(monkeypatch):
     solved = []
     original = Engine.solve_tuple
 
-    def spy(engine, interventions):
-        solved.append(dict(interventions))
-        return original(engine, interventions)
+    def spy(engine, key):
+        solved.append({engine.endo[i]: v for i, v in enumerate(key) if v is not None})
+        return original(engine, key)
 
     monkeypatch.setattr(Engine, "solve_tuple", spy)
     assert check_ac2(model, context, *args) is True
@@ -512,6 +512,39 @@ def test_unlit_source_is_refuted_without_a_counterfactual(documents, monkeypatch
                               event("F", 1))
     assert verdict.ac1 and verdict.failed_clause == "AC2"
     assert counts == {"solve_tuple": 1, "settle": 1}
+
+
+def test_a_pin_re_solves_only_its_descendants(monkeypatch):
+    # U -> X0 -> ... -> X5: pinning X_k re-runs the equations of X_{k+1}..X5
+    # alone, and pinning the sink re-runs none.
+    n = 6
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1))]
+        + [Variable(f"X{i}", "endogenous", (0, 1)) for i in range(n)],
+        [Equation("X0", Ref("U"))]
+        + [Equation(f"X{i}", Ref(f"X{i - 1}")) for i in range(1, n)],
+    )
+    target = {model.equations[name].body: name for name in model.endogenous}
+    evaluated = []
+    compile_equation = model_module._compile
+
+    def counting_compile(expr, positions):
+        compiled = compile_equation(expr, positions)
+
+        def run(env):
+            evaluated.append(target[expr])
+            return compiled(env)
+        return run
+
+    monkeypatch.setattr(model_module, "_compile", counting_compile)
+    engine = Engine(model, {"U": 1})
+    assert evaluated == list(model.endogenous)
+    for k in range(n):
+        evaluated.clear()
+        key = [None] * n
+        key[k] = 0
+        assert engine.solve_tuple(tuple(key)) == (1,) * k + (0,) * (n - k)
+        assert evaluated == [f"X{i}" for i in range(k + 1, n)]
 
 
 def test_refutation_follows_a_non_increasing_edge():

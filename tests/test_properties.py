@@ -4,6 +4,7 @@ import itertools
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from actualcause import (
@@ -25,9 +26,10 @@ from actualcause import (
 from actualcause import checker, oracle
 from actualcause.checker import CauseSearch, Engine
 from actualcause.dsl import DslError, parse_document
-from actualcause.model import _bounds, _equation_directions, _walk
+from actualcause.model import _MissingRow, _bounds, _compile, _equation_directions, _walk
 
 from random_models import (
+    EXPRESSION_RANGES,
     all_contexts,
     expression_model,
     random_effect,
@@ -235,6 +237,53 @@ def test_totality_and_interval_agree_with_the_walk_over_ragged_tables(seed):
     if bounds is not None:
         assert not missing
         assert all(bounds[0] <= out <= bounds[1] for _, out in walk)
+
+
+@given(SEEDS, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_compiled_equation_agrees_with_evaluate(seed, ragged):
+    rng = random.Random(seed)
+    body = random_expression(rng, ragged=ragged)
+    names = sorted(EXPRESSION_RANGES)
+    rng.shuffle(names)
+    # Position 0 holds no variable, so a misplaced read meets None.
+    compiled = _compile(body, {name: i + 1 for i, name in enumerate(names)})
+    for combo in itertools.product(*(EXPRESSION_RANGES[name] for name in names)):
+        try:
+            expected = body.evaluate(dict(zip(names, combo)))
+        except _MissingRow as fault:
+            with pytest.raises(_MissingRow) as raised:
+                compiled([None, *combo])
+            assert str(raised.value) == str(fault)
+        else:
+            assert compiled([None, *combo]) == expected
+
+
+@given(SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_incremental_solve_equals_a_full_walk(seed):
+    # Engine.solve_tuple re-solves only the pins' descendants from the actual
+    # world; the reference walks every equation's tree over a dict env.
+    rng = random.Random(seed)
+    model = rng.choice((random_model, random_monotone_model))(rng, 5)
+    contexts = list(all_contexts(model))
+    for context in rng.sample(contexts, min(3, len(contexts))):
+        engine = Engine(model, context)
+        for mask in (rng.getrandbits(len(model.endogenous)) for _ in range(3)):
+            for _ in range(3):
+                key = []
+                for i, name in enumerate(model.endogenous):
+                    actual = engine.actual[i]
+                    away = [v for v in model.range_of(name) if v != actual]
+                    key.append(None if not mask >> i & 1
+                               else actual if rng.random() < 0.4 else rng.choice(away))
+                env = dict(context)
+                for name in model.topological_order():
+                    pin = key[model.endo_index(name)]
+                    env[name] = (model.equations[name].body.evaluate(env)
+                                 if pin is None else pin)
+                expected = tuple(env[name] for name in model.endogenous)
+                assert engine.solve_tuple(tuple(key)) == expected
 
 
 # -- refutation by monotonicity ----------------------------------------------------
