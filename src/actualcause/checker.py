@@ -43,7 +43,21 @@ sign times s = +1 with v the top of Y's range, or sign times s = -1 with v
 its bottom, then the effect under x and any pins implies the effect under x'
 and the same pins.  AC2(b) needs the former and AC2(a) the negation of the
 latter, so no witness uses x', in plain and normality-aware tests alike, and
-the search drops x'.
+the search drops x'.  When every effect variable has sign 0, no candidate
+variable reaches the effect and the search refutes the candidate outright.
+
+Past the empty contingency set, the search decides each setting on its
+relevant pins.  A variable is relevant when a path of references, each with
+a direction other than 0 (unknown counts), leads from it to an effect
+variable without passing through a candidate variable.  The candidate is
+pinned in every world the test solves, to x or to x', so a pin off the
+relevant set moves no effect variable: a setting passes AC2(a) with an
+alternative, and AC2(b), exactly when its relevant part does.  Sets are
+visited by size, so a relevant pin set is decided before any set that adds
+irrelevant pins to it.  If none of its settings passed, it is dead and those
+sets are skipped without a solve; otherwise they solve the full pin vector
+only for the alternatives that passed, to give each record its world, which
+the witness filter sees.
 """
 
 from __future__ import annotations
@@ -243,6 +257,8 @@ class CauseSearch:
         self._ac2b_cache: dict[tuple, bool] = {}
         self._decisions: dict[tuple, bool] = {}
         self._signs: dict[tuple[str, ...], dict[str, Optional[int]]] = {}
+        self._relevant: dict[tuple[str, ...], int] = {}
+        self._effect_vars = _event_variables(effect)
 
     # -- clause checks ---------------------------------------------------------
 
@@ -337,6 +353,8 @@ class CauseSearch:
         signs = self._signs.get(x_vars)
         if signs is None:
             signs = self._signs[x_vars] = _signs(model, x_vars)
+        if all(signs[name] == 0 for name in self._effect_vars):
+            return  # no candidate variable reaches the effect
         preserved = {0: False, 1: _preserved(model, self.effect, signs, 1),
                      -1: _preserved(model, self.effect, signs, -1)}
         alternatives = [
@@ -350,38 +368,64 @@ class CauseSearch:
         x_positions = [index[v] for v in x_vars]
         x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in engine.endo if n not in x_set)
+        bits = {n: 1 << index[n] for n in rest}
+        ranges = {n: model.range_of(n) for n in rest}
         phi = self._phi
+        solve = engine.solve_tuple
+        # Every position is relevant until the mask is read, past the empty
+        # set.  ``live`` holds the relevant pin sets where a setting passed;
+        # ``decided``, the passing alternatives of each passing relevant
+        # setting, kept only while some pin can be irrelevant.
+        relevant = -1
+        decided: Optional[dict[tuple, list]] = {}
+        live: set[int] = set()
         for size in range(len(rest) + 1):
+            if size == 1:
+                relevant = self._relevant.get(x_vars)
+                if relevant is None:
+                    relevant = self._relevant[x_vars] = _relevance(
+                        model, x_set, self._effect_vars)
+                if all(relevant & bit for bit in bits.values()):
+                    decided = None
             for w_vars in itertools.combinations(rest, size):
                 w_positions = [index[v] for v in w_vars]
-                for w_values in itertools.product(*(model.range_of(v) for v in w_vars)):
+                w_mask = sum(map(bits.__getitem__, w_vars))
+                pure = w_mask & relevant == w_mask
+                if not pure and w_mask & relevant not in live:
+                    continue  # every setting of its relevant part fails
+                for w_values in itertools.product(*map(ranges.__getitem__, w_vars)):
                     pins = [None] * len(index)
                     for i, value in zip(w_positions, w_values):
                         pins[i] = value
                     key = pins.copy()
-                    passing: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-                    for alt in alternatives:
+                    if pure:
+                        tried = alternatives
+                    else:
+                        # Pins off the relevant set move no effect variable,
+                        # so the relevant part's passing alternatives pass here.
+                        tried = decided.get(tuple(v if relevant >> i & 1 else None
+                                                  for i, v in enumerate(pins)), ())
+                    falsifying = []
+                    for alt in tried:
                         for i, value in zip(x_positions, alt):
                             key[i] = value
-                        witness = engine.solve_tuple(tuple(key))
-                        if phi(witness):
-                            continue
-                        if witness_filter is not None and not witness_filter(
-                            engine.world(witness)
-                        ):
-                            continue
-                        passing.append((alt, witness))
-                    if not passing:
+                        witness = solve(tuple(key))
+                        if not phi(witness):
+                            falsifying.append((alt, witness))
+                    if not falsifying:
                         continue
-                    if not self.ac2b(x_key, pins):
-                        continue
-                    for alt, witness in passing:
+                    if pure:
+                        if not self.ac2b(x_key, pins):
+                            continue
+                        live.add(w_mask)
+                        if decided is not None:
+                            decided[tuple(pins)] = [alt for alt, _ in falsifying]
+                    for alt, witness in falsifying:
+                        world = engine.world(witness)
+                        if witness_filter is not None and not witness_filter(world):
+                            continue
                         yield WitnessRecord(
-                            w_set=w_vars,
-                            w_values=w_values,
-                            x_prime=alt,
-                            world=engine.world(witness),
-                        )
+                            w_set=w_vars, w_values=w_values, x_prime=alt, world=world)
                         if stop_after_first:
                             return
 
@@ -423,6 +467,27 @@ def _signs(model: CausalModel, x_vars: Sequence[str]) -> dict[str, Optional[int]
             sign = 0
         signs[name] = sign
     return signs
+
+
+def _relevance(model: CausalModel, x_vars: set[str], effect_vars: set[str]) -> int:
+    """Mask of the endogenous positions with a path to an effect variable
+    that avoids the candidate's variables, each step a reference whose
+    direction is not 0 (an unknown direction counts as a path)."""
+    reaching = set(effect_vars)
+    mask = 0
+    for name in reversed(model.topological_order()):
+        if name in reaching and name not in x_vars:
+            mask |= 1 << model._endo_index[name]
+            reaching.update(p for p, way in _directions(model, name).items() if way != 0)
+    return mask
+
+
+def _event_variables(body: BooleanFormula) -> set[str]:
+    """The variables the formula's events name."""
+    if isinstance(body, PrimitiveEvent):
+        return {body.variable}
+    operands = (body.operand,) if isinstance(body, Negation) else body.operands
+    return set().union(*map(_event_variables, operands))
 
 
 def _preserved(model: CausalModel, body: BooleanFormula,

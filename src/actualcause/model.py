@@ -606,8 +606,13 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     ]
     child = CausalModel(model.variables, equations)
     if model.validate().ok:
-        # Replacing equations by in-range constants preserves validity.
+        # Replacing equations by in-range constants preserves validity; the
+        # parent's compiled equations, in its topological order, serve the child.
         child._assume_valid = True
+        endo = model.endogenous
+        child._compiled = tuple(
+            (p, _compile(Const(setting[endo[p]]), {}) if endo[p] in setting else equation)
+            for p, equation in _kernel(model))
     return child
 
 

@@ -27,14 +27,14 @@ from actualcause import (
 )
 
 
-def random_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
+def random_model(rng: random.Random, max_endo: int = 4, min_endo: int = 2) -> CausalModel:
     """Random acyclic binary model.
 
     Node 0 (and node 1 when parentless) is driven by its own exogenous
     variable; later nodes always have at least one endogenous parent, keeping
     the context space small while exercising arbitrary table shapes.
     """
-    n = rng.randint(2, max_endo)
+    n = rng.randint(min_endo, max_endo)
     endo = [f"V{i}" for i in range(n)]
     variables = []
     equations = []
@@ -62,7 +62,8 @@ def random_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
     return CausalModel(variables, equations)
 
 
-def random_monotone_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
+def random_monotone_model(rng: random.Random, max_endo: int = 4,
+                          min_endo: int = 2) -> CausalModel:
     """Random acyclic model over binary and ternary ranges, some declared
     out of numeric order.
 
@@ -72,7 +73,7 @@ def random_monotone_model(rng: random.Random, max_endo: int = 4) -> CausalModel:
     in the latter; the rest are arbitrary, which makes mixed edges.  Parentless
     nodes copy their own exogenous driver.
     """
-    n = rng.randint(2, max_endo)
+    n = rng.randint(min_endo, max_endo)
     endo = [f"V{i}" for i in range(n)]
     ranges = []
     for _ in endo:

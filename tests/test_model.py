@@ -16,6 +16,7 @@ from actualcause import (
     solve,
     validate_model,
 )
+from actualcause import model as model_module
 from actualcause.model import ValidationProblem
 
 
@@ -196,6 +197,30 @@ def test_intervene_is_idempotent(disjunctive):
     once = intervene(model, {"M": 0})
     twice = intervene(once, {"M": 0})
     assert once == twice
+
+
+def test_intervene_reuses_the_compiled_equations_it_keeps(monkeypatch):
+    compiled = []
+    compile_expr = model_module._compile
+
+    def counting_compile(expr, positions):
+        compiled.append(expr)
+        return compile_expr(expr, positions)
+
+    monkeypatch.setattr(model_module, "_compile", counting_compile)
+    model = CausalModel(
+        [binary("UL", "exogenous"), binary("UM", "exogenous"),
+         binary("L"), binary("M"), binary("F")],
+        [Equation("L", Ref("UL")), Equation("M", Ref("UM")),
+         Equation("F", BinOp("max", Ref("L"), Ref("M")))],
+    )
+    assert solve(model, {"UL": 1, "UM": 1})["F"] == 1
+    compiled.clear()
+    child = intervene(model, {"L": 0})
+    assert solve(child, {"UL": 1, "UM": 0}).as_dict() == {"L": 0, "M": 0, "F": 0}
+    grandchild = intervene(child, {"M": 1})
+    assert solve(grandchild, {"UL": 1, "UM": 0}).as_dict() == {"L": 0, "M": 1, "F": 1}
+    assert compiled == [Const(0), Const(1)]
 
 
 def test_intervene_rejects_exogenous(disjunctive):

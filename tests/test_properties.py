@@ -15,6 +15,7 @@ from actualcause import (
     PrimitiveEvent,
     TrivialOrder,
     derive_from_typicality,
+    enumerate_witnesses,
     evaluate,
     intervene,
     is_actual_cause,
@@ -333,3 +334,72 @@ def test_refuted_alternatives_have_no_witness(seed):
     assert not refuted & {record.x_prime for record in unpruned}
     for alt in refuted:
         assert not _oracle_passes(model, context, conjuncts, effect, alt)
+
+
+# -- the witness search against an exhaustive walk ---------------------------------
+
+
+def _exhaustive_witnesses(model, context, conjuncts, effect):
+    """Every witness record, in the search's order, from a walk that solves
+    every setting of every contingency set and alternative, and decides
+    AC2(b) over every subset of the variables off the candidate."""
+    engine = Engine(model, context)
+    actual = engine.actual_world()
+    if not all(actual[c.variable] == c.value for c in conjuncts) \
+            or not evaluate(effect, actual):
+        return []
+    x_vars = [c.variable for c in conjuncts]
+    x_actual = {c.variable: c.value for c in conjuncts}
+    rest = [n for n in model.endogenous if n not in x_vars]
+
+    def solved(assignment):
+        return engine.world(engine.solve_tuple(engine.key(assignment)))
+
+    def ac2b(pins):
+        designated = {n: pins.get(n, actual[n]) for n in rest}
+        return all(
+            evaluate(effect, solved({**x_actual, **{n: designated[n] for n in subset}}))
+            for k in range(len(rest) + 1)
+            for subset in itertools.combinations(rest, k)
+        )
+
+    records = []
+    for size in range(len(rest) + 1):
+        for w_vars in itertools.combinations(rest, size):
+            for w_values in itertools.product(*(model.range_of(v) for v in w_vars)):
+                pins = dict(zip(w_vars, w_values))
+                for alt in itertools.product(*(model.range_of(v) for v in x_vars)):
+                    if alt == tuple(x_actual.values()):
+                        continue
+                    world = solved({**dict(zip(x_vars, alt)), **pins})
+                    if not evaluate(effect, world) and ac2b(pins):
+                        records.append(checker.WitnessRecord(w_vars, w_values, alt, world))
+    return records
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_witness_search_equals_an_exhaustive_walk(seed):
+    # The search decides each setting on its pins that can reach the effect
+    # and skips the settings whose relevant part fails; the walk skips none.
+    rng = random.Random(seed)
+    model = rng.choice((random_model, random_monotone_model))(rng, 7, min_endo=6)
+    context = rng.choice(list(all_contexts(model)))
+    actual = solve(model, context)
+    effect = random_effect(rng, model, actual)
+    names = rng.sample(model.endogenous, rng.randint(1, 3))
+    conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
+    expected = _exhaustive_witnesses(model, context, conjuncts, effect)
+    assert enumerate_witnesses(model, context, conjuncts, effect) == expected
+    salt = rng.randrange(3)
+
+    def keep(world):
+        return (sum(world.values) + salt) % 3 != 0
+
+    for witness_filter, records in ((None, expected),
+                                    (keep, [r for r in expected if keep(r.world)])):
+        found = CauseSearch(Engine(model, context), effect)._search(
+            conjuncts, False, witness_filter)
+        assert list(found) == records
+        search = CauseSearch(Engine(model, context), effect)
+        assert search.has_witness(conjuncts, witness_filter) == bool(records)
