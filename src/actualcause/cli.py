@@ -278,7 +278,7 @@ def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
     else:
         verdict = is_actual_cause(document.model, context, query.cause,
                                   query.effect, max_search=args.max_search)
-    actual = solve(document.model, context)
+    actual = solve(document.model, context) if order is not None else None
     text = dsl.format_query(query)
     return _verdict_payload(text, verdict, order, actual)
 
@@ -304,7 +304,6 @@ def _run_grade(document, query: dsl.GradeQuery, args, order) -> dict:
     ext = ExtendedCausalModel(document.model, order)
     result = grade_candidates(ext, context, list(query.candidates), query.effect,
                               max_search=args.max_search)
-    actual = solve(document.model, context)
     entries: list = []
     for pair in result.pairs:
         if pair.relation == "first_above":

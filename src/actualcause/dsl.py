@@ -830,9 +830,9 @@ def _lex_document(text: str) -> tuple[list[list[Token]], list[Diagnostic]]:
     return lines, errors
 
 
-def parse_document(text: str, stop_at_first: bool = False) -> ParsedDocument:
-    """Parse a full document; raises DslError carrying every diagnostic
-    (or just the first, when asked)."""
+def parse_document(text: str) -> ParsedDocument:
+    """Parse a full document; raises DslError carrying every diagnostic,
+    sorted by position."""
     lines, lex_errors = _lex_document(text)
     builder = _DocumentBuilder()
     builder.errors.extend(lex_errors)
@@ -841,7 +841,7 @@ def parse_document(text: str, stop_at_first: bool = False) -> ParsedDocument:
     document = builder.build()
     if document is None:
         errors = sorted(builder.errors, key=_position)
-        raise DslError(errors[:1] if stop_at_first else errors)
+        raise DslError(errors)
     return document
 
 

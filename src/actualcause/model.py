@@ -37,9 +37,11 @@ class Variable:
 
 # --- equation bodies ---------------------------------------------------------
 #
-# An equation body is a small expression tree.  Everything evaluates to an
-# integer; `referenced()` returns the variable names the body mentions, which
-# drives both acyclicity checking and evaluation order.
+# An equation body is a small expression tree over integers; `referenced()`
+# returns the variable names the body mentions, which drives both acyclicity
+# checking and evaluation order.  The trees carry no evaluator: `_compile`
+# turns a body into the one closure that every solve, validation walk,
+# direction table, behaviour and isomorphism check runs.
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,6 @@ class Const:
     def referenced(self) -> frozenset[str]:
         return frozenset()
 
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Ref:
@@ -59,9 +58,6 @@ class Ref:
 
     def referenced(self) -> frozenset[str]:
         return frozenset((self.name,))
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        return env[self.name]
 
 
 @dataclass(frozen=True)
@@ -72,21 +68,6 @@ class BinOp:
 
     def referenced(self) -> frozenset[str]:
         return self.left.referenced() | self.right.referenced()
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "min":
-            return a if a <= b else b
-        if self.op == "max":
-            return a if a >= b else b
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        raise ModelError(f"unknown operator {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +87,6 @@ class Ite:
             | self.other.referenced()
         )
 
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        if self.left.evaluate(env) == self.right.evaluate(env):
-            return self.then.evaluate(env)
-        return self.other.evaluate(env)
-
 
 @dataclass(frozen=True)
 class Table:
@@ -127,13 +103,6 @@ class Table:
 
     def referenced(self) -> frozenset[str]:
         return frozenset(self.args)
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        key = tuple(env[a] for a in self.args)
-        value = self._map.get(key)
-        if value is None:
-            raise _MissingRow(f"table({', '.join(self.args)}) has no row for {key}")
-        return value
 
 
 class _MissingRow(ModelError):
@@ -471,16 +440,17 @@ def _bounds(model: CausalModel, expr: Expr) -> Optional[tuple[int, int]]:
 def _walk(model: CausalModel, body: Expr):
     """Every combination of the values of the body's references, as an env,
     with the body's output there, or with the missing-row fault met instead.
-    Names in sorted order, each range ascending, the last name fastest; any
-    other fault of evaluation is raised."""
+    Names in sorted order, each range ascending, the last name fastest.  The
+    body runs compiled over the combination; any other fault, such as an
+    unknown operator, is raised."""
     refs = sorted(body.referenced())
+    compiled = _compile(body, {name: i for i, name in enumerate(refs)})
     for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs)):
-        env = dict(zip(refs, combo))
         try:
-            output = body.evaluate(env)
+            output = compiled(combo)
         except _MissingRow as fault:
             output = fault
-        yield env, output
+        yield dict(zip(refs, combo)), output
 
 
 def validate_model(model: CausalModel) -> ValidationReport:
@@ -561,9 +531,11 @@ _OPERATORS = {"min": min, "max": max, "+": operator.add, "-": operator.sub,
 
 
 def _compile(expr: Expr, positions: Mapping[str, int]) -> Callable[[list], int]:
-    """A closure computing the expression from an env list, reading each
-    variable at its position; on a missing table row it raises what
-    ``expr.evaluate`` raises."""
+    """A closure computing the expression from an env sequence, reading each
+    variable at its position: the package's one evaluator of an equation or
+    behaviour body.  Raises ModelError on an operator it does not know; the
+    closure raises ``_MissingRow`` on an argument tuple its table has no
+    row for."""
     if isinstance(expr, Const):
         value = expr.value
         return lambda env: value
@@ -577,15 +549,18 @@ def _compile(expr: Expr, positions: Mapping[str, int]) -> Callable[[list], int]:
 
         def table(env):
             value = rows.get(key_of(env))
-            if value is None:  # the reference evaluation raises the fault
-                expr.evaluate({a: env[p] for a, p in zip(expr.args, where)})
+            if value is None:
+                key = tuple(env[p] for p in where)
+                raise _MissingRow(f"table({', '.join(expr.args)}) has no row for {key}")
             return value
         return table
     if isinstance(expr, Ite):
         left, right, then, other = (_compile(e, positions)
                                     for e in (expr.left, expr.right, expr.then, expr.other))
         return lambda env: then(env) if left(env) == right(env) else other(env)
-    fn = _OPERATORS[expr.op]  # validation has rejected any other operator
+    fn = _OPERATORS.get(expr.op)
+    if fn is None:
+        raise ModelError(f"unknown operator {expr.op!r}")
     left, right = _compile(expr.left, positions), _compile(expr.right, positions)
     return lambda env: fn(left(env), right(env))
 
@@ -620,8 +595,11 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
 class DependenceGraph:
     """Semantic parent/child structure over the endogenous variables.
 
-    There is an edge parent -> child exactly when some change of the parent's
-    value, everything else fixed, changes the child's equation output.
+    There is an edge parent -> child when some change of the parent's value,
+    everything else fixed, changes the child's equation output.  Past
+    ``DIRECTION_CAP`` combinations of an equation's references, every
+    endogenous reference counts as a parent: a superset, not an exhaustive
+    walk.
     """
 
     variables: tuple[str, ...]
@@ -649,62 +627,54 @@ def dependence_graph(model: CausalModel) -> DependenceGraph:
 
 
 def semantic_parents(model: CausalModel, target: str) -> tuple[str, ...]:
-    """Variables whose value actually matters to the target's equation."""
-    directions = _equation_directions(model, target, None)
-    return tuple(name for name, way in directions.items() if way != 0)
+    """Variables whose value actually matters to the target's equation, read
+    from its directions: past ``DIRECTION_CAP`` every reference counts."""
+    return tuple(name for name, way in _directions(model, target).items() if way != 0)
 
 
 # Past this many combinations of an equation's references, its directions
-# are unknown: the search then refutes nothing through it.
+# are unknown: the search then refutes nothing through it, and every
+# reference counts as a semantic parent.
 DIRECTION_CAP = 1 << 12
 
 
-def _equation_directions(
-    model: CausalModel, target: str, cap: Optional[int]
-) -> dict[str, Optional[int]]:
+def _directions(model: CausalModel, target: str) -> dict[str, Optional[int]]:
     """Direction of the target's equation in each variable it references, in
     name order: 0 when the output never moves with the variable, 1 when it
     never falls and -1 when it never rises as the variable steps up its
     range, every other reference held fixed; None when it does both (mixed),
-    or when the references have more than ``cap`` combinations (unknown).
+    or when the references have more than ``DIRECTION_CAP`` combinations
+    (unknown).  Computed once per model, on first use.
 
     Reads the outputs of ``_walk``; neighbours along a reference sit one
     stride apart in it."""
+    found = model._directions.get(target)
+    if found is not None:
+        return found
     body = model.equations[target].body
     refs = sorted(body.referenced())
     ranges = [sorted(model.range_of(r)) for r in refs]
     size = math.prod(len(values) for values in ranges)
-    if cap is not None and size > cap:
-        return dict.fromkeys(refs)
-    outputs = []
-    for _, output in _walk(model, body):
-        if isinstance(output, _MissingRow):
-            raise output
-        outputs.append(output)
-    directions: dict[str, Optional[int]] = {}
-    stride = size
-    for name, values in zip(refs, ranges):
-        stride //= len(values)
-        top = len(values) - 1
-        rises = falls = False
-        for p in range(size - stride):
-            if p // stride % len(values) != top:
-                step = outputs[p + stride] - outputs[p]
-                rises |= step > 0
-                falls |= step < 0
-        directions[name] = None if rises and falls else int(rises) - int(falls)
+    directions = dict.fromkeys(refs)
+    if size <= DIRECTION_CAP:
+        outputs = []
+        for _, output in _walk(model, body):
+            if isinstance(output, _MissingRow):
+                raise output
+            outputs.append(output)
+        stride = size
+        for name, values in zip(refs, ranges):
+            stride //= len(values)
+            top = len(values) - 1
+            rises = falls = False
+            for p in range(size - stride):
+                if p // stride % len(values) != top:
+                    step = outputs[p + stride] - outputs[p]
+                    rises |= step > 0
+                    falls |= step < 0
+            directions[name] = None if rises and falls else int(rises) - int(falls)
+    model._directions[target] = directions
     return directions
-
-
-def _directions(model: CausalModel, target: str) -> dict[str, Optional[int]]:
-    """The target equation's directions under ``DIRECTION_CAP``, computed
-    once per model, on first use."""
-    found = model._directions.get(target)
-    if found is None:
-        found = model._directions[target] = _equation_directions(
-            model, target, DIRECTION_CAP
-        )
-    return found
 
 
 def equation_isomorphism(
@@ -736,12 +706,17 @@ def equation_isomorphism(
         if sorted(vmap.values()) != sorted(dst.range):
             return False
     all_names = [v.name for v in first.variables]
+    positions = {name: i for i, name in enumerate(all_names)}
+    mapped_positions = {variable_map[name]: i for i, name in enumerate(all_names)}
+    pairs = [
+        (value_maps[target],
+         _compile(first.equations[target].body, positions),
+         _compile(second.equations[variable_map[target]].body, mapped_positions))
+        for target in first.endogenous
+    ]
     for combo in itertools.product(*(first.range_of(n) for n in all_names)):
-        env = dict(zip(all_names, combo))
-        mapped_env = {variable_map[n]: value_maps[n][env[n]] for n in all_names}
-        for target in first.endogenous:
-            got = first.equations[target].body.evaluate(env)
-            want = second.equations[variable_map[target]].body.evaluate(mapped_env)
-            if value_maps[target][got] != want:
+        mapped = [value_maps[n][value] for n, value in zip(all_names, combo)]
+        for out_map, got, want in pairs:
+            if out_map[got(combo)] != want(mapped):
                 return False
     return True

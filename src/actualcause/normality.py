@@ -21,11 +21,12 @@ over marks for derived orders, over worlds for explicit ones.  One routine,
 
 Every order decides its weak relation on a key it reads off each world: the
 marks for derived orders, the values for explicit ones.  ``world_marks``
-computes marks by position, from value-to-rank tables and behavior rankings
-that the derived order builds once.  ``admits`` is the weak relation alone,
-half the work of ``compare``.  A query that compares many worlds wraps its
-order in ``_QueryOrder``, which reads each distinct world's key once; the
-memo lives as long as that query, never on the order itself.
+computes marks by position, from value-to-rank tables and behavior bodies
+compiled over a world's values, which the derived order builds once.
+``admits`` is the weak relation alone, half the work of ``compare``.  A query
+that compares many worlds wraps its order in ``_QueryOrder``, which reads
+each distinct world's key once; the memo lives as long as that query, never
+on the order itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import NormalityError
-from .model import CausalModel, Expr, World, _event_fault
+from .model import CausalModel, Expr, World, _compile, _event_fault
 
 
 class Relation(Enum):
@@ -156,12 +157,13 @@ class DerivedOrder(NormalityOrder):
         self.spec = spec
         self._dominance = _close_dominance(model, spec)
         # What world_marks reads per endogenous position: the variable, its
-        # value -> rank table and its behavior ranking (None when undeclared).
+        # value -> rank table and its compiled behaviors (None when undeclared).
         self._positions = tuple(
             (
                 name,
                 _value_ranks(spec.ranking_for(name)),
-                spec.behaviors_for(name) if spec.mechanism else None,
+                _compiled_behaviors(
+                    model, spec.behaviors_for(name) if spec.mechanism else None),
             )
             for name in model.endogenous
         )
@@ -303,7 +305,8 @@ def assign_behavior(
         raise NormalityError("no behavior rankings declared")
     validate_spec(model, spec)
     return {
-        ranking.variable: _consistent_behavior(ranking, world)[1]
+        ranking.variable: _consistent_behavior(
+            ranking.variable, _compiled_behaviors(model, ranking), world)[1]
         for ranking in spec.behavior_rankings
     }
 
@@ -318,7 +321,7 @@ def world_marks(order: DerivedOrder, world: World) -> tuple[Mark, ...]:
             if rank > 0:
                 marks.append(("value", name, rank, value))
         if behaviors is not None:
-            rank, label = _consistent_behavior(behaviors, world)
+            rank, label = _consistent_behavior(name, behaviors, world)
             if rank > 0:
                 marks.append(("behavior", name, rank, label))
     return tuple(marks)
@@ -330,16 +333,24 @@ def _value_ranks(ranking: Optional[ValueRanking]) -> Optional[dict[int, int]]:
     return {value: rank for rank, value in enumerate(ranking.ranking)}
 
 
-def _consistent_behavior(ranking: BehaviorRanking, world: World) -> tuple[int, str]:
-    """Rank and label of the most typical behavior that reproduces the
-    variable's value given the rest of the world."""
-    env = world.as_dict()
-    for rank, behavior in enumerate(ranking.behaviors):
-        if behavior.body.evaluate(env) == world[ranking.variable]:
-            return rank, behavior.label
+def _compiled_behaviors(model: CausalModel, ranking: Optional[BehaviorRanking]):
+    """The ranking's (label, body) pairs, most typical first, each body
+    compiled over the endogenous positions of a world's values; None for
+    no ranking."""
+    if ranking is None:
+        return None
+    return tuple((b.label, _compile(b.body, model._endo_index)) for b in ranking.behaviors)
+
+
+def _consistent_behavior(name: str, behaviors: tuple, world: World) -> tuple[int, str]:
+    """Rank and label of the most typical of the compiled behaviors that
+    reproduces the variable's value given the rest of the world."""
+    value = world[name]
+    for rank, (label, body) in enumerate(behaviors):
+        if body(world.values) == value:
+            return rank, label
     raise NormalityError(
-        f"no declared behavior for {ranking.variable} is consistent with "
-        f"world {world}"
+        f"no declared behavior for {name} is consistent with world {world}"
     )
 
 

@@ -1,4 +1,5 @@
-"""Random models, contexts and typicality declarations for the tests.
+"""Random models, contexts and typicality declarations for the tests, and
+the reference walker of equation bodies they are checked against.
 
 A plain module rather than ``conftest``: the benchmark's tests have a
 ``conftest`` of their own, and both suites run in one session.
@@ -7,6 +8,7 @@ A plain module rather than ``conftest``: the benchmark's tests have a
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 from actualcause import (
@@ -17,6 +19,7 @@ from actualcause import (
     Disjunction,
     Equation,
     Ite,
+    ModelError,
     Negation,
     PrimitiveEvent,
     Ref,
@@ -25,6 +28,31 @@ from actualcause import (
     ValueRanking,
     Variable,
 )
+
+
+def tree_value(expr, env) -> int:
+    """Reference value of an equation body over a dict env: a recursive walk
+    of its tree, kept apart from the compiled closures the package runs so
+    that tests pit the two against each other.  A table reads the first of
+    its rows for the argument tuple; a tuple with no row raises ModelError
+    with the package's message."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Ref):
+        return env[expr.name]
+    if isinstance(expr, Table):
+        key = tuple(env[a] for a in expr.args)
+        for args, value in expr.rows:
+            if args == key:
+                return value
+        raise ModelError(f"table({', '.join(expr.args)}) has no row for {key}")
+    if isinstance(expr, Ite):
+        if tree_value(expr.left, env) == tree_value(expr.right, env):
+            return tree_value(expr.then, env)
+        return tree_value(expr.other, env)
+    apply = {"min": min, "max": max, "+": operator.add, "-": operator.sub,
+             "*": operator.mul}[expr.op]
+    return apply(tree_value(expr.left, env), tree_value(expr.right, env))
 
 
 def random_model(rng: random.Random, max_endo: int = 4, min_endo: int = 2) -> CausalModel:

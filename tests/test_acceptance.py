@@ -25,7 +25,7 @@ from actualcause.corpus import load_document
 from actualcause.dsl import DslError, parse_document
 from actualcause.oracle import oracle_is_cause, oracle_is_extended_cause
 
-from random_models import all_contexts, random_model, random_typicality
+from random_models import all_contexts, random_model, random_typicality, tree_value
 
 
 def event(name, value):
@@ -175,6 +175,9 @@ def test_criterion_4_isomorphism_discrimination():
         value_maps = {"UL": flip, "L": flip, "UM": same, "M": same, "F": same}
         assert equation_isomorphism(fire.model, bogus.model, variable_map,
                                     value_maps)
+        # Flipping F's values as well no longer carries F's equation across.
+        assert not equation_isomorphism(fire.model, bogus.model, variable_map,
+                                        {**value_maps, "F": flip})
         fire_ctx = fire.contexts["u11"]
         bogus_ctx = {variable_map[n]: value_maps[n][v]
                      for n, v in fire_ctx.items()}
@@ -283,7 +286,7 @@ def test_criterion_6_property_suites():
                 env.update(world.as_dict())
                 for name in model.endogenous:
                     assert world[name] == \
-                        model.equations[name].body.evaluate(env)
+                        tree_value(model.equations[name].body, env)
                 effect_var = model.endogenous[-1]
                 effect = event(effect_var, world[effect_var])
                 assert satisfies(model, context, CausalFormula((), effect)) \

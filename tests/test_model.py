@@ -7,6 +7,7 @@ from actualcause import (
     CausalModel,
     Const,
     Equation,
+    Ite,
     ModelError,
     Ref,
     Variable,
@@ -101,6 +102,15 @@ def test_a_library_operator_fault_still_raises_from_validate():
         validate_model(model)
 
 
+def test_an_operator_fault_on_a_branch_no_value_takes_raises_from_validate():
+    # ite(A == A, ...) never takes its other branch, yet the equation as a
+    # whole has no meaning: validation, not the first solve, says so.
+    body = Ite(Ref("A"), Ref("A"), Ref("A"), BinOp("/", Ref("A"), Const(1)))
+    model = CausalModel([binary("A", "exogenous"), binary("X")], [Equation("X", body)])
+    with pytest.raises(ModelError, match="unknown operator '/'"):
+        validate_model(model)
+
+
 def test_the_first_of_repeated_table_rows_counts():
     from actualcause import Table
     from actualcause.dsl import parse_document
@@ -110,12 +120,12 @@ def test_the_first_of_repeated_table_rows_counts():
                          "var Y : {0,1} = table(X){(0) -> 1, (1) -> 0, (0) -> 3}\n"
                          "context c : U=0\n")
     table = doc.model.equations["Y"].body
-    assert table.evaluate({"X": 0}) == 1
+    assert model_module._compile(table, {"X": 0})([0]) == 1
     assert validate_model(doc.model).ok
     assert solve(doc.model, doc.contexts["c"]).as_dict() == {"X": 0, "Y": 1}
     assert semantic_parents(doc.model, "Y") == ("X",)
     nested = Table(("X",), (((0,), 0), ((1,), 1), ((1,), 0)))
-    assert BinOp("+", nested, Const(0)).evaluate({"X": 1}) == 1
+    assert model_module._compile(BinOp("+", nested, Const(0)), {"X": 0})([1]) == 1
 
 
 def test_wide_sum_is_proved_total_by_its_interval():
@@ -134,6 +144,26 @@ def test_wide_sum_is_proved_total_by_its_interval():
                         [Equation("S", BinOp("+", Ref("A"), Ref("B")))])
     [problem] = validate_model(spill).problems
     assert problem.message == "equation for S yields 2 (outside range) at {'A': 1, 'B': 1}"
+
+
+def test_wide_sum_parents_are_every_input_without_a_walk(monkeypatch):
+    # 2^30 combinations lie past DIRECTION_CAP: every reference counts as a
+    # parent, and no combination is enumerated.
+    from actualcause.dsl import parse_document
+
+    names = [f"A{i}" for i in range(30)]
+    text = "exo U : {0,1}\n" + "".join(f"var {name} : {{0,1}} = U\n" for name in names)
+    model = parse_document(text + f"var S : {{0,1}} = min(1, {' + '.join(names)})\n").model
+
+    walk, wide_sum = model_module._walk, model.equations["S"].body
+
+    def walk_all_but_the_sum(model, body):
+        assert body is not wide_sum, "the sum was enumerated"
+        return walk(model, body)
+
+    monkeypatch.setattr(model_module, "_walk", walk_all_but_the_sum)
+    assert set(semantic_parents(model, "S")) == set(names)
+    assert set(dependence_graph(model).parents("S")) == set(names)
 
 
 def test_missing_equation_reported():
@@ -278,7 +308,7 @@ def test_semantic_parents_match_brute_force_on_random_models():
     import itertools
     import random
 
-    from random_models import random_model
+    from random_models import random_model, tree_value
 
     rng = random.Random(31337)
     for _ in range(20):
@@ -299,7 +329,7 @@ def test_semantic_parents_match_brute_force_on_random_models():
                     outputs = set()
                     for value in model.range_of(parent):
                         env[parent] = value
-                        outputs.add(eq.evaluate(env))
+                        outputs.add(tree_value(eq, env))
                     if len(outputs) > 1:
                         expected.add(parent)
                         break

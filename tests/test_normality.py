@@ -23,7 +23,7 @@ from actualcause import (
 )
 from actualcause.normality import DerivedOrder, _QueryOrder, world_marks
 
-from random_models import random_model, random_typicality
+from random_models import random_model, random_typicality, tree_value
 
 
 def world_of(model, **values):
@@ -441,7 +441,7 @@ def _reference_marks(model, spec, world):
         if behaviors is not None:
             env = world.as_dict()
             for rank, behavior in enumerate(behaviors.behaviors):
-                if behavior.body.evaluate(env) == world[name]:
+                if tree_value(behavior.body, env) == world[name]:
                     break
             else:
                 raise NormalityError(f"no behavior of {name} fits {world}")

@@ -25,9 +25,10 @@ from actualcause import (
     validate_model,
 )
 from actualcause import checker, oracle
+from actualcause import model as model_module
 from actualcause.checker import CauseSearch, Engine
 from actualcause.dsl import DslError, parse_document
-from actualcause.model import _MissingRow, _bounds, _compile, _equation_directions, _walk
+from actualcause.model import _MissingRow, _bounds, _compile, _directions, _walk
 
 from random_models import (
     EXPRESSION_RANGES,
@@ -38,6 +39,7 @@ from random_models import (
     random_model,
     random_monotone_model,
     random_typicality,
+    tree_value,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -53,7 +55,7 @@ def test_solver_satisfies_every_equation(seed):
         env = dict(context)
         env.update(world.as_dict())
         for name in model.endogenous:
-            assert world[name] == model.equations[name].body.evaluate(env)
+            assert world[name] == tree_value(model.equations[name].body, env)
 
 
 @given(SEEDS)
@@ -190,12 +192,12 @@ def test_equation_interval_and_directions_agree_with_evaluation(seed):
     model = expression_model(body)
     refs = sorted(body.referenced())
     outputs = {
-        combo: body.evaluate(dict(zip(refs, combo)))
+        combo: tree_value(body, dict(zip(refs, combo)))
         for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs))
     }
     low, high = _bounds(model, body)
     assert all(low <= value <= high for value in outputs.values())
-    directions = _equation_directions(model, "T", None)
+    directions = _directions(model, "T")
     assert list(directions) == refs
     for i, name in enumerate(refs):
         ways = set()  # signs of the output's change over every raise of name
@@ -207,7 +209,8 @@ def test_equation_interval_and_directions_agree_with_evaluation(seed):
         ways.discard(0)
         assert directions[name] == (ways.pop() if len(ways) == 1 else
                                     0 if not ways else None), name
-    capped = _equation_directions(model, "T", len(outputs) - 1)
+    with mock.patch.object(model_module, "DIRECTION_CAP", len(outputs) - 1):
+        capped = _directions(expression_model(body), "T")
     assert capped == (dict.fromkeys(refs) if refs else {})
 
 
@@ -224,7 +227,7 @@ def test_totality_and_interval_agree_with_the_walk_over_ragged_tables(seed):
     for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs)):
         env = dict(zip(refs, combo))
         try:
-            expected.append((env, body.evaluate(env)))
+            expected.append((env, tree_value(body, env)))
         except ModelError as fault:
             expected.append((env, str(fault)))
     assert [(env, str(out) if isinstance(out, Exception) else out)
@@ -243,6 +246,7 @@ def test_totality_and_interval_agree_with_the_walk_over_ragged_tables(seed):
 @given(SEEDS, st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_compiled_equation_agrees_with_evaluate(seed, ragged):
+    # The reference is the test-only tree walker, ``tree_value``.
     rng = random.Random(seed)
     body = random_expression(rng, ragged=ragged)
     names = sorted(EXPRESSION_RANGES)
@@ -251,8 +255,8 @@ def test_compiled_equation_agrees_with_evaluate(seed, ragged):
     compiled = _compile(body, {name: i + 1 for i, name in enumerate(names)})
     for combo in itertools.product(*(EXPRESSION_RANGES[name] for name in names)):
         try:
-            expected = body.evaluate(dict(zip(names, combo)))
-        except _MissingRow as fault:
+            expected = tree_value(body, dict(zip(names, combo)))
+        except ModelError as fault:
             with pytest.raises(_MissingRow) as raised:
                 compiled([None, *combo])
             assert str(raised.value) == str(fault)
@@ -281,7 +285,7 @@ def test_incremental_solve_equals_a_full_walk(seed):
                 env = dict(context)
                 for name in model.topological_order():
                     pin = key[model.endo_index(name)]
-                    env[name] = (model.equations[name].body.evaluate(env)
+                    env[name] = (tree_value(model.equations[name].body, env)
                                  if pin is None else pin)
                 expected = tuple(env[name] for name in model.endogenous)
                 assert engine.solve_tuple(tuple(key)) == expected
