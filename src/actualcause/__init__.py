@@ -2,7 +2,6 @@
 
 from .checker import (
     DEFAULT_SEARCH_BUDGET,
-    CandidateCause,
     CauseVerdict,
     WitnessRecord,
     check_ac1,
@@ -21,6 +20,7 @@ from .errors import (
 )
 from .formula import (
     BooleanFormula,
+    CandidateCause,
     CausalFormula,
     Conjunction,
     Disjunction,

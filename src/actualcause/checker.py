@@ -69,6 +69,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .errors import FormulaError, SearchBudgetExceeded
 from .formula import (
     BooleanFormula,
+    CandidateCause,
     Conjunction,
     Disjunction,
     Negation,
@@ -90,29 +91,6 @@ from .model import (
 from .normality import NormalityOrder, Relation
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
-
-
-@dataclass(frozen=True)
-class CandidateCause:
-    """Nonempty conjunction of primitive events over distinct variables."""
-
-    conjuncts: tuple[PrimitiveEvent, ...]
-
-    def __post_init__(self):
-        if not self.conjuncts:
-            raise FormulaError("a candidate cause needs at least one conjunct")
-        names = [c.variable for c in self.conjuncts]
-        if len(set(names)) != len(names):
-            raise FormulaError("candidate cause repeats a variable")
-
-    def variables(self) -> tuple[str, ...]:
-        return tuple(c.variable for c in self.conjuncts)
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(c.value for c in self.conjuncts)
-
-    def __str__(self) -> str:
-        return " & ".join(str(c) for c in self.conjuncts)
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,7 @@ def _dispatch(args) -> list[tuple[str, dict]]:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
     document = dsl.parse_document(text)
     command = args.command

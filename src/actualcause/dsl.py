@@ -22,17 +22,24 @@ Query lines:
 Equation bodies use integers, variable names, ``min``/``max``/``ite``,
 ``+ - *``, and explicit ``table(...)`` rows.  Parsing is total: it produces a
 document or a list of diagnostics, each carrying a source span.
+
+Lines end at LF, CR LF or CR, and nowhere else; blanks are space, tab and CR.
+Tokens are ``"..."`` strings, integers (decimal digits, as ``int()`` reads
+them; ``²`` is none), names (a word character that is no decimal digit, then
+word characters) and punctuation.  Columns count characters; a span's
+offset and length count UTF-8 bytes of the text as passed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Container, Optional
 
-from .checker import CandidateCause
 from .errors import ActualCauseError
 from .formula import (
     BooleanFormula,
+    CandidateCause,
     CausalFormula,
     Conjunction,
     Disjunction,
@@ -176,8 +183,19 @@ class ParsedDocument:
 
 # -- lexer -----------------------------------------------------------------------
 
-_PUNCT = ("==", "<-", "->", "{", "}", "(", ")", "[", "]", ":", ",", "@",
-          "+", "-", "*", "!", "&", "|", "=", "<", ">")
+# One alternative per token class, tried in this order at each position.  The
+# comment and the unterminated-string fault run to the end of the line, so
+# every character of a line is in exactly one match.
+_TOKEN = re.compile(r"""
+    [ \t\r]+ | \#.*                                 # blanks, a comment
+  | "(?P<string>[^"]*)" | (?P<unterminated>".*)
+  | (?P<int>\d+)                                    # decimal digits, as int() reads
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>==|<-|->|[{}()\[\]:,@+*!&|=<>-])
+  | (?P<unexpected>.)
+""", re.VERBOSE | re.DOTALL)
+
+_LINE_BREAK = re.compile(r"(\r\n|\r|\n)")
 
 
 @dataclass(frozen=True)
@@ -188,61 +206,26 @@ class Token:
 
 
 def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize one line; ``line_offset`` is the line's byte offset."""
+    """Tokenize one line; ``line_offset`` is the line's byte offset.  Columns
+    count characters; offsets and lengths count UTF-8 bytes, a lone surrogate
+    as three."""
     tokens: list[Token] = []
     errors: list[Diagnostic] = []
-    i = 0
-    n = len(line)
-
-    def span_at(start: int, end: int) -> SourceSpan:
-        byte_start = line_offset + len(line[:start].encode("utf-8"))
-        byte_len = max(1, len(line[start:end].encode("utf-8")))
-        return SourceSpan(line_no, start + 1, byte_start, byte_len)
-
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        if ch == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 1
-            if j >= n:
-                errors.append(Diagnostic(span_at(i, i + 1), "unterminated string"))
-                break
-            tokens.append(Token("string", line[i + 1:j], span_at(i, j + 1)))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and line[j].isdigit():
-                j += 1
-            tokens.append(Token("int", line[i:j], span_at(i, j)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", line[i:j], span_at(i, j)))
-            i = j
-            continue
-        matched = None
-        for punct in _PUNCT:
-            if line.startswith(punct, i):
-                matched = punct
-                break
-        if matched is None:
-            errors.append(Diagnostic(span_at(i, i + 1),
-                                     f"unexpected character {ch!r}"))
-            i += 1
-            continue
-        tokens.append(Token(matched, matched, span_at(i, i + len(matched))))
-        i += len(matched)
-    tokens.append(Token("eol", "", span_at(len(line), len(line))))
+    offset = line_offset
+    for match in _TOKEN.finditer(line):
+        kind, text = match.lastgroup, match.group()
+        size = len(text.encode("utf-8", "surrogatepass"))
+        if kind == "unterminated":
+            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset),
+                                     "unterminated string"))
+        elif kind == "unexpected":
+            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset, size),
+                                     f"unexpected character {text!r}"))
+        elif kind is not None:
+            tokens.append(Token(text if kind == "punct" else kind, match.group(kind),
+                                SourceSpan(line_no, match.start() + 1, offset, size)))
+        offset += size
+    tokens.append(Token("eol", "", SourceSpan(line_no, len(line) + 1, offset)))
     return tokens, errors
 
 
@@ -362,12 +345,18 @@ class _RawQuery:
 # -- per-line parsers --------------------------------------------------------------
 
 
+def _int(token: Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _LineSyntaxError(
+            Diagnostic(token.span, "integer literal has too many digits")) from None
+
+
 def _parse_int_value(cur: _Cursor) -> int:
     if cur.accept("-"):
-        token = cur.expect("int", "integer")
-        return -int(token.text)
-    token = cur.expect("int", "integer")
-    return int(token.text)
+        return -_int(cur.expect("int", "integer"))
+    return _int(cur.expect("int", "integer"))
 
 
 def _parse_range(cur: _Cursor) -> tuple[int, ...]:
@@ -428,7 +417,7 @@ class _ExprParser:
         token = cur.peek()
         if token.kind == "int":
             cur.next()
-            return Const(int(token.text))
+            return Const(_int(token))
         if token.kind == "(":
             cur.enter()
             cur.next()
@@ -817,37 +806,27 @@ class _DocumentBuilder:
         return raw.span if place[2] is None else raw.chain[place[2]][2]
 
 
-def _lex_document(text: str) -> tuple[list[list[Token]], list[Diagnostic]]:
-    lines: list[list[Token]] = []
-    errors: list[Diagnostic] = []
-    offset = 0
-    normalized = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, line in enumerate(normalized.split("\n"), start=1):
-        tokens, line_errors = _lex_line(line, line_no, offset)
-        lines.append(tokens)
-        errors.extend(line_errors)
-        offset += len(line.encode("utf-8")) + 1
-    return lines, errors
-
-
 def parse_document(text: str) -> ParsedDocument:
     """Parse a full document; raises DslError carrying every diagnostic,
     sorted by position."""
-    lines, lex_errors = _lex_document(text)
     builder = _DocumentBuilder()
-    builder.errors.extend(lex_errors)
-    for tokens in lines:
+    offset = 0
+    parts = _LINE_BREAK.split(text)  # lines, with the break after each between
+    for line_no, (line, line_break) in enumerate(
+            zip(parts[::2], parts[1::2] + [""]), start=1):
+        tokens, errors = _lex_line(line, line_no, offset)
+        builder.errors.extend(errors)
         builder.add_line(tokens)
+        offset = tokens[-1].span.offset + len(line_break)  # eol ends the line
     document = builder.build()
     if document is None:
-        errors = sorted(builder.errors, key=_position)
-        raise DslError(errors)
+        raise DslError(sorted(builder.errors, key=_position))
     return document
 
 
 def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
     """Parse one query line; checked against the document when given."""
-    tokens, lex_errors = _lex_line(text.replace("\r", " ").replace("\n", " "), 1, 0)
+    tokens, lex_errors = _lex_line(text.replace("\n", " "), 1, 0)
     if lex_errors:
         raise DslError(lex_errors)
     cur = _Cursor(tokens)

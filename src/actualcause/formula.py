@@ -1,9 +1,10 @@
 """Formulas over model variables and their satisfaction relation.
 
-A primitive event states that an endogenous variable takes a value.  Bodies
-are Boolean combinations of primitive events; a causal formula wraps a body in
-an intervention prefix ``[Y1 <- y1, ...]``.  The empty prefix means plain
-evaluation in the solved world.
+A primitive event states that an endogenous variable takes a value, and a
+candidate cause is a conjunction of them.  Bodies are Boolean combinations of
+primitive events; a causal formula wraps a body in an intervention prefix
+``[Y1 <- y1, ...]``.  The empty prefix means plain evaluation in the solved
+world.
 """
 
 from __future__ import annotations
@@ -31,6 +32,29 @@ class PrimitiveEvent:
 
     def __str__(self) -> str:
         return f"{self.variable}={self.value}"
+
+
+@dataclass(frozen=True)
+class CandidateCause:
+    """Nonempty conjunction of primitive events over distinct variables."""
+
+    conjuncts: tuple[PrimitiveEvent, ...]
+
+    def __post_init__(self):
+        if not self.conjuncts:
+            raise FormulaError("a candidate cause needs at least one conjunct")
+        names = [c.variable for c in self.conjuncts]
+        if len(set(names)) != len(names):
+            raise FormulaError("candidate cause repeats a variable")
+
+    def variables(self) -> tuple[str, ...]:
+        return tuple(c.variable for c in self.conjuncts)
+
+    def values(self) -> tuple[int, ...]:
+        return tuple(c.value for c in self.conjuncts)
+
+    def __str__(self) -> str:
+        return " & ".join(str(c) for c in self.conjuncts)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,11 @@ from typing import Sequence
 
 from .checker import (
     DEFAULT_SEARCH_BUDGET,
-    CandidateCause,
     CauseVerdict,
     _verdicts,
     best_witnesses,  # defined beside the verdict that uses it; public here
 )
-from .formula import BooleanFormula
+from .formula import BooleanFormula, CandidateCause
 from .model import CausalModel, Context, World
 from .normality import NormalityOrder, Relation, _QueryOrder
 

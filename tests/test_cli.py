@@ -269,3 +269,20 @@ def test_spec_and_query_faults_are_located_in_every_command(tmp_path):
                      ["satisfies", path]):
             code, out, err = run(argv)
             assert (code, out, err) == (1, "", message + "\n"), argv
+
+
+def test_a_document_that_is_not_utf8_exits_one(tmp_path):
+    path = tmp_path / "latin1.scm.txt"
+    path.write_bytes("# caf\u00e9\nexo U : {0,1}\n".encode("latin-1"))
+    code, out, err = run(["validate", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "can't decode byte 0xe9" in err
+
+
+def test_a_superscript_digit_is_a_located_error(tmp_path):
+    path = _document(tmp_path, "exo U : {0,1}\ncontext c : U=\u00b2\n")
+    code, _, err = run(["validate", path])
+    assert code == 1
+    assert err == "error: 2:15: expected integer, found '\u00b2'\n"

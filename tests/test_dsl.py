@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actualcause import (
     ActualCauseError,
@@ -28,7 +29,9 @@ from actualcause.dsl import (
     ParsedDocument,
     SatisfiesQuery,
     SolveQuery,
+    SourceSpan,
     WitnessQuery,
+    _lex_line,
     parse_document,
     parse_query,
     pretty_print,
@@ -174,6 +177,104 @@ def test_newline_styles_agree():
     unix = parse_document(text)
     dos = parse_document(text.replace("\n", "\r\n"))
     assert pretty_print(unix) == pretty_print(dos)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_spans_slice_the_text_as_given_in_every_newline_style(newline):
+    text = newline.join(["# café", "exo U : {0,1}", "var G : {0,1} = Q", ""])
+    with pytest.raises(DslError) as excinfo:
+        parse_document(text)
+    [diagnostic] = excinfo.value.diagnostics
+    assert diagnostic.message == "undeclared variable Q"
+    span = diagnostic.span
+    assert (span.line, span.column) == (3, 17)
+    assert text.encode("utf-8")[span.offset:span.offset + span.length] == b"Q"
+
+
+# -- lexer ----------------------------------------------------------------------
+
+
+def _lexed(line):
+    tokens, errors = _lex_line(line, 1, 0)
+    assert not errors
+    return [(token.kind, token.text) for token in tokens[:-1]]
+
+
+def test_unexpected_character_span_counts_its_bytes():
+    text = "exo U : {0,1}\nexo V§ : {0,1}\n"
+    with pytest.raises(DslError) as excinfo:
+        parse_document(text)
+    [diagnostic] = excinfo.value.diagnostics
+    assert str(diagnostic) == "2:6: unexpected character '§'"
+    assert diagnostic.span == SourceSpan(2, 6, 19, 2)
+    assert text.encode("utf-8")[19:21] == "§".encode("utf-8")
+
+
+def test_unterminated_string_is_located_at_its_quote():
+    tokens, errors = _lex_line('behavior P : "stays empty = 0', 4, 10)
+    assert [str(e) for e in errors] == ["4:14: unterminated string"]
+    assert errors[0].span == SourceSpan(4, 14, 23, 1)
+    assert [token.kind for token in tokens] == ["ident", "ident", ":", "eol"]
+
+
+def test_hash_inside_a_string_is_not_a_comment():
+    assert _lexed('behavior P : "a # b" = 0 # note') == [
+        ("ident", "behavior"), ("ident", "P"), (":", ":"), ("string", "a # b"),
+        ("=", "="), ("int", "0"),
+    ]
+
+
+def test_digits_then_letters_lex_as_an_integer_then_a_name():
+    assert _lexed("12abc") == [("int", "12"), ("ident", "abc")]
+
+
+def test_two_character_punctuation_matches_first():
+    assert _lexed("<->=== --> <<-") == [
+        ("<-", "<-"), (">", ">"), ("==", "=="), ("=", "="), ("-", "-"),
+        ("->", "->"), ("<", "<"), ("<-", "<-"),
+    ]
+
+
+@given(st.text(max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_every_token_span_slices_its_source_text(line):
+    tokens, _ = _lex_line(line, 3, 0)
+    blob = line.encode("utf-8")
+    for token in tokens[:-1]:
+        source = f'"{token.text}"' if token.kind == "string" else token.text
+        span = token.span
+        assert span.line == 3
+        assert blob[span.offset:span.offset + span.length] == source.encode("utf-8")
+        assert line[span.column - 1:span.column - 1 + len(source)] == source
+    eol = tokens[-1].span
+    assert (eol.column, eol.offset) == (len(line) + 1, len(blob))
+
+
+def test_a_numeric_character_that_is_no_decimal_digit_is_not_an_integer():
+    with pytest.raises(DslError) as excinfo:
+        parse_document("exo U : {0,1}\ncontext c : U=²\n")
+    assert [str(d) for d in excinfo.value.diagnostics] == [
+        "2:15: expected integer, found '²'"]
+    assert parse_document("exo U : {0,١}\n").model.range_of("U") == (0, 1)
+
+
+def test_a_lone_surrogate_is_an_unexpected_character():
+    with pytest.raises(DslError) as excinfo:
+        parse_document("var X \ud800")
+    lexed, parsed = excinfo.value.diagnostics
+    assert str(lexed) == "1:7: unexpected character '\\ud800'"
+    assert lexed.span == SourceSpan(1, 7, 6, 3)
+    assert str(parsed) == "1:8: expected :, found 'end of line'"
+
+
+def test_an_integer_past_the_conversion_limit_is_a_located_diagnostic():
+    digits = "1" * 5000
+    with pytest.raises(DslError) as excinfo:
+        parse_document(f"exo U : {{0,{digits}}}\nvar X : {{0,1}} = {digits}\n")
+    assert [str(d) for d in excinfo.value.diagnostics] == [
+        "1:12: integer literal has too many digits",
+        "2:17: integer literal has too many digits",
+    ]
 
 
 # -- queries --------------------------------------------------------------------

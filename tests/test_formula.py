@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import actualcause
 from actualcause import (
     CausalFormula,
     Conjunction,
@@ -13,6 +14,7 @@ from actualcause import (
     PrimitiveEvent,
     satisfies,
 )
+from actualcause import checker, formula, graded
 from actualcause.formula import check_formula
 from actualcause.model import semantic_parents
 
@@ -105,3 +107,9 @@ def test_intervention_screening_makes_context_irrelevant(documents):
                     {"UL": 0, "UM": 0}, {"UL": 0, "UM": 1})
     }
     assert len(verdicts) == 1
+
+
+def test_candidate_cause_is_one_class_beside_the_events():
+    assert actualcause.CandidateCause is formula.CandidateCause
+    assert checker.CandidateCause is formula.CandidateCause
+    assert graded.CandidateCause is formula.CandidateCause

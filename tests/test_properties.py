@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -27,7 +28,8 @@ from actualcause import (
 from actualcause import checker, oracle
 from actualcause import model as model_module
 from actualcause.checker import CauseSearch, Engine
-from actualcause.dsl import DslError, parse_document
+from actualcause.corpus import fixture_dir
+from actualcause.dsl import DslError, parse_document, parse_query
 from actualcause.model import _MissingRow, _bounds, _compile, _directions, _walk
 
 from random_models import (
@@ -177,6 +179,50 @@ def test_parser_total_on_arbitrary_bytes(blob):
     text = blob.decode("utf-8", errors="replace")
     try:
         parse_document(text)
+    except DslError as exc:
+        assert exc.diagnostics
+
+
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8")
+                 for path in sorted(fixture_dir().glob("*.scm.txt"))]
+
+# Numeric characters that are no decimal digit, a decimal digit of another
+# script, a letter, a line break that only str.splitlines knows, and a lone
+# surrogate.
+ODD_CHARACTERS = ["\u00b2", "\u2460", "\u00bd", "\u216b", "\u0661", "\u00e9",
+                  "\x0b", "\ud800"]
+
+
+@st.composite
+def fixture_with_one_odd_character(draw):
+    """A fixture with one character from the pool inserted anywhere, beside
+    a token, or in place of a token (``U=1`` becomes ``U=²``)."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    tokens = [m.span() for m in re.finditer(r"\w+|\S", text)]
+    start, end = draw(st.one_of(
+        st.integers(0, len(text)).map(lambda i: (i, i)),
+        st.sampled_from(tokens),
+        st.sampled_from(tokens).map(lambda span: (span[0], span[0])),
+        st.sampled_from(tokens).map(lambda span: (span[1], span[1])),
+    ))
+    return text[:start] + draw(st.sampled_from(ODD_CHARACTERS)) + text[end:], start
+
+
+@given(fixture_with_one_odd_character())
+@settings(max_examples=300, deadline=None)
+def test_parser_total_on_fixtures_with_one_odd_character(case):
+    text, where = case
+    size = len(text.encode("utf-8", "surrogatepass"))
+    try:
+        parse_document(text)
+    except DslError as exc:
+        assert exc.diagnostics
+        for diagnostic in exc.diagnostics:
+            span = diagnostic.span
+            assert 0 <= span.offset < span.offset + span.length <= size + 1
+    line = text[text.rfind("\n", 0, where) + 1:].split("\n")[0]
+    try:
+        parse_query(line)
     except DslError as exc:
         assert exc.diagnostics
 
