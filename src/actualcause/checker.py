@@ -74,14 +74,14 @@ from .formula import (
     Disjunction,
     Negation,
     PrimitiveEvent,
-    check_body,
+    compile_body,
 )
 from .model import (
     CausalModel,
     Context,
     World,
+    _check_events,
     _directions,
-    _event_fault,
     _kernel,
     _reach_masks,
     _settle,
@@ -187,28 +187,9 @@ class Engine:
         return self.world(self.actual)
 
 
-def compile_body(engine: Engine, body: BooleanFormula) -> Callable[[tuple[int, ...]], bool]:
-    """Turn a formula body into a predicate over solved value tuples."""
-    if isinstance(body, PrimitiveEvent):
-        idx = engine.index[body.variable]
-        val = body.value
-        return lambda values: values[idx] == val
-    if isinstance(body, Negation):
-        inner = compile_body(engine, body.operand)
-        return lambda values: not inner(values)
-    parts = [compile_body(engine, op) for op in body.operands]
-    if isinstance(body, Conjunction):
-        return lambda values: all(p(values) for p in parts)
-    if isinstance(body, Disjunction):
-        return lambda values: any(p(values) for p in parts)
-    raise FormulaError(f"unsupported formula node {body!r}")
-
-
 def _check_cause(model: CausalModel, conjuncts: Sequence[PrimitiveEvent]):
-    for event in conjuncts:
-        fault = _event_fault(model, event.variable, event.value, "a candidate cause")
-        if fault is not None:
-            raise FormulaError(fault)
+    _check_events(model, ((c.variable, c.value) for c in conjuncts), "a candidate cause",
+                  FormulaError)
 
 
 _WitnessFilter = Optional[Callable[[World], bool]]
@@ -227,11 +208,10 @@ class CauseSearch:
         effect: BooleanFormula,
         max_search: int = DEFAULT_SEARCH_BUDGET,
     ):
-        check_body(engine.model, effect)
+        self._phi = compile_body(engine.model, effect)
         self.engine = engine
         self.effect = effect
         self.max_search = max_search
-        self._phi = compile_body(engine, effect)
         self._ac2b_cache: dict[tuple, bool] = {}
         self._decisions: dict[tuple, bool] = {}
         self._signs: dict[tuple[str, ...], dict[str, Optional[int]]] = {}
@@ -529,10 +509,7 @@ def check_ac2(
         raise FormulaError("contingency set repeats a variable")
     if len(w_set) != len(w_values) or len(x_prime) != len(x_vars):
         raise FormulaError("mismatched setting lengths")
-    for name, value in zip(w_set, w_values):
-        fault = _event_fault(model, name, value, "a contingency")
-        if fault is not None:
-            raise FormulaError(fault)
+    _check_events(model, zip(w_set, w_values), "a contingency", FormulaError)
     _check_cause(model, [PrimitiveEvent(*e) for e in zip(x_vars, x_prime)])
     pins = dict(zip(w_set, w_values))
     witness = engine.solve_tuple(engine.key({**dict(zip(x_vars, x_prime)), **pins}))

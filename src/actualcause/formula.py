@@ -4,20 +4,21 @@ A primitive event states that an endogenous variable takes a value, and a
 candidate cause is a conjunction of them.  Bodies are Boolean combinations of
 primitive events; a causal formula wraps a body in an intervention prefix
 ``[Y1 <- y1, ...]``.  The empty prefix means plain evaluation in the solved
-world.
+world.  ``compile_body`` checks each event of a body against the model as it
+compiles the body into the predicate that ``satisfies`` and the search run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import FormulaError
 from .model import (
     CausalModel,
     Context,
     World,
-    _event_fault,
+    _check_events,
     _kernel,
     _settle,
     _start,
@@ -94,25 +95,30 @@ class CausalFormula:
             raise FormulaError("intervention prefix repeats a variable")
 
 
-def check_body(model: CausalModel, body: BooleanFormula):
-    """Reject bodies naming unknown/exogenous variables or off-range values."""
+def compile_body(model: CausalModel, body: BooleanFormula) -> Callable[[tuple[int, ...]], bool]:
+    """The body as a predicate over the model's endogenous value tuples.
+    Each event is checked against the event rule as it compiles, in
+    pre-order, so the first fault raised is the body's first."""
     if isinstance(body, PrimitiveEvent):
-        fault = _event_fault(model, body.variable, body.value, "a formula")
-        if fault is not None:
-            raise FormulaError(fault)
-    elif isinstance(body, Negation):
-        check_body(model, body.operand)
-    else:
-        for operand in body.operands:
-            check_body(model, operand)
+        _check_events(model, ((body.variable, body.value),), "a formula", FormulaError)
+        position, value = model.endo_index(body.variable), body.value
+        return lambda values: values[position] == value
+    if isinstance(body, Negation):
+        inner = compile_body(model, body.operand)
+        return lambda values: not inner(values)
+    parts = [compile_body(model, operand) for operand in body.operands]
+    if isinstance(body, Conjunction):
+        return lambda values: all(part(values) for part in parts)
+    if isinstance(body, Disjunction):
+        return lambda values: any(part(values) for part in parts)
+    raise FormulaError(f"unsupported formula node {body!r}")
 
 
-def check_formula(model: CausalModel, formula: CausalFormula):
-    check_body(model, formula.body)
-    for name, value in formula.interventions:
-        fault = _event_fault(model, name, value, "an intervention")
-        if fault is not None:
-            raise FormulaError(fault)
+def check_formula(model: CausalModel, formula: CausalFormula) -> Callable[[tuple[int, ...]], bool]:
+    """Check the body, then the prefix; returns the body's predicate."""
+    holds = compile_body(model, formula.body)
+    _check_events(model, formula.interventions, "an intervention", FormulaError)
+    return holds
 
 
 def evaluate(body: BooleanFormula, world: World | Mapping[str, int]) -> bool:
@@ -133,13 +139,12 @@ def satisfies(model: CausalModel, context: Context, formula: CausalFormula) -> b
     intervened model without building that model.
     """
     model.require_valid()
-    check_formula(model, formula)
+    holds = check_formula(model, formula)
     check_context(model, context)
     env = _start(model, context)
     for name, value in formula.interventions:
         env[model.endo_index(name)] = value
-    values = _settle(model, env, [step for step in _kernel(model) if env[step[0]] is None])
-    return evaluate(formula.body, model.world_from_values(values))
+    return holds(_settle(model, env, [step for step in _kernel(model) if env[step[0]] is None]))
 
 
 def format_body(body: BooleanFormula) -> str:

@@ -8,9 +8,11 @@ functions, so shared models are safe to use concurrently.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -172,11 +174,11 @@ class CausalModel:
     def __init__(self, variables: Iterable[Variable], equations: Iterable[Equation]):
         self.variables: tuple[Variable, ...] = tuple(variables)
         self.equations: dict[str, Equation] = {}
+        # Duplicate targets are a validation problem, not a constructor
+        # error; remember each repeat for the report.
+        self._duplicate_targets: list[str] = []
         for eq in equations:
-            # Duplicate targets are a validation problem, not a constructor
-            # error; remember the first duplicate for the report.
             if eq.target in self.equations:
-                self._duplicate_targets = getattr(self, "_duplicate_targets", [])
                 self._duplicate_targets.append(eq.target)
             self.equations[eq.target] = eq
         self._by_name = {v.name: v for v in self.variables}
@@ -192,9 +194,6 @@ class CausalModel:
         self._reach: Optional[tuple[int, ...]] = None
         self._compiled: Optional[tuple[tuple[int, Callable], ...]] = None
         self._directions: dict[str, dict[str, Optional[int]]] = {}
-        # Set by intervene(): interventions on a validated model cannot break
-        # validity, so children skip re-validation.
-        self._assume_valid = False
 
     # -- lookups --------------------------------------------------------------
 
@@ -221,10 +220,7 @@ class CausalModel:
         missing = [n for n in self.endogenous if n not in assignment]
         if missing:
             raise ModelError(f"world is missing endogenous variables: {missing}")
-        for name, value in assignment.items():
-            fault = _event_fault(self, name, value, "a world")
-            if fault is not None:
-                raise ModelError(fault)
+        _check_events(self, assignment.items(), "a world")
         return World(self.endogenous, tuple(assignment[n] for n in self.endogenous))
 
     def world_from_values(self, values: tuple[int, ...]) -> World:
@@ -234,10 +230,7 @@ class CausalModel:
 
     def validate(self) -> ValidationReport:
         if self._report is None:
-            if self._assume_valid:
-                self._report = ValidationReport(())
-            else:
-                self._report = _validate(self)
+            self._report = _validate(self)
         return self._report
 
     def require_valid(self):
@@ -247,10 +240,9 @@ class CausalModel:
             raise ModelError(f"model failed validation: {details}")
 
     def topological_order(self) -> tuple[str, ...]:
-        """Endogenous variables ordered so references point backwards."""
-        if self._topo is None:
-            self.require_valid()
-            self._topo, _ = _reference_walk(self)
+        """Endogenous variables ordered so references point backwards: the
+        order validation proved acyclic, or an intervened model's parent's."""
+        self.require_valid()
         return self._topo
 
     def __eq__(self, other) -> bool:
@@ -268,10 +260,10 @@ Context = Mapping[str, int]
 
 def _validate(model: CausalModel) -> ValidationReport:
     problems: list[ValidationProblem] = []
-    names = [v.name for v in model.variables]
-    for name in sorted({n for n in names if names.count(n) > 1}):
+    counts = Counter(v.name for v in model.variables)
+    for name in sorted(n for n, count in counts.items() if count > 1):
         problems.append(ValidationProblem("name", f"variable {name} declared twice"))
-    for dup in getattr(model, "_duplicate_targets", []):
+    for dup in model._duplicate_targets:
         problems.append(
             ValidationProblem("equation", f"variable {dup} has more than one equation")
         )
@@ -301,53 +293,27 @@ def _validate(model: CausalModel) -> ValidationReport:
         # Later checks assume a well-formed signature.
         return ValidationReport(tuple(problems))
 
-    _, cycle = _reference_walk(model)
-    if cycle is not None:
-        path = " -> ".join(cycle)
+    try:
+        model._topo = _reference_walk(model)
+    except graphlib.CycleError as exc:
+        # graphlib lists each variable before one that references it
+        path = " -> ".join(reversed(exc.args[1]))
         problems.append(ValidationProblem("cycle", f"equations form a cycle: {path}"))
-        return ValidationReport(tuple(problems))
-
-    problems.extend(_totality_problems(model))
+    else:
+        problems.extend(_totality_problems(model))
     return ValidationReport(tuple(problems))
 
 
-def _reference_walk(model: CausalModel) -> tuple[tuple[str, ...], Optional[list[str]]]:
-    """Depth-first walk of the endogenous reference graph.
-
-    Roots are taken in declaration order and references in name order.
-    Returns the post-order, which is an evaluation order when the graph is
-    acyclic, and the first cycle met, as a closed path, or None.  The walk
-    keeps its own stack, so long chains cannot exhaust the interpreter's.
-    """
-    done: dict[str, bool] = {}  # False while on the current path
-    order: list[str] = []
-
-    def endo_refs(name: str):
-        refs = sorted(model.equations[name].body.referenced())
-        return iter([r for r in refs if r in model._endo_index])
-
-    for root in model.endogenous:
-        if root in done:
-            continue
-        done[root] = False
-        path = [root]
-        pending = [endo_refs(root)]
-        while pending:
-            for ref in pending[-1]:
-                state = done.get(ref)
-                if state is None:
-                    done[ref] = False
-                    path.append(ref)
-                    pending.append(endo_refs(ref))
-                    break
-                if state is False:
-                    return tuple(order), path[path.index(ref):] + [ref]
-            else:
-                pending.pop()
-                name = path.pop()
-                done[name] = True
-                order.append(name)
-    return tuple(order), None
+def _reference_walk(model: CausalModel) -> tuple[str, ...]:
+    """The endogenous variables of a well-formed signature ordered so that
+    references point backwards, by ``graphlib`` from the variables in
+    declaration order and their references in name order; raises
+    ``graphlib.CycleError`` on the first cycle it finds.  Validation runs it
+    once per model and keeps the order."""
+    graph = {name: sorted(ref for ref in model.equations[name].body.referenced()
+                          if ref in model._endo_index)
+             for name in model.endogenous}
+    return tuple(graphlib.TopologicalSorter(graph).static_order())
 
 
 def _reach_masks(model: CausalModel) -> tuple[int, ...]:
@@ -389,12 +355,22 @@ def _totality_problems(model: CausalModel) -> list[ValidationProblem]:
             if isinstance(output, _MissingRow):
                 message = f"equation for {target} has no value at {env}: {output}"
             elif output not in target_range:
-                message = f"equation for {target} yields {output} (outside range) at {env}"
+                message = (f"equation for {target} yields {_decimal(output)} "
+                           f"(outside range) at {env}")
             else:
                 continue
             problems.append(ValidationProblem("totality", message))
             break
     return problems
+
+
+def _decimal(value: int) -> str:
+    """The value in decimal, or past the interpreter's limit on decimal
+    conversion its bit length, which needs no conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a {'negative ' * (value < 0)}value of {abs(value).bit_length()} bits"
 
 
 def _bounds(model: CausalModel, expr: Expr) -> Optional[tuple[int, int]]:
@@ -475,15 +451,23 @@ def _event_fault(model: CausalModel, name: str, value: int, where: str,
     return None
 
 
+def _check_events(model: CausalModel, events: Iterable[tuple[str, int]], where: str,
+                  error: type = ModelError, kind: str = ENDOGENOUS):
+    """Raise ``error`` with the first fault of the event rule among the
+    ``(name, value)`` events stated in ``where``: the one raise site of the
+    rule in the library."""
+    for name, value in events:
+        fault = _event_fault(model, name, value, where, kind)
+        if fault is not None:
+            raise error(fault)
+
+
 def check_context(model: CausalModel, context: Context):
     """Reject contexts that are partial or out of range."""
     for name in model.exogenous:
         if name not in context:
             raise ModelError(f"context is missing exogenous variable {name}")
-    for name, value in context.items():
-        fault = _event_fault(model, name, value, "context", EXOGENOUS)
-        if fault is not None:
-            raise ModelError(fault)
+    _check_events(model, context.items(), "context", kind=EXOGENOUS)
 
 
 def solve(model: CausalModel, context: Context) -> World:
@@ -571,10 +555,7 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     Interventions target endogenous variables only; the original model is
     unchanged.
     """
-    for name, value in setting.items():
-        fault = _event_fault(model, name, value, "an intervention")
-        if fault is not None:
-            raise ModelError(fault)
+    _check_events(model, setting.items(), "an intervention")
     equations = [
         Equation(t, Const(setting[t])) if t in setting else eq
         for t, eq in model.equations.items()
@@ -582,8 +563,8 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     child = CausalModel(model.variables, equations)
     if model.validate().ok:
         # Replacing equations by in-range constants preserves validity; the
-        # parent's compiled equations, in its topological order, serve the child.
-        child._assume_valid = True
+        # parent's report, order and compiled equations serve the child.
+        child._report, child._topo = model._report, model._topo
         endo = model.endogenous
         child._compiled = tuple(
             (p, _compile(Const(setting[endo[p]]), {}) if endo[p] in setting else equation)

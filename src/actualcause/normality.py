@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import NormalityError
-from .model import CausalModel, Expr, World, _compile, _event_fault
+from .model import CausalModel, Expr, World, _check_events, _compile, _event_fault
 
 
 class Relation(Enum):
@@ -493,10 +493,7 @@ def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:
             raise NormalityError(
                 "world does not range over this model's endogenous variables"
             )
-        for name, value in zip(world.variables, world.values):
-            fault = _event_fault(model, name, value, "a world")
-            if fault is not None:
-                raise NormalityError(fault)
+        _check_events(model, zip(world.variables, world.values), "a world", NormalityError)
         return world
     return model.world(world)
 

@@ -11,9 +11,13 @@ import pytest
 
 from actualcause import (
     CandidateCause,
+    CausalModel,
+    Equation,
     ExtendedCausalModel,
     PrimitiveEvent,
+    Ref,
     TrivialOrder,
+    Variable,
     derive_from_typicality,
     equation_isomorphism,
     grade_candidates,
@@ -332,3 +336,21 @@ def test_criterion_6_property_suites():
                 assert exc.diagnostics
 
     _report("6 property suites", 120.0, body)
+
+
+def test_criterion_7_long_chain_validates_and_orders():
+    # Declared effect first, so the walk descends the whole chain from the
+    # first root.
+    n = 20_000
+    links = [Equation("X0", Ref("U"))] + [
+        Equation(f"X{i}", Ref(f"X{i - 1}")) for i in range(1, n)]
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1))]
+        + [Variable(f"X{i}", "endogenous", (0, 1)) for i in reversed(range(n))],
+        reversed(links))
+
+    def body():
+        assert model.validate().ok
+        assert model.topological_order() == tuple(f"X{i}" for i in range(n))
+
+    _report("7 validation of a 20,000-variable chain", 2.0, body)

@@ -286,3 +286,19 @@ def test_a_superscript_digit_is_a_located_error(tmp_path):
     code, _, err = run(["validate", path])
     assert code == 1
     assert err == "error: 2:15: expected integer, found '\u00b2'\n"
+
+
+def test_an_out_of_range_value_too_long_for_decimal_is_a_totality_problem(tmp_path):
+    # N * N has about 8,000 digits, past the interpreter's limit on decimal
+    # conversion, so the problem cannot quote it in decimal.
+    path = _document(tmp_path, "exo U : {0,1}\n"
+                               f"var X : {{0,1}} = {'9' * 4000} * {'9' * 4000} * U\n"
+                               "context c : U=1\n")
+    code, out, err = run(["validate", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [p["kind"] for p in payload["problems"]] == ["totality"]
+    code, out, err = run(["solve", path, "@c"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: model failed validation: equation for X yields ")

@@ -10,15 +10,21 @@ from actualcause import (
     Behavior,
     BehaviorRanking,
     BinOp,
+    CausalFormula,
     Const,
     FormulaError,
+    ModelError,
     NormalityError,
     PrimitiveEvent,
     Ref,
     TypicalitySpec,
     ValueRanking,
+    World,
     derive_from_typicality,
     explicit_order,
+    intervene,
+    satisfies,
+    solve,
 )
 from actualcause.corpus import fixture_dir, fixture_path
 from actualcause.dsl import (
@@ -36,7 +42,7 @@ from actualcause.dsl import (
     parse_query,
     pretty_print,
 )
-from actualcause.formula import check_body
+from actualcause.formula import compile_body
 
 ALL_FIXTURES = sorted(path.name for path in fixture_dir().glob("*.scm.txt"))
 
@@ -560,10 +566,61 @@ def test_spec_faults_read_the_same_in_documents_and_the_library(spec, keyword):
                          ids=["undeclared", "exogenous", "out-of-range"])
 def test_event_faults_read_the_same_in_documents_and_the_library(event):
     with pytest.raises(FormulaError) as library:
-        check_body(parse_document(RULE_BASE).model, event)
+        compile_body(parse_document(RULE_BASE).model, event)
     with pytest.raises(DslError) as in_document:
         parse_document(RULE_BASE + f"cause A=1 for {event} @ c\n")
     assert [d.message for d in in_document.value.diagnostics] == [str(library.value)]
+
+
+# Each library entry point that applies the event rule, handed one event.
+EVENT_ENTRY_POINTS = {
+    "intervene": lambda model, event: intervene(model, dict([event])),
+    "world": lambda model, event: model.world({"A": 1, "B": 1, **dict([event])}),
+    "solve-context": lambda model, event: solve(model, {"U": 1, **dict([event])}),
+    "satisfies-body": lambda model, event: satisfies(
+        model, {"U": 1}, CausalFormula((), PrimitiveEvent(*event))),
+    "satisfies-prefix": lambda model, event: satisfies(
+        model, {"U": 1}, CausalFormula((event,), PrimitiveEvent("A", 1))),
+    "norm-world": lambda model, event: explicit_order(
+        model, [(World(("A", event[0]), (1, event[1])), ">", {"A": 0, "B": 0})]),
+    "norm-mapping": lambda model, event: explicit_order(
+        model, [({"A": 1, "B": 1, **dict([event])}, ">", {"A": 0, "B": 0})]),
+}
+NOT_ENDOGENOUS = "world does not range over this model's endogenous variables"
+
+
+@pytest.mark.parametrize("entry, event, error, message", [
+    ("intervene", ("Q", 1), ModelError, "undeclared variable Q"),
+    ("intervene", ("U", 1), ModelError,
+     "U is exogenous; an intervention needs an endogenous variable"),
+    ("intervene", ("B", 9), ModelError, "value 9 outside the range of B"),
+    ("world", ("Q", 1), ModelError, "undeclared variable Q"),
+    ("world", ("U", 1), ModelError, "U is exogenous; a world needs an endogenous variable"),
+    ("world", ("B", 9), ModelError, "value 9 outside the range of B"),
+    ("solve-context", ("Q", 1), ModelError, "undeclared variable Q"),
+    ("solve-context", ("A", 1), ModelError, "context assigns endogenous variable A"),
+    ("solve-context", ("U", 9), ModelError, "value 9 outside the range of U"),
+    ("satisfies-body", ("Q", 1), FormulaError, "undeclared variable Q"),
+    ("satisfies-body", ("U", 1), FormulaError,
+     "U is exogenous; a formula needs an endogenous variable"),
+    ("satisfies-body", ("B", 9), FormulaError, "value 9 outside the range of B"),
+    ("satisfies-prefix", ("Q", 1), FormulaError, "undeclared variable Q"),
+    ("satisfies-prefix", ("U", 1), FormulaError,
+     "U is exogenous; an intervention needs an endogenous variable"),
+    ("satisfies-prefix", ("B", 9), FormulaError, "value 9 outside the range of B"),
+    ("norm-world", ("Q", 1), NormalityError, NOT_ENDOGENOUS),
+    ("norm-world", ("U", 1), NormalityError, NOT_ENDOGENOUS),
+    ("norm-world", ("B", 9), NormalityError, "value 9 outside the range of B"),
+    ("norm-mapping", ("Q", 1), ModelError, "undeclared variable Q"),
+    ("norm-mapping", ("U", 1), ModelError,
+     "U is exogenous; a world needs an endogenous variable"),
+    ("norm-mapping", ("B", 9), ModelError, "value 9 outside the range of B"),
+])
+def test_every_library_entry_point_applies_the_event_rule(entry, event, error, message):
+    model = parse_document(RULE_BASE).model
+    with pytest.raises(ActualCauseError) as raised:
+        EVENT_ENTRY_POINTS[entry](model, event)
+    assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 NORM_BASE = "exo U : {0,1}\nvar A : {0,1} = U\ncontext c : U=1\n"

@@ -46,6 +46,32 @@ def test_two_node_cycle_reported():
     assert "X" in cycle[0].message and "Y" in cycle[0].message
 
 
+@pytest.mark.parametrize("equations, path", [
+    ([Equation("A", Ref("B")), Equation("B", Ref("C")), Equation("C", Ref("A"))],
+     "A -> B -> C -> A"),
+    ([Equation("A", Const(0)), Equation("B", Const(0)), Equation("C", Ref("C"))],
+     "C -> C"),
+], ids=["three-nodes", "self-reference"])
+def test_a_cycle_is_reported_along_references(equations, path):
+    model = CausalModel([binary("A"), binary("B"), binary("C")], equations)
+    assert validate_model(model).problems == (
+        ValidationProblem("cycle", f"equations form a cycle: {path}"),)
+
+
+def test_validating_then_solving_walks_the_references_once():
+    from unittest import mock
+
+    model = CausalModel(
+        [binary("U", "exogenous"), binary("X"), binary("Y")],
+        [Equation("X", Ref("U")), Equation("Y", Ref("X"))],
+    )
+    with mock.patch.object(model_module, "_reference_walk",
+                           wraps=model_module._reference_walk) as walk:
+        assert validate_model(model).ok
+        assert solve(model, {"U": 1}).values == (1, 1)
+    assert walk.call_count == 1
+
+
 def test_long_chain_declared_effect_first_validates_and_solves():
     # Declaring the end of the chain first makes every graph walk descend
     # the whole chain from the first root.

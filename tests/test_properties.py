@@ -83,6 +83,13 @@ def test_empty_prefix_equals_plain_evaluation(seed):
     prefixed = satisfies(model, context, CausalFormula((), body))
     plain = evaluate(body, solve(model, context))
     assert prefixed == plain
+    # Any prefix, pinning the body's own variables too, reads the solution
+    # of the intervened model.
+    body = random_effect(rng, model, solve(model, context))
+    pinned = rng.sample(model.endogenous, rng.randint(0, len(model.endogenous)))
+    prefix = tuple((name, rng.choice(model.range_of(name))) for name in pinned)
+    assert satisfies(model, context, CausalFormula(prefix, body)) == evaluate(
+        body, solve(intervene(model, dict(prefix)), context))
 
 
 @given(SEEDS)
