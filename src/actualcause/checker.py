@@ -19,14 +19,14 @@ that differs from the world under the candidate alone: by induction in
 topological order, every other variable takes that world's value under any
 sub-assignment, so re-imposing it is a no-op.
 
-The normality-aware test of the graded module reuses this search: a witness
-filter, passed to the calls that take one, drops the AC2(a) settings whose
-witness world the filter rejects.  AC2(b) does not depend on the filter, so a
-plain and a filtered AC3 on one search share its AC2(b) memo.  Both tests
-assemble their verdicts in one place, ``_verdicts``, which decides every
-candidate of a call on one search.  Its filter is one closure per call that
-asks the order once per distinct witness world; that memo, like the search's,
-lives as long as the call.
+The normality-aware test of the graded module reuses this search: the search
+yields every witness record, and ``has_witness`` and ``ac3`` apply a witness
+filter to those records, dropping each whose world the filter rejects.  AC2(b)
+does not depend on the filter, so a plain and a filtered AC3 on one search
+share its AC2(b) memo.  Both tests assemble their verdicts in one place,
+``_verdicts``, which decides every candidate of a call on one search.  Its
+filter is one closure per call that asks the order once per distinct witness
+world; that memo, like the search's, lives as long as the call.
 
 Before the search, monotonicity refutes alternatives.  Take an alternative
 x' with x' >= x componentwise (s = +1) or x' <= x (s = -1), where x holds
@@ -198,7 +198,7 @@ _WitnessFilter = Optional[Callable[[World], bool]]
 class CauseSearch:
     """Witness enumeration for one effect under one engine.
 
-    A ``witness_filter`` (when given) keeps only AC2(a) settings whose witness
+    A ``witness_filter`` (when given) keeps only the witness records whose
     world it accepts; this is how the normality-aware test narrows AC2(a).
     """
 
@@ -214,8 +214,6 @@ class CauseSearch:
         self.max_search = max_search
         self._ac2b_cache: dict[tuple, bool] = {}
         self._decisions: dict[tuple, bool] = {}
-        self._signs: dict[tuple[str, ...], dict[str, Optional[int]]] = {}
-        self._relevant: dict[tuple[str, ...], int] = {}
         self._effect_vars = _event_variables(effect)
 
     # -- clause checks ---------------------------------------------------------
@@ -279,7 +277,7 @@ class CauseSearch:
         return total * (alternatives - 1)
 
     def enumerate(self, conjuncts: Sequence[PrimitiveEvent]) -> list[WitnessRecord]:
-        return list(self._search(conjuncts, False))
+        return list(self._search(conjuncts))
 
     def has_witness(self, conjuncts: Sequence[PrimitiveEvent],
                     witness_filter: _WitnessFilter = None) -> bool:
@@ -288,12 +286,13 @@ class CauseSearch:
         key = (tuple(conjuncts), witness_filter)
         found = self._decisions.get(key)
         if found is None:
-            found = any(True for _ in self._search(conjuncts, True, witness_filter))
-            self._decisions[key] = found
+            found = self._decisions[key] = any(
+                witness_filter is None or witness_filter(r.world)
+                for r in self._search(conjuncts))
         return found
 
-    def _search(self, conjuncts: Sequence[PrimitiveEvent], stop_after_first: bool,
-                witness_filter: _WitnessFilter = None):
+    def _search(self, conjuncts: Sequence[PrimitiveEvent]):
+        """Every witness record of the conjunction, in search order."""
         engine = self.engine
         if not self.ac1(conjuncts):
             return
@@ -308,9 +307,7 @@ class CauseSearch:
         x_vars = tuple(c.variable for c in conjuncts)
         x_set = set(x_vars)
         actual_x = tuple(c.value for c in conjuncts)
-        signs = self._signs.get(x_vars)
-        if signs is None:
-            signs = self._signs[x_vars] = _signs(model, x_vars)
+        signs = _signs(model, x_vars)
         if all(signs[name] == 0 for name in self._effect_vars):
             return  # no candidate variable reaches the effect
         preserved = {0: False, 1: _preserved(model, self.effect, signs, 1),
@@ -339,10 +336,7 @@ class CauseSearch:
         live: set[int] = set()
         for size in range(len(rest) + 1):
             if size == 1:
-                relevant = self._relevant.get(x_vars)
-                if relevant is None:
-                    relevant = self._relevant[x_vars] = _relevance(
-                        model, x_set, self._effect_vars)
+                relevant = _relevance(model, x_set, self._effect_vars)
                 if all(relevant & bit for bit in bits.values()):
                     decided = None
             for w_vars in itertools.combinations(rest, size):
@@ -379,13 +373,8 @@ class CauseSearch:
                         if decided is not None:
                             decided[tuple(pins)] = [alt for alt, _ in falsifying]
                     for alt, witness in falsifying:
-                        world = engine.world(witness)
-                        if witness_filter is not None and not witness_filter(world):
-                            continue
-                        yield WitnessRecord(
-                            w_set=w_vars, w_values=w_values, x_prime=alt, world=world)
-                        if stop_after_first:
-                            return
+                        yield WitnessRecord(w_set=w_vars, w_values=w_values, x_prime=alt,
+                                            world=engine.world(witness))
 
     def ac3(self, conjuncts: Sequence[PrimitiveEvent],
             witness_filter: _WitnessFilter = None) -> bool:
@@ -655,7 +644,7 @@ def find_all_causes(
     search = CauseSearch(engine, effect, max_search=max_search)
     actual = engine.actual
     found: list[CandidateCause] = []
-    for size in range(1, max_conjuncts + 1):
+    for size in range(1, min(max_conjuncts, len(engine.endo)) + 1):
         for names in itertools.combinations(engine.endo, size):
             conjuncts = tuple(
                 PrimitiveEvent(n, actual[engine.index[n]]) for n in names

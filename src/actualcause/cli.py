@@ -47,27 +47,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "causal models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_query in [
-        ("validate", False),
-        ("solve", False),
-        ("satisfies", True),
-        ("check", True),
-        ("witnesses", True),
-        ("grade", True),
-    ]:
+    for name in ("validate", "solve", *_QUERY_COMMANDS):
         cmd = sub.add_parser(name)
         cmd.add_argument("file", help="model document (.scm.txt)")
         if name == "solve":
             cmd.add_argument("selector", nargs="?", default=None,
                              help="context selector, e.g. @u11")
-        elif needs_query:
+        elif name != "validate":
             cmd.add_argument("query", nargs="?", default=None,
                              help="inline query; defaults to the document's "
                                   "query lines")
         cmd.add_argument("--format", choices=("text", "json"), default="text")
-        cmd.add_argument("--context", default=None, help="context name")
-        cmd.add_argument("--mode", choices=("hp", "extended"), default="hp")
-        cmd.add_argument("--max-search", type=int, default=DEFAULT_SEARCH_BUDGET)
+        if name != "validate":
+            cmd.add_argument("--context", default=None, help="context name")
+        if name in ("check", "witnesses", "grade"):
+            cmd.add_argument("--mode", choices=("hp", "extended"), default="hp")
+            cmd.add_argument("--max-search", type=int, default=DEFAULT_SEARCH_BUDGET)
         if name == "check":
             cmd.add_argument("--all-causes", type=int, default=None, metavar="K",
                              help="sweep all candidate causes up to K conjuncts")
@@ -115,50 +110,27 @@ def _dispatch(args) -> list[tuple[str, dict]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file}: {exc}") from None
     document = dsl.parse_document(text)
-    command = args.command
-    if command == "validate":
+    if args.command == "validate":
         return [_run_validate(document)]
-    if command == "solve":
+    if args.command == "solve":
         return [_run_solve(document, args)]
-
-    queries = _select_queries(document, args)
+    kinds, run = _QUERY_COMMANDS[args.command]
+    queries = _select_queries(document, args, kinds)
     order = _prepare_mode(document, args)
-    results = []
-    for query in queries:
-        if isinstance(query, dsl.SatisfiesQuery):
-            results.append(_run_satisfies(document, query))
-        elif isinstance(query, dsl.CauseQuery):
-            if getattr(args, "all_causes", None) is not None:
-                results.append(_run_all_causes(document, query, args, order))
-            else:
-                results.append(_run_check(document, query, args, order))
-        elif isinstance(query, dsl.WitnessQuery):
-            results.append(_run_check(document, query, args, order))
-        elif isinstance(query, dsl.GradeQuery):
-            results.append(_run_grade(document, query, args, order))
-        else:
-            raise UsageError(f"query {dsl.format_query(query)} does not fit "
-                             f"the {command} command")
-    return results
+    return [run(document, query, args, order) for query in queries]
 
 
-def _select_queries(document: dsl.ParsedDocument, args) -> list[dsl.Query]:
-    wanted = {
-        "satisfies": (dsl.SatisfiesQuery,),
-        "check": (dsl.CauseQuery,),
-        "witnesses": (dsl.WitnessQuery, dsl.CauseQuery),
-        "grade": (dsl.GradeQuery,),
-    }[args.command]
+def _select_queries(document: dsl.ParsedDocument, args, kinds: tuple) -> list[dsl.Query]:
     if args.query is not None:
         query = dsl.parse_query(args.query, document)
         if args.command == "witnesses" and isinstance(query, dsl.CauseQuery):
             query = dsl.WitnessQuery(query.cause, query.effect, query.context)
-        if not isinstance(query, wanted):
+        if not isinstance(query, kinds):
             raise UsageError(
                 f"the {args.command} command expects a matching query kind"
             )
         return [query]
-    queries = [q for q in document.queries if isinstance(q, wanted)]
+    queries = [q for q in document.queries if isinstance(q, kinds)]
     if args.context:
         queries = [q for q in queries if q.context == args.context]
     if not queries:
@@ -199,7 +171,7 @@ def _run_validate(document: dsl.ParsedDocument) -> dict:
 
 def _run_solve(document: dsl.ParsedDocument, args) -> dict:
     name = None
-    if getattr(args, "selector", None):
+    if args.selector:
         name = args.selector.lstrip("@")
     elif args.context:
         name = args.context
@@ -219,7 +191,8 @@ def _run_solve(document: dsl.ParsedDocument, args) -> dict:
     })
 
 
-def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery) -> dict:
+def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery,
+                   args, order) -> dict:
     from .formula import satisfies
 
     context = _context(document, query.context)
@@ -270,6 +243,8 @@ def _verdict_payload(
 
 
 def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
+    if getattr(args, "all_causes", None) is not None:
+        return _run_all_causes(document, query, args, order)
     context = _context(document, query.context)
     if order is not None:
         ext = ExtendedCausalModel(document.model, order)
@@ -330,6 +305,15 @@ def _run_grade(document, query: dsl.GradeQuery, args, order) -> dict:
         ],
         "grading": entries,
     })
+
+
+# Per query subcommand: the query kinds it runs, and the runner of each query.
+_QUERY_COMMANDS = {
+    "satisfies": ((dsl.SatisfiesQuery,), _run_satisfies),
+    "check": ((dsl.CauseQuery,), _run_check),
+    "witnesses": ((dsl.WitnessQuery, dsl.CauseQuery), _run_check),
+    "grade": ((dsl.GradeQuery,), _run_grade),
+}
 
 
 # -- text rendering -----------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import io
 import json
+import subprocess
+import sys
+
+import pytest
 
 from actualcause.cli import main
 from actualcause.corpus import fixture_path
@@ -144,9 +148,6 @@ def test_context_flag_filters_document_queries():
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
-
     result = subprocess.run(
         [sys.executable, "-m", "actualcause.cli", "solve",
          fx("poisoning.scm.txt"), "@u11"],
@@ -239,6 +240,36 @@ def test_all_causes_needs_at_least_one_conjunct():
                               "cause L=1 for F=1 @ u11", "--all-causes", k])
         assert (code, out) == (1, "")
         assert err == "error: max_conjuncts must be at least 1\n"
+
+
+def test_all_causes_past_the_model_size_sweeps_every_size_at_once():
+    # Three endogenous variables: sizes past 3 hold no candidate.
+    argv = [sys.executable, "-m", "actualcause.cli", "check",
+            fx("forest_fire_disjunctive.scm.txt"), "cause L=1 for F=1 @ u11",
+            "--format", "json", "--all-causes"]
+    small = subprocess.run(argv + ["3"], capture_output=True, text=True, timeout=30)
+    huge = subprocess.run(argv + [str(10 ** 12)], capture_output=True, text=True,
+                          timeout=30)
+    assert small.returncode == huge.returncode == 0
+    assert json.loads(huge.stdout) == {
+        "query": "all-causes k=1000000000000 for F=1 @ u11",
+        "causes": json.loads(small.stdout)["causes"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "forest_fire_disjunctive.scm.txt", "--mode", "hp"],
+    ["validate", "forest_fire_disjunctive.scm.txt", "--context", "u11"],
+    ["solve", "forest_fire_disjunctive.scm.txt", "@u11", "--max-search", "5"],
+    ["satisfies", "forest_fire_disjunctive.scm.txt", "--mode", "extended"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    command, name, *rest = argv
+    code, out, _ = run([command, fx(name), *rest])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: actualcause ")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 SPEC_BASE = ("exo U : {0,1}\nvar A : {0,1} = U\nvar B : {0,1} = A\n"

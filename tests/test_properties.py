@@ -455,8 +455,8 @@ def test_witness_search_equals_an_exhaustive_walk(seed):
 
     for witness_filter, records in ((None, expected),
                                     (keep, [r for r in expected if keep(r.world)])):
-        found = CauseSearch(Engine(model, context), effect)._search(
-            conjuncts, False, witness_filter)
-        assert list(found) == records
+        found = CauseSearch(Engine(model, context), effect)._search(conjuncts)
+        assert [r for r in found if witness_filter is None or witness_filter(r.world)] \
+            == records
         search = CauseSearch(Engine(model, context), effect)
         assert search.has_witness(conjuncts, witness_filter) == bool(records)
