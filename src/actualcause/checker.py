@@ -63,10 +63,9 @@ the witness filter sees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import FormulaError, SearchBudgetExceeded
+from .errors import DEFAULT_SEARCH_BUDGET, FormulaError, SearchBudgetExceeded
 from .formula import (
     BooleanFormula,
     CandidateCause,
@@ -79,22 +78,23 @@ from .formula import (
 from .model import (
     CausalModel,
     Context,
+    Record,
     World,
     _check_events,
     _directions,
     _kernel,
     _reach_masks,
+    _set,
     _settle,
     _start,
     check_context,
 )
-from .normality import NormalityOrder, Relation
 
-DEFAULT_SEARCH_BUDGET = 1 << 24
+if TYPE_CHECKING:
+    from .normality import NormalityOrder
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(Record):
     """One passing choice of contingency set, pin values, and alternative.
 
     ``world`` is the solved result of imposing the alternative candidate
@@ -102,14 +102,15 @@ class WitnessRecord:
     separately even when they land on the same world.
     """
 
-    w_set: tuple[str, ...]
-    w_values: tuple[int, ...]
-    x_prime: tuple[int, ...]
-    world: World
+    def __init__(self, w_set: tuple[str, ...], w_values: tuple[int, ...],
+                 x_prime: tuple[int, ...], world: World):
+        _set(self, "w_set", w_set)
+        _set(self, "w_values", w_values)
+        _set(self, "x_prime", x_prime)
+        _set(self, "world", world)
 
 
-@dataclass(frozen=True)
-class CauseVerdict:
+class CauseVerdict(Record):
     """Outcome of one actual-cause query.
 
     In plain mode the normality-aware fields mirror the plain ones:
@@ -117,17 +118,14 @@ class CauseVerdict:
     None, and ``best_witnesses`` lists every distinct witness world.
     """
 
-    cause: CandidateCause
-    effect: BooleanFormula
-    mode: str  # "hp" | "extended"
-    ac1: bool
-    hp_witnesses: tuple[WitnessRecord, ...]
-    admissible_witnesses: tuple[WitnessRecord, ...]
-    ac3: bool
-    is_cause_hp: bool
-    is_cause_extended: Optional[bool]
-    best_witnesses: tuple[World, ...]
-    failed_clause: Optional[str]
+    def __init__(self, cause: CandidateCause, effect: BooleanFormula, mode: str, ac1: bool,
+                 hp_witnesses: tuple[WitnessRecord, ...],
+                 admissible_witnesses: tuple[WitnessRecord, ...], ac3: bool,
+                 is_cause_hp: bool, is_cause_extended: Optional[bool],
+                 best_witnesses: tuple[World, ...], failed_clause: Optional[str]):
+        """``mode`` is "hp" or "extended"."""
+        super().__init__(cause, effect, mode, ac1, hp_witnesses, admissible_witnesses, ac3,
+                         is_cause_hp, is_cause_extended, best_witnesses, failed_clause)
 
     @property
     def is_cause(self) -> bool:
@@ -610,6 +608,8 @@ def best_witnesses(
     order: NormalityOrder, worlds: Iterable[World]
 ) -> tuple[World, ...]:
     """Maximal worlds under the order, deduplicated, in value order."""
+    from .normality import Relation
+
     distinct: dict[tuple, World] = {}
     for world in worlds:
         distinct.setdefault(world.values, world)

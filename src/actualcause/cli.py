@@ -14,26 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 from . import dsl
-from .checker import (
-    DEFAULT_SEARCH_BUDGET,
-    CauseVerdict,
-    WitnessRecord,
-    find_all_causes,
-    is_actual_cause,
-)
-from .errors import ActualCauseError, SearchBudgetExceeded
+from .errors import DEFAULT_SEARCH_BUDGET, ActualCauseError, SearchBudgetExceeded
 from .formula import format_body
-from .graded import (
-    ExtendedCausalModel,
-    GradingResult,
-    grade_candidates,
-    is_extended_cause,
-)
 from .model import World, solve, validate_model
-from .normality import NormalityOrder, Relation
+
+# The search and the grading load in the runners that use them, and the
+# normality module with a document's order, so that validate and solve
+# import neither.
+if TYPE_CHECKING:
+    from .checker import CauseVerdict, WitnessRecord
+    from .normality import NormalityOrder, Relation
 
 
 class UsageError(ActualCauseError):
@@ -62,11 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--context", default=None, help="context name")
         if name in ("check", "witnesses", "grade"):
             cmd.add_argument("--mode", choices=("hp", "extended"), default="hp")
-            cmd.add_argument("--max-search", type=int, default=DEFAULT_SEARCH_BUDGET)
+            cmd.add_argument("--max-search", type=_budget, default=DEFAULT_SEARCH_BUDGET)
         if name == "check":
             cmd.add_argument("--all-causes", type=int, default=None, metavar="K",
                              help="sweep all candidate causes up to K conjuncts")
     return parser
+
+
+def _budget(text: str) -> int:
+    """A --max-search value: a count of candidate settings, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
 
 
 def main(argv: Optional[list[str]] = None, stdout: Optional[TextIO] = None,
@@ -129,6 +133,7 @@ def _select_queries(document: dsl.ParsedDocument, args, kinds: tuple) -> list[ds
             raise UsageError(
                 f"the {args.command} command expects a matching query kind"
             )
+        _same_context(args.context, query.context)
         return [query]
     queries = [q for q in document.queries if isinstance(q, kinds)]
     if args.context:
@@ -152,6 +157,12 @@ def _prepare_mode(document, args) -> Optional[NormalityOrder]:
     return document.normality_order()
 
 
+def _same_context(flag: Optional[str], named: str):
+    """A --context beside a query that names its own context must agree."""
+    if flag is not None and flag != named:
+        raise UsageError(f"--context {flag} differs from the query's context {named}")
+
+
 def _context(document: dsl.ParsedDocument, name: str) -> dict[str, int]:
     try:
         return document.contexts[name]
@@ -173,6 +184,7 @@ def _run_solve(document: dsl.ParsedDocument, args) -> dict:
     name = None
     if args.selector:
         name = args.selector.lstrip("@")
+        _same_context(args.context, name)
     elif args.context:
         name = args.context
     else:
@@ -205,13 +217,18 @@ def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery,
 
 def _witness_payload(record: WitnessRecord, relation: Optional[Relation]) -> dict:
     """One witness; ``relation`` is its world's relation to the actual world,
-    None in plain mode."""
+    None in plain mode, where every witness is admissible."""
+    admissible = relation is None
+    if not admissible:
+        from .normality import Relation
+
+        admissible = relation in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL)
     return {
         "w_set": list(record.w_set),
         "w_values": list(record.w_values),
         "x_prime": list(record.x_prime),
         "world": record.world.as_dict(),
-        "admissible": relation in (None, Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL),
+        "admissible": admissible,
         "relation_to_actual": None if relation is None else relation.value,
     }
 
@@ -247,10 +264,14 @@ def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
         return _run_all_causes(document, query, args, order)
     context = _context(document, query.context)
     if order is not None:
+        from .graded import ExtendedCausalModel, is_extended_cause
+
         ext = ExtendedCausalModel(document.model, order)
         verdict = is_extended_cause(ext, context, query.cause, query.effect,
                                     max_search=args.max_search)
     else:
+        from .checker import is_actual_cause
+
         verdict = is_actual_cause(document.model, context, query.cause,
                                   query.effect, max_search=args.max_search)
     actual = solve(document.model, context) if order is not None else None
@@ -261,6 +282,8 @@ def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
 def _run_all_causes(document, query, args, order) -> dict:
     if order is not None:
         raise UsageError("--all-causes sweeps run in plain mode")
+    from .checker import find_all_causes
+
     context = _context(document, query.context)
     causes = find_all_causes(document.model, context, query.effect,
                              max_conjuncts=args.all_causes,
@@ -276,6 +299,8 @@ def _run_grade(document, query: dsl.GradeQuery, args, order) -> dict:
     context = _context(document, query.context)
     if order is None:
         raise UsageError("grading needs --mode extended and a normality section")
+    from .graded import ExtendedCausalModel, grade_candidates
+
     ext = ExtendedCausalModel(document.model, order)
     result = grade_candidates(ext, context, list(query.candidates), query.effect,
                               max_search=args.max_search)

@@ -9,11 +9,11 @@ checker as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import dsl
+from .model import Record
 
 FIXTURE_PACKAGE = "actualcause"
 
@@ -30,21 +30,18 @@ def load_document(filename: str) -> dsl.ParsedDocument:
     return dsl.parse_document(fixture_path(filename).read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
-class Expectation:
-    file: str
-    query: str
-    mode: str            # "hp" | "extended"
-    kind: str            # "cause" | "grade" | "witnesses" | "solve" | "satisfies"
-    expect: dict
-    source: str = "stated"
+class Expectation(Record):
+    def __init__(self, file: str, query: str, mode: str, kind: str, expect: dict,
+                 source: str = "stated"):
+        """``mode`` is "hp" or "extended"; ``kind`` is one of "cause", "grade",
+        "witnesses", "solve" and "satisfies"."""
+        super().__init__(file, query, mode, kind, expect, source)
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    files: tuple[str, ...]
-    expectations: tuple[Expectation, ...]
+class Fixture(Record):
+    def __init__(self, name: str, files: tuple[str, ...],
+                 expectations: tuple[Expectation, ...]):
+        super().__init__(name, files, expectations)
 
 
 def _e(file, query, mode, kind, expect, source="stated"):

@@ -33,8 +33,7 @@ offset and length count UTF-8 bytes of the text as passed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Container, Optional
+from typing import TYPE_CHECKING, Container, Optional
 
 from .errors import ActualCauseError
 from .formula import (
@@ -57,22 +56,16 @@ from .model import (
     Equation,
     Expr,
     Ite,
+    Record,
     Ref,
     Table,
     Variable,
     _event_fault,
+    _set,
 )
-from .normality import (
-    Behavior,
-    BehaviorRanking,
-    NormalityOrder,
-    TypicalitySpec,
-    ValueRanking,
-    _explicit_closure,
-    _spec_faults,
-    derive_from_typicality,
-    explicit_order,
-)
+
+if TYPE_CHECKING:
+    from .normality import NormalityOrder, TypicalitySpec
 
 _QUERY_KEYWORDS = ("cause", "grade", "witnesses", "solve", "satisfies")
 
@@ -89,21 +82,22 @@ RESERVED = {
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int       # 1-based
-    column: int     # 1-based
-    offset: int     # byte offset into the input
-    length: int = 1
+class SourceSpan(Record):
+    def __init__(self, line: int, column: int, offset: int, length: int = 1):
+        """``line`` and ``column`` are 1-based; ``offset`` is a byte offset
+        into the input."""
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "offset", offset)
+        _set(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    span: SourceSpan
-    message: str
+class Diagnostic(Record):
+    def __init__(self, span: SourceSpan, message: str):
+        super().__init__(span, message)
 
     def __str__(self) -> str:
         return f"{self.span}: {self.message}"
@@ -118,36 +112,30 @@ class DslError(ActualCauseError):
 # -- queries ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveQuery:
-    context: str
+class SolveQuery(Record):
+    def __init__(self, context: str):
+        super().__init__(context)
 
 
-@dataclass(frozen=True)
-class SatisfiesQuery:
-    formula: CausalFormula
-    context: str
+class SatisfiesQuery(Record):
+    def __init__(self, formula: CausalFormula, context: str):
+        super().__init__(formula, context)
 
 
-@dataclass(frozen=True)
-class CauseQuery:
-    cause: CandidateCause
-    effect: BooleanFormula
-    context: str
+class CauseQuery(Record):
+    def __init__(self, cause: CandidateCause, effect: BooleanFormula, context: str):
+        super().__init__(cause, effect, context)
 
 
-@dataclass(frozen=True)
-class WitnessQuery:
-    cause: CandidateCause
-    effect: BooleanFormula
-    context: str
+class WitnessQuery(Record):
+    def __init__(self, cause: CandidateCause, effect: BooleanFormula, context: str):
+        super().__init__(cause, effect, context)
 
 
-@dataclass(frozen=True)
-class GradeQuery:
-    candidates: tuple[CandidateCause, ...]
-    effect: BooleanFormula
-    context: str
+class GradeQuery(Record):
+    def __init__(self, candidates: tuple[CandidateCause, ...], effect: BooleanFormula,
+                 context: str):
+        super().__init__(candidates, effect, context)
 
 
 Query = SolveQuery | SatisfiesQuery | CauseQuery | WitnessQuery | GradeQuery
@@ -157,18 +145,18 @@ _BOTH_SOURCES = ("document declares both typicality and explicit norm relations;
                  "pick one source for the ordering")
 
 
-@dataclass
-class ParsedDocument:
-    model: CausalModel
-    typicality: Optional[TypicalitySpec]
-    explicit_norms: tuple[tuple[dict[str, int], str, dict[str, int]], ...]
-    contexts: dict[str, dict[str, int]]
-    queries: tuple[Query, ...]
+class ParsedDocument(Record, frozen=False):
+    def __init__(self, model: CausalModel, typicality: Optional[TypicalitySpec],
+                 explicit_norms: tuple[tuple[dict[str, int], str, dict[str, int]], ...],
+                 contexts: dict[str, dict[str, int]], queries: tuple[Query, ...]):
+        super().__init__(model, typicality, explicit_norms, contexts, queries)
 
     def has_normality(self) -> bool:
         return self.typicality is not None or bool(self.explicit_norms)
 
     def normality_order(self) -> NormalityOrder:
+        from .normality import derive_from_typicality, explicit_order
+
         if self.typicality is not None and self.explicit_norms:
             raise ActualCauseError(_BOTH_SOURCES)
         if self.explicit_norms:
@@ -198,11 +186,13 @@ _TOKEN = re.compile(r"""
 _LINE_BREAK = re.compile(r"(\r\n|\r|\n)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # "ident" | "int" | "string" | punctuation literal | "eol"
-    text: str
-    span: SourceSpan
+class Token(Record):
+    def __init__(self, kind: str, text: str, span: SourceSpan):
+        """``kind`` is "ident", "int", "string", "eol" or the punctuation
+        itself."""
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "span", span)
 
 
 def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[Token], list[Diagnostic]]:
@@ -285,61 +275,47 @@ class _Cursor:
 # -- raw per-line records (phase A output) ----------------------------------------
 
 
-@dataclass
-class _RawVar:
-    name: str
-    span: SourceSpan
-    kind: str
-    values: tuple[int, ...]
-    body: Optional[Expr] = None
-    refs: tuple[tuple[str, SourceSpan], ...] = ()
+class _RawVar(Record, frozen=False):
+    def __init__(self, name: str, span: SourceSpan, kind: str, values: tuple[int, ...],
+                 body: Optional[Expr] = None, refs: tuple[tuple[str, SourceSpan], ...] = ()):
+        super().__init__(name, span, kind, values, body, refs)
 
 
-@dataclass
-class _RawTypical:
-    name: str
-    span: SourceSpan
-    ranking: tuple[int, ...]
+class _RawTypical(Record, frozen=False):
+    def __init__(self, name: str, span: SourceSpan, ranking: tuple[int, ...]):
+        super().__init__(name, span, ranking)
 
 
-@dataclass
-class _RawSeverity:
-    span: SourceSpan
-    chain: tuple[tuple[str, int, SourceSpan], ...]
+class _RawSeverity(Record, frozen=False):
+    def __init__(self, span: SourceSpan, chain: tuple[tuple[str, int, SourceSpan], ...]):
+        super().__init__(span, chain)
 
 
-@dataclass
-class _RawBehavior:
-    name: str
-    span: SourceSpan
-    behaviors: tuple[tuple[str, Expr], ...]
-    refs: tuple[tuple[str, SourceSpan], ...]
+class _RawBehavior(Record, frozen=False):
+    def __init__(self, name: str, span: SourceSpan, behaviors: tuple[tuple[str, Expr], ...],
+                 refs: tuple[tuple[str, SourceSpan], ...]):
+        super().__init__(name, span, behaviors, refs)
 
 
-@dataclass
-class _RawNorm:
-    left: tuple[tuple[str, int, SourceSpan], ...]
-    op: str
-    right: tuple[tuple[str, int, SourceSpan], ...]
-    span: SourceSpan
+class _RawNorm(Record, frozen=False):
+    def __init__(self, left: tuple[tuple[str, int, SourceSpan], ...], op: str,
+                 right: tuple[tuple[str, int, SourceSpan], ...], span: SourceSpan):
+        super().__init__(left, op, right, span)
 
 
-@dataclass
-class _RawContext:
-    name: str
-    span: SourceSpan
-    items: tuple[tuple[str, int, SourceSpan], ...]
+class _RawContext(Record, frozen=False):
+    def __init__(self, name: str, span: SourceSpan,
+                 items: tuple[tuple[str, int, SourceSpan], ...]):
+        super().__init__(name, span, items)
 
 
-@dataclass
-class _RawQuery:
-    kind: str
-    span: SourceSpan
-    context: tuple[str, SourceSpan]
-    causes: tuple[tuple[tuple[str, int, SourceSpan], ...], ...] = ()
-    effect: Optional[BooleanFormula] = None
-    effect_refs: tuple[tuple[str, int, SourceSpan], ...] = ()
-    interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
+class _RawQuery(Record, frozen=False):
+    def __init__(self, kind: str, span: SourceSpan, context: tuple[str, SourceSpan],
+                 causes: tuple[tuple[tuple[str, int, SourceSpan], ...], ...] = (),
+                 effect: Optional[BooleanFormula] = None,
+                 effect_refs: tuple[tuple[str, int, SourceSpan], ...] = (),
+                 interventions: tuple[tuple[str, int, SourceSpan], ...] = ()):
+        super().__init__(kind, span, context, causes, effect, effect_refs, interventions)
 
 
 # -- per-line parsers --------------------------------------------------------------
@@ -728,6 +704,9 @@ class _DocumentBuilder:
         # typicality section: its rules are normality's
         typicality = None
         if self.typicals or self.severities or self.behaviors or self.mechanism:
+            from .normality import (
+                Behavior, BehaviorRanking, TypicalitySpec, ValueRanking, _spec_faults)
+
             typicality = TypicalitySpec(
                 value_rankings=tuple(ValueRanking(raw.name, raw.ranking)
                                      for raw in self.typicals),
@@ -759,7 +738,9 @@ class _DocumentBuilder:
             norms.append((sides[0], raw.op, sides[1]))
         if norms and typicality is not None:
             self.error(self.norms[0].span, _BOTH_SOURCES)
-        elif len(self.errors) == located:
+        elif norms and len(self.errors) == located:
+            from .normality import _explicit_closure
+
             stated = [(model.world(a), op, model.world(b)) for a, op, b in norms]
             for i, message in _explicit_closure(model, stated)[1]:
                 self.error(self.norms[i].span, message)

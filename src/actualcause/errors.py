@@ -17,6 +17,11 @@ class NormalityError(ActualCauseError):
     """A typicality spec or normality relation is ill-formed or inconsistent."""
 
 
+# Candidate settings a witness search may enumerate unless the caller says
+# otherwise (the CLI's --max-search).
+DEFAULT_SEARCH_BUDGET = 1 << 24
+
+
 class SearchBudgetExceeded(ActualCauseError):
     """A witness search would enumerate more candidates than the configured cap."""
 

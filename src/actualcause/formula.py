@@ -10,14 +10,15 @@ compiles the body into the predicate that ``satisfies`` and the search run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import FormulaError
 from .model import (
     CausalModel,
     Context,
+    Record,
     World,
+    _set,
     _check_events,
     _kernel,
     _settle,
@@ -26,27 +27,25 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PrimitiveEvent:
-    variable: str
-    value: int
+class PrimitiveEvent(Record):
+    def __init__(self, variable: str, value: int):
+        _set(self, "variable", variable)
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return f"{self.variable}={self.value}"
 
 
-@dataclass(frozen=True)
-class CandidateCause:
+class CandidateCause(Record):
     """Nonempty conjunction of primitive events over distinct variables."""
 
-    conjuncts: tuple[PrimitiveEvent, ...]
-
-    def __post_init__(self):
-        if not self.conjuncts:
+    def __init__(self, conjuncts: tuple[PrimitiveEvent, ...]):
+        if not conjuncts:
             raise FormulaError("a candidate cause needs at least one conjunct")
-        names = [c.variable for c in self.conjuncts]
+        names = [c.variable for c in conjuncts]
         if len(set(names)) != len(names):
             raise FormulaError("candidate cause repeats a variable")
+        super().__init__(conjuncts)
 
     def variables(self) -> tuple[str, ...]:
         return tuple(c.variable for c in self.conjuncts)
@@ -58,41 +57,34 @@ class CandidateCause:
         return " & ".join(str(c) for c in self.conjuncts)
 
 
-@dataclass(frozen=True)
-class Negation:
-    operand: "BooleanFormula"
+class Negation(Record):
+    def __init__(self, operand: BooleanFormula):
+        super().__init__(operand)
 
 
-@dataclass(frozen=True)
-class Conjunction:
-    operands: tuple["BooleanFormula", ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
+class Conjunction(Record):
+    def __init__(self, operands: tuple[BooleanFormula, ...]):
+        if len(operands) < 2:
             raise FormulaError("conjunction needs at least two operands")
+        super().__init__(operands)
 
 
-@dataclass(frozen=True)
-class Disjunction:
-    operands: tuple["BooleanFormula", ...]
-
-    def __post_init__(self):
-        if len(self.operands) < 2:
+class Disjunction(Record):
+    def __init__(self, operands: tuple[BooleanFormula, ...]):
+        if len(operands) < 2:
             raise FormulaError("disjunction needs at least two operands")
+        super().__init__(operands)
 
 
 BooleanFormula = PrimitiveEvent | Negation | Conjunction | Disjunction
 
 
-@dataclass(frozen=True)
-class CausalFormula:
-    interventions: tuple[tuple[str, int], ...]
-    body: BooleanFormula
-
-    def __post_init__(self):
-        targets = [name for name, _ in self.interventions]
+class CausalFormula(Record):
+    def __init__(self, interventions: tuple[tuple[str, int], ...], body: BooleanFormula):
+        targets = [name for name, _ in interventions]
         if len(set(targets)) != len(targets):
             raise FormulaError("intervention prefix repeats a variable")
+        super().__init__(interventions, body)
 
 
 def compile_body(model: CausalModel, body: BooleanFormula) -> Callable[[tuple[int, ...]], bool]:

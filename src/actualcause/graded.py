@@ -17,7 +17,6 @@ the call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .checker import (
@@ -27,14 +26,13 @@ from .checker import (
     best_witnesses,  # defined beside the verdict that uses it; public here
 )
 from .formula import BooleanFormula, CandidateCause
-from .model import CausalModel, Context, World
+from .model import CausalModel, Context, Record, World
 from .normality import NormalityOrder, Relation, _QueryOrder
 
 
-@dataclass(frozen=True)
-class ExtendedCausalModel:
-    base: CausalModel
-    order: NormalityOrder
+class ExtendedCausalModel(Record):
+    def __init__(self, base: CausalModel, order: NormalityOrder):
+        super().__init__(base, order)
 
 
 def is_extended_cause(
@@ -53,17 +51,16 @@ def is_extended_cause(
                      _QueryOrder(ext.order))[0]
 
 
-@dataclass(frozen=True)
-class GradedPair:
-    first: CandidateCause
-    second: CandidateCause
-    relation: str  # "first_above" | "second_above" | "equal" | "incomparable"
+class GradedPair(Record):
+    def __init__(self, first: CandidateCause, second: CandidateCause, relation: str):
+        """``relation`` is one of "first_above", "second_above", "equal" and
+        "incomparable"."""
+        super().__init__(first, second, relation)
 
 
-@dataclass(frozen=True)
-class GradingResult:
-    verdicts: tuple[CauseVerdict, ...]
-    pairs: tuple[GradedPair, ...]
+class GradingResult(Record):
+    def __init__(self, verdicts: tuple[CauseVerdict, ...], pairs: tuple[GradedPair, ...]):
+        super().__init__(verdicts, pairs)
 
     def verdict_for(self, cause: CandidateCause) -> CauseVerdict:
         for verdict in self.verdicts:

@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ModelError
@@ -22,19 +21,70 @@ EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: str  # EXOGENOUS or ENDOGENOUS
-    range: tuple[int, ...]
+# Stores an attribute past a record's own __setattr__.  It keeps the
+# instance's attribute values inline, where reading ``self.__dict__`` would
+# make each instance a dict of its own: more memory, slower reads.
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if self.kind not in (EXOGENOUS, ENDOGENOUS):
-            raise ModelError(f"variable {self.name}: unknown kind {self.kind!r}")
-        if not self.range:
-            raise ModelError(f"variable {self.name}: range is empty")
-        if len(set(self.range)) != len(self.range):
-            raise ModelError(f"variable {self.name}: duplicate values in range")
+
+class Record:
+    """Base of the package's value types: immutable, equal when of one class
+    with equal fields, hashed as the tuple of their fields, and shown as
+    ``Name(field=value, ...)``.
+
+    A record's fields are the parameters of its own ``__init__``, in order,
+    read once per class from its code object; nothing is generated.  A
+    subclass's ``__init__`` checks its arguments and passes the fields, in
+    order, to ``Record.__init__``; the few records built in bulk store them
+    with ``_set`` directly, which is faster.  What else ``__init__`` stores,
+    such as ``Table._map``, stays out of equality, hashing and repr.  A
+    subclass declared with ``frozen=False`` keeps attribute assignment and
+    is unhashable.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        get = operator.attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Variable(Record):
+    def __init__(self, name: str, kind: str, range: tuple[int, ...]):
+        """``kind`` is EXOGENOUS or ENDOGENOUS."""
+        if kind not in (EXOGENOUS, ENDOGENOUS):
+            raise ModelError(f"variable {name}: unknown kind {kind!r}")
+        if not range:
+            raise ModelError(f"variable {name}: range is empty")
+        if len(set(range)) != len(range):
+            raise ModelError(f"variable {name}: duplicate values in range")
+        super().__init__(name, kind, range)
 
 
 # --- equation bodies ---------------------------------------------------------
@@ -46,40 +96,36 @@ class Variable:
 # direction table, behaviour and isomorphism check runs.
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    def __init__(self, value: int):
+        super().__init__(value)
 
     def referenced(self) -> frozenset[str]:
         return frozenset()
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(Record):
+    def __init__(self, name: str):
+        super().__init__(name)
 
     def referenced(self) -> frozenset[str]:
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "min" | "max" | "+" | "-" | "*"
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    def __init__(self, op: str, left: Expr, right: Expr):
+        """``op`` is one of "min", "max", "+", "-" and "*"."""
+        super().__init__(op, left, right)
 
     def referenced(self) -> frozenset[str]:
         return self.left.referenced() | self.right.referenced()
 
 
-@dataclass(frozen=True)
-class Ite:
+class Ite(Record):
     """ite(left == right, then, other): equality test with two branches."""
 
-    left: "Expr"
-    right: "Expr"
-    then: "Expr"
-    other: "Expr"
+    def __init__(self, left: Expr, right: Expr, then: Expr, other: Expr):
+        super().__init__(left, right, then, other)
 
     def referenced(self) -> frozenset[str]:
         return (
@@ -90,18 +136,15 @@ class Ite:
         )
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """Explicit lookup from argument-value tuples to results; where rows
     repeat an argument tuple, the first one counts."""
 
-    args: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self):
-        # The row map every evaluation reads; built last row first, so the
-        # first row for an argument tuple is the one kept.
-        object.__setattr__(self, "_map", dict(reversed(self.rows)))
+    def __init__(self, args: tuple[str, ...], rows: tuple[tuple[tuple[int, ...], int], ...]):
+        # ``_map`` is the row map every evaluation reads; built last row
+        # first, so the first row for an argument tuple is the one kept.
+        super().__init__(args, rows)
+        _set(self, "_map", dict(reversed(rows)))
 
     def referenced(self) -> frozenset[str]:
         return frozenset(self.args)
@@ -114,41 +157,39 @@ class _MissingRow(ModelError):
 Expr = Const | Ref | BinOp | Ite | Table
 
 
-@dataclass(frozen=True)
-class Equation:
-    target: str
-    body: Expr
+class Equation(Record):
+    def __init__(self, target: str, body: Expr):
+        super().__init__(target, body)
 
 
-@dataclass(frozen=True)
-class ValidationProblem:
-    kind: str  # "name" | "range" | "equation" | "cycle" | "totality"
-    message: str
+class ValidationProblem(Record):
+    def __init__(self, kind: str, message: str):
+        """``kind`` is one of "name", "range", "equation", "cycle" and
+        "totality"."""
+        super().__init__(kind, message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[ValidationProblem, ...]
+class ValidationReport(Record):
+    def __init__(self, problems: tuple[ValidationProblem, ...]):
+        super().__init__(problems)
 
     @property
     def ok(self) -> bool:
         return not self.problems
 
 
-@dataclass(frozen=True)
-class World:
+class World(Record):
     """Total assignment to the endogenous variables.
 
     A world need not satisfy the model's equations; witness worlds produced by
     interventions usually break at least one.
     """
 
-    variables: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.values):
+    def __init__(self, variables: tuple[str, ...], values: tuple[int, ...]):
+        if len(variables) != len(values):
             raise ModelError("world has mismatched variable/value counts")
+        _set(self, "variables", variables)
+        _set(self, "values", values)
 
     def __getitem__(self, name: str) -> int:
         try:
@@ -572,8 +613,7 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     return child
 
 
-@dataclass(frozen=True)
-class DependenceGraph:
+class DependenceGraph(Record):
     """Semantic parent/child structure over the endogenous variables.
 
     There is an edge parent -> child when some change of the parent's value,
@@ -583,8 +623,8 @@ class DependenceGraph:
     walk.
     """
 
-    variables: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    def __init__(self, variables: tuple[str, ...], edges: frozenset[tuple[str, str]]):
+        super().__init__(variables, edges)
 
     def parents(self, name: str) -> tuple[str, ...]:
         return tuple(p for p, c in sorted(self.edges) if c == name)

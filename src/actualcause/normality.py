@@ -31,12 +31,11 @@ on the order itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import NormalityError
-from .model import CausalModel, Expr, World, _check_events, _compile, _event_fault
+from .model import CausalModel, Expr, Record, World, _check_events, _compile, _event_fault
 
 
 class Relation(Enum):
@@ -46,34 +45,31 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ValueRanking:
+class ValueRanking(Record):
     """Values of one variable, most typical first; must cover the range."""
 
-    variable: str
-    ranking: tuple[int, ...]
+    def __init__(self, variable: str, ranking: tuple[int, ...]):
+        super().__init__(variable, ranking)
 
 
-@dataclass(frozen=True)
-class Behavior:
-    label: str
-    body: Expr
+class Behavior(Record):
+    def __init__(self, label: str, body: Expr):
+        super().__init__(label, body)
 
 
-@dataclass(frozen=True)
-class BehaviorRanking:
+class BehaviorRanking(Record):
     """Ways one variable may respond to the others, most typical first."""
 
-    variable: str
-    behaviors: tuple[Behavior, ...]
+    def __init__(self, variable: str, behaviors: tuple[Behavior, ...]):
+        super().__init__(variable, behaviors)
 
 
-@dataclass(frozen=True)
-class TypicalitySpec:
-    value_rankings: tuple[ValueRanking, ...] = ()
-    severity_chains: tuple[tuple[tuple[str, int], ...], ...] = ()
-    mechanism: bool = False
-    behavior_rankings: tuple[BehaviorRanking, ...] = ()
+class TypicalitySpec(Record):
+    def __init__(self, value_rankings: tuple[ValueRanking, ...] = (),
+                 severity_chains: tuple[tuple[tuple[str, int], ...], ...] = (),
+                 mechanism: bool = False,
+                 behavior_rankings: tuple[BehaviorRanking, ...] = ()):
+        super().__init__(value_rankings, severity_chains, mechanism, behavior_rankings)
 
     def ranking_for(self, variable: str) -> Optional[ValueRanking]:
         for ranking in self.value_rankings:

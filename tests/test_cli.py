@@ -333,3 +333,30 @@ def test_an_out_of_range_value_too_long_for_decimal_is_a_totality_problem(tmp_pa
     code, out, err = run(["solve", path, "@c"])
     assert (code, out) == (1, "")
     assert err.startswith("error: model failed validation: equation for X yields ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cause L=1 for F=1 @ u11"],
+    ["satisfies", "satisfies [M<-0](F=1) @ u11"],
+    ["solve", "@u11"],
+])
+def test_a_context_flag_must_agree_with_the_query(argv):
+    command, query = argv
+    path = fx("forest_fire_disjunctive.scm.txt")
+    code, out, err = run([command, path, query, "--context", "u00"])
+    assert (code, out) == (1, "")
+    assert err == "error: --context u00 differs from the query's context u11\n"
+    assert run([command, path, query, "--context", "u11"]) == run([command, path, query])
+
+
+@pytest.mark.parametrize("budget", ["-1", "--max-search=-5"])
+def test_a_negative_search_budget_is_a_usage_error(budget, capsys):
+    flag = [budget] if budget.startswith("--") else ["--max-search", budget]
+    code, out, _ = run(["check", fx("poisoning.scm.txt"), "cause A=1 for D=1 @ u11", *flag])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: actualcause check ")
+    assert "argument --max-search: must be at least 0" in err
+    code, _, err = run(["check", fx("poisoning.scm.txt"), "cause A=1 for D=1 @ u11",
+                        "--max-search", "0"])
+    assert code == 2 and "budget allows 0" in err
