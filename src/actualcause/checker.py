@@ -10,8 +10,11 @@ candidate values (AC2b).  AC3 prunes candidates with a smaller working core.
 Search layout: contingency sets grow by cardinality and settings are visited
 in range order, so smaller witnesses surface first and results are
 deterministic.  A counterfactual is solved from the actual world by
-re-running only the pins' descendants, memoized per pin vector; the AC2(b)
-quantifier collapses onto the merged pin/actual vector, memoized as well.
+re-running only the pins' descendants, memoized per pin vector.  The steps
+to re-run are planned once per mask of pinned positions, and a contingency
+set looks up its plan once for all its settings; each AC2(b) sub-assignment
+solves through its own mask's plan.  The AC2(b) quantifier collapses onto
+the merged pin/actual vector, memoized as well.
 Each witness decision is memoized per sub-conjunction and filter, so AC3 and
 the candidate sweep decide a sub-conjunction once.
 AC2(b) enumerates only the re-impositions of variables downstream of a pin
@@ -146,9 +149,9 @@ class Engine:
         self.index = model._endo_index
         self.reach = _reach_masks(model)
         self._cache: dict[tuple, tuple[int, ...]] = {}
-        # Per mask of pinned positions, the steps a solve re-runs; with
-        # nothing pinned, the first solve runs them all for the actual world.
-        self._plans: dict[int, tuple] = {0: _kernel(model)}
+        # Per mask of pinned positions, the positions and the steps a solve
+        # re-runs; with nothing pinned, the first solve runs them all.
+        self._plans: dict[int, tuple] = {0: ((), _kernel(model))}
         self._env = _start(model, context)
         self.actual = self.solve_tuple((None,) * len(self.endo))
         self._env[:len(self.endo)] = self.actual
@@ -157,24 +160,32 @@ class Engine:
         """The pin vector of an assignment to endogenous variables."""
         return tuple(map(assignment.get, self.endo))
 
-    def solve_tuple(self, key: tuple) -> tuple[int, ...]:
+    def plan(self, pinned: int) -> tuple:
+        """The plan of a mask of pinned positions, built once per mask."""
+        plan = self._plans.get(pinned)
+        if plan is None:
+            positions = tuple(i for i in range(len(self.endo)) if pinned >> i & 1)
+            below = 0
+            for i in positions:
+                below |= self.reach[i]
+            plan = self._plans[pinned] = (positions, tuple(
+                step for step in self._plans[0][1] if (below & ~pinned) >> step[0] & 1))
+        return plan
+
+    def solve_tuple(self, key: tuple, plan: Optional[tuple] = None) -> tuple[int, ...]:
         """Endogenous values with the pin vector's values held, from the
-        actual world by re-running only the pins' descendants' equations."""
+        actual world by re-running only the pins' descendants' equations;
+        ``plan`` is the plan of the key's mask, worked out when not given."""
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        env = self._env.copy()
-        pinned = below = 0
-        for i, value in enumerate(key):
-            if value is not None:
-                env[i] = value
-                pinned |= 1 << i
-                below |= self.reach[i]
-        plan = self._plans.get(pinned)
         if plan is None:
-            plan = self._plans[pinned] = tuple(
-                step for step in self._plans[0] if (below & ~pinned) >> step[0] & 1)
-        values = _settle(self.model, env, plan)
+            plan = self.plan(sum(1 << i for i, value in enumerate(key) if value is not None))
+        positions, steps = plan
+        env = self._env.copy()
+        for i in positions:
+            env[i] = key[i]
+        values = _settle(self.model, env, steps)
         self._cache[key] = values
         return values
 
@@ -186,6 +197,8 @@ class Engine:
 
 
 def _check_cause(model: CausalModel, conjuncts: Sequence[PrimitiveEvent]):
+    if len({c.variable for c in conjuncts}) != len(conjuncts):
+        raise FormulaError("candidate cause repeats a variable")
     _check_events(model, ((c.variable, c.value) for c in conjuncts), "a candidate cause",
                   FormulaError)
 
@@ -223,24 +236,28 @@ class CauseSearch:
             return False
         return self._phi(actual)
 
-    def ac2b(self, x_key: tuple, pins: Sequence[Optional[int]]) -> bool:
-        """AC2(b) for the candidate's and a contingency's pin vectors: the
-        effect must survive re-imposing every sub-assignment, off the
-        candidate, of the merged vector: the pins, elsewhere the actual values.
+    def ac2b(self, x_key: tuple, w_positions: Sequence[int], w_values: Sequence[int]) -> bool:
+        """AC2(b) for the candidate's pin vector and a contingency's positions
+        and values: the effect must survive re-imposing every sub-assignment,
+        off the candidate, of the merged vector: the pins, elsewhere the
+        actual values.
 
         Only positions downstream of a merged value that differs from
         ``base``, the world under the candidate alone, can change a solution,
         so only their sub-assignments are enumerated."""
         engine = self.engine
-        designated = tuple([a if p is None else p for p, a in zip(pins, engine.actual)])
-        key = (x_key, designated)
+        designated = list(engine.actual)
+        for i, value in zip(w_positions, w_values):
+            designated[i] = value
+        key = (x_key, tuple(designated))
         cached = self._ac2b_cache.get(key)
         if cached is not None:
             return cached
         phi = self._phi
         reach = engine.reach
-        base = engine.solve_tuple(x_key)
         rest = [i for i, value in enumerate(x_key) if value is None]
+        x_mask = (1 << len(x_key)) - 1 - sum(1 << i for i in rest)
+        base = engine.solve_tuple(x_key, engine.plan(x_mask))
         changed = 0
         for i in rest:
             if designated[i] != base[i]:
@@ -250,9 +267,11 @@ class CauseSearch:
         for size in range(len(positions) + 1):
             for subset in itertools.combinations(positions, size):
                 assignment = list(x_key)
+                pinned = x_mask
                 for i in subset:
                     assignment[i] = designated[i]
-                if not phi(engine.solve_tuple(tuple(assignment))):
+                    pinned |= 1 << i
+                if not phi(engine.solve_tuple(tuple(assignment), engine.plan(pinned))):
                     result = False
                     break
             if not result:
@@ -319,6 +338,7 @@ class CauseSearch:
             return
         index = engine.index
         x_positions = [index[v] for v in x_vars]
+        x_mask = sum(1 << i for i in x_positions)
         x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in engine.endo if n not in x_set)
         bits = {n: 1 << index[n] for n in rest}
@@ -328,7 +348,8 @@ class CauseSearch:
         # Every position is relevant until the mask is read, past the empty
         # set.  ``live`` holds the relevant pin sets where a setting passed;
         # ``decided``, the passing alternatives of each passing relevant
-        # setting, kept only while some pin can be irrelevant.
+        # setting by its (mask, values), kept only while some pin can be
+        # irrelevant.
         relevant = -1
         decided: Optional[dict[tuple, list]] = {}
         live: set[int] = set()
@@ -343,33 +364,34 @@ class CauseSearch:
                 pure = w_mask & relevant == w_mask
                 if not pure and w_mask & relevant not in live:
                     continue  # every setting of its relevant part fails
+                plan = engine.plan(x_mask | w_mask)
+                kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
                 for w_values in itertools.product(*map(ranges.__getitem__, w_vars)):
-                    pins = [None] * len(index)
+                    key = list(x_key)
                     for i, value in zip(w_positions, w_values):
-                        pins[i] = value
-                    key = pins.copy()
+                        key[i] = value
                     if pure:
                         tried = alternatives
                     else:
                         # Pins off the relevant set move no effect variable,
                         # so the relevant part's passing alternatives pass here.
-                        tried = decided.get(tuple(v if relevant >> i & 1 else None
-                                                  for i, v in enumerate(pins)), ())
+                        tried = decided.get(
+                            (w_mask & relevant, tuple(w_values[k] for k in kept)), ())
                     falsifying = []
                     for alt in tried:
                         for i, value in zip(x_positions, alt):
                             key[i] = value
-                        witness = solve(tuple(key))
+                        witness = solve(tuple(key), plan)
                         if not phi(witness):
                             falsifying.append((alt, witness))
                     if not falsifying:
                         continue
                     if pure:
-                        if not self.ac2b(x_key, pins):
+                        if not self.ac2b(x_key, w_positions, w_values):
                             continue
                         live.add(w_mask)
                         if decided is not None:
-                            decided[tuple(pins)] = [alt for alt, _ in falsifying]
+                            decided[w_mask, w_values] = [alt for alt, _ in falsifying]
                     for alt, witness in falsifying:
                         yield WitnessRecord(w_set=w_vars, w_values=w_values, x_prime=alt,
                                             world=engine.world(witness))
@@ -502,7 +524,8 @@ def check_ac2(
     witness = engine.solve_tuple(engine.key({**dict(zip(x_vars, x_prime)), **pins}))
     if search._phi(witness):  # AC2(a) needs the effect to fail
         return False
-    return search.ac2b(engine.key({c.variable: c.value for c in conjuncts}), engine.key(pins))
+    return search.ac2b(engine.key({c.variable: c.value for c in conjuncts}),
+                       list(map(engine.index.get, w_set)), w_values)
 
 
 def enumerate_witnesses(

@@ -115,6 +115,23 @@ def test_ill_formed_candidates_and_settings_are_rejected(documents, cause, setti
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("second", [1, 0])
+def test_a_bare_sequence_that_repeats_a_variable_is_rejected(documents, second):
+    # A bare sequence does not pass through CandidateCause, so each entry
+    # point checks it alike: a repeated position would be overwritten.
+    doc = documents["forest_fire_disjunctive.scm.txt"]
+    model, context, effect = doc.model, doc.contexts["u11"], event("F", 1)
+    conjuncts = [event("L", 1), event("L", second)]
+    for call in (lambda: check_ac1(model, context, conjuncts, effect),
+                 lambda: check_ac2(model, context, conjuncts, effect, ("M",), (0,), (0, 0)),
+                 lambda: enumerate_witnesses(model, context, conjuncts, effect)):
+        with pytest.raises(FormulaError) as excinfo:
+            call()
+        assert str(excinfo.value) == "candidate cause repeats a variable"
+    with pytest.raises(FormulaError, match="^candidate cause repeats a variable$"):
+        is_actual_cause(model, context, conjuncts, effect)
+
+
 def _direct_ac2(model, context, conjuncts, effect, w_set, w_values, x_prime):
     """Literal expansion of both clauses, for cross-checking check_ac2."""
     x_vars = [c.variable for c in conjuncts]
@@ -269,9 +286,9 @@ def test_ac2b_skips_a_variable_off_every_changed_path(monkeypatch):
     solved = []
     original = Engine.solve_tuple
 
-    def spy(engine, key):
+    def spy(engine, key, *args):
         solved.append({engine.endo[i]: v for i, v in enumerate(key) if v is not None})
-        return original(engine, key)
+        return original(engine, key, *args)
 
     monkeypatch.setattr(Engine, "solve_tuple", spy)
     assert check_ac2(model, context, *args) is True
@@ -472,9 +489,9 @@ def _count_lookups(monkeypatch):
     counts = {"solve_tuple": 0, "settle": 0}
     solve_tuple, settle = Engine.solve_tuple, checker._settle
 
-    def counting_solve_tuple(engine, interventions):
+    def counting_solve_tuple(*args):
         counts["solve_tuple"] += 1
-        return solve_tuple(engine, interventions)
+        return solve_tuple(*args)
 
     def counting_settle(*args):
         counts["settle"] += 1
@@ -564,6 +581,32 @@ def test_pins_that_cannot_reach_the_effect_are_not_solved(monkeypatch):
         verdict = is_actual_cause(model, {"U": 1}, cand(event(cause, 1)), event(effect, 1))
         assert verdict.is_cause and len(verdict.hp_witnesses) == records
         assert counts["solve_tuple"] <= bound
+
+
+def test_each_pin_mask_is_planned_once(monkeypatch):
+    # The search looks a contingency set's plan up once for all its settings
+    # and AC2(b) looks up the plan of each sub-assignment's mask: across the
+    # 243 records, each mask whose key missed the solve cache has its plan
+    # built exactly once.  The empty mask's plan comes with the engine.
+    built, missed = [], set()
+    plan, solve_tuple = Engine.plan, Engine.solve_tuple
+
+    def counting_plan(engine, pinned):
+        if pinned not in engine._plans:
+            built.append(pinned)
+        return plan(engine, pinned)
+
+    def recording_solve_tuple(engine, key, *args):
+        if key not in engine._cache:
+            missed.add(sum(1 << i for i, value in enumerate(key) if value is not None))
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "plan", counting_plan)
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    verdict = is_actual_cause(_chain(9), {"U": 1}, cand(event("X2", 1)), event("X5", 1))
+    assert verdict.is_cause and len(verdict.hp_witnesses) == 243
+    assert len(built) == len(set(built))
+    assert set(built) == missed - {0}
 
 
 def test_a_candidate_that_cannot_reach_the_effect_is_refuted(monkeypatch):

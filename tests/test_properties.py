@@ -321,12 +321,15 @@ def test_compiled_equation_agrees_with_evaluate(seed, ragged):
 @settings(max_examples=100, deadline=None)
 def test_incremental_solve_equals_a_full_walk(seed):
     # Engine.solve_tuple re-solves only the pins' descendants from the actual
-    # world; the reference walks every equation's tree over a dict env.
+    # world; the reference walks every equation's tree over a dict env.  Each
+    # key is also solved through its mask's plan, on fresh engines where the
+    # plan path runs first and where the key-derived path does.
     rng = random.Random(seed)
     model = rng.choice((random_model, random_monotone_model))(rng, 5)
     contexts = list(all_contexts(model))
     for context in rng.sample(contexts, min(3, len(contexts))):
         engine = Engine(model, context)
+        plan_first, key_first = Engine(model, context), Engine(model, context)
         for mask in (rng.getrandbits(len(model.endogenous)) for _ in range(3)):
             for _ in range(3):
                 key = []
@@ -342,6 +345,10 @@ def test_incremental_solve_equals_a_full_walk(seed):
                                  if pin is None else pin)
                 expected = tuple(env[name] for name in model.endogenous)
                 assert engine.solve_tuple(tuple(key)) == expected
+                assert plan_first.solve_tuple(tuple(key), plan_first.plan(mask)) == expected
+                assert key_first.solve_tuple(tuple(key)) == expected
+                assert key_first.solve_tuple(tuple(key), key_first.plan(mask)) == expected
+                assert plan_first.solve_tuple(tuple(key)) == expected
 
 
 # -- refutation by monotonicity ----------------------------------------------------
