@@ -16,7 +16,9 @@ set looks up its plan once for all its settings; each AC2(b) sub-assignment
 solves through its own mask's plan.  The AC2(b) quantifier collapses onto
 the merged pin/actual vector, memoized as well.
 Each witness decision is memoized per sub-conjunction and filter, so AC3 and
-the candidate sweep decide a sub-conjunction once.
+the candidate sweep decide a sub-conjunction once.  The sweep asks AC3 before
+a candidate's own search, so a candidate holding a smaller passing
+sub-conjunction is refuted with no search.
 AC2(b) enumerates only the re-impositions of variables downstream of a pin
 that differs from the world under the candidate alone: by induction in
 topological order, every other variable takes that world's value under any
@@ -659,7 +661,10 @@ def find_all_causes(
     """All passing candidates up to the given size, in declaration order.
 
     Only actually-true conjunctions can pass AC1, so the sweep pins each
-    chosen variable at its solved value.
+    chosen variable at its solved value.  AC3 comes before the candidate's own
+    witness search and runs none: each sub-conjunction it asks was decided at
+    its own, smaller size, so a candidate holding a passing one is refuted
+    with no search.
     """
     if max_conjuncts < 1:
         raise FormulaError("max_conjuncts must be at least 1")
@@ -674,9 +679,11 @@ def find_all_causes(
             )
             if not search.ac1(conjuncts):
                 continue
-            if not search.has_witness(conjuncts):
-                continue
+            # budget_for(S) <= max over b in S of budget_for({b}), each searched
+            # at size 1, so no search skipped here could go over the budget.
             if not search.ac3(conjuncts):
+                continue
+            if not search.has_witness(conjuncts):
                 continue
             found.append(CandidateCause(conjuncts))
     return found

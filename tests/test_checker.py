@@ -12,6 +12,7 @@ from actualcause import (
     Const,
     Equation,
     FormulaError,
+    Ite,
     Negation,
     PrimitiveEvent,
     Ref,
@@ -509,15 +510,61 @@ def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
     # solves no-op re-impositions (86 lookups, 46 distinct solves), and
     # without the refutation the unlit source and the pairs holding it are
     # searched in full (70 lookups, 44 distinct solves).  The search before
-    # all three: 91 lookups, 46 distinct solves.
+    # all three: 91 lookups, 46 distinct solves.  Those counts come from a
+    # sweep that searched each pair before asking AC3 (53 lookups, 36
+    # distinct solves with all three); asking AC3 first refutes the pair
+    # {L=1, M=1} under u11 without a search.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     counts = _count_lookups(monkeypatch)
     found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
                                                      max_conjuncts=2)]
              for name, context in doc.contexts.items()}
     assert found == {"u11": ["L=1", "M=1", "F=1"], "u10": ["L=1", "F=1"]}
-    assert counts["solve_tuple"] <= 53
-    assert counts["settle"] <= 36
+    assert counts["solve_tuple"] <= 25
+    assert counts["settle"] <= 19
+
+
+def _wide_model(kind, n=7, on=4):
+    """n sources L_p = U_p, ``on`` of them lit (the even positions first),
+    and F: the sources' max ("disjunctive") or their strict majority
+    ("vote"), as nested ite over their sum."""
+    lit = sorted((list(range(0, n, 2)) + list(range(1, n, 2)))[:on])
+    sources = [f"L{p}" for p in range(n)]
+    total = Ref(sources[0])
+    for name in sources[1:]:
+        total = BinOp("max" if kind == "disjunctive" else "+", total, Ref(name))
+    body = total
+    if kind == "vote":
+        body = Const(1)
+        for count in reversed(range(n // 2 + 1)):
+            body = Ite(total, Const(count), Const(0), body)
+    model = CausalModel(
+        [Variable(f"U{p}", "exogenous", (0, 1)) for p in range(n)]
+        + [Variable(name, "endogenous", (0, 1)) for name in sources]
+        + [Variable("F", "endogenous", (0, 1))],
+        [Equation(name, Ref(f"U{p}")) for p, name in enumerate(sources)]
+        + [Equation("F", body)],
+    )
+    return model, {f"U{p}": int(p in lit) for p in range(n)}
+
+
+@pytest.mark.parametrize("kind", ["disjunctive", "vote"])
+def test_wide_sweeps_refute_larger_candidates_without_a_search(kind, monkeypatch):
+    # Each lit source passes alone, so every larger candidate holding one, or
+    # holding F, fails AC3; monotonicity refutes the unlit sources, and any
+    # set of them, without a lookup.
+    # Asked before the candidate's own search, AC3 reads the decisions of
+    # size 1, so sizes 2 and 3 look up no more counterfactuals than size 1.
+    model, context = _wide_model(kind)
+    counts = _count_lookups(monkeypatch)
+    lookups = {}
+    for k in (1, 2, 3):
+        before = counts["solve_tuple"]
+        found = find_all_causes(model, context, event("F", 1), max_conjuncts=k)
+        assert [str(c) for c in found] == ["L0=1", "L2=1", "L4=1", "L6=1", "F=1"]
+        lookups[k] = counts["solve_tuple"] - before
+    assert lookups[2] <= lookups[1]
+    assert lookups[3] <= lookups[1]
 
 
 def test_unlit_source_is_refuted_without_a_counterfactual(documents, monkeypatch):

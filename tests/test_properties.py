@@ -14,10 +14,12 @@ from actualcause import (
     ExtendedCausalModel,
     ModelError,
     PrimitiveEvent,
+    SearchBudgetExceeded,
     TrivialOrder,
     derive_from_typicality,
     enumerate_witnesses,
     evaluate,
+    find_all_causes,
     intervene,
     is_actual_cause,
     is_extended_cause,
@@ -467,3 +469,49 @@ def test_witness_search_equals_an_exhaustive_walk(seed):
             == records
         search = CauseSearch(Engine(model, context), effect)
         assert search.has_witness(conjuncts, witness_filter) == bool(records)
+
+
+# -- the candidate sweep against one that searches before AC3 ----------------------
+
+
+def _sweep_searching_first(model, context, effect, max_conjuncts, max_search):
+    """The candidate sweep asking AC1, then the candidate's own witness
+    search, then AC3, on a fresh search."""
+    search = CauseSearch(Engine(model, context), effect, max_search=max_search)
+    actual = search.engine.actual_world()
+    found = []
+    for size in range(1, min(max_conjuncts, len(model.endogenous)) + 1):
+        for names in itertools.combinations(model.endogenous, size):
+            conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
+            if search.ac1(conjuncts) and search.has_witness(conjuncts) \
+                    and search.ac3(conjuncts):
+                found.append(CandidateCause(conjuncts))
+    return found
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_sweep_keeps_its_causes_and_its_budget_whatever_the_clause_order(seed):
+    # The sweep asks AC3 before a candidate's own search, so it skips the
+    # searches of candidates a sub-conjunction refutes.  No skipped search
+    # would have gone over the budget: size 1 searches every singleton when
+    # the effect holds, and no set needs more than its widest singleton.  Half
+    # the draws take that singleton's budget, the least that size 1 passes.
+    rng = random.Random(seed)
+    model = random_monotone_model(rng, 5)
+    context = rng.choice(list(all_contexts(model)))
+    actual = solve(model, context)
+    effect = random_effect(rng, model, actual)
+    k = rng.choice((2, 3))
+    search = CauseSearch(Engine(model, context), effect)
+    widest = max(search.budget_for((PrimitiveEvent(n, actual[n]),))
+                 for n in model.endogenous)
+    max_search = widest if rng.random() < 0.5 else rng.randint(0, widest)
+
+    def outcome(sweep):
+        try:
+            return sweep(model, context, effect, k, max_search)
+        except SearchBudgetExceeded as exc:
+            return exc.candidates, exc.budget
+
+    assert outcome(find_all_causes) == outcome(_sweep_searching_first)
