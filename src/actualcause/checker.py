@@ -33,36 +33,34 @@ share its AC2(b) memo.  Both tests assemble their verdicts in one place,
 filter is one closure per call that asks the order once per distinct witness
 world; that memo, like the search's, lives as long as the call.
 
-Before the search, monotonicity refutes alternatives.  Take an alternative
-x' with x' >= x componentwise (s = +1) or x' <= x (s = -1), where x holds
-the candidate's actual values.  Each endogenous variable gets a sign
-relative to the candidate's variables X: +1 on X, 0 off the descendants of
-X, and otherwise the common value of the products (direction times sign)
-over its parents of non-zero sign.  An equation's direction in a parent is
-0, +1 or -1 when it is constant, non-decreasing or non-increasing in that
-parent.  The sign is unknown when two parents disagree, or when a direction
-is mixed or unknown: an equation whose references have more than
-``model.DIRECTION_CAP`` combinations has unknown directions.  When the effect
-is built from events with & and | alone, and each event Y=v has sign 0, or
-sign times s = +1 with v the top of Y's range, or sign times s = -1 with v
-its bottom, then the effect under x and any pins implies the effect under x'
-and the same pins.  AC2(b) needs the former and AC2(a) the negation of the
-latter, so no witness uses x', in plain and normality-aware tests alike, and
-the search drops x'.  When every effect variable has sign 0, no candidate
-variable reaches the effect and the search refutes the candidate outright.
-
-Past the empty contingency set, the search decides each setting on its
-relevant pins.  A variable is relevant when a path of references, each with
-a direction other than 0 (unknown counts), leads from it to an effect
-variable without passing through a candidate variable.  The candidate is
-pinned in every world the test solves, to x or to x', so a pin off the
-relevant set moves no effect variable: a setting passes AC2(a) with an
-alternative, and AC2(b), exactly when its relevant part does.  Sets are
-visited by size, so a relevant pin set is decided before any set that adds
-irrelevant pins to it.  If none of its settings passed, it is dead and those
-sets are skipped without a solve; otherwise they solve the full pin vector
-only for the alternatives that passed, to give each record its world, which
-the witness filter sees.
+Before the search, one pass over the references finds relevance and signs.
+An equation's direction in a parent is 0, +1 or -1 when it is constant,
+non-decreasing or non-increasing in that parent, and None when it is mixed,
+or unknown past ``model.DIRECTION_CAP`` combinations of its references.  A
+variable is relevant when a path of references of direction other than 0
+leads from it to an effect variable without passing through a candidate
+variable X.  Signs then go in topological order: +1 on X; on a relevant
+variable, the common value of direction times sign over its parents of
+non-zero sign, None when two disagree or a direction is None; 0 elsewhere.
+That is exact where signs are read, on the effect variables: each is in X or
+relevant, and so is every parent of a relevant variable with a non-zero
+direction.  Take an alternative x' >= x componentwise (s = +1) or x' <= x
+(s = -1), x the candidate's actual values.  When the effect is built from
+events with & and | alone, and each event Y=v has sign 0, or sign times s =
++1 with v the top of Y's range, or -1 with v its bottom, then the effect
+under x and any pins implies the effect under x' and the same pins.  AC2(b)
+needs the former and AC2(a) the negation of the latter, so no witness uses
+x', in plain and normality-aware tests alike, and the search drops x'.  When
+every effect variable has sign 0, no candidate variable reaches the effect
+and the search refutes the candidate outright.  The candidate is pinned in
+every world the test solves, to x or to x', so a pin off the relevant set
+moves no effect variable: a setting passes AC2(a) with an alternative, and
+AC2(b), exactly when its relevant part does.  Sets are visited by size, so a
+relevant pin set is decided before any set that adds irrelevant pins to it.
+If none of its settings passed, it is dead and those sets are skipped
+without a solve; otherwise they solve the full pin vector only for the
+alternatives that passed, to give each record its world, which the witness
+filter sees.
 """
 
 from __future__ import annotations
@@ -324,9 +322,8 @@ class CauseSearch:
             raise SearchBudgetExceeded(budget, self.max_search)
         model = engine.model
         x_vars = tuple(c.variable for c in conjuncts)
-        x_set = set(x_vars)
         actual_x = tuple(c.value for c in conjuncts)
-        signs = _signs(model, x_vars)
+        relevant, signs = _relevance_and_signs(model, x_vars, self._effect_vars)
         if all(signs[name] == 0 for name in self._effect_vars):
             return  # no candidate variable reaches the effect
         preserved = {0: False, 1: _preserved(model, self.effect, signs, 1),
@@ -342,32 +339,26 @@ class CauseSearch:
         x_positions = [index[v] for v in x_vars]
         x_mask = sum(1 << i for i in x_positions)
         x_key = engine.key({c.variable: c.value for c in conjuncts})
-        rest = tuple(n for n in engine.endo if n not in x_set)
+        rest = tuple(n for n in engine.endo if n not in x_vars)
         bits = {n: 1 << index[n] for n in rest}
         ranges = {n: model.range_of(n) for n in rest}
         phi = self._phi
         solve = engine.solve_tuple
-        # Every position is relevant until the mask is read, past the empty
-        # set.  ``live`` holds the relevant pin sets where a setting passed;
+        # ``live`` holds the relevant pin sets where a setting passed;
         # ``decided``, the passing alternatives of each passing relevant
-        # setting by its (mask, values), kept only while some pin can be
-        # irrelevant.
-        relevant = -1
-        decided: Optional[dict[tuple, list]] = {}
+        # setting by its (mask, values).
+        decided: dict[tuple, list] = {}
         live: set[int] = set()
         for size in range(len(rest) + 1):
-            if size == 1:
-                relevant = _relevance(model, x_set, self._effect_vars)
-                if all(relevant & bit for bit in bits.values()):
-                    decided = None
             for w_vars in itertools.combinations(rest, size):
                 w_positions = [index[v] for v in w_vars]
                 w_mask = sum(map(bits.__getitem__, w_vars))
                 pure = w_mask & relevant == w_mask
-                if not pure and w_mask & relevant not in live:
-                    continue  # every setting of its relevant part fails
+                if not pure:
+                    if w_mask & relevant not in live:
+                        continue  # every setting of its relevant part fails
+                    kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
                 plan = engine.plan(x_mask | w_mask)
-                kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
                 for w_values in itertools.product(*map(ranges.__getitem__, w_vars)):
                     key = list(x_key)
                     for i, value in zip(w_positions, w_values):
@@ -392,8 +383,7 @@ class CauseSearch:
                         if not self.ac2b(x_key, w_positions, w_values):
                             continue
                         live.add(w_mask)
-                        if decided is not None:
-                            decided[w_mask, w_values] = [alt for alt, _ in falsifying]
+                        decided[w_mask, w_values] = [alt for alt, _ in falsifying]
                     for alt, witness in falsifying:
                         yield WitnessRecord(w_set=w_vars, w_values=w_values, x_prime=alt,
                                             world=engine.world(witness))
@@ -410,45 +400,50 @@ class CauseSearch:
         return True
 
 
-def _signs(model: CausalModel, x_vars: Sequence[str]) -> dict[str, Optional[int]]:
-    """Sign of each endogenous variable relative to the candidate variables:
-    how it moves when they all rise, or None when that is unknown."""
+def _relevance_and_signs(model: CausalModel, x_vars: Sequence[str],
+                         effect_vars: set[str]) -> tuple[int, dict[str, Optional[int]]]:
+    """The candidate's relevant mask and the sign of each endogenous variable.
+
+    A position is relevant when a path of references, each with a direction
+    other than 0 (an unknown direction counts), leads from it to an effect
+    variable without passing through a candidate variable.  A sign says how a
+    variable moves when the candidate's variables all rise, None when that is
+    unknown: +1 on those variables, worked out in topological order on the
+    relevant positions below them, and 0 everywhere else."""
     index = model._endo_index
     reach = _reach_masks(model)
     downstream = 0
     for name in x_vars:
         downstream |= reach[index[name]]
-    signs: dict[str, Optional[int]] = {}
-    for name in model.topological_order():
-        if name in x_vars:
-            sign = 1
-        elif downstream >> index[name] & 1:
-            sign = 0
-            for parent, way in _directions(model, name).items():
-                parent_sign = signs.get(parent, 0)
-                if parent_sign == 0 or way == 0:
-                    continue
-                if parent_sign is None or way is None or sign not in (0, way * parent_sign):
-                    sign = None
-                    break
-                sign = way * parent_sign
-        else:
-            sign = 0
-        signs[name] = sign
-    return signs
-
-
-def _relevance(model: CausalModel, x_vars: set[str], effect_vars: set[str]) -> int:
-    """Mask of the endogenous positions with a path to an effect variable
-    that avoids the candidate's variables, each step a reference whose
-    direction is not 0 (an unknown direction counts as a path)."""
+    order = model.topological_order()
     reaching = set(effect_vars)
     mask = 0
-    for name in reversed(model.topological_order()):
+    walk = []
+    for name in reversed(order):
         if name in reaching and name not in x_vars:
-            mask |= 1 << model._endo_index[name]
-            reaching.update(p for p, way in _directions(model, name).items() if way != 0)
-    return mask
+            bit = 1 << index[name]
+            mask |= bit
+            ways = _directions(model, name)
+            for parent, way in ways.items():
+                if way != 0:
+                    reaching.add(parent)
+            if downstream & bit:
+                walk.append((name, ways))
+    signs: dict[str, Optional[int]] = dict.fromkeys(order, 0)
+    for name in x_vars:
+        signs[name] = 1
+    for name, ways in reversed(walk):
+        sign = 0
+        for parent, way in ways.items():
+            parent_sign = signs.get(parent, 0)
+            if parent_sign == 0 or way == 0:
+                continue
+            if parent_sign is None or way is None or sign not in (0, way * parent_sign):
+                sign = None
+                break
+            sign = way * parent_sign
+        signs[name] = sign
+    return mask, signs
 
 
 def _event_variables(body: BooleanFormula) -> set[str]:

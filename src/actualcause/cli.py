@@ -183,7 +183,7 @@ def _run_validate(document: dsl.ParsedDocument) -> dict:
 def _run_solve(document: dsl.ParsedDocument, args) -> dict:
     name = None
     if args.selector:
-        name = args.selector.lstrip("@")
+        name = args.selector.removeprefix("@")
         _same_context(args.context, name)
     elif args.context:
         name = args.context

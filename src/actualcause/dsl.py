@@ -558,8 +558,6 @@ def _parse_query_line(cur: _Cursor, keyword: Token) -> _RawQuery:
         if for_token.text != "for":
             raise _LineSyntaxError(Diagnostic(for_token.span, "expected 'for'"))
         body = parser.parse()
-    elif kind != "solve":
-        raise _LineSyntaxError(Diagnostic(keyword.span, f"unknown query {kind!r}"))
     cur.expect("@")
     ctx = _parse_name(cur, "context name")
     cur.expect_end()

@@ -676,7 +676,10 @@ def test_refutation_follows_a_non_increasing_edge():
          Equation("C", Ref("UC")), Equation("F", BinOp("max", Ref("B"), Ref("C")))],
     )
     context = {"U": 0, "UC": 0}
-    assert checker._signs(model, ["A"]) == {"A": 1, "B": -1, "C": 0, "F": -1}
+    # B, C and F all lead to F, so each is relevant and gets its sign.
+    relevant, signs = checker._relevance_and_signs(model, ("A",), {"F"})
+    assert relevant == sum(1 << model.endo_index(name) for name in "BCF")
+    assert signs == {"A": 1, "B": -1, "C": 0, "F": -1}
     verdict = is_actual_cause(model, context, cand(event("A", 0)), event("F", 1))
     assert verdict.is_cause
     assert [r.x_prime for r in verdict.hp_witnesses] == [(1,), (1,)]
@@ -684,7 +687,6 @@ def test_refutation_follows_a_non_increasing_edge():
                                event("F", 1)).hp_witnesses
     # F=0 is the bottom of F's range, so raising A keeps it and lowering A
     # may not.
-    signs = checker._signs(model, ["A"])
     assert checker._preserved(model, event("F", 0), signs, 1)
     assert not checker._preserved(model, event("F", 0), signs, -1)
     # A negation is never taken as kept: !(F=0) is F=1 here, which raising A

@@ -90,6 +90,12 @@ def test_solve_accepts_selector_and_flag():
     assert "(A=1, R=1, B=0, D=1)" in out1
 
 
+def test_solve_selector_drops_exactly_one_at_sign():
+    code, out, err = run(["solve", fx("poisoning.scm.txt"), "@@u11"])
+    assert code == 1 and out == ""
+    assert "error: unknown context @u11" in err
+
+
 def test_solve_without_context_uses_single_solve_query():
     code, out, _ = run(["solve", fx("poisoning.scm.txt")])
     assert code == 0 and "A=1" in out

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from typing import Optional, Sequence
 from unittest import mock
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from actualcause import (
     CandidateCause,
     CausalFormula,
+    CausalModel,
     ExtendedCausalModel,
     ModelError,
+    Negation,
     PrimitiveEvent,
     SearchBudgetExceeded,
     TrivialOrder,
@@ -32,7 +35,9 @@ from actualcause import model as model_module
 from actualcause.checker import CauseSearch, Engine
 from actualcause.corpus import fixture_dir
 from actualcause.dsl import DslError, parse_document, parse_query
-from actualcause.model import _MissingRow, _bounds, _compile, _directions, _walk
+from actualcause.model import (
+    _MissingRow, _bounds, _compile, _directions, _reach_masks, _walk,
+)
 
 from random_models import (
     EXPRESSION_RANGES,
@@ -386,7 +391,8 @@ def test_refuted_alternatives_have_no_witness(seed):
     names = rng.sample(model.endogenous, rng.randint(1, 2))
     conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
     actual_x = tuple(c.value for c in conjuncts)
-    signs = checker._signs(model, names)
+    _, signs = checker._relevance_and_signs(model, tuple(names),
+                                            checker._event_variables(effect))
     preserved = {0: False, 1: checker._preserved(model, effect, signs, 1),
                  -1: checker._preserved(model, effect, signs, -1)}
     refuted = {
@@ -400,6 +406,72 @@ def test_refuted_alternatives_have_no_witness(seed):
     assert not refuted & {record.x_prime for record in unpruned}
     for alt in refuted:
         assert not _oracle_passes(model, context, conjuncts, effect, alt)
+
+
+def _signs(model: CausalModel, x_vars: Sequence[str]) -> dict[str, Optional[int]]:
+    """Sign of each endogenous variable relative to the candidate variables:
+    how it moves when they all rise, or None when that is unknown."""
+    index = model._endo_index
+    reach = _reach_masks(model)
+    downstream = 0
+    for name in x_vars:
+        downstream |= reach[index[name]]
+    signs: dict[str, Optional[int]] = {}
+    for name in model.topological_order():
+        if name in x_vars:
+            sign = 1
+        elif downstream >> index[name] & 1:
+            sign = 0
+            for parent, way in _directions(model, name).items():
+                parent_sign = signs.get(parent, 0)
+                if parent_sign == 0 or way == 0:
+                    continue
+                if parent_sign is None or way is None or sign not in (0, way * parent_sign):
+                    sign = None
+                    break
+                sign = way * parent_sign
+        else:
+            sign = 0
+        signs[name] = sign
+    return signs
+
+
+def _relevance(model: CausalModel, x_vars: set[str], effect_vars: set[str]) -> int:
+    """Mask of the endogenous positions with a path to an effect variable
+    that avoids the candidate's variables, each step a reference whose
+    direction is not 0 (an unknown direction counts as a path)."""
+    reaching = set(effect_vars)
+    mask = 0
+    for name in reversed(model.topological_order()):
+        if name in reaching and name not in x_vars:
+            mask |= 1 << model._endo_index[name]
+            reaching.update(p for p, way in _directions(model, name).items() if way != 0)
+    return mask
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_one_reach_pass_gives_the_relevance_and_the_effect_signs(seed):
+    # _signs and _relevance above are the two passes the search made before
+    # they became one: signs over every descendant of the candidate, and the
+    # relevant mask.  The one pass works out signs on relevant positions only,
+    # which every effect variable off the candidate is.
+    rng = random.Random(seed)
+    model = rng.choice((random_model, random_monotone_model))(rng, 6)
+    actual = solve(model, rng.choice(list(all_contexts(model))))
+    effect = random_effect(rng, model, actual)
+    if rng.random() < 0.2:
+        effect = Negation(effect)
+    effect_vars = checker._event_variables(effect)
+    x_vars = tuple(rng.sample(model.endogenous, rng.randint(1, 2)))
+    relevant, signs = checker._relevance_and_signs(model, x_vars, effect_vars)
+    assert relevant == _relevance(model, set(x_vars), effect_vars)
+    expected = _signs(model, x_vars)
+    assert {name: signs[name] for name in effect_vars} \
+        == {name: expected[name] for name in effect_vars}
+    for s in (1, -1):
+        assert checker._preserved(model, effect, signs, s) \
+            == checker._preserved(model, effect, expected, s)
 
 
 # -- the witness search against an exhaustive walk ---------------------------------
