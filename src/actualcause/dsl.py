@@ -28,6 +28,13 @@ Tokens are ``"..."`` strings, integers (decimal digits, as ``int()`` reads
 them; ``²`` is none), names (a word character that is no decimal digit, then
 word characters) and punctuation.  Columns count characters; a span's
 offset and length count UTF-8 bytes of the text as passed.
+
+Each line is read by one ``_LineParser``, a recursive-descent parser that is
+both the cursor over the line's tokens and the grammar; its ``items`` reads
+every ``item (sep item)*`` list.  An operator chain such as ``a + b + c``
+parses to a left-deep tree, which the validator and the solver walk
+recursively, so ``_chain`` counts one level of nesting per operator against
+``MAX_NESTING``, as it does each bracket, negation and call.
 """
 
 from __future__ import annotations
@@ -224,54 +231,6 @@ class _LineSyntaxError(Exception):
         self.diagnostic = diagnostic
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eol":
-            self.pos += 1
-        return token
-
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
-
-    def expect(self, kind: str, what: str = "") -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            shown = what or kind
-            got = token.text or "end of line"
-            raise _LineSyntaxError(
-                Diagnostic(token.span, f"expected {shown}, found {got!r}")
-            )
-        return self.next()
-
-    def expect_end(self):
-        token = self.peek()
-        if token.kind != "eol":
-            raise _LineSyntaxError(
-                Diagnostic(token.span, f"unexpected trailing input {token.text!r}")
-            )
-
-    def fail(self, message: str):
-        raise _LineSyntaxError(Diagnostic(self.peek().span, message))
-
-    def enter(self):
-        """Open one more level of nesting (the caller closes it by
-        decrementing ``depth``)."""
-        if self.depth == MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
-        self.depth += 1
-
-
 # -- raw per-line records (phase A output) ----------------------------------------
 
 
@@ -318,253 +277,253 @@ class _RawQuery(Record, frozen=False):
         super().__init__(kind, span, context, causes, effect, effect_refs, interventions)
 
 
-# -- per-line parsers --------------------------------------------------------------
+# -- the line parser ---------------------------------------------------------------
 
 
-def _int(token: Token) -> int:
-    try:
-        return int(token.text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise _LineSyntaxError(
-            Diagnostic(token.span, "integer literal has too many digits")) from None
+class _LineParser:
+    """Recursive descent over one line's tokens: the cursor, then the grammar.
+    ``refs`` collects the line's references, ``(name, span)`` in equation
+    bodies and ``(name, value, span)`` in formula bodies."""
 
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.refs: list[tuple] = []
 
-def _parse_int_value(cur: _Cursor) -> int:
-    if cur.accept("-"):
-        return -_int(cur.expect("int", "integer"))
-    return _int(cur.expect("int", "integer"))
+    # the cursor -------------------------------------------------------------
 
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-def _parse_range(cur: _Cursor) -> tuple[int, ...]:
-    cur.expect("{")
-    values = [_parse_int_value(cur)]
-    while cur.accept(","):
-        values.append(_parse_int_value(cur))
-    cur.expect("}")
-    return tuple(values)
+    def next(self) -> Token:
+        token = self.tokens[self.pos]
+        if token.kind != "eol":
+            self.pos += 1
+        return token
 
+    def accept(self, kind: str) -> Optional[Token]:
+        if self.peek().kind == kind:
+            return self.next()
+        return None
 
-def _parse_name(cur: _Cursor, what: str = "name") -> Token:
-    token = cur.expect("ident", what)
-    if token.text in RESERVED:
-        raise _LineSyntaxError(
-            Diagnostic(token.span, f"{token.text!r} is a reserved word")
-        )
-    return token
+    def expect(self, kind: str, what: str = "") -> Token:
+        token = self.peek()
+        if token.kind != kind:
+            self.fail(f"expected {what or kind}, found {token.text or 'end of line'!r}")
+        return self.next()
 
+    def expect_end(self):
+        token = self.peek()
+        if token.kind != "eol":
+            self.fail(f"unexpected trailing input {token.text!r}")
 
-class _ExprParser:
-    """Recursive descent over one expression; collects referenced names."""
+    def fail(self, message: str, token: Optional[Token] = None):
+        """Raise a diagnostic at ``token``, by default the next one."""
+        raise _LineSyntaxError(Diagnostic((token or self.peek()).span, message))
 
-    def __init__(self, cur: _Cursor):
-        self.cur = cur
-        self.refs: list[tuple[str, SourceSpan]] = []
+    def enter(self):
+        """Open one more level of nesting (the caller closes it by
+        decrementing ``depth``)."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
-    def parse(self) -> Expr:
-        return self._additive()
+    def items(self, sep: str, parse, *args) -> list:
+        """``item (sep item)*``, each item read by ``parse(*args)``."""
+        found = [parse(*args)]
+        while self.accept(sep):
+            found.append(parse(*args))
+        return found
 
-    # Each operator of a chain opens one level of nesting: the chain parses to
-    # a left-deep tree that deep, and the tree is walked recursively.
+    # words, integers and events -------------------------------------------------
 
-    def _additive(self) -> Expr:
-        cur = self.cur
-        node = self._multiplicative()
+    def word(self, words: Container[str], what: str) -> Token:
+        """A name among ``words``, which ``what`` spells out."""
+        token = self.expect("ident", what)
+        if token.text not in words:
+            self.fail(f"expected {what}", token)
+        return token
+
+    def name(self, what: str) -> Token:
+        token = self.expect("ident", what)
+        if token.text in RESERVED:
+            self.fail(f"{token.text!r} is a reserved word", token)
+        return token
+
+    def int_value(self) -> int:
+        sign = -1 if self.accept("-") else 1
+        token = self.expect("int", "integer")
+        try:
+            return sign * int(token.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.fail("integer literal has too many digits", token)
+
+    def int_range(self) -> tuple[int, ...]:
+        self.expect("{")
+        values = self.items(",", self.int_value)
+        self.expect("}")
+        return tuple(values)
+
+    def events(self, op: str, sep: str) -> tuple[tuple[str, int, SourceSpan], ...]:
+        """``name op value (sep name op value)*``: contexts, world literals,
+        severity chains, candidate causes and intervention prefixes."""
+        return tuple(self.items(sep, self._event, op))
+
+    def _event(self, op: str) -> tuple[str, int, SourceSpan]:
+        name = self.name("variable name")
+        self.expect(op)
+        return name.text, self.int_value(), name.span
+
+    def world(self) -> tuple[tuple[str, int, SourceSpan], ...]:
+        self.expect("(")
+        items = self.events("=", ",")
+        self.expect(")")
+        return items
+
+    # equation bodies ------------------------------------------------------------
+
+    def expr(self) -> Expr:
+        """A ``+ -`` chain of ``*`` chains of atoms."""
+        return self._chain(("+", "-"), self._chain, ("*",), self._atom)
+
+    def _chain(self, ops: tuple[str, ...], operand, *args) -> Expr:
+        # Each operator opens one level of nesting: the chain parses to a
+        # left-deep tree that deep, and the tree is walked recursively.
+        node = operand(*args)
         opened = 0
-        while cur.peek().kind in ("+", "-"):
-            cur.enter()
+        while self.peek().kind in ops:
+            self.enter()
             opened += 1
-            node = BinOp(cur.next().kind, node, self._multiplicative())
-        cur.depth -= opened
-        return node
-
-    def _multiplicative(self) -> Expr:
-        cur = self.cur
-        node = self._atom()
-        opened = 0
-        while cur.peek().kind == "*":
-            cur.enter()
-            opened += 1
-            node = BinOp(cur.next().kind, node, self._atom())
-        cur.depth -= opened
+            node = BinOp(self.next().kind, node, operand(*args))
+        self.depth -= opened
         return node
 
     def _atom(self) -> Expr:
-        cur = self.cur
-        token = cur.peek()
+        token = self.peek()
         if token.kind == "int":
-            cur.next()
-            return Const(_int(token))
+            return Const(self.int_value())
         if token.kind == "(":
-            cur.enter()
-            cur.next()
-            node = self._additive()
-            cur.expect(")")
-            cur.depth -= 1
+            self.enter()
+            self.next()
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
             return node
         if token.kind == "ident":
             if token.text in ("min", "max"):
-                cur.enter()
-                cur.next()
-                cur.expect("(")
-                left = self._additive()
-                cur.expect(",")
-                right = self._additive()
-                cur.expect(")")
-                cur.depth -= 1
-                return BinOp(token.text, left, right)
+                return BinOp(token.text, *self._call(","))
             if token.text == "ite":
-                cur.enter()
-                cur.next()
-                cur.expect("(")
-                left = self._additive()
-                cur.expect("==")
-                right = self._additive()
-                cur.expect(",")
-                then = self._additive()
-                cur.expect(",")
-                other = self._additive()
-                cur.expect(")")
-                cur.depth -= 1
-                return Ite(left, right, then, other)
+                return Ite(*self._call("==", ",", ","))
             if token.text == "table":
                 return self._table()
             if token.text in RESERVED:
-                cur.fail(f"{token.text!r} is a reserved word")
-            cur.next()
+                self.fail(f"{token.text!r} is a reserved word")
+            self.next()
             self.refs.append((token.text, token.span))
             return Ref(token.text)
-        cur.fail("expected an expression")
+        self.fail("expected an expression")
+
+    def _call(self, *separators: str) -> list[Expr]:
+        """``name(expr sep expr ...)``, one separator between each two
+        arguments; the call is one level of nesting."""
+        self.enter()
+        self.next()
+        self.expect("(")
+        args = [self.expr()]
+        for sep in separators:
+            self.expect(sep)
+            args.append(self.expr())
+        self.expect(")")
+        self.depth -= 1
+        return args
 
     def _table(self) -> Expr:
-        cur = self.cur
-        cur.next()  # "table"
-        cur.expect("(")
-        args = [_parse_name(cur, "argument name")]
-        while cur.accept(","):
-            args.append(_parse_name(cur, "argument name"))
-        cur.expect(")")
-        for token in args:
-            self.refs.append((token.text, token.span))
-        cur.expect("{")
-        rows = []
-        while True:
-            cur.expect("(")
-            key = [_parse_int_value(cur)]
-            while cur.accept(","):
-                key.append(_parse_int_value(cur))
-            cur.expect(")")
-            cur.expect("->")
-            value = _parse_int_value(cur)
-            if len(key) != len(args):
-                cur.fail(f"table row has {len(key)} values for {len(args)} arguments")
-            rows.append((tuple(key), value))
-            if not cur.accept(","):
-                break
-        cur.expect("}")
-        return Table(tuple(t.text for t in args), tuple(rows))
+        self.next()  # "table"
+        self.expect("(")
+        args = self.items(",", self.name, "argument name")
+        self.expect(")")
+        self.refs.extend((token.text, token.span) for token in args)
+        self.expect("{")
+        rows = self.items(",", self._row, len(args))
+        self.expect("}")
+        return Table(tuple(token.text for token in args), tuple(rows))
 
+    def _row(self, width: int) -> tuple[tuple[int, ...], int]:
+        self.expect("(")
+        key = self.items(",", self.int_value)
+        self.expect(")")
+        self.expect("->")
+        value = self.int_value()
+        if len(key) != width:
+            self.fail(f"table row has {len(key)} values for {width} arguments")
+        return tuple(key), value
 
-def _parse_events(cur: _Cursor, op: str,
-                  sep: str) -> tuple[tuple[str, int, SourceSpan], ...]:
-    """``name op value (sep name op value)*``: contexts, world literals,
-    severity chains, candidate causes and intervention prefixes."""
-    items = []
-    while True:
-        name = _parse_name(cur, "variable name")
-        cur.expect(op)
-        items.append((name.text, _parse_int_value(cur), name.span))
-        if not cur.accept(sep):
-            return tuple(items)
+    def behavior(self) -> tuple[str, Expr]:
+        label = self.expect("string", "behavior label")
+        self.expect("=")
+        return label.text, self.expr()
 
+    # formula bodies: ! binds tightest, then &, then | -------------------------
 
-def _parse_world_literal(cur: _Cursor) -> tuple[tuple[str, int, SourceSpan], ...]:
-    cur.expect("(")
-    items = _parse_events(cur, "=", ",")
-    cur.expect(")")
-    return items
-
-
-class _BodyParser:
-    """Boolean formula bodies: ! binds tightest, then &, then |."""
-
-    def __init__(self, cur: _Cursor):
-        self.cur = cur
-        self.refs: list[tuple[str, int, SourceSpan]] = []
-
-    def parse(self) -> BooleanFormula:
-        return self._disjunction()
-
-    def _disjunction(self) -> BooleanFormula:
-        operands = [self._conjunction()]
-        while self.cur.accept("|"):
-            operands.append(self._conjunction())
-        if len(operands) == 1:
-            return operands[0]
-        return Disjunction(tuple(operands))
+    def formula(self) -> BooleanFormula:
+        operands = self.items("|", self._conjunction)
+        return operands[0] if len(operands) == 1 else Disjunction(tuple(operands))
 
     def _conjunction(self) -> BooleanFormula:
-        operands = [self._negation()]
-        while self.cur.accept("&"):
-            operands.append(self._negation())
-        if len(operands) == 1:
-            return operands[0]
-        return Conjunction(tuple(operands))
+        operands = self.items("&", self._negation)
+        return operands[0] if len(operands) == 1 else Conjunction(tuple(operands))
 
     def _negation(self) -> BooleanFormula:
-        cur = self.cur
-        if cur.peek().kind in ("!", "("):
-            cur.enter()
-            if cur.accept("!"):
+        if self.peek().kind in ("!", "("):
+            self.enter()
+            if self.accept("!"):
                 node = Negation(self._negation())
             else:
-                cur.next()
-                node = self._disjunction()
-                cur.expect(")")
-            cur.depth -= 1
+                self.next()
+                node = self.formula()
+                self.expect(")")
+            self.depth -= 1
             return node
-        name = _parse_name(cur, "variable name")
-        cur.expect("=")
-        value = _parse_int_value(cur)
-        self.refs.append((name.text, value, name.span))
-        return PrimitiveEvent(name.text, value)
+        name, value, span = self._event("=")
+        self.refs.append((name, value, span))
+        return PrimitiveEvent(name, value)
 
+    # query lines ----------------------------------------------------------------
 
-def _parse_query_line(cur: _Cursor, keyword: Token) -> _RawQuery:
-    kind = keyword.text
-    causes: list[tuple[tuple[str, int, SourceSpan], ...]] = []
-    interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
-    body, parser = None, _BodyParser(cur)
-    if kind == "satisfies":
-        if cur.accept("["):
-            if cur.peek().kind != "]":
-                interventions = _parse_events(cur, "<-", ",")
-            cur.expect("]")
-        # The brackets that format_formula puts around a body are not
-        # counted, so that a body at the nesting cap round-trips.
-        enclosed = cur.peek().kind == "("
-        cur.depth -= enclosed
-        body = parser.parse()
-        cur.depth += enclosed
-    elif kind in ("cause", "witnesses", "grade"):
-        if kind == "grade":
-            cur.expect("{")
-            causes.append(_parse_events(cur, "=", "&"))
-            while cur.accept(","):
-                causes.append(_parse_events(cur, "=", "&"))
-            cur.expect("}")
-        else:
-            causes.append(_parse_events(cur, "=", "&"))
-        for_token = cur.expect("ident", "'for'")
-        if for_token.text != "for":
-            raise _LineSyntaxError(Diagnostic(for_token.span, "expected 'for'"))
-        body = parser.parse()
-    cur.expect("@")
-    ctx = _parse_name(cur, "context name")
-    cur.expect_end()
-    return _RawQuery(
-        kind, keyword.span, (ctx.text, ctx.span), causes=tuple(causes),
-        effect=body, effect_refs=tuple(parser.refs), interventions=interventions,
-    )
+    def query(self, keyword: Token) -> _RawQuery:
+        """The rest of a query line after its keyword."""
+        kind = keyword.text
+        causes: list[tuple[tuple[str, int, SourceSpan], ...]] = []
+        interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
+        body = None
+        if kind == "satisfies":
+            if self.accept("["):
+                if self.peek().kind != "]":
+                    interventions = self.events("<-", ",")
+                self.expect("]")
+            # The brackets that format_formula puts around a body are not
+            # counted, so that a body at the nesting cap round-trips.
+            enclosed = self.peek().kind == "("
+            self.depth -= enclosed
+            body = self.formula()
+            self.depth += enclosed
+        elif kind != "solve":
+            if kind == "grade":
+                self.expect("{")
+                causes = self.items(",", self.events, "=", "&")
+                self.expect("}")
+            else:
+                causes = [self.events("=", "&")]
+            self.word(("for",), "'for'")
+            body = self.formula()
+        self.expect("@")
+        ctx = self.name("context name")
+        self.expect_end()
+        return _RawQuery(
+            kind, keyword.span, (ctx.text, ctx.span), causes=tuple(causes),
+            effect=body, effect_refs=tuple(self.refs), interventions=interventions,
+        )
 
 
 # -- document assembly --------------------------------------------------------------
@@ -588,87 +547,62 @@ class _DocumentBuilder:
     # phase A: one line ------------------------------------------------------
 
     def add_line(self, tokens: list[Token]):
-        cur = _Cursor(tokens)
-        if cur.peek().kind == "eol":
+        line = _LineParser(tokens)
+        if line.peek().kind == "eol":
             return
         try:
-            keyword = cur.expect("ident", "a declaration or query keyword")
-            if keyword.text == "exo":
-                name = _parse_name(cur, "variable name")
-                cur.expect(":")
-                values = _parse_range(cur)
-                cur.expect_end()
-                self.variables.append(_RawVar(name.text, name.span, EXOGENOUS, values))
-            elif keyword.text == "var":
-                name = _parse_name(cur, "variable name")
-                cur.expect(":")
-                values = _parse_range(cur)
-                cur.expect("=")
-                parser = _ExprParser(cur)
-                body = parser.parse()
-                cur.expect_end()
-                self.variables.append(
-                    _RawVar(name.text, name.span, ENDOGENOUS, values,
-                            body=body, refs=tuple(parser.refs))
-                )
+            keyword = line.expect("ident", "a declaration or query keyword")
+            if keyword.text in ("exo", "var"):
+                name = line.name("variable name")
+                line.expect(":")
+                values = line.int_range()
+                body = None
+                if keyword.text == "var":
+                    line.expect("=")
+                    body = line.expr()
+                line.expect_end()
+                kind = EXOGENOUS if keyword.text == "exo" else ENDOGENOUS
+                self.variables.append(_RawVar(name.text, name.span, kind, values, body,
+                                              tuple(line.refs)))
             elif keyword.text == "typical":
-                name = _parse_name(cur, "variable name")
-                cur.expect("=")
-                ranking = [_parse_int_value(cur)]
-                while cur.accept(">"):
-                    ranking.append(_parse_int_value(cur))
-                cur.expect_end()
+                name = line.name("variable name")
+                line.expect("=")
+                ranking = line.items(">", line.int_value)
+                line.expect_end()
                 self.typicals.append(_RawTypical(name.text, name.span, tuple(ranking)))
             elif keyword.text == "severity":
-                chain = _parse_events(cur, "=", "<")
-                cur.expect_end()
+                chain = line.events("=", "<")
+                line.expect_end()
                 self.severities.append(_RawSeverity(keyword.span, chain))
             elif keyword.text == "mechanism":
-                token = cur.expect("ident", "'on' or 'off'")
-                if token.text not in ("on", "off"):
-                    raise _LineSyntaxError(
-                        Diagnostic(token.span, "expected 'on' or 'off'")
-                    )
-                cur.expect_end()
+                token = line.word(("on", "off"), "'on' or 'off'")
+                line.expect_end()
                 if self.mechanism is not None:
                     self.error(token.span, "mechanism declared twice")
                 self.mechanism = (token.text == "on", token.span)
             elif keyword.text == "behavior":
-                name = _parse_name(cur, "variable name")
-                cur.expect(":")
-                behaviors = []
-                parser = _ExprParser(cur)
-                while True:
-                    label = cur.expect("string", "behavior label")
-                    cur.expect("=")
-                    body = parser.parse()
-                    behaviors.append((label.text, body))
-                    if not cur.accept(">"):
-                        break
-                cur.expect_end()
-                self.behaviors.append(
-                    _RawBehavior(name.text, name.span, tuple(behaviors),
-                                 tuple(parser.refs))
-                )
+                name = line.name("variable name")
+                line.expect(":")
+                behaviors = line.items(">", line.behavior)
+                line.expect_end()
+                self.behaviors.append(_RawBehavior(name.text, name.span, tuple(behaviors),
+                                                   tuple(line.refs)))
             elif keyword.text == "norm":
-                left = _parse_world_literal(cur)
-                if cur.accept("=="):
-                    op = "=="
-                elif cur.accept(">"):
-                    op = ">"
-                else:
-                    cur.fail("expected '>' or '==' between worlds")
-                right = _parse_world_literal(cur)
-                cur.expect_end()
-                self.norms.append(_RawNorm(left, op, right, keyword.span))
+                left = line.world()
+                op = line.accept("==") or line.accept(">")
+                if op is None:
+                    line.fail("expected '>' or '==' between worlds")
+                right = line.world()
+                line.expect_end()
+                self.norms.append(_RawNorm(left, op.kind, right, keyword.span))
             elif keyword.text == "context":
-                name = _parse_name(cur, "context name")
-                cur.expect(":")
-                items = _parse_events(cur, "=", ",")
-                cur.expect_end()
+                name = line.name("context name")
+                line.expect(":")
+                items = line.events("=", ",")
+                line.expect_end()
                 self.contexts.append(_RawContext(name.text, name.span, items))
             elif keyword.text in _QUERY_KEYWORDS:
-                self.queries.append(_parse_query_line(cur, keyword))
+                self.queries.append(line.query(keyword))
             else:
                 self.error(keyword.span, f"unknown keyword {keyword.text!r}")
         except _LineSyntaxError as exc:
@@ -808,13 +742,13 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
     tokens, lex_errors = _lex_line(text.replace("\n", " "), 1, 0)
     if lex_errors:
         raise DslError(lex_errors)
-    cur = _Cursor(tokens)
-    keyword = cur.peek()
+    line = _LineParser(tokens)
+    keyword = line.peek()
     if keyword.kind != "ident" or keyword.text not in _QUERY_KEYWORDS:
         raise DslError([Diagnostic(keyword.span, "expected a query keyword")])
-    cur.next()
+    line.next()
     try:
-        raw = _parse_query_line(cur, keyword)
+        raw = line.query(keyword)
     except _LineSyntaxError as exc:
         raise DslError([exc.diagnostic]) from None
     errors: list[Diagnostic] = []

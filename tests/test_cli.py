@@ -263,6 +263,38 @@ def test_all_causes_past_the_model_size_sweeps_every_size_at_once():
     }
 
 
+def test_all_causes_text_lists_each_cause_on_its_own_line():
+    code, out, err = run(["check", fx("forest_fire_disjunctive.scm.txt"),
+                          "cause F=1 for F=1 @ u11", "--all-causes", "2"])
+    assert (code, err) == (0, "")
+    assert out == "query: all-causes k=2 for F=1 @ u11\ncauses:\n  L=1\n  M=1\n  F=1\n"
+
+
+def test_all_causes_sweeps_run_in_plain_mode_only():
+    code, out, err = run(["check", fx("forest_fire_disjunctive.scm.txt"),
+                          "cause F=1 for F=1 @ u11", "--all-causes", "2",
+                          "--mode", "extended"])
+    assert (code, out) == (1, "")
+    assert err == "error: --all-causes sweeps run in plain mode\n"
+
+
+def test_a_query_of_another_kind_is_a_usage_error():
+    code, out, err = run(["check", fx("forest_fire_disjunctive.scm.txt"), "solve @ u11"])
+    assert (code, out) == (1, "")
+    assert err == "error: the check command expects a matching query kind\n"
+
+
+def test_grade_reports_the_candidate_above_the_other():
+    argv = ["grade", fx("omission_a.scm.txt"), "grade {W=0, H=1} for D=1 @ main",
+            "--mode", "extended"]
+    code, out, _ = run(argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["grading"] == [{"above": "H=1", "below": "W=0"}]
+    code, out, _ = run(argv)
+    assert code == 0
+    assert "  H=1 above W=0" in out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "forest_fire_disjunctive.scm.txt", "--mode", "hp"],
     ["validate", "forest_fire_disjunctive.scm.txt", "--context", "u11"],

@@ -203,6 +203,24 @@ def test_duplicate_names_reported():
     assert any(p.kind == "name" for p in validate_model(model).problems)
 
 
+@pytest.mark.parametrize("variables, equations, problem", [
+    ([binary("A")], [Equation("A", Const(0)), Equation("A", Const(1))],
+     ValidationProblem("equation", "variable A has more than one equation")),
+    ([binary("A")], [Equation("A", Const(0)), Equation("Q", Const(0))],
+     ValidationProblem("name", "equation targets unknown variable Q")),
+    ([binary("U", "exogenous"), binary("A")],
+     [Equation("A", Ref("U")), Equation("U", Const(0))],
+     ValidationProblem("equation", "equation targets exogenous variable U")),
+    ([binary("A")], [Equation("A", Ref("Z"))],
+     ValidationProblem("name", "equation for A references unknown variable Z")),
+], ids=["duplicate-equation", "unknown-target", "exogenous-target", "unknown-reference"])
+def test_hand_built_equation_faults_are_validation_problems(variables, equations, problem):
+    model = CausalModel(variables, equations)
+    assert validate_model(model).problems == (problem,)
+    with pytest.raises(ModelError, match=problem.message):
+        solve(model, {})
+
+
 def test_solve_rejects_invalid_model():
     model = CausalModel(
         [binary("X"), binary("Y")],

@@ -231,3 +231,19 @@ def test_a_private_cache_stays_out_of_equality_hash_and_repr():
     assert repr(table) == f"Table(args=('U',), rows={rows!r})"
     assert hash(table) == hash((("U",), rows))
     assert table == actualcause.Table(("U",), rows)
+
+
+# -- the README ------------------------------------------------------------------
+
+
+def test_the_readme_quick_tour_prints_its_commented_values():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip() for line in tour.splitlines()
+                if line.startswith("print(") and "#" in line]
+    assert len(expected) == 4
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected
