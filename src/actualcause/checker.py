@@ -61,6 +61,15 @@ If none of its settings passed, it is dead and those sets are skipped
 without a solve; otherwise they solve the full pin vector only for the
 alternatives that passed, to give each record its world, which the witness
 filter sees.
+
+A set that pins every effect variable is skipped unsolved, whatever the
+effect's form; when the candidate holds an effect variable, no set does.
+AC2(a) needs the effect false on the pinned values of its variables, and
+AC2(b) at the full re-imposition needs it true on the same values: each
+effect variable that differs from the world under the candidate alone is
+re-imposed, and the others keep that world's value, the pinned one.  A set
+adding irrelevant pins to such a set is skipped as well, so the dead-set
+bookkeeping is unchanged.
 """
 
 from __future__ import annotations
@@ -226,6 +235,7 @@ class CauseSearch:
         self._ac2b_cache: dict[tuple, bool] = {}
         self._decisions: dict[tuple, bool] = {}
         self._effect_vars = _event_variables(effect)
+        self._effect_mask = sum(1 << engine.index[v] for v in self._effect_vars)
 
     # -- clause checks ---------------------------------------------------------
 
@@ -349,10 +359,13 @@ class CauseSearch:
         # setting by its (mask, values).
         decided: dict[tuple, list] = {}
         live: set[int] = set()
+        effect_mask = self._effect_mask
         for size in range(len(rest) + 1):
             for w_vars in itertools.combinations(rest, size):
-                w_positions = [index[v] for v in w_vars]
                 w_mask = sum(map(bits.__getitem__, w_vars))
+                if w_mask & effect_mask == effect_mask:
+                    continue  # AC2(a) and AC2(b) would read the same effect
+                w_positions = [index[v] for v in w_vars]
                 pure = w_mask & relevant == w_mask
                 if not pure:
                     if w_mask & relevant not in live:

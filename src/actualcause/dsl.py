@@ -450,13 +450,13 @@ class _LineParser:
         return Table(tuple(token.text for token in args), tuple(rows))
 
     def _row(self, width: int) -> tuple[tuple[int, ...], int]:
-        self.expect("(")
+        opening = self.expect("(")
         key = self.items(",", self.int_value)
         self.expect(")")
         self.expect("->")
         value = self.int_value()
         if len(key) != width:
-            self.fail(f"table row has {len(key)} values for {width} arguments")
+            self.fail(f"table row has {len(key)} values for {width} arguments", opening)
         return tuple(key), value
 
     def behavior(self) -> tuple[str, Expr]:

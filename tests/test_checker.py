@@ -567,6 +567,31 @@ def test_wide_sweeps_refute_larger_candidates_without_a_search(kind, monkeypatch
     assert lookups[3] <= lookups[1]
 
 
+@pytest.mark.parametrize("kind, records, bound", [("disjunctive", 8, 942),
+                                                  ("vote", 144, 839)])
+def test_sets_that_pin_the_whole_effect_are_not_solved(kind, records, bound, monkeypatch):
+    # A set pinning F makes AC2(a) and AC2(b) read the same F, so no witness
+    # uses it and the search skips it unsolved, here and in AC3's searches of
+    # L0 and L2: F is pinned only where AC2(b) re-imposes its actual value.
+    # The search that solves those sets makes 2,707 and 2,433 lookups.
+    model, context = _wide_model(kind)
+    f = model.endo_index("F")
+    keys = []
+    solve_tuple = Engine.solve_tuple
+
+    def recording_solve_tuple(engine, key, *args):
+        keys.append(key)
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    verdict = is_actual_cause(model, context, cand(event("L0", 1), event("L2", 1)),
+                              event("F", 1))
+    assert verdict.ac1 and not verdict.ac3 and verdict.failed_clause == "AC3"
+    assert len(verdict.hp_witnesses) == records
+    assert {key[f] for key in keys} == {None, 1}
+    assert len(keys) <= bound
+
+
 def test_unlit_source_is_refuted_without_a_counterfactual(documents, monkeypatch):
     # Raising M only helps F = max(L, M) to 1: the one lookup is the actual
     # world, which AC1 reads.
@@ -620,10 +645,12 @@ def test_pins_that_cannot_reach_the_effect_are_not_solved(monkeypatch):
     # On a 9-chain a pin upstream of the candidate, or below the effect,
     # changes no effect variable: each setting is decided on its pins between
     # the two, and solved in full only to give a witness its world.  The
-    # search that solves every setting makes 10,919 and 12,805 lookups.
+    # search that solves every setting makes 10,919 and 12,805 lookups, and
+    # the one that also solves the sets pinning the effect variable, 209 and
+    # 293.
     model = _chain(9)
     counts = _count_lookups(monkeypatch)
-    for cause, effect, records, bound in (("X4", "X8", 81, 250), ("X2", "X5", 243, 350)):
+    for cause, effect, records, bound in (("X4", "X8", 81, 131), ("X2", "X5", 243, 263)):
         counts["solve_tuple"] = 0
         verdict = is_actual_cause(model, {"U": 1}, cand(event(cause, 1)), event(effect, 1))
         assert verdict.is_cause and len(verdict.hp_witnesses) == records

@@ -133,7 +133,9 @@ def test_behavior_requires_mechanism():
 
 @pytest.mark.parametrize("text, expected", [
     ("exo A : {0,1}\nvar Y : {0,1} = table(A){(0) -> 1, (1, 0) -> 0}\n",
-     "2:47: table row has 2 values for 1 arguments"),
+     "2:36: table row has 2 values for 1 arguments"),
+    ("exo A : {0,1}\nvar Y : {0,1} = table(A){(0) -> 1, (1, 0) -> 0, (1) -> 0}\n",
+     "2:36: table row has 2 values for 1 arguments"),
     ("exo U : {0,1}\nvar A : {0,1} = U\nnorm (A=0) < (A=1)\n",
      "3:12: expected '>' or '==' between worlds"),
     ("exo U : {0,1}\nvar A : {0,1} = U\nmechanism on\nmechanism on\n",
@@ -142,8 +144,8 @@ def test_behavior_requires_mechanism():
      "3:5: variable A declared twice"),
     ("exo U : {0,1}\nvar A : {0,1} = U\ncontext c : U=1\ncontext c : U=0\n",
      "4:9: context c declared twice"),
-], ids=["table-row-width", "norm-operator", "mechanism-twice", "variable-twice",
-        "context-twice"])
+], ids=["table-row-width", "table-row-width-middle", "norm-operator", "mechanism-twice",
+        "variable-twice", "context-twice"])
 def test_document_fault_is_one_located_diagnostic(text, expected):
     with pytest.raises(DslError) as excinfo:
         parse_document(text)

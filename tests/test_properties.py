@@ -518,14 +518,28 @@ def _exhaustive_witnesses(model, context, conjuncts, effect):
 @given(SEEDS)
 @settings(max_examples=60, deadline=None)
 def test_witness_search_equals_an_exhaustive_walk(seed):
-    # The search decides each setting on its pins that can reach the effect
-    # and skips the settings whose relevant part fails; the walk skips none.
+    # The search decides each setting on its pins that can reach the effect,
+    # skips the settings whose relevant part fails, and skips every set that
+    # pins all the effect's variables; the walk skips none.  A third of the
+    # effects are one event, a third one negated event that holds, and the
+    # rest mostly compound.  In half the draws the candidate avoids the
+    # effect's variables, so that a set can pin all of them.
     rng = random.Random(seed)
     model = rng.choice((random_model, random_monotone_model))(rng, 7, min_endo=6)
     context = rng.choice(list(all_contexts(model)))
     actual = solve(model, context)
-    effect = random_effect(rng, model, actual)
-    names = rng.sample(model.endogenous, rng.randint(1, 3))
+    shape = rng.randrange(3)
+    name = rng.choice(model.endogenous)
+    if shape == 0:
+        effect = PrimitiveEvent(name, actual[name])
+    elif shape == 1:
+        others = [v for v in model.range_of(name) if v != actual[name]]
+        effect = Negation(PrimitiveEvent(name, rng.choice(others)))
+    else:
+        effect = random_effect(rng, model, actual)
+    outside = [n for n in model.endogenous if n not in checker._event_variables(effect)]
+    pool = outside if outside and rng.random() < 0.5 else model.endogenous
+    names = rng.sample(pool, rng.randint(1, min(3, len(pool))))
     conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
     expected = _exhaustive_witnesses(model, context, conjuncts, effect)
     assert enumerate_witnesses(model, context, conjuncts, effect) == expected
