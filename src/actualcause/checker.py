@@ -15,10 +15,9 @@ to re-run are planned once per mask of pinned positions, and a contingency
 set looks up its plan once for all its settings; each AC2(b) sub-assignment
 solves through its own mask's plan.  The AC2(b) quantifier collapses onto
 the merged pin/actual vector, memoized as well.
-Each witness decision is memoized per sub-conjunction and filter, so AC3 and
-the candidate sweep decide a sub-conjunction once.  The sweep asks AC3 before
-a candidate's own search, so a candidate holding a smaller passing
-sub-conjunction is refuted with no search.
+The candidate sweep decides AC3 with no search: it refutes a candidate
+holding the variables of a cause it already found.  A public entry point
+checks each candidate once, where it enters; the search takes it as valid.
 AC2(b) enumerates only the re-impositions of variables downstream of a pin
 that differs from the world under the candidate alone: by induction in
 topological order, every other variable takes that world's value under any
@@ -233,14 +232,12 @@ class CauseSearch:
         self.effect = effect
         self.max_search = max_search
         self._ac2b_cache: dict[tuple, bool] = {}
-        self._decisions: dict[tuple, bool] = {}
         self._effect_vars = _event_variables(effect)
         self._effect_mask = sum(1 << engine.index[v] for v in self._effect_vars)
 
     # -- clause checks ---------------------------------------------------------
 
     def ac1(self, conjuncts: Sequence[PrimitiveEvent]) -> bool:
-        _check_cause(self.engine.model, conjuncts)
         actual = self.engine.actual
         if not all(actual[self.engine.index[c.variable]] == c.value for c in conjuncts):
             return False
@@ -308,15 +305,9 @@ class CauseSearch:
 
     def has_witness(self, conjuncts: Sequence[PrimitiveEvent],
                     witness_filter: _WitnessFilter = None) -> bool:
-        """Whether some witness passes; decided once per conjunction and
-        filter (the filter by identity) on this search."""
-        key = (tuple(conjuncts), witness_filter)
-        found = self._decisions.get(key)
-        if found is None:
-            found = self._decisions[key] = any(
-                witness_filter is None or witness_filter(r.world)
-                for r in self._search(conjuncts))
-        return found
+        """Whether some witness passes the filter."""
+        return any(witness_filter is None or witness_filter(r.world)
+                   for r in self._search(conjuncts))
 
     def _search(self, conjuncts: Sequence[PrimitiveEvent]):
         """Every witness record of the conjunction, in search order."""
@@ -408,7 +399,7 @@ class CauseSearch:
             return True
         for size in range(1, len(conjuncts)):
             for subset in itertools.combinations(conjuncts, size):
-                if self.ac1(subset) and self.has_witness(subset, witness_filter):
+                if self.has_witness(subset, witness_filter):
                     return False
         return True
 
@@ -505,6 +496,7 @@ def check_ac1(
     conjuncts = _conjuncts(cause)
     engine = Engine(model, context)
     search = CauseSearch(engine, effect)
+    _check_cause(model, conjuncts)
     return search.ac1(conjuncts)
 
 
@@ -550,9 +542,11 @@ def enumerate_witnesses(
     Returns an empty list when AC1 already fails.  Accepts a bare sequence of
     primitive events so callers can probe the empty conjunction.
     """
+    conjuncts = _conjuncts(cause)
     engine = Engine(model, context)
     search = CauseSearch(engine, effect, max_search=max_search)
-    return search.enumerate(_conjuncts(cause))
+    _check_cause(model, conjuncts)
+    return search.enumerate(conjuncts)
 
 
 def is_actual_cause(
@@ -578,8 +572,7 @@ def _verdicts(
     order is given, for each candidate in turn on one search.
 
     The filtered test uses one witness filter for the whole call, decided once
-    per distinct witness world; the search's decision memo keys the filter by
-    identity, so the candidates share their filtered decisions.  The best
+    per distinct witness world, so the candidates share its answers.  The best
     witnesses compare worlds pairwise, so the order should read each world's
     key once (a ``_QueryOrder`` made for this call)."""
     causes = [c if isinstance(c, CandidateCause) else CandidateCause(tuple(c))
@@ -599,8 +592,9 @@ def _verdicts(
     verdicts = []
     for cause in causes:
         conjuncts = cause.conjuncts
+        _check_cause(model, conjuncts)
         ac1 = search.ac1(conjuncts)
-        hp_witnesses = tuple(search.enumerate(conjuncts)) if ac1 else ()
+        hp_witnesses = tuple(search.enumerate(conjuncts))
         ac3_hp = search.ac3(conjuncts)
         is_hp = bool(ac1 and hp_witnesses and ac3_hp)
         if order is None:
@@ -669,10 +663,12 @@ def find_all_causes(
     """All passing candidates up to the given size, in declaration order.
 
     Only actually-true conjunctions can pass AC1, so the sweep pins each
-    chosen variable at its solved value.  AC3 comes before the candidate's own
-    witness search and runs none: each sub-conjunction it asks was decided at
-    its own, smaller size, so a candidate holding a passing one is refuted
-    with no search.
+    chosen variable at its solved value, and every candidate is valid by
+    construction.  AC1 is then the same for every candidate, the effect
+    holding, and is asked once.  AC3 runs no search: a candidate fails it
+    exactly when its variables hold those of a cause already found.  When
+    some strict sub-conjunction has a witness, a minimal one does too, and
+    sizes go up, so that one was found.
     """
     if max_conjuncts < 1:
         raise FormulaError("max_conjuncts must be at least 1")
@@ -680,16 +676,17 @@ def find_all_causes(
     search = CauseSearch(engine, effect, max_search=max_search)
     actual = engine.actual
     found: list[CandidateCause] = []
+    if not search.ac1(()):
+        return found
     for size in range(1, min(max_conjuncts, len(engine.endo)) + 1):
         for names in itertools.combinations(engine.endo, size):
             conjuncts = tuple(
                 PrimitiveEvent(n, actual[engine.index[n]]) for n in names
             )
-            if not search.ac1(conjuncts):
-                continue
             # budget_for(S) <= max over b in S of budget_for({b}), each searched
             # at size 1, so no search skipped here could go over the budget.
-            if not search.ac3(conjuncts):
+            chosen = set(names)
+            if any(chosen.issuperset(cause.variables()) for cause in found):
                 continue
             if not search.has_witness(conjuncts):
                 continue

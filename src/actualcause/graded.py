@@ -8,10 +8,10 @@ this module supplies the order.  Candidates are then graded by their
 maximally normal witnesses.
 
 A grading decides every candidate on one search, so the candidates share one
-solve memo, one AC2(b) memo, one witness filter and its decisions.  Each query
-wraps the order in a ``_QueryOrder``, which reads each distinct world's marks
-once; covering asks only the weak relation (``admits``).  Nothing outlives
-the call.
+solve memo, one AC2(b) memo and one witness filter.  Each query wraps the
+order in a ``_QueryOrder``, which reads each distinct world's marks once;
+covering asks only the weak relation (``admits``).  Nothing outlives the
+call.
 """
 
 from __future__ import annotations

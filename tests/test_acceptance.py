@@ -182,6 +182,13 @@ def test_criterion_4_isomorphism_discrimination():
         # Flipping F's values as well no longer carries F's equation across.
         assert not equation_isomorphism(fire.model, bogus.model, variable_map,
                                         {**value_maps, "F": flip})
+        # Nor does a map that pairs an exogenous with an endogenous variable,
+        # or whose values miss either variable's range.
+        swapped = {**variable_map, "UL": "A", "L": "UA"}
+        assert not equation_isomorphism(fire.model, bogus.model, swapped, value_maps)
+        for short in ({0: 1}, {0: 1, 1: 1}):
+            assert not equation_isomorphism(fire.model, bogus.model, variable_map,
+                                            {**value_maps, "L": short})
         fire_ctx = fire.contexts["u11"]
         bogus_ctx = {variable_map[n]: value_maps[n][v]
                      for n, v in fire_ctx.items()}

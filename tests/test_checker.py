@@ -11,6 +11,7 @@ from actualcause import (
     CausalModel,
     Const,
     Equation,
+    ExtendedCausalModel,
     FormulaError,
     Ite,
     Negation,
@@ -23,13 +24,17 @@ from actualcause import (
     check_ac2,
     enumerate_witnesses,
     find_all_causes,
+    grade_candidates,
     intervene,
     is_actual_cause,
+    is_extended_cause,
     solve,
 )
 from actualcause import checker, model as model_module
 from actualcause.checker import CauseSearch, Engine
+from actualcause.dsl import parse_document
 from actualcause.formula import evaluate
+from actualcause.oracle import oracle_is_cause
 
 from random_models import all_contexts, random_model
 
@@ -98,18 +103,27 @@ def test_ac2_rejects_overlapping_contingency(documents):
      "UM is exogenous; a contingency needs an endogenous variable"),
     (event("L", 1), {"w_values": (5,)}, "value 5 outside the range of M"),
     (event("L", 1), {"x_prime": (2,)}, "value 2 outside the range of L"),
+    (event("L", 1), {"w_set": ("M", "M"), "w_values": (0, 0)},
+     "contingency set repeats a variable"),
+    (event("L", 1), {"w_values": (0, 0)}, "mismatched setting lengths"),
 ], ids=["undeclared", "exogenous", "out-of-range", "exogenous-contingency",
-        "contingency-value", "alternative-value"])
+        "contingency-value", "alternative-value", "repeated-contingency",
+        "mismatched-lengths"])
 def test_ill_formed_candidates_and_settings_are_rejected(documents, cause, setting, message):
-    # Every entry point checks the candidate cause, also when AC1 fails on it.
+    # Every entry point checks the candidate cause where it enters, also when
+    # AC1 fails on it; the search takes it as valid.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     model, context, effect = doc.model, doc.contexts["u11"], event("F", 1)
+    ext = ExtendedCausalModel(model, doc.normality_order())
     settings = {"w_set": ("M",), "w_values": (0,), "x_prime": (0,), **setting}
     calls = [lambda: check_ac2(model, context, cand(cause), effect, **settings)]
     if not setting:
         calls += [lambda: is_actual_cause(model, context, cand(cause), effect),
                   lambda: check_ac1(model, context, cand(cause), effect),
-                  lambda: enumerate_witnesses(model, context, cand(cause), effect)]
+                  lambda: enumerate_witnesses(model, context, cand(cause), effect),
+                  lambda: is_extended_cause(ext, context, cand(cause), effect),
+                  lambda: grade_candidates(ext, context, [cand(event("L", 1)), cand(cause)],
+                                           effect)]
     for call in calls:
         with pytest.raises(FormulaError) as excinfo:
             call()
@@ -183,6 +197,30 @@ def test_ac2_subset_sensitivity_gun_model():
     # And A=1 has no passing contingency at all in this context.
     assert not is_actual_cause(model, context, cand(event("A", 1)),
                                event("D", 1)).is_cause
+
+
+def test_ac2b_fails_only_where_it_reimposes_the_whole_effect():
+    # The effect reads F and G; the contingency pins G at 0, off its actual 1.
+    # Of AC2(b)'s sub-assignments only the one that re-imposes both effect
+    # variables, F at its actual 1 and G at its pinned 0, falsifies the
+    # effect, so that solve decides the clause: its re-imposed effect values
+    # are not all actual ones.
+    doc = parse_document(
+        "exo U : {0,1}\n"
+        "var X : {0,1} = U\n"
+        "var G : {0,1} = X\n"
+        "var F : {0,1} = ite(G == 0, 1 - X, 1)\n"
+        "context c : U=1\n"
+        "cause X=1 for (F=1 & G=1) | (F=0 & G=0) @ c\n")
+    model, context = doc.model, doc.contexts["c"]
+    cause, effect = doc.queries[0].cause, doc.queries[0].effect
+    assert check_ac2(model, context, cause, effect, ("G",), (0,), (0,)) is False
+    assert not _direct_ac2(model, context, cause.conjuncts, effect, ("G",), (0,), (0,))
+    assert [(r.w_set, r.w_values, r.x_prime)
+            for r in enumerate_witnesses(model, context, cause, effect)] \
+        == [((), (), (0,)), (("F",), (1,), (0,))]
+    assert is_actual_cause(model, context, cause, effect).is_cause
+    assert oracle_is_cause(model, context, cause.conjuncts, effect)
 
 
 def test_ac2_matches_direct_expansion_on_random_models():
@@ -470,6 +508,8 @@ def test_candidate_cause_invariants():
 
 
 def test_witness_memo_keeps_filtered_and_plain_decisions_apart(documents):
+    # One search answers the plain and the filtered question alike in either
+    # order: it keeps no decision of one to serve the other.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     conjuncts = (event("L", 1),)
 
@@ -504,16 +544,14 @@ def _count_lookups(monkeypatch):
 
 
 def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
-    # Guards the witness-decision memo, the AC2(b) restriction and the
-    # refutation by monotonicity: without the memo AC3 re-decides the single
-    # conjuncts (88 counterfactual lookups), without the restriction AC2(b)
-    # solves no-op re-impositions (86 lookups, 46 distinct solves), and
-    # without the refutation the unlit source and the pairs holding it are
-    # searched in full (70 lookups, 44 distinct solves).  The search before
-    # all three: 91 lookups, 46 distinct solves.  Those counts come from a
-    # sweep that searched each pair before asking AC3 (53 lookups, 36
-    # distinct solves with all three); asking AC3 first refutes the pair
-    # {L=1, M=1} under u11 without a search.
+    # Guards the sweep's subset rule, the AC2(b) restriction and the
+    # refutation by monotonicity, each taken out alone: a sweep deciding AC3
+    # by searching the single conjuncts again makes 34 counterfactual
+    # lookups; without the restriction AC2(b) solves no-op re-impositions
+    # (34 lookups, 24 distinct solves); without the refutation the unlit
+    # source is searched in full (28 lookups, 22 distinct solves).  Without
+    # all three: 49 lookups, 27 distinct solves.  Every pair holds a cause
+    # found at size 1, so the subset rule refutes it without a search.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     counts = _count_lookups(monkeypatch)
     found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
@@ -553,8 +591,8 @@ def test_wide_sweeps_refute_larger_candidates_without_a_search(kind, monkeypatch
     # Each lit source passes alone, so every larger candidate holding one, or
     # holding F, fails AC3; monotonicity refutes the unlit sources, and any
     # set of them, without a lookup.
-    # Asked before the candidate's own search, AC3 reads the decisions of
-    # size 1, so sizes 2 and 3 look up no more counterfactuals than size 1.
+    # AC3 is read off the causes found at size 1, so sizes 2 and 3 look up
+    # no more counterfactuals than size 1.
     model, context = _wide_model(kind)
     counts = _count_lookups(monkeypatch)
     lookups = {}

@@ -387,14 +387,19 @@ def test_a_context_flag_must_agree_with_the_query(argv):
     assert run([command, path, query, "--context", "u11"]) == run([command, path, query])
 
 
-@pytest.mark.parametrize("budget", ["-1", "--max-search=-5"])
-def test_a_negative_search_budget_is_a_usage_error(budget, capsys):
+@pytest.mark.parametrize("budget, fault", [
+    ("-1", "must be at least 0"),
+    ("--max-search=-5", "must be at least 0"),
+    ("abc", "invalid int value: 'abc'"),
+], ids=["-1", "--max-search=-5", "abc"])
+def test_a_negative_search_budget_is_a_usage_error(budget, fault, capsys):
+    # A budget that is not a count of 0 or more, negative or not a number.
     flag = [budget] if budget.startswith("--") else ["--max-search", budget]
     code, out, _ = run(["check", fx("poisoning.scm.txt"), "cause A=1 for D=1 @ u11", *flag])
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("usage: actualcause check ")
-    assert "argument --max-search: must be at least 0" in err
+    assert f"argument --max-search: {fault}" in err
     code, _, err = run(["check", fx("poisoning.scm.txt"), "cause A=1 for D=1 @ u11",
                         "--max-search", "0"])
     assert code == 2 and "budget allows 0" in err

@@ -4,6 +4,8 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 from actualcause import (
     CandidateCause,
     ExtendedCausalModel,
@@ -19,9 +21,9 @@ from actualcause import (
     solve,
 )
 from actualcause import checker, normality
-from actualcause.dsl import GradeQuery
+from actualcause.dsl import GradeQuery, parse_document
 from actualcause.errors import OracleCapExceeded
-from actualcause.oracle import oracle_is_extended_cause
+from actualcause.oracle import oracle_is_cause, oracle_is_extended_cause
 
 from random_models import all_contexts, random_model, random_typicality
 
@@ -188,6 +190,9 @@ def test_chain_grading(documents):
     assert result.pairs[0].relation == "first_above"
     assert result.relation(cand(event("M", 1)), cand(event("LL", 1))) \
         == "second_above"
+    assert result.verdict_for(cand(event("M", 1))) is result.verdicts[1]
+    with pytest.raises(KeyError):
+        result.verdict_for(cand(event("ES", 1)))
 
 
 def test_candidate_grades_equal_to_itself(documents):
@@ -196,6 +201,32 @@ def test_candidate_grades_equal_to_itself(documents):
                               [cand(event("PT", 1)), cand(event("PT", 1))],
                               event("PO", 1))
     assert result.pairs[0].relation == "equal"
+
+
+def test_extended_minimality_asks_the_filtered_test():
+    # V1=1 passes the plain test alone, so the pair fails plain AC3; but its
+    # witness worlds all set V1 to the atypical 0, so under the normality
+    # filter V1=1 has no witness, the pair is minimal, and it is an extended
+    # cause.
+    doc = parse_document(
+        "exo U : {0,1}\n"
+        "var V0 : {0,1} = U\n"
+        "var V1 : {0,1} = 1 - V0\n"
+        "var V2 : {0,1} = V0\n"
+        "typical V1 = 1 > 0\n"
+        "context c : U=0\n"
+        "cause V1=1 & V2=0 for V1=1 & (V0=0 | V2=0) @ c\n")
+    ext, context = ext_of(doc), doc.contexts["c"]
+    query = doc.queries[0]
+    single = is_extended_cause(ext, context, cand(event("V1", 1)), query.effect)
+    assert single.is_cause_hp and not single.is_cause_extended
+    verdict = is_extended_cause(ext, context, query.cause, query.effect)
+    assert (verdict.is_cause_hp, verdict.is_cause_extended, verdict.ac3) == (False, True, True)
+    assert [(r.w_set, r.w_values, r.x_prime) for r in verdict.admissible_witnesses] \
+        == [(("V0",), (1,), (1, 1))]
+    conjuncts = query.cause.conjuncts
+    assert not oracle_is_cause(doc.model, context, conjuncts, query.effect)
+    assert oracle_is_extended_cause(ext, context, conjuncts, query.effect)
 
 
 def test_non_cause_ranks_below_causes(documents):

@@ -261,6 +261,9 @@ def test_explicit_transitivity(documents):
     c = {"H": 1, "W": 1, "D": 0}
     order = explicit_order(model, [(a, ">", b), (b, ">", c)])
     assert compare(order, model.world(a), model.world(c)) is Relation.MORE_NORMAL
+    # Worlds are taken as they are, and mappings as worlds.
+    worlds = explicit_order(model, [(model.world(a), ">", b), (model.world(b), ">", c)])
+    assert compare(worlds, model.world(a), model.world(c)) is Relation.MORE_NORMAL
 
 
 def test_explicit_strictness_violation(documents):

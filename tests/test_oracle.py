@@ -4,7 +4,10 @@ import pytest
 
 from actualcause import (
     CandidateCause,
+    Conjunction,
+    Disjunction,
     ExtendedCausalModel,
+    Negation,
     OracleCapExceeded,
     PrimitiveEvent,
     is_actual_cause,
@@ -108,8 +111,8 @@ def test_sweep_matches_oracle_on_poisoning(documents):
 
 
 def test_sweep_matches_oracle_on_random_models():
-    # Pairs reuse the single-conjunct decisions of the sweep for AC3, so the
-    # sweep is checked against the reference over every context.
+    # Pairs read AC3 off the single conjuncts the sweep found, so the sweep
+    # is checked against the reference over every context.
     import itertools
     import random
 
@@ -184,3 +187,44 @@ def test_oracle_agrees_on_small_fixtures(documents):
                                                  effect).is_cause
                     assert main_ext == oracle_is_extended_cause(
                         ext, context, candidate, effect), (filename, name, value)
+
+
+def _negated(body):
+    """Whether the effect holds a negation anywhere."""
+    if isinstance(body, Negation):
+        return True
+    return isinstance(body, (Conjunction, Disjunction)) and any(map(_negated, body.operands))
+
+
+def test_sweep_and_extended_verdicts_match_oracle_on_compound_effects():
+    # Random effects join events with & and |, some negated, so the sweep's
+    # subset rule and the extended verdicts meet effects that the last
+    # variable's actual event never gives, and the oracle its negation branch.
+    import itertools
+    import random
+
+    from actualcause import derive_from_typicality, find_all_causes, solve
+    from random_models import all_contexts, random_effect, random_model, random_typicality
+
+    rng = random.Random(606)
+    negated = 0
+    for _ in range(60):
+        model = random_model(rng)
+        ext = ExtendedCausalModel(model, derive_from_typicality(
+            model, random_typicality(rng, model)))
+        for context in all_contexts(model):
+            actual = solve(model, context)
+            effect = random_effect(rng, model, actual)
+            negated += _negated(effect)
+            candidates = [tuple(event(n, actual[n]) for n in names)
+                          for size in (1, 2)
+                          for names in itertools.combinations(model.endogenous, size)]
+            swept = [c.conjuncts for c in find_all_causes(model, context, effect,
+                                                          max_conjuncts=2)]
+            assert swept == [c for c in candidates
+                             if oracle_is_cause(model, context, c, effect)], (context, effect)
+            for conjuncts in candidates:
+                got = is_extended_cause(ext, context, cand(*conjuncts), effect).is_cause
+                assert got == oracle_is_extended_cause(ext, context, conjuncts, effect), (
+                    conjuncts, context, effect)
+    assert negated

@@ -578,8 +578,8 @@ def _sweep_searching_first(model, context, effect, max_conjuncts, max_search):
 @given(SEEDS)
 @settings(max_examples=150, deadline=None)
 def test_sweep_keeps_its_causes_and_its_budget_whatever_the_clause_order(seed):
-    # The sweep asks AC3 before a candidate's own search, so it skips the
-    # searches of candidates a sub-conjunction refutes.  No skipped search
+    # The sweep reads AC3 off the causes it already found, so it skips the
+    # searches of candidates holding one of them.  No skipped search
     # would have gone over the budget: size 1 searches every singleton when
     # the effect holds, and no set needs more than its widest singleton.  Half
     # the draws take that singleton's budget, the least that size 1 passes.
