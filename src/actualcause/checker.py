@@ -57,9 +57,11 @@ moves no effect variable: a setting passes AC2(a) with an alternative, and
 AC2(b), exactly when its relevant part does.  Sets are visited by size, so a
 relevant pin set is decided before any set that adds irrelevant pins to it.
 If none of its settings passed, it is dead and those sets are skipped
-without a solve; otherwise they solve the full pin vector only for the
-alternatives that passed, to give each record its world, which the witness
-filter sees.
+without a solve; otherwise they take the alternatives that passed without
+evaluating the effect, and build only each record's world, which the witness
+filter sees.  When the reach masks leave no variable below a pin or the
+candidate unpinned, that world is the actual one with the pins and x' laid
+over it: no plan, no solve and no cache entry.
 
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
@@ -74,6 +76,7 @@ bookkeeping is unchanged.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DEFAULT_SEARCH_BUDGET, FormulaError, SearchBudgetExceeded
@@ -119,6 +122,16 @@ class WitnessRecord(Record):
         _set(self, "w_values", w_values)
         _set(self, "x_prime", x_prime)
         _set(self, "world", world)
+
+
+def _witness(w_set: tuple[str, ...], w_values: tuple[int, ...], x_prime: tuple[int, ...],
+             variables: tuple[str, ...], values: tuple[int, ...]) -> WitnessRecord:
+    """The witness record of values the search built, one per record it
+    yields; its world skips ``World``'s length check, which they pass."""
+    world = object.__new__(World)
+    _set(world, "variables", variables)
+    _set(world, "values", values)
+    return WitnessRecord(w_set, w_values, x_prime, world)
 
 
 class CauseVerdict(Record):
@@ -327,29 +340,25 @@ class CauseSearch:
         relevant, signs = _relevance_and_signs(model, x_vars, self._effect_vars)
         if all(signs[name] == 0 for name in self._effect_vars):
             return  # no candidate variable reaches the effect
-        preserved = {0: False, 1: _preserved(model, self.effect, signs, 1),
-                     -1: _preserved(model, self.effect, signs, -1)}
-        alternatives = [
-            combo
-            for combo in itertools.product(*(model.range_of(v) for v in x_vars))
-            if combo != actual_x and not preserved[_shift(actual_x, combo)]
-        ]
+        combos = [combo for combo in itertools.product(*(model.range_of(v) for v in x_vars))
+                  if combo != actual_x]
+        shifts = [_shift(actual_x, combo) for combo in combos]
+        preserved = {s: s != 0 and _preserved(model, self.effect, signs, s) for s in set(shifts)}
+        alternatives = [combo for combo, s in zip(combos, shifts) if not preserved[s]]
         if not alternatives:
             return
-        index = engine.index
+        index, reach, endo = engine.index, engine.reach, engine.endo
         x_positions = [index[v] for v in x_vars]
         x_mask = sum(1 << i for i in x_positions)
         x_key = engine.key({c.variable: c.value for c in conjuncts})
-        rest = tuple(n for n in engine.endo if n not in x_vars)
+        rest = tuple(n for n in endo if n not in x_vars)
         bits = {n: 1 << index[n] for n in rest}
         ranges = {n: model.range_of(n) for n in rest}
         phi = self._phi
         solve = engine.solve_tuple
-        # ``live`` holds the relevant pin sets where a setting passed;
-        # ``decided``, the passing alternatives of each passing relevant
-        # setting by its (mask, values).
-        decided: dict[tuple, list] = {}
-        live: set[int] = set()
+        # The passing alternatives of each passing setting of a relevant pin
+        # set, by the set's mask, then by the setting's values.
+        passed: dict[int, dict[tuple, list]] = {}
         effect_mask = self._effect_mask
         for size in range(len(rest) + 1):
             for w_vars in itertools.combinations(rest, size):
@@ -357,40 +366,52 @@ class CauseSearch:
                 if w_mask & effect_mask == effect_mask:
                     continue  # AC2(a) and AC2(b) would read the same effect
                 w_positions = [index[v] for v in w_vars]
-                pure = w_mask & relevant == w_mask
-                if not pure:
-                    if w_mask & relevant not in live:
+                settings = itertools.product(*map(ranges.__getitem__, w_vars))
+                pinned = x_mask | w_mask
+                if w_mask & relevant != w_mask:
+                    decided = passed.get(w_mask & relevant)
+                    if decided is None:
                         continue  # every setting of its relevant part fails
+                    # Pins off the relevant set move no effect variable, so the
+                    # relevant part's passing alternatives pass here unasked.
+                    # ``overlay`` lays the pins and x' over ``base``: the actual
+                    # world, which is the witness when no variable below a pin
+                    # is left unpinned, or else the pin vector to solve.
                     kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
-                plan = engine.plan(x_mask | w_mask)
-                for w_values in itertools.product(*map(ranges.__getitem__, w_vars)):
+                    source = list(range(len(endo)))
+                    below = 0
+                    for k, i in enumerate(w_positions + x_positions):
+                        source[i] = len(endo) + k
+                        below |= reach[i]
+                    overlay = operator.itemgetter(*source)
+                    plan = engine.plan(pinned) if below & ~pinned else None
+                    base = engine.actual if plan is None else (None,) * len(endo)
+                    for w_values in settings:
+                        tried = decided.get(tuple(map(w_values.__getitem__, kept)))
+                        if tried:
+                            head = base + w_values
+                            for alt in tried:
+                                values = overlay(head + alt)
+                                if plan is not None:
+                                    values = solve(values, plan)
+                                yield _witness(w_vars, w_values, alt, endo, values)
+                    continue
+                plan = engine.plan(pinned)
+                for w_values in settings:
                     key = list(x_key)
                     for i, value in zip(w_positions, w_values):
                         key[i] = value
-                    if pure:
-                        tried = alternatives
-                    else:
-                        # Pins off the relevant set move no effect variable,
-                        # so the relevant part's passing alternatives pass here.
-                        tried = decided.get(
-                            (w_mask & relevant, tuple(w_values[k] for k in kept)), ())
                     falsifying = []
-                    for alt in tried:
+                    for alt in alternatives:
                         for i, value in zip(x_positions, alt):
                             key[i] = value
                         witness = solve(tuple(key), plan)
                         if not phi(witness):
                             falsifying.append((alt, witness))
-                    if not falsifying:
-                        continue
-                    if pure:
-                        if not self.ac2b(x_key, w_positions, w_values):
-                            continue
-                        live.add(w_mask)
-                        decided[w_mask, w_values] = [alt for alt, _ in falsifying]
-                    for alt, witness in falsifying:
-                        yield WitnessRecord(w_set=w_vars, w_values=w_values, x_prime=alt,
-                                            world=engine.world(witness))
+                    if falsifying and self.ac2b(x_key, w_positions, w_values):
+                        passed.setdefault(w_mask, {})[w_values] = [alt for alt, _ in falsifying]
+                        for alt, witness in falsifying:
+                            yield _witness(w_vars, w_values, alt, endo, witness)
 
     def ac3(self, conjuncts: Sequence[PrimitiveEvent],
             witness_filter: _WitnessFilter = None) -> bool:
@@ -597,16 +618,17 @@ def _verdicts(
         hp_witnesses = tuple(search.enumerate(conjuncts))
         ac3_hp = search.ac3(conjuncts)
         is_hp = bool(ac1 and hp_witnesses and ac3_hp)
+        values = list(map(operator.attrgetter("world.values"), hp_witnesses))
         if order is None:
             admissible, ac3, is_extended = hp_witnesses, ac3_hp, None
-            best = tuple(
-                engine.world(v) for v in sorted({r.world.values for r in hp_witnesses})
-            )
+            best = tuple(map(engine.world, sorted(set(values))))
         else:
-            admissible = tuple(r for r in hp_witnesses if admits(r.world))
+            admitted_worlds = [w for w in map(engine.world, set(values)) if admits(w)]
+            kept = {w.values for w in admitted_worlds}
+            admissible = tuple(itertools.compress(hp_witnesses, map(kept.__contains__, values)))
             ac3 = search.ac3(conjuncts, admits)
             is_extended = bool(ac1 and admissible and ac3)
-            best = best_witnesses(order, (r.world for r in admissible))
+            best = best_witnesses(order, admitted_worlds)
         if not ac1:
             failed = "AC1"
         elif not admissible:

@@ -1,5 +1,6 @@
 """Random models, contexts and typicality declarations for the tests, and
-the reference walker of equation bodies they are checked against.
+the reference walkers of equation bodies and of witness records they are
+checked against.
 
 A plain module rather than ``conftest``: the benchmark's tests have a
 ``conftest`` of their own, and both suites run in one session.
@@ -27,7 +28,10 @@ from actualcause import (
     TypicalitySpec,
     ValueRanking,
     Variable,
+    WitnessRecord,
+    evaluate,
 )
+from actualcause.checker import Engine
 
 
 def tree_value(expr, env) -> int:
@@ -214,3 +218,55 @@ def random_typicality(rng: random.Random, model: CausalModel) -> TypicalitySpec:
     return TypicalitySpec(
         value_rankings=tuple(rankings), severity_chains=tuple(chains)
     )
+
+
+def shuffled_ranges(rng: random.Random, model: CausalModel) -> CausalModel:
+    """The model with every variable's range declared in a random order."""
+    return CausalModel(
+        [Variable(v.name, v.kind, tuple(rng.sample(v.range, len(v.range))))
+         for v in model.variables],
+        model.equations.values(),
+    )
+
+
+def exhaustive_witnesses(model, context, conjuncts, effect):
+    """Every witness record, in the search's order, from a walk that solves
+    every setting of every contingency set and alternative, and decides
+    AC2(b) over every subset of the variables off the candidate, once per
+    designated vector."""
+    engine = Engine(model, context)
+    actual = engine.actual_world()
+    if not all(actual[c.variable] == c.value for c in conjuncts) \
+            or not evaluate(effect, actual):
+        return []
+    x_vars = [c.variable for c in conjuncts]
+    x_actual = {c.variable: c.value for c in conjuncts}
+    rest = [n for n in model.endogenous if n not in x_vars]
+
+    def solved(assignment):
+        return engine.world(engine.solve_tuple(engine.key(assignment)))
+
+    ac2b = {}
+
+    def passes_ac2b(pins):
+        designated = tuple(pins.get(n, actual[n]) for n in rest)
+        if designated not in ac2b:
+            ac2b[designated] = all(
+                evaluate(effect, solved({**x_actual, **{rest[i]: designated[i] for i in subset}}))
+                for k in range(len(rest) + 1)
+                for subset in itertools.combinations(range(len(rest)), k)
+            )
+        return ac2b[designated]
+
+    records = []
+    for size in range(len(rest) + 1):
+        for w_vars in itertools.combinations(rest, size):
+            for w_values in itertools.product(*(model.range_of(v) for v in w_vars)):
+                pins = dict(zip(w_vars, w_values))
+                for alt in itertools.product(*(model.range_of(v) for v in x_vars)):
+                    if alt == tuple(x_actual.values()):
+                        continue
+                    world = solved({**dict(zip(x_vars, alt)), **pins})
+                    if not evaluate(effect, world) and passes_ac2b(pins):
+                        records.append(WitnessRecord(w_vars, w_values, alt, world))
+    return records

@@ -1,7 +1,9 @@
 """Clause checks, witness enumeration, verdicts, and the candidate sweep."""
 
 import itertools
+import os
 import random
+import sys
 
 import pytest
 
@@ -19,9 +21,13 @@ from actualcause import (
     Ref,
     SearchBudgetExceeded,
     Table,
+    TypicalitySpec,
+    ValueRanking,
     Variable,
+    World,
     check_ac1,
     check_ac2,
+    derive_from_typicality,
     enumerate_witnesses,
     find_all_causes,
     grade_candidates,
@@ -36,7 +42,7 @@ from actualcause.dsl import parse_document
 from actualcause.formula import evaluate
 from actualcause.oracle import oracle_is_cause
 
-from random_models import all_contexts, random_model
+from random_models import all_contexts, exhaustive_witnesses, random_model
 
 
 def event(name, value):
@@ -757,3 +763,102 @@ def test_refutation_follows_a_non_increasing_edge():
     # A negation is never taken as kept: !(F=0) is F=1 here, which raising A
     # can break.
     assert not checker._preserved(model, Negation(event("F", 0)), signs, 1)
+
+
+def _typical_lights(n=8):
+    """The shape of the benchmark's disjunctive-typical family: n lit
+    sources, F their max, every variable typically 0, and a severity chain
+    over the first two sources."""
+    model, context = _wide_model("disjunctive", n, on=n)
+    spec = TypicalitySpec(tuple(ValueRanking(name, (0, 1)) for name in model.endogenous),
+                          ((("L0", 1), ("L1", 1)),))
+    return ExtendedCausalModel(model, derive_from_typicality(model, spec)), context
+
+
+def test_pins_off_the_relevant_set_are_neither_tested_nor_solved(monkeypatch):
+    # F=1 for F=1: the candidate holds F, so no light is relevant and every
+    # set of lights adds irrelevant pins to the empty set, the one set
+    # decided.  Its 3^8 settings all pass unasked: the effect is evaluated
+    # only on worlds with every light lit, and since F is pinned no light
+    # has an unpinned descendant, so no lookup pins a light.
+    ext, context = _typical_lights()
+    model = ext.base
+    lights = [model.endo_index(f"L{p}") for p in range(8)]
+    tested, keys = [], []
+    compile_body, solve_tuple = checker.compile_body, Engine.solve_tuple
+
+    def recording_compile_body(model, body):
+        phi = compile_body(model, body)
+
+        def recording_phi(values):
+            tested.append(values)
+            return phi(values)
+        return recording_phi
+
+    def recording_solve_tuple(engine, key, *args):
+        keys.append(key)
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(checker, "compile_body", recording_compile_body)
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    verdict = is_extended_cause(ext, context, cand(event("F", 1)), event("F", 1))
+    assert verdict.is_cause and len(verdict.hp_witnesses) == 3 ** 8
+    assert verdict.admissible_witnesses == verdict.hp_witnesses
+    assert verdict.best_witnesses == (World(model.endogenous, (0,) * 9),)
+    assert tested and all(values[i] == 1 for values in tested for i in lights)
+    assert keys and all(key[i] is None for key in keys for i in lights)
+    monkeypatch.undo()
+    assert list(verdict.hp_witnesses) == exhaustive_witnesses(
+        model, context, (event("F", 1),), event("F", 1))
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="bytecode counts are those of CPython 3.11")
+def test_an_output_bound_query_runs_few_bytecodes_per_record():
+    # Every bytecode the package runs for the 6,561 records above, the
+    # filter and the best-witness pass included: 468 per record when each
+    # setting was solved and tested, about 184 once they are laid over the
+    # actual world unasked.
+    ext, context = _typical_lights()
+    package = os.path.dirname(checker.__file__) + os.sep
+    count = 0
+
+    def count_opcodes(frame, kind, arg):
+        nonlocal count
+        count += kind == "opcode"
+        return count_opcodes
+
+    def trace(frame, kind, arg):
+        if frame.f_code.co_filename.startswith(package):
+            frame.f_trace_opcodes = True
+            return count_opcodes
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        verdict = is_extended_cause(ext, context, cand(event("F", 1)), event("F", 1))
+    finally:
+        sys.settrace(previous)
+    assert len(verdict.hp_witnesses) == 3 ** 8
+    assert count <= 234 * 3 ** 8
+
+
+def test_each_direction_of_the_alternatives_is_checked_once(monkeypatch):
+    # A binary candidate has one alternative, so one direction to refute.  A
+    # pair at (1, 0) has three: one down, one up, and one mixed, which no
+    # monotonicity refutes and so is not checked.
+    calls = []
+    preserved = checker._preserved
+
+    def recording_preserved(model, body, signs, s):
+        calls.append(s)
+        return preserved(model, body, signs, s)
+
+    monkeypatch.setattr(checker, "_preserved", recording_preserved)
+    model, context = _wide_model("disjunctive")
+    is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1))
+    assert calls == [-1]
+    calls.clear()
+    enumerate_witnesses(model, context, cand(event("L0", 1), event("L1", 0)), event("F", 1))
+    assert sorted(calls) == [-1, 1]

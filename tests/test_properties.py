@@ -42,12 +42,14 @@ from actualcause.model import (
 from random_models import (
     EXPRESSION_RANGES,
     all_contexts,
+    exhaustive_witnesses,
     expression_model,
     random_effect,
     random_expression,
     random_model,
     random_monotone_model,
     random_typicality,
+    shuffled_ranges,
     tree_value,
 )
 
@@ -477,55 +479,24 @@ def test_one_reach_pass_gives_the_relevance_and_the_effect_signs(seed):
 # -- the witness search against an exhaustive walk ---------------------------------
 
 
-def _exhaustive_witnesses(model, context, conjuncts, effect):
-    """Every witness record, in the search's order, from a walk that solves
-    every setting of every contingency set and alternative, and decides
-    AC2(b) over every subset of the variables off the candidate."""
-    engine = Engine(model, context)
-    actual = engine.actual_world()
-    if not all(actual[c.variable] == c.value for c in conjuncts) \
-            or not evaluate(effect, actual):
-        return []
-    x_vars = [c.variable for c in conjuncts]
-    x_actual = {c.variable: c.value for c in conjuncts}
-    rest = [n for n in model.endogenous if n not in x_vars]
-
-    def solved(assignment):
-        return engine.world(engine.solve_tuple(engine.key(assignment)))
-
-    def ac2b(pins):
-        designated = {n: pins.get(n, actual[n]) for n in rest}
-        return all(
-            evaluate(effect, solved({**x_actual, **{n: designated[n] for n in subset}}))
-            for k in range(len(rest) + 1)
-            for subset in itertools.combinations(rest, k)
-        )
-
-    records = []
-    for size in range(len(rest) + 1):
-        for w_vars in itertools.combinations(rest, size):
-            for w_values in itertools.product(*(model.range_of(v) for v in w_vars)):
-                pins = dict(zip(w_vars, w_values))
-                for alt in itertools.product(*(model.range_of(v) for v in x_vars)):
-                    if alt == tuple(x_actual.values()):
-                        continue
-                    world = solved({**dict(zip(x_vars, alt)), **pins})
-                    if not evaluate(effect, world) and ac2b(pins):
-                        records.append(checker.WitnessRecord(w_vars, w_values, alt, world))
-    return records
-
-
 @given(SEEDS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_witness_search_equals_an_exhaustive_walk(seed):
     # The search decides each setting on its pins that can reach the effect,
     # skips the settings whose relevant part fails, and skips every set that
-    # pins all the effect's variables; the walk skips none.  A third of the
-    # effects are one event, a third one negated event that holds, and the
-    # rest mostly compound.  In half the draws the candidate avoids the
-    # effect's variables, so that a set can pin all of them.
+    # pins all the effect's variables; a set adding pins off the relevant set
+    # takes its relevant part's alternatives unasked, and one whose pins
+    # leave no variable below them unpinned is laid over the actual world
+    # unsolved.  The walk skips none.  A third of the effects are one event,
+    # a third one negated event that holds, and the rest mostly compound.
+    # Half the models declare their ranges out of order.  The candidate
+    # avoids the effect's variables in a third of the draws, so that a set
+    # can pin all of them; in another third it holds every one, so that no
+    # pin is relevant and every non-empty set adds pins to the empty one.
     rng = random.Random(seed)
     model = rng.choice((random_model, random_monotone_model))(rng, 7, min_endo=6)
+    if rng.random() < 0.5:
+        model = shuffled_ranges(rng, model)
     context = rng.choice(list(all_contexts(model)))
     actual = solve(model, context)
     shape = rng.randrange(3)
@@ -537,11 +508,17 @@ def test_witness_search_equals_an_exhaustive_walk(seed):
         effect = Negation(PrimitiveEvent(name, rng.choice(others)))
     else:
         effect = random_effect(rng, model, actual)
-    outside = [n for n in model.endogenous if n not in checker._event_variables(effect)]
-    pool = outside if outside and rng.random() < 0.5 else model.endogenous
-    names = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    inside = sorted(checker._event_variables(effect))
+    outside = [n for n in model.endogenous if n not in inside]
+    draw = rng.randrange(3)
+    if draw == 0 and outside:
+        names = rng.sample(outside, rng.randint(1, min(3, len(outside))))
+    elif draw == 1 and len(inside) <= 3:
+        names = inside + rng.sample(outside, rng.randint(0, min(3 - len(inside), len(outside))))
+    else:
+        names = rng.sample(model.endogenous, rng.randint(1, 3))
     conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
-    expected = _exhaustive_witnesses(model, context, conjuncts, effect)
+    expected = exhaustive_witnesses(model, context, conjuncts, effect)
     assert enumerate_witnesses(model, context, conjuncts, effect) == expected
     salt = rng.randrange(3)
 
