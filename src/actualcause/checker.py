@@ -32,21 +32,21 @@ share its AC2(b) memo.  Both tests assemble their verdicts in one place,
 filter is one closure per call that asks the order once per distinct witness
 world; that memo, like the search's, lives as long as the call.
 
-Before the search, one pass over the references finds relevance and signs.
-An equation's direction in a parent is 0, +1 or -1 when it is constant,
-non-decreasing or non-increasing in that parent, and None when it is mixed,
-or unknown past ``model.DIRECTION_CAP`` combinations of its references.  A
-variable is relevant when a path of references of direction other than 0
-leads from it to an effect variable without passing through a candidate
-variable X.  Signs then go in topological order: +1 on X; on a relevant
-variable, the common value of direction times sign over its parents of
-non-zero sign, None when two disagree or a direction is None; 0 elsewhere.
-That is exact where signs are read, on the effect variables: each is in X or
-relevant, and so is every parent of a relevant variable with a non-zero
-direction.  Take an alternative x' >= x componentwise (s = +1) or x' <= x
-(s = -1), x the candidate's actual values.  When the effect is built from
-events with & and | alone, and each event Y=v has sign 0, or sign times s =
-+1 with v the top of Y's range, or -1 with v its bottom, then the effect
+Before the search, one backward pass per effect variable Y, up its
+references and stopping at the candidate's variables X, gives Y's sign with
+respect to each variable v it reaches.  An equation's direction in a parent
+is 0, +1 or -1 when it is constant, non-decreasing or non-increasing in that
+parent, and None when it is mixed, or unknown past ``model.DIRECTION_CAP``
+combinations of its references.  The sign is the common product of the
+directions along the paths of non-zero direction from v to Y that pass
+through no variable of X, None when two paths disagree or a direction is
+None: how Y moves as v rises, X held.  A variable off X is relevant when a
+pass reaches it, and the candidate's sign of Y is the common value of Y's
+signs over X (+1 when Y is in X).  Take an alternative x' >= x
+componentwise (s = +1) or x' <= x (s = -1), x the candidate's actual
+values.  When the effect is built from events with & and | alone, and each
+event Y=v has sign 0, or sign times s = +1 with v the top of Y's range, or
+-1 with v its bottom, then the effect
 under x and any pins implies the effect under x' and the same pins.  AC2(b)
 needs the former and AC2(a) the negation of the latter, so no witness uses
 x', in plain and normality-aware tests alike, and the search drops x'.  When
@@ -63,6 +63,21 @@ filter sees.  When the reach masks leave no variable below a pin or the
 candidate unpinned, that world is the actual one with the pins and x' laid
 over it: no plan, no solve and no cache entry.
 
+The same test makes a pin v monotone.  Read the effect's events against
+v's signs instead of the candidate's: when they pass with s = +1, the effect
+holding with v at a implies it holding with v at any b >= a, X and the other
+pins held alike, since pinning a variable only cuts paths; with s = -1 the
+same holds downwards.  So AC2(a) with x' fails at a setting one step above,
+in v, a setting where the effect held under x'.  The search keeps, per
+setting of a relevant pin set, the alternatives under which the effect held,
+solved or taken over in this way, and solves at a setting only the
+alternatives that its earlier neighbours along its monotone pins leave
+open; a setting they all close is not solved, nor is AC2(b) asked there.
+The neighbour is v's numeric one, read in product order only when it comes
+earlier in v's range: with v : {2,1,0} the value below 1 is 0, which comes
+later, so the setting at 1 is solved.  The records and their order are
+unchanged, as an alternative whose effect holds yields none.
+
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
 AC2(a) needs the effect false on the pinned values of its variables, and
@@ -71,10 +86,14 @@ effect variable that differs from the world under the candidate alone is
 re-imposed, and the others keep that world's value, the pinned one.  A set
 adding irrelevant pins to such a set is skipped as well, so the dead-set
 bookkeeping is unchanged.
+
+Each of these rules has a name in ``_RULES``; the soundness tests switch
+them off one at a time and check that no answer moves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
@@ -169,6 +188,7 @@ class Engine:
         self.endo = model.endogenous
         self.index = model._endo_index
         self.reach = _reach_masks(model)
+        self.ranges = {name: model.range_of(name) for name in self.endo}
         self._cache: dict[tuple, tuple[int, ...]] = {}
         # Per mask of pinned positions, the positions and the steps a solve
         # re-runs; with nothing pinned, the first solve runs them all.
@@ -226,6 +246,12 @@ def _check_cause(model: CausalModel, conjuncts: Sequence[PrimitiveEvent]):
 
 _WitnessFilter = Optional[Callable[[World], bool]]
 
+# The search's pruning rules, by name.  Each is exact: switched off here, a
+# rule's work is done and the answers stay the same, which the soundness
+# tests check one rule at a time.
+_RULES = dict.fromkeys(("no-reach", "monotone-alternatives", "decided-sets", "effect-mask",
+                        "ac2b-changed", "sweep-subsets", "monotone-pins"), True)
+
 
 class CauseSearch:
     """Witness enumeration for one effect under one engine.
@@ -282,6 +308,8 @@ class CauseSearch:
         for i in rest:
             if designated[i] != base[i]:
                 changed |= reach[i]
+        if not _RULES["ac2b-changed"]:
+            changed = -1  # every position
         positions = [i for i in rest if changed >> i & 1]
         result = True
         for size in range(len(positions) + 1):
@@ -302,15 +330,15 @@ class CauseSearch:
     # -- enumeration -----------------------------------------------------------
 
     def budget_for(self, conjuncts: Sequence[PrimitiveEvent]) -> int:
-        model = self.engine.model
+        ranges = self.engine.ranges
         x_vars = {c.variable for c in conjuncts}
         total = 1
-        for name in self.engine.endo:
+        for name, values in ranges.items():
             if name not in x_vars:
-                total *= 1 + len(model.range_of(name))
+                total *= 1 + len(values)
         alternatives = 1
         for c in conjuncts:
-            alternatives *= len(model.range_of(c.variable))
+            alternatives *= len(ranges[c.variable])
         return total * (alternatives - 1)
 
     def enumerate(self, conjuncts: Sequence[PrimitiveEvent]) -> list[WitnessRecord]:
@@ -335,57 +363,86 @@ class CauseSearch:
         if budget > self.max_search:
             raise SearchBudgetExceeded(budget, self.max_search)
         model = engine.model
+        rules = _RULES
         x_vars = tuple(c.variable for c in conjuncts)
         actual_x = tuple(c.value for c in conjuncts)
-        relevant, signs = _relevance_and_signs(model, x_vars, self._effect_vars)
-        if all(signs[name] == 0 for name in self._effect_vars):
+        relevant, signs, paths = _effect_signs(model, x_vars, self._effect_vars)
+        if rules["no-reach"] and all(signs[name] == 0 for name in self._effect_vars):
             return  # no candidate variable reaches the effect
-        combos = [combo for combo in itertools.product(*(model.range_of(v) for v in x_vars))
+        ranges = engine.ranges
+        combos = [combo for combo in itertools.product(*map(ranges.__getitem__, x_vars))
                   if combo != actual_x]
         shifts = [_shift(actual_x, combo) for combo in combos]
-        preserved = {s: s != 0 and _preserved(model, self.effect, signs, s) for s in set(shifts)}
+        preserved = {s: s != 0 and rules["monotone-alternatives"]
+                     and _preserved(model, self.effect, signs, s) for s in set(shifts)}
         alternatives = [combo for combo, s in zip(combos, shifts) if not preserved[s]]
         if not alternatives:
             return
+        # Sets of alternatives are bits: each alternative goes with its own.
+        full = (1 << len(alternatives)) - 1
+        alternatives = [(alt, 1 << j) for j, alt in enumerate(alternatives)]
         index, reach, endo = engine.index, engine.reach, engine.endo
         x_positions = [index[v] for v in x_vars]
         x_mask = sum(1 << i for i in x_positions)
         x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in endo if n not in x_vars)
         bits = {n: 1 << index[n] for n in rest}
-        ranges = {n: model.range_of(n) for n in rest}
+        if not rules["decided-sets"]:
+            relevant = sum(bits.values())
+        monotone: set[str] = set()
         phi = self._phi
         solve = engine.solve_tuple
         # The passing alternatives of each passing setting of a relevant pin
         # set, by the set's mask, then by the setting's values.
         passed: dict[int, dict[tuple, list]] = {}
-        effect_mask = self._effect_mask
+        # With the rule off, a bit no set pins.
+        effect_mask = self._effect_mask if rules["effect-mask"] else 1 << len(endo)
+        pool: tuple[str, ...] = ()
         for size in range(len(rest) + 1):
-            for w_vars in itertools.combinations(rest, size):
+            if size == 1:
+                # Worked out once the empty set is decided, since a witness
+                # there often ends the search.  A set holding the effect's
+                # one variable pins all of it, so none is made.
+                pool = tuple(n for n in rest if bits[n] != effect_mask)
+                # Per pin, how many positions back in its range each value's
+                # numeric neighbour on the side where the effect holds less
+                # sits: 0 when none does, it comes later or the effect is not
+                # known to be monotone along the pin.
+                backs = {name: (0,) * len(ranges[name]) for name in pool}
+                if rules["monotone-pins"]:
+                    pins = [name for name in pool if relevant & bits[name]]
+                    for name, way in _pin_ways(model, self.effect, paths, pins).items():
+                        backs[name] = _neighbours(ranges[name], way)
+                monotone = {name for name, back in backs.items() if any(back)}
+            for w_vars in itertools.combinations(pool, size):
                 w_mask = sum(map(bits.__getitem__, w_vars))
                 if w_mask & effect_mask == effect_mask:
                     continue  # AC2(a) and AC2(b) would read the same effect
-                w_positions = [index[v] for v in w_vars]
-                settings = itertools.product(*map(ranges.__getitem__, w_vars))
-                pinned = x_mask | w_mask
+                decided = None
                 if w_mask & relevant != w_mask:
                     decided = passed.get(w_mask & relevant)
                     if decided is None:
                         continue  # every setting of its relevant part fails
+                pinned = x_mask | w_mask
+                w_positions = [index[v] for v in w_vars]
+                settings = itertools.product(*map(ranges.__getitem__, w_vars))
+                # ``overlay`` lays the pins and x' over a vector of values or
+                # pins: ``overlay(base + w_values + alt)``.
+                source = list(range(len(endo)))
+                for k, i in enumerate(w_positions + x_positions):
+                    source[i] = len(endo) + k
+                overlay = operator.itemgetter(*source)
+                if decided is not None:
                     # Pins off the relevant set move no effect variable, so the
                     # relevant part's passing alternatives pass here unasked.
-                    # ``overlay`` lays the pins and x' over ``base``: the actual
-                    # world, which is the witness when no variable below a pin
-                    # is left unpinned, or else the pin vector to solve.
+                    # The witness is the actual world with the pins and x'
+                    # laid over it when no variable below a pin is left
+                    # unpinned, or else the solve of the pin vector.
                     kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
-                    source = list(range(len(endo)))
-                    below = 0
-                    for k, i in enumerate(w_positions + x_positions):
-                        source[i] = len(endo) + k
-                        below |= reach[i]
-                    overlay = operator.itemgetter(*source)
+                    below = functools.reduce(operator.or_,
+                                             map(reach.__getitem__, w_positions + x_positions))
                     plan = engine.plan(pinned) if below & ~pinned else None
-                    base = engine.actual if plan is None else (None,) * len(endo)
+                    base = engine.actual if plan is None else x_key
                     for w_values in settings:
                         tried = decided.get(tuple(map(w_values.__getitem__, kept)))
                         if tried:
@@ -397,17 +454,37 @@ class CauseSearch:
                                 yield _witness(w_vars, w_values, alt, endo, values)
                     continue
                 plan = engine.plan(pinned)
-                for w_values in settings:
-                    key = list(x_key)
-                    for i, value in zip(w_positions, w_values):
-                        key[i] = value
+                # Per setting in product order, the earlier settings that are
+                # its numeric neighbours along a monotone pin, as distances,
+                # and the alternatives (bits) under which the effect held at
+                # each setting so far: where it held at a neighbour, it holds.
+                links = itertools.repeat(())
+                if not monotone.isdisjoint(w_vars):
+                    stride, steps = 1, []
+                    for name in reversed(w_vars):
+                        steps.append(tuple(map(stride.__mul__, backs[name])))
+                        stride *= len(backs[name])
+                    links = map(filter, itertools.repeat(None), itertools.product(*reversed(steps)))
+                holds: list[int] = []
+                for w_values, link in zip(settings, links):
+                    held = 0
+                    for back in link:
+                        held |= holds[-back]
+                        if held == full:
+                            break
+                    if held == full:
+                        holds.append(held)
+                        continue
+                    head = x_key + w_values
                     falsifying = []
-                    for alt in alternatives:
-                        for i, value in zip(x_positions, alt):
-                            key[i] = value
-                        witness = solve(tuple(key), plan)
-                        if not phi(witness):
-                            falsifying.append((alt, witness))
+                    for alt, bit in alternatives:
+                        if not held & bit:
+                            witness = solve(overlay(head + alt), plan)
+                            if phi(witness):
+                                held |= bit
+                            else:
+                                falsifying.append((alt, witness))
+                    holds.append(held)
                     if falsifying and self.ac2b(x_key, w_positions, w_values):
                         passed.setdefault(w_mask, {})[w_values] = [alt for alt, _ in falsifying]
                         for alt, witness in falsifying:
@@ -425,50 +502,48 @@ class CauseSearch:
         return True
 
 
-def _relevance_and_signs(model: CausalModel, x_vars: Sequence[str],
-                         effect_vars: set[str]) -> tuple[int, dict[str, Optional[int]]]:
-    """The candidate's relevant mask and the sign of each endogenous variable.
+_Signs = dict[str, Optional[int]]
 
-    A position is relevant when a path of references, each with a direction
-    other than 0 (an unknown direction counts), leads from it to an effect
-    variable without passing through a candidate variable.  A sign says how a
-    variable moves when the candidate's variables all rise, None when that is
-    unknown: +1 on those variables, worked out in topological order on the
-    relevant positions below them, and 0 everywhere else."""
+
+def _effect_signs(model: CausalModel, x_vars: Sequence[str],
+                  effect_vars: set[str]) -> tuple[int, _Signs, dict[str, _Signs]]:
+    """One backward pass per effect variable, up its references and stopping
+    at the candidate's variables, which every world of the test pins.
+
+    The pass from Y gives Y's sign with respect to each variable it reaches
+    along references of direction other than 0: how Y moves when that
+    variable rises, the candidate and nothing else held; +1 on Y itself, and
+    None when paths disagree or a direction is None.  Returns the relevant
+    mask (the positions off the candidate that some pass reaches), the
+    candidate's sign of each effect variable (the common sign over its
+    variables) and the passes' signs by effect variable, read for pins."""
     index = model._endo_index
-    reach = _reach_masks(model)
-    downstream = 0
-    for name in x_vars:
-        downstream |= reach[index[name]]
     order = model.topological_order()
-    reaching = set(effect_vars)
-    mask = 0
-    walk = []
-    for name in reversed(order):
-        if name in reaching and name not in x_vars:
-            bit = 1 << index[name]
-            mask |= bit
-            ways = _directions(model, name)
-            for parent, way in ways.items():
-                if way != 0:
-                    reaching.add(parent)
-            if downstream & bit:
-                walk.append((name, ways))
-    signs: dict[str, Optional[int]] = dict.fromkeys(order, 0)
-    for name in x_vars:
-        signs[name] = 1
-    for name, ways in reversed(walk):
-        sign = 0
-        for parent, way in ways.items():
-            parent_sign = signs.get(parent, 0)
-            if parent_sign == 0 or way == 0:
+    paths: dict[str, _Signs] = {}
+    relevant = 0
+    for target in effect_vars:
+        found: _Signs = {target: 1}
+        paths[target] = found
+        if target in x_vars:
+            continue
+        for name in reversed(order[:order.index(target) + 1]):
+            sign = found.get(name, 0)
+            if sign == 0 or name in x_vars:
                 continue
-            if parent_sign is None or way is None or sign not in (0, way * parent_sign):
-                sign = None
-                break
-            sign = way * parent_sign
-        signs[name] = sign
-    return mask, signs
+            relevant |= 1 << index[name]
+            for parent, way in _directions(model, name).items():
+                if way != 0:
+                    step = sign * way if sign and way else None
+                    found[parent] = step if found.get(parent, step) == step else None
+    signs = {}
+    for target, found in paths.items():
+        sign = 0
+        for name in x_vars:
+            value = found.get(name, 0)
+            if value != 0:
+                sign = value if sign in (0, value) else None
+        signs[target] = sign
+    return relevant, signs, paths
 
 
 def _event_variables(body: BooleanFormula) -> set[str]:
@@ -479,20 +554,66 @@ def _event_variables(body: BooleanFormula) -> set[str]:
     return set().union(*map(_event_variables, operands))
 
 
-def _preserved(model: CausalModel, body: BooleanFormula,
-               signs: dict[str, Optional[int]], s: int) -> bool:
+def _preserved(model: CausalModel, body: BooleanFormula, signs: _Signs, s: int) -> bool:
     """Whether the effect holding under the candidate's actual values implies
     it holding under any alternative shifted the way ``s`` says, the pins
     held alike in both worlds."""
+    return bool(_kept_ways(model, body, signs) & (_UP if s > 0 else _DOWN))
+
+
+def _pin_ways(model: CausalModel, body: BooleanFormula, paths: dict[str, _Signs],
+              names: Iterable[str]) -> dict[str, int]:
+    """Per pin that is known to keep the effect holding when it rises (1) or
+    falls (-1), the candidate and every other pin held, that way;
+    ``paths`` are ``_effect_signs``' passes."""
+    ways = {}
+    for name in names:
+        kept = _kept_ways(model, body, {target: found.get(name, 0)
+                                        for target, found in paths.items()})
+        if kept:
+            ways[name] = 1 if kept & _UP else -1
+    return ways
+
+
+# Shifts of some variables, as bits: up and down.
+_UP, _DOWN = 1, 2
+
+
+def _kept_ways(model: CausalModel, body: BooleanFormula, signs: _Signs) -> int:
+    """The shifts of some variables that keep the effect holding, everything
+    else alike, given how each effect variable moves when they rise: an
+    event Y=v is kept by a shift that never moves Y, or moves it towards v
+    at the top or the bottom of Y's range."""
     if isinstance(body, PrimitiveEvent):
         sign = signs[body.variable]
         if sign is None:
-            return False
+            return 0
+        if sign == 0:
+            return _UP | _DOWN
         values = model.range_of(body.variable)
-        return sign == 0 or body.value == (max(values) if sign * s > 0 else min(values))
+        top, bottom = body.value == max(values), body.value == min(values)
+        if sign < 0:
+            top, bottom = bottom, top
+        return top * _UP | bottom * _DOWN
     if isinstance(body, (Conjunction, Disjunction)):
-        return all(_preserved(model, op, signs, s) for op in body.operands)
-    return False
+        ways = _UP | _DOWN
+        for operand in body.operands:
+            ways &= _kept_ways(model, operand, signs)
+        return ways
+    return 0
+
+
+@functools.lru_cache(maxsize=256)
+def _neighbours(values: tuple[int, ...], way: int) -> tuple[int, ...]:
+    """Per position of a range, how many positions back its numeric
+    neighbour below (``way`` 1) or above (-1) sits; 0 when it has none or
+    the neighbour comes later in the range, as in ``{2,1,0}`` going up."""
+    ranked = sorted(range(len(values)), key=lambda p: values[p] * way)
+    backs = [0] * len(values)
+    for lower, p in zip(ranked, ranked[1:]):
+        if lower < p:
+            backs[p] = p - lower
+    return tuple(backs)
 
 
 def _shift(actual: tuple[int, ...], alternative: tuple[int, ...]) -> int:
@@ -656,23 +777,24 @@ def _verdicts(
 def best_witnesses(
     order: NormalityOrder, worlds: Iterable[World]
 ) -> tuple[World, ...]:
-    """Maximal worlds under the order, deduplicated, in value order."""
-    from .normality import Relation
+    """Maximal worlds under the order, deduplicated, in value order.
 
+    A world is dropped when another is at least as normal and not the other
+    way round, so the reverse is asked only where the forward relation
+    holds; each world's key is read once."""
     distinct: dict[tuple, World] = {}
     for world in worlds:
         distinct.setdefault(world.values, world)
     candidates = [distinct[k] for k in sorted(distinct)]
-    best = []
+    if len(candidates) < 2:
+        return tuple(candidates)  # compared with nothing, so not checked
     for world in candidates:
-        dominated = any(
-            order.compare(other, world) is Relation.MORE_NORMAL
-            for other in candidates
-            if other.values != world.values
-        )
-        if not dominated:
-            best.append(world)
-    return tuple(best)
+        order._check_world(world)
+    keys = list(map(order._key, candidates))
+    weak = order._weak
+    return tuple(world for i, (world, key) in enumerate(zip(candidates, keys))
+                 if not any(weak(other, key) and not weak(key, other)
+                            for j, other in enumerate(keys) if j != i))
 
 
 def find_all_causes(
@@ -708,7 +830,10 @@ def find_all_causes(
             # budget_for(S) <= max over b in S of budget_for({b}), each searched
             # at size 1, so no search skipped here could go over the budget.
             chosen = set(names)
-            if any(chosen.issuperset(cause.variables()) for cause in found):
+            if _RULES["sweep-subsets"]:
+                if any(chosen.issuperset(cause.variables()) for cause in found):
+                    continue
+            elif not search.ac3(conjuncts):
                 continue
             if not search.has_witness(conjuncts):
                 continue

@@ -19,6 +19,7 @@ from actualcause import (
     Negation,
     PrimitiveEvent,
     Ref,
+    Relation,
     SearchBudgetExceeded,
     Table,
     TypicalitySpec,
@@ -611,13 +612,16 @@ def test_wide_sweeps_refute_larger_candidates_without_a_search(kind, monkeypatch
     assert lookups[3] <= lookups[1]
 
 
-@pytest.mark.parametrize("kind, records, bound", [("disjunctive", 8, 942),
+@pytest.mark.parametrize("kind, records, bound", [("disjunctive", 8, 188),
                                                   ("vote", 144, 839)])
 def test_sets_that_pin_the_whole_effect_are_not_solved(kind, records, bound, monkeypatch):
     # A set pinning F makes AC2(a) and AC2(b) read the same F, so no witness
     # uses it and the search skips it unsolved, here and in AC3's searches of
     # L0 and L2: F is pinned only where AC2(b) re-imposes its actual value.
-    # The search that solves those sets makes 2,707 and 2,433 lookups.
+    # The search that solves those sets makes 2,707 and 2,433 lookups.  F
+    # never falls as a light rises, so a setting above one where F=1 held is
+    # not solved either: without that rule the two make 942 and 839 lookups,
+    # with it 188 and 771.
     model, context = _wide_model(kind)
     f = model.endo_index("F")
     keys = []
@@ -748,9 +752,10 @@ def test_refutation_follows_a_non_increasing_edge():
     )
     context = {"U": 0, "UC": 0}
     # B, C and F all lead to F, so each is relevant and gets its sign.
-    relevant, signs = checker._relevance_and_signs(model, ("A",), {"F"})
+    relevant, signs, paths = checker._effect_signs(model, ("A",), {"F"})
     assert relevant == sum(1 << model.endo_index(name) for name in "BCF")
-    assert signs == {"A": 1, "B": -1, "C": 0, "F": -1}
+    assert signs == {"F": -1}
+    assert paths == {"F": {"F": 1, "B": 1, "C": 1, "A": -1, "UC": 1}}
     verdict = is_actual_cause(model, context, cand(event("A", 0)), event("F", 1))
     assert verdict.is_cause
     assert [r.x_prime for r in verdict.hp_witnesses] == [(1,), (1,)]
@@ -862,3 +867,100 @@ def test_each_direction_of_the_alternatives_is_checked_once(monkeypatch):
     calls.clear()
     enumerate_witnesses(model, context, cand(event("L0", 1), event("L1", 0)), event("F", 1))
     assert sorted(calls) == [-1, 1]
+
+
+def test_a_monotone_pin_decides_the_settings_above_a_held_one(monkeypatch):
+    # F = max of the lights never falls as a light rises, so once F=1 holds
+    # under x' at a setting, every setting above it in one light holds too
+    # and is not solved.  The K=1 sweep of the 7-light model makes 632
+    # lookups (450 distinct solves) without that rule.
+    model, context = _wide_model("disjunctive")
+    counts = _count_lookups(monkeypatch)
+    found = find_all_causes(model, context, event("F", 1), max_conjuncts=1)
+    assert [str(c) for c in found] == ["L0=1", "L2=1", "L4=1", "L6=1", "F=1"]
+    assert counts["solve_tuple"] <= 197
+    assert counts["settle"] <= 138
+
+
+def _severity(n=5):
+    """n agents A_p over {0,1,2}, acting at 1 or 2 in turn, and harm H when
+    any acts: the max of ite(A_p == 0, 0, 1)."""
+    agents = [f"A{p}" for p in range(n)]
+    body = None
+    for name in agents:
+        act = Ite(Ref(name), Const(0), Const(0), Const(1))
+        body = act if body is None else BinOp("max", body, act)
+    model = CausalModel(
+        [Variable(f"U{p}", "exogenous", (0, 1, 2)) for p in range(n)]
+        + [Variable(name, "endogenous", (0, 1, 2)) for name in agents]
+        + [Variable("H", "endogenous", (0, 1))],
+        [Equation(name, Ref(f"U{p}")) for p, name in enumerate(agents)]
+        + [Equation("H", body)],
+    )
+    return model, {f"U{p}": 1 + p % 2 for p in range(n)}
+
+
+@pytest.mark.parametrize("cause, bound", [(("A0", 1), 54), (("A1", 2), 70)])
+def test_three_valued_pins_decide_the_settings_above_a_held_one(cause, bound, monkeypatch):
+    # H never falls as an agent's level rises, so with the candidate held,
+    # a setting one level above one where H=1 held under x' holds as well.
+    # Only the setting with every other agent at 0 is a witness.  Without
+    # the rule the two searches make 290 and 546 lookups.
+    model, context = _severity()
+    counts = _count_lookups(monkeypatch)
+    verdict = is_actual_cause(model, context, cand(event(*cause)), event("H", 1))
+    lookups = counts["solve_tuple"]
+    monkeypatch.undo()
+    assert verdict.is_cause
+    assert list(verdict.hp_witnesses) == exhaustive_witnesses(
+        model, context, (event(*cause),), event("H", 1))
+    assert [r.w_values for r in verdict.hp_witnesses] == [(0,) * 4]
+    assert lookups <= bound
+
+
+def test_searches_that_end_before_the_contingencies_work_out_no_pin(monkeypatch):
+    # A search refuted because no candidate variable reaches the effect, or
+    # because every alternative keeps it, never asks how a pin moves it.  A
+    # search that goes on past the empty set asks once.
+    calls = []
+    pin_ways = checker._pin_ways
+
+    def recording_pin_ways(*args):
+        calls.append(args[-1])
+        return pin_ways(*args)
+
+    monkeypatch.setattr(checker, "_pin_ways", recording_pin_ways)
+    assert not is_actual_cause(_chain(9), {"U": 1}, cand(event("X8", 1)),
+                               Negation(event("X3", 0))).hp_witnesses
+    model, context = _wide_model("disjunctive")
+    assert not is_actual_cause(model, context, cand(event("L1", 0)), event("F", 1)).hp_witnesses
+    assert calls == []
+    assert is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1)).is_cause
+    assert len(calls) == 1
+
+
+def test_best_witnesses_ask_the_reverse_only_where_the_forward_holds(monkeypatch):
+    # The 256 distinct witness worlds of F=1 for F=1 over 8 typical lights:
+    # asking both directions of each comparison makes 1,020 calls of the
+    # weak relation; asking the reverse only after the forward one holds,
+    # 765.  The best world is the same as the four-way comparison's.
+    ext, context = _typical_lights()
+    verdict = is_extended_cause(ext, context, cand(event("F", 1)), event("F", 1))
+    worlds = [r.world for r in verdict.hp_witnesses]
+    calls = []
+    weak = type(ext.order)._weak
+
+    def counting_weak(order, key, key2):
+        calls.append(key)
+        return weak(order, key, key2)
+
+    monkeypatch.setattr(type(ext.order), "_weak", counting_weak)
+    best = checker.best_witnesses(ext.order, worlds)
+    assert len(calls) <= 765
+    monkeypatch.undo()
+    distinct = sorted({w.values: w for w in worlds}.items())
+    assert best == tuple(
+        world for values, world in distinct
+        if not any(ext.order.compare(other, world) is Relation.MORE_NORMAL
+                   for key, other in distinct if key != values))
+    assert best == verdict.best_witnesses

@@ -393,8 +393,8 @@ def test_refuted_alternatives_have_no_witness(seed):
     names = rng.sample(model.endogenous, rng.randint(1, 2))
     conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
     actual_x = tuple(c.value for c in conjuncts)
-    _, signs = checker._relevance_and_signs(model, tuple(names),
-                                            checker._event_variables(effect))
+    _, signs, _ = checker._effect_signs(model, tuple(names),
+                                        checker._event_variables(effect))
     preserved = {0: False, 1: checker._preserved(model, effect, signs, 1),
                  -1: checker._preserved(model, effect, signs, -1)}
     refuted = {
@@ -466,7 +466,7 @@ def test_one_reach_pass_gives_the_relevance_and_the_effect_signs(seed):
         effect = Negation(effect)
     effect_vars = checker._event_variables(effect)
     x_vars = tuple(rng.sample(model.endogenous, rng.randint(1, 2)))
-    relevant, signs = checker._relevance_and_signs(model, x_vars, effect_vars)
+    relevant, signs, _ = checker._effect_signs(model, x_vars, effect_vars)
     assert relevant == _relevance(model, set(x_vars), effect_vars)
     expected = _signs(model, x_vars)
     assert {name: signs[name] for name in effect_vars} \
@@ -532,6 +532,125 @@ def test_witness_search_equals_an_exhaustive_walk(seed):
             == records
         search = CauseSearch(Engine(model, context), effect)
         assert search.has_witness(conjuncts, witness_filter) == bool(records)
+
+
+# -- one soundness gate for every pruning rule --------------------------------------
+
+
+def _rule_draw(rng: random.Random):
+    """A model, context, effect and candidate of the shapes where the
+    search's pruning rules fire: mostly monotone models, most with their
+    ranges declared out of order; single events at an end of their range,
+    half of them on the last variable, which has the longest past, negated
+    events, and compound effects, now and then negated; candidates beside
+    the effect's variables in three draws of five, holding them in one,
+    anywhere in one."""
+    model = (random_monotone_model if rng.random() < 0.75 else random_model)(rng, 5, 4)
+    if rng.random() < 0.7:
+        model = shuffled_ranges(rng, model)
+    context = rng.choice(list(all_contexts(model)))
+    actual = solve(model, context)
+    # An event at an end of its variable's range can be monotone.
+    ends = [n for n in model.endogenous if actual[n] in (min(model.range_of(n)),
+                                                         max(model.range_of(n)))]
+    name = rng.choice(ends or model.endogenous)
+    if rng.random() < 0.5:
+        name = (ends or model.endogenous)[-1]
+    shape = rng.choices(range(4), (4, 1, 4, 1))[0]
+    if shape == 0:
+        effect = PrimitiveEvent(name, actual[name])
+    elif shape == 1:
+        others = [v for v in model.range_of(name) if v != actual[name]]
+        effect = Negation(PrimitiveEvent(name, rng.choice(others)))
+    else:
+        effect = random_effect(rng, model, actual)
+        if shape == 3:
+            effect = Negation(effect)
+    inside = sorted(checker._event_variables(effect))
+    outside = [n for n in model.endogenous if n not in inside]
+    draw = rng.choices(range(3), (3, 1, 1))[0]
+    if draw == 0 and outside:
+        names = rng.sample(outside, rng.randint(1, min(2, len(outside))))
+    elif draw == 1 and len(inside) <= 2:
+        names = inside + rng.sample(outside, rng.randint(0, min(3 - len(inside), len(outside))))
+    else:
+        names = rng.sample(model.endogenous, rng.randint(1, 3))
+    conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
+    return model, context, effect, conjuncts
+
+
+@given(SEEDS)
+@settings(max_examples=1000, deadline=None)
+def test_every_pruning_rule_is_exact(seed):
+    # Each rule of ``checker._RULES`` saves work without changing an answer:
+    # with any one of them off, the records of a plain search, the
+    # filtered and plain has_witness answers, the filtered and plain AC3 and
+    # the K=2 sweep are those with every rule on, and the records are the
+    # exhaustive walk's.  On scratch copies this fails when a monotone pin
+    # takes its neighbour in range order rather than numeric order, and
+    # when the effect-mask skip fires on any overlap with the effect's
+    # variables.
+    rng = random.Random(seed)
+    model, context, effect, conjuncts = _rule_draw(rng)
+    salt = rng.randrange(3)
+
+    def keep(world):
+        return (sum(world.values) + salt) % 3 != 0
+
+    def outcome():
+        records = list(CauseSearch(Engine(model, context), effect)._search(conjuncts))
+        search = CauseSearch(Engine(model, context), effect)
+        return (records, search.has_witness(conjuncts, keep), search.has_witness(conjuncts),
+                search.ac3(conjuncts, keep), search.ac3(conjuncts),
+                find_all_causes(model, context, effect, 2))
+
+    everything = outcome()
+    assert everything[0] == exhaustive_witnesses(model, context, conjuncts, effect)
+    assert everything[1] == any(keep(r.world) for r in everything[0])
+    for rule in checker._RULES:
+        with mock.patch.dict(checker._RULES, {rule: False}):
+            assert outcome() == everything, rule
+
+
+def _monotone_along(model, context, effect, x_vars, name, way):
+    """Whether, with the candidate's variables and any other variables held
+    at any values, the effect holding with ``name`` at a value implies it
+    holding at every value beyond it on the ``way`` side: a brute-force
+    walk over every set of other variables held and every setting."""
+    values = sorted(model.range_of(name), reverse=way < 0)
+    others = [n for n in model.endogenous if n != name and n not in x_vars]
+    for size in range(len(others) + 1):
+        for held in itertools.combinations(others, size):
+            held = x_vars + held
+            for setting in itertools.product(*(model.range_of(n) for n in held)):
+                pins = dict(zip(held, setting))
+                truth = [evaluate(effect, solve(intervene(model, {**pins, name: value}), context))
+                         for value in values]
+                if any(a and not b for a, b in zip(truth, truth[1:])):
+                    return False
+    return True
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_every_pin_direction_agrees_with_brute_force(seed):
+    # The backward passes give each pin's sign; where the effect is known to
+    # be monotone along a pin, its truth must be monotone along the pin's
+    # numeric order with the candidate held at any values and any other
+    # variables pinned, in every context.  Half the models declare their
+    # ranges out of order.
+    rng = random.Random(seed)
+    model = (random_monotone_model if rng.random() < 0.8 else random_model)(rng, 4)
+    if rng.random() < 0.5:
+        model = shuffled_ranges(rng, model)
+    contexts = list(all_contexts(model))
+    effect = random_effect(rng, model, solve(model, rng.choice(contexts)))
+    x_vars = tuple(rng.sample(model.endogenous, rng.randint(1, 2)))
+    _, _, paths = checker._effect_signs(model, x_vars, checker._event_variables(effect))
+    rest = [n for n in model.endogenous if n not in x_vars]
+    for name, way in checker._pin_ways(model, effect, paths, rest).items():
+        for context in contexts:
+            assert _monotone_along(model, context, effect, x_vars, name, way)
 
 
 # -- the candidate sweep against one that searches before AC3 ----------------------
