@@ -9,12 +9,13 @@ candidate values (AC2b).  AC3 prunes candidates with a smaller working core.
 
 Search layout: contingency sets grow by cardinality and settings are visited
 in range order, so smaller witnesses surface first and results are
-deterministic.  A counterfactual is solved from the actual world by
-re-running only the pins' descendants, memoized per pin vector.  The steps
-to re-run are planned once per mask of pinned positions, and a contingency
-set looks up its plan once for all its settings; each AC2(b) sub-assignment
-solves through its own mask's plan.  The AC2(b) quantifier collapses onto
-the merged pin/actual vector, memoized as well.
+deterministic.  A counterfactual is one call of the model's generated solve
+kernel (``model._kernel``), memoized per pin vector: it reads the actual
+world and re-runs only the equations of the pins' descendants.  Those make
+the plan, a run mask worked out once per mask of pinned positions; a
+contingency set looks up its plan once for all its settings, and each
+AC2(b) sub-assignment solves through its own mask's plan.  The AC2(b)
+quantifier collapses onto the merged pin/actual vector, memoized as well.
 The candidate sweep decides AC3 with no search: it refutes a candidate
 holding the variables of a cause it already found.  A public entry point
 checks each candidate once, where it enters; the search takes it as valid.
@@ -60,8 +61,8 @@ If none of its settings passed, it is dead and those sets are skipped
 without a solve; otherwise they take the alternatives that passed without
 evaluating the effect, and build only each record's world, which the witness
 filter sees.  When the reach masks leave no variable below a pin or the
-candidate unpinned, that world is the actual one with the pins and x' laid
-over it: no plan, no solve and no cache entry.
+candidate unpinned, the plan is empty and that world is the actual one with
+the pins and x' laid over it: no solve and no cache entry.
 
 The same test makes a pin v monotone.  Read the effect's events against
 v's signs instead of the candidate's: when they pass with s = +1, the effect
@@ -114,11 +115,10 @@ from .model import (
     Record,
     World,
     _check_events,
-    _directions,
     _kernel,
+    _moving_parents,
     _reach_masks,
     _set,
-    _settle,
     _start,
     check_context,
 )
@@ -190,44 +190,40 @@ class Engine:
         self.reach = _reach_masks(model)
         self.ranges = {name: model.range_of(name) for name in self.endo}
         self._cache: dict[tuple, tuple[int, ...]] = {}
-        # Per mask of pinned positions, the positions and the steps a solve
-        # re-runs; with nothing pinned, the first solve runs them all.
-        self._plans: dict[int, tuple] = {0: ((), _kernel(model))}
+        # Per mask of pinned positions, the run mask of its solves.
+        self._plans: dict[int, int] = {}
+        self._settle = _kernel(model)
         self._env = _start(model, context)
-        self.actual = self.solve_tuple((None,) * len(self.endo))
+        self.actual = self.solve_tuple(model._pins, -1)
         self._env[:len(self.endo)] = self.actual
 
     def key(self, assignment: Mapping[str, int]) -> tuple:
         """The pin vector of an assignment to endogenous variables."""
         return tuple(map(assignment.get, self.endo))
 
-    def plan(self, pinned: int) -> tuple:
-        """The plan of a mask of pinned positions, built once per mask."""
-        plan = self._plans.get(pinned)
-        if plan is None:
-            positions = tuple(i for i in range(len(self.endo)) if pinned >> i & 1)
-            below = 0
-            for i in positions:
-                below |= self.reach[i]
-            plan = self._plans[pinned] = (positions, tuple(
-                step for step in self._plans[0][1] if (below & ~pinned) >> step[0] & 1))
-        return plan
+    def plan(self, pinned: int) -> int:
+        """The run mask of a mask of pinned positions: the positions below a
+        pin that no pin holds, built once per mask from its set bits."""
+        run = self._plans.get(pinned)
+        if run is None:
+            below, rest, reach = 0, pinned, self.reach
+            while rest:
+                below |= reach[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            run = self._plans[pinned] = below & ~pinned
+        return run
 
-    def solve_tuple(self, key: tuple, plan: Optional[tuple] = None) -> tuple[int, ...]:
+    def solve_tuple(self, key: tuple, plan: Optional[int] = None) -> tuple[int, ...]:
         """Endogenous values with the pin vector's values held, from the
         actual world by re-running only the pins' descendants' equations;
-        ``plan`` is the plan of the key's mask, worked out when not given."""
+        ``plan`` is the run mask of the key's mask, worked out when not
+        given."""
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         if plan is None:
             plan = self.plan(sum(1 << i for i, value in enumerate(key) if value is not None))
-        positions, steps = plan
-        env = self._env.copy()
-        for i in positions:
-            env[i] = key[i]
-        values = _settle(self.model, env, steps)
-        self._cache[key] = values
+        values = self._cache[key] = self._settle(key, plan, self._env)
         return values
 
     def world(self, values: tuple[int, ...]) -> World:
@@ -381,7 +377,7 @@ class CauseSearch:
         # Sets of alternatives are bits: each alternative goes with its own.
         full = (1 << len(alternatives)) - 1
         alternatives = [(alt, 1 << j) for j, alt in enumerate(alternatives)]
-        index, reach, endo = engine.index, engine.reach, engine.endo
+        index, endo = engine.index, engine.endo
         x_positions = [index[v] for v in x_vars]
         x_mask = sum(1 << i for i in x_positions)
         x_key = engine.key({c.variable: c.value for c in conjuncts})
@@ -437,19 +433,17 @@ class CauseSearch:
                     # relevant part's passing alternatives pass here unasked.
                     # The witness is the actual world with the pins and x'
                     # laid over it when no variable below a pin is left
-                    # unpinned, or else the solve of the pin vector.
+                    # unpinned, an empty plan, or else the solve of the pins.
                     kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
-                    below = functools.reduce(operator.or_,
-                                             map(reach.__getitem__, w_positions + x_positions))
-                    plan = engine.plan(pinned) if below & ~pinned else None
-                    base = engine.actual if plan is None else x_key
+                    plan = engine.plan(pinned)
+                    base = x_key if plan else engine.actual
                     for w_values in settings:
                         tried = decided.get(tuple(map(w_values.__getitem__, kept)))
                         if tried:
                             head = base + w_values
                             for alt in tried:
                                 values = overlay(head + alt)
-                                if plan is not None:
+                                if plan:
                                     values = solve(values, plan)
                                 yield _witness(w_vars, w_values, alt, endo, values)
                     continue
@@ -531,10 +525,9 @@ def _effect_signs(model: CausalModel, x_vars: Sequence[str],
             if sign == 0 or name in x_vars:
                 continue
             relevant |= 1 << index[name]
-            for parent, way in _directions(model, name).items():
-                if way != 0:
-                    step = sign * way if sign and way else None
-                    found[parent] = step if found.get(parent, step) == step else None
+            for parent, way in _moving_parents(model, name):
+                step = sign * way if sign and way else None
+                found[parent] = step if found.get(parent, step) == step else None
     signs = {}
     for target, found in paths.items():
         sign = 0

@@ -21,7 +21,6 @@ from .model import (
     _set,
     _check_events,
     _kernel,
-    _settle,
     _start,
     check_context,
 )
@@ -133,10 +132,8 @@ def satisfies(model: CausalModel, context: Context, formula: CausalFormula) -> b
     model.require_valid()
     holds = check_formula(model, formula)
     check_context(model, context)
-    env = _start(model, context)
-    for name, value in formula.interventions:
-        env[model.endo_index(name)] = value
-    return holds(_settle(model, env, [step for step in _kernel(model) if env[step[0]] is None]))
+    key = tuple(map(dict(formula.interventions).get, model.endogenous, model._pins))
+    return holds(_kernel(model)(key, -1, _start(model, context)))
 
 
 def format_body(body: BooleanFormula) -> str:

@@ -3,7 +3,8 @@
 A model pairs a signature (exogenous and endogenous variables, each with a
 finite range) with one equation per endogenous variable.  Models are immutable
 after construction; solving, intervening, and graph extraction are pure
-functions, so shared models are safe to use concurrently.
+functions, so shared models are safe to use concurrently.  Every solve
+calls one function generated from the model's equations (``_kernel``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import graphlib
 import itertools
 import math
 import operator
+import os
 from collections import Counter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ModelError
 
@@ -91,9 +93,9 @@ class Variable(Record):
 #
 # An equation body is a small expression tree over integers; `referenced()`
 # returns the variable names the body mentions, which drives both acyclicity
-# checking and evaluation order.  The trees carry no evaluator: `_compile`
-# turns a body into the one closure that every solve, validation walk,
-# direction table, behaviour and isomorphism check runs.
+# checking and evaluation order.  The trees carry no evaluator: `_translate`
+# turns a body into Python source, which `_kernel` fuses into every solve
+# and `_compile` into the walks, behaviours and the isomorphism check.
 
 
 class Const(Record):
@@ -233,8 +235,11 @@ class CausalModel:
         self._report: Optional[ValidationReport] = None
         self._topo: Optional[tuple[str, ...]] = None
         self._reach: Optional[tuple[int, ...]] = None
-        self._compiled: Optional[tuple[tuple[int, Callable], ...]] = None
+        # The solve kernel, shared with intervened models, and their pins.
+        self._compiled: Optional[Callable] = None
+        self._pins: tuple[Optional[int], ...] = (None,) * len(self.endogenous)
         self._directions: dict[str, dict[str, Optional[int]]] = {}
+        self._moving: dict[str, tuple[tuple[str, Optional[int]], ...]] = {}
 
     # -- lookups --------------------------------------------------------------
 
@@ -461,7 +466,7 @@ def _walk(model: CausalModel, body: Expr):
     body runs compiled over the combination; any other fault, such as an
     unknown operator, is raised."""
     refs = sorted(body.referenced())
-    compiled = _compile(body, {name: i for i, name in enumerate(refs)})
+    [compiled] = _compile((body,), {name: i for i, name in enumerate(refs)})
     for combo in itertools.product(*(sorted(model.range_of(r)) for r in refs)):
         try:
             output = compiled(combo)
@@ -512,16 +517,13 @@ def check_context(model: CausalModel, context: Context):
 
 
 def solve(model: CausalModel, context: Context) -> World:
-    """Unique solution of the equations under the given context.
-
-    Runs every compiled equation in topological order, so each sees its
-    inputs settled.  Every other solve runs the same loop, ``_settle``: a
-    formula's intervention prefix skips the pinned equations, and a
-    counterfactual of the search re-runs only the pins' descendants.
+    """Unique solution of the equations under the given context: one call
+    of the model's kernel, running every equation (but an intervened
+    model's targets) in topological order, so each sees its inputs settled.
     """
     model.require_valid()
     check_context(model, context)
-    return World(model.endogenous, _settle(model, _start(model, context), _kernel(model)))
+    return World(model.endogenous, _kernel(model)(model._pins, -1, _start(model, context)))
 
 
 def _start(model: CausalModel, context: Context) -> list:
@@ -530,64 +532,124 @@ def _start(model: CausalModel, context: Context) -> list:
     return [None] * len(model.endogenous) + [context[name] for name in model.exogenous]
 
 
-def _settle(model: CausalModel, env: list, plan) -> tuple[int, ...]:
-    """Endogenous values after running the plan's (position, compiled
-    equation) pairs, in topological order, over the env list; a position the
-    plan skips, a pin or a variable no pin reaches, keeps its env value."""
-    for position, equation in plan:
-        env[position] = equation(env)
-    return tuple(env[:len(model.endogenous)])
+# Generated code is filed under the package, so its frames count as the package's.
+_GENERATED = os.path.join(os.path.dirname(__file__), "<generated>")
+
+# Parsing takes some 10 KB per position: a wider kernel is a function per chunk.
+_CHUNK = 256
 
 
-def _kernel(model: CausalModel) -> tuple[tuple[int, Callable], ...]:
-    """(position, compiled equation) of each endogenous variable of the
-    valid model, in topological order; compiled once per model."""
+def _define(lines: list[str], names: dict):
+    exec(compile("\n".join(lines), _GENERATED, "exec"), names)
+
+
+def _kernel(model: CausalModel) -> Callable[[tuple, int, list], tuple[int, ...]]:
+    """The model's solve kernel ``settle(key, run, env)``, made once: each
+    position holds its pin in ``key``, else runs its equation inline, in
+    topological order, when its bit is set in the mask ``run``, else reads
+    ``env`` (the endogenous positions, then the context's values).  Past
+    ``_CHUNK`` positions it calls one function per chunk of the order."""
     if model._compiled is None:
-        positions = {name: i for i, name in enumerate(model.endogenous + model.exogenous)}
-        model._compiled = tuple(
-            (positions[name], _compile(model.equations[name].body, positions))
-            for name in model.topological_order()
-        )
+        n = len(model.endogenous)
+        index = {name: i for i, name in enumerate(model.endogenous + model.exogenous)}
+        order = [index[name] for name in model.topological_order()]
+        held, names = "".join(f"v{i}, " for i in range(n)), {}
+        reads = [f"v{i}" if i < n else f"env[{i}]" for i in range(len(index))]
+        for k in range(0, n or 1, _CHUNK):
+            lines = [f"def {'settle' if n <= _CHUNK else f'c{k}'}(key, run, env):",
+                     f" ({held}) = key"]
+            for i in order[k:k + _CHUNK]:
+                shared, text = _translate(model.equations[model.endogenous[i]].body, names,
+                                          lambda ref: reads[index[ref]])
+                # A wide mask would make the source long and slow to compile.
+                test = f"run & {1 << i}" if i < 62 else f"run >> {i} & 1"
+                lines += [f" if v{i} is None:",
+                          f"  if {test}: {'; '.join([*shared, f'v{i} = {text}'])}",
+                          f"  else: v{i} = env[{i}]"]
+            _define(lines + [f" return ({held})"], names)
+        if n > _CHUNK:
+            _define(["def settle(key, run, env):", *(
+                f" key = c{k}(key, run, env)" for k in range(0, n, _CHUNK)), " return key"], names)
+        model._compiled = names["settle"]
     return model._compiled
 
 
-_OPERATORS = {"min": min, "max": max, "+": operator.add, "-": operator.sub,
-              "*": operator.mul}
+class _Rows(dict):
+    """A table's rows; an argument tuple with no row raises ``_MissingRow``."""
+
+    def __missing__(self, key):
+        raise _MissingRow(f"table({', '.join(self.args)}) has no row for {key}")
 
 
-def _compile(expr: Expr, positions: Mapping[str, int]) -> Callable[[list], int]:
-    """A closure computing the expression from an env sequence, reading each
-    variable at its position: the package's one evaluator of an equation or
-    behaviour body.  Raises ModelError on an operator it does not know; the
-    closure raises ``_MissingRow`` on an argument tuple its table has no
-    row for."""
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Ref):
-        return operator.itemgetter(positions[expr.name])
-    if isinstance(expr, Table):
-        where = [positions[a] for a in expr.args]
-        # itemgetter yields the bare value of one position, a tuple of more
-        rows = {k[0] if len(where) == 1 else k: v for k, v in expr._map.items()}
-        key_of = operator.itemgetter(*where) if where else lambda env: ()
+# Each operator's source: every composite is bracketed, needing no precedence.
+_OPERATORS = {"min": "min({}, {})", "max": "max({}, {})", "+": "({} + {})",
+              "-": "({} - {})", "*": "({} * {})"}
 
-        def table(env):
-            value = rows.get(key_of(env))
-            if value is None:
-                key = tuple(env[p] for p in where)
-                raise _MissingRow(f"table({', '.join(expr.args)}) has no row for {key}")
-            return value
-        return table
-    if isinstance(expr, Ite):
-        left, right, then, other = (_compile(e, positions)
-                                    for e in (expr.left, expr.right, expr.then, expr.other))
-        return lambda env: then(env) if left(env) == right(env) else other(env)
-    fn = _OPERATORS.get(expr.op)
-    if fn is None:
-        raise ModelError(f"unknown operator {expr.op!r}")
-    left, right = _compile(expr.left, positions), _compile(expr.right, positions)
-    return lambda env: fn(left(env), right(env))
+
+def _translate(expr: Expr, names: dict, read: Callable[[str], str]) -> tuple[list[str], str]:
+    """Statements computing each table-free subexpression met more than once
+    into a local, and the expression, reading variables as ``read`` gives:
+    only ints and positions formatted here.  A table (lazy in its ite branch)
+    or a constant that is no small int is bound in ``names``."""
+    counts: Counter = Counter()
+    lines: list[str] = []
+    local: dict = {}
+
+    def parts(e: Expr) -> list:  # the subexpressions: the fields that are records
+        return [field for field in e._key(e) if isinstance(field, Record)]
+
+    def count(e: Expr):
+        counts[e] += 1
+        if counts[e] == 1:
+            for part in parts(e):
+                count(part)
+
+    def emit(e: Expr, depth: int) -> tuple[str, bool]:  # source, and if it holds a table
+        if isinstance(e, Ref):
+            return read(e.name), False
+        if isinstance(e, Const) and type(e.value) is int and e.value.bit_length() < 64:
+            return f"{e.value:d}", False
+        key = f"_k{len(names)}"
+        if isinstance(e, Const):
+            names[key] = e.value
+            return key, False
+        if isinstance(e, Table):
+            names[key] = rows = _Rows(e._map)
+            rows.args = e.args
+            return f"{key}[{''.join(f'{read(a)}, ' for a in e.args) or '()'}]", True
+        if e in local:
+            return local[e], False
+        found = [emit(part, depth + 1) for part in parts(e)]
+        texts, tabled = [text for text, _ in found], any(held for _, held in found)
+        if isinstance(e, Ite):
+            text = "({2} if {0} == {1} else {3})".format(*texts)
+        elif e.op in _OPERATORS:
+            text = _OPERATORS[e.op].format(*texts)
+        else:
+            raise ModelError(f"unknown operator {e.op!r}")
+        # Every 64 levels a subtree gets a local too, which keeps the source
+        # within the parser's limit on nested brackets.
+        if (counts[e] > 1 or depth % 64 == 63) and not tabled:
+            local[e] = f"s{len(local)}"
+            lines.append(f"{local[e]} = {text}")
+            return local[e], False
+        return text, tabled
+
+    count(expr)
+    return lines, emit(expr, 0)[0]
+
+
+def _compile(exprs: Sequence[Expr],
+             positions: Mapping[str, int]) -> tuple[Callable[[Sequence], int], ...]:
+    """Per expression, a function of an env sequence holding each variable
+    at its position, all from one run of generated source."""
+    lines, names = [], {}
+    for k, expr in enumerate(exprs):
+        shared, text = _translate(expr, names, lambda name: f"env[{positions[name]:d}]")
+        lines += [f"def f{k}(env):", *(f" {line}" for line in shared), f" return {text}"]
+    if lines:
+        _define(lines, names)
+    return tuple(names[f"f{k}"] for k in range(len(exprs)))
 
 
 def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
@@ -604,12 +666,11 @@ def intervene(model: CausalModel, setting: Mapping[str, int]) -> CausalModel:
     child = CausalModel(model.variables, equations)
     if model.validate().ok:
         # Replacing equations by in-range constants preserves validity; the
-        # parent's report, order and compiled equations serve the child.
+        # parent's report, order and kernel serve the child, which holds
+        # every pin of the parent's and its own.
         child._report, child._topo = model._report, model._topo
-        endo = model.endogenous
-        child._compiled = tuple(
-            (p, _compile(Const(setting[endo[p]]), {}) if endo[p] in setting else equation)
-            for p, equation in _kernel(model))
+        child._compiled, child._pins = _kernel(model), tuple(
+            map(setting.get, model.endogenous, model._pins))
     return child
 
 
@@ -698,6 +759,16 @@ def _directions(model: CausalModel, target: str) -> dict[str, Optional[int]]:
     return directions
 
 
+def _moving_parents(model: CausalModel, target: str) -> tuple[tuple[str, Optional[int]], ...]:
+    """The target's endogenous references whose direction is not 0, each with it."""
+    found = model._moving.get(target)
+    if found is None:
+        found = model._moving[target] = tuple(
+            (name, way) for name, way in _directions(model, target).items()
+            if way != 0 and name in model._endo_index)
+    return found
+
+
 def equation_isomorphism(
     first: CausalModel,
     second: CausalModel,
@@ -729,12 +800,11 @@ def equation_isomorphism(
     all_names = [v.name for v in first.variables]
     positions = {name: i for i, name in enumerate(all_names)}
     mapped_positions = {variable_map[name]: i for i, name in enumerate(all_names)}
-    pairs = [
-        (value_maps[target],
-         _compile(first.equations[target].body, positions),
-         _compile(second.equations[variable_map[target]].body, mapped_positions))
-        for target in first.endogenous
-    ]
+    pairs = list(zip(
+        (value_maps[target] for target in first.endogenous),
+        _compile([first.equations[t].body for t in first.endogenous], positions),
+        _compile([second.equations[variable_map[t]].body for t in first.endogenous],
+                 mapped_positions)))
     for combo in itertools.product(*(first.range_of(n) for n in all_names)):
         mapped = [value_maps[n][value] for n, value in zip(all_names, combo)]
         for out_map, got, want in pairs:

@@ -154,15 +154,13 @@ class DerivedOrder(NormalityOrder):
         self._dominance = _close_dominance(model, spec)
         # What world_marks reads per endogenous position: the variable, its
         # value -> rank table and its compiled behaviors (None when undeclared).
-        self._positions = tuple(
-            (
-                name,
-                _value_ranks(spec.ranking_for(name)),
-                _compiled_behaviors(
-                    model, spec.behaviors_for(name) if spec.mechanism else None),
-            )
-            for name in model.endogenous
-        )
+        behaviors = _compiled_behaviors(model, [
+            spec.behaviors_for(name) if spec.mechanism else None for name in model.endogenous])
+        self._positions = tuple(zip(
+            model.endogenous,
+            (_value_ranks(spec.ranking_for(name)) for name in model.endogenous),
+            behaviors,
+        ))
 
     def marks(self, world: World) -> tuple[Mark, ...]:
         return world_marks(self, world)
@@ -301,9 +299,9 @@ def assign_behavior(
         raise NormalityError("no behavior rankings declared")
     validate_spec(model, spec)
     return {
-        ranking.variable: _consistent_behavior(
-            ranking.variable, _compiled_behaviors(model, ranking), world)[1]
-        for ranking in spec.behavior_rankings
+        ranking.variable: _consistent_behavior(ranking.variable, behaviors, world)[1]
+        for ranking, behaviors in zip(spec.behavior_rankings,
+                                      _compiled_behaviors(model, spec.behavior_rankings))
     }
 
 
@@ -329,13 +327,14 @@ def _value_ranks(ranking: Optional[ValueRanking]) -> Optional[dict[int, int]]:
     return {value: rank for rank, value in enumerate(ranking.ranking)}
 
 
-def _compiled_behaviors(model: CausalModel, ranking: Optional[BehaviorRanking]):
-    """The ranking's (label, body) pairs, most typical first, each body
-    compiled over the endogenous positions of a world's values; None for
-    no ranking."""
-    if ranking is None:
-        return None
-    return tuple((b.label, _compile(b.body, model._endo_index)) for b in ranking.behaviors)
+def _compiled_behaviors(model: CausalModel, rankings: Sequence[Optional[BehaviorRanking]]):
+    """Per ranking, its (label, body) pairs, most typical first, each body
+    compiled over the endogenous positions of a world's values, all of them
+    at once; None for no ranking."""
+    bodies = iter(_compile([b.body for ranking in rankings if ranking
+                            for b in ranking.behaviors], model._endo_index))
+    return [None if ranking is None else tuple((b.label, next(bodies)) for b in ranking.behaviors)
+            for ranking in rankings]
 
 
 def _consistent_behavior(name: str, behaviors: tuple, world: World) -> tuple[int, str]:

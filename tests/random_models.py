@@ -36,7 +36,7 @@ from actualcause.checker import Engine
 
 def tree_value(expr, env) -> int:
     """Reference value of an equation body over a dict env: a recursive walk
-    of its tree, kept apart from the compiled closures the package runs so
+    of its tree, kept apart from the generated code the package runs so
     that tests pit the two against each other.  A table reads the first of
     its rows for the argument tuple; a tuple with no row raises ModelError
     with the package's message."""
@@ -158,22 +158,25 @@ def random_effect(rng: random.Random, model: CausalModel, world, depth: int = 2)
     return Negation(node) if rng.random() < 0.1 else node
 
 
-def random_expression(rng: random.Random, depth: int = 3, ragged: bool = False):
-    """Random equation body over the variables of ``EXPRESSION_RANGES``:
-    every operator, ite and nested tables.  With ``ragged``, a table may
-    drop rows and repeat argument tuples with other values, in any order."""
+def random_expression(rng: random.Random, depth: int = 3, ragged: bool = False,
+                      ranges=None):
+    """Random equation body over the variables of ``ranges`` (by default
+    ``EXPRESSION_RANGES``): every operator, ite and nested tables.  With
+    ``ragged``, a table may drop rows and repeat argument tuples with other
+    values, in any order."""
+    ranges = EXPRESSION_RANGES if ranges is None else ranges
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
             return Const(rng.randint(-2, 2))
-        return Ref(rng.choice(sorted(EXPRESSION_RANGES)))
+        return Ref(rng.choice(sorted(ranges)))
     kind = rng.choice(("min", "max", "+", "-", "*", "ite", "table"))
     if kind == "ite":
-        return Ite(*(random_expression(rng, depth - 1, ragged) for _ in range(4)))
+        return Ite(*(random_expression(rng, depth - 1, ragged, ranges) for _ in range(4)))
     if kind == "table":
-        args = tuple(sorted(rng.sample(sorted(EXPRESSION_RANGES), rng.randint(1, 2))))
+        args = tuple(sorted(rng.sample(sorted(ranges), rng.randint(1, 2))))
         rows = [
             (combo, rng.randint(-2, 2))
-            for combo in itertools.product(*(EXPRESSION_RANGES[a] for a in args))
+            for combo in itertools.product(*(ranges[a] for a in args))
         ]
         if ragged:
             rows = [row for row in rows if rng.random() < 0.85]
@@ -181,8 +184,8 @@ def random_expression(rng: random.Random, depth: int = 3, ragged: bool = False):
             rows += [(combo, rng.randint(-2, 2)) for combo, _ in repeats]
             rng.shuffle(rows)
         return Table(args, tuple(rows))
-    return BinOp(kind, random_expression(rng, depth - 1, ragged),
-                 random_expression(rng, depth - 1, ragged))
+    return BinOp(kind, random_expression(rng, depth - 1, ragged, ranges),
+                 random_expression(rng, depth - 1, ragged, ranges))
 
 
 # Ranges of the variables random_expression draws on: unsorted, negative

@@ -1,5 +1,6 @@
 """Clause checks, witness enumeration, verdicts, and the candidate sweep."""
 
+import dis
 import itertools
 import os
 import random
@@ -532,21 +533,38 @@ def test_witness_memo_keeps_filtered_and_plain_decisions_apart(documents):
         assert search.has_witness(conjuncts) is True
 
 
+class _Counts(dict):
+    """Counts that refuse to read no distinct solve after a lookup: every
+    engine solves its actual world, so a 0 there means the count missed the
+    solves."""
+
+    def __getitem__(self, name):
+        if name == "settle" and self.get("solve_tuple") and not self.get("settle"):
+            raise AssertionError("lookups were made, yet no distinct solve was counted")
+        return super().__getitem__(name)
+
+
 def _count_lookups(monkeypatch):
-    """Counts of counterfactual lookups and of distinct solves from here on."""
-    counts = {"solve_tuple": 0, "settle": 0}
-    solve_tuple, settle = Engine.solve_tuple, checker._settle
+    """Counts of counterfactual lookups and of distinct solves from here on:
+    every distinct solve of an engine is one call of the kernel it takes
+    from ``checker._kernel``."""
+    counts = _Counts(solve_tuple=0, settle=0)
+    solve_tuple, kernel = Engine.solve_tuple, checker._kernel
 
     def counting_solve_tuple(*args):
-        counts["solve_tuple"] += 1
+        counts["solve_tuple"] = counts.get("solve_tuple") + 1
         return solve_tuple(*args)
 
-    def counting_settle(*args):
-        counts["settle"] += 1
-        return settle(*args)
+    def counting_kernel(model):
+        settle = kernel(model)
+
+        def counting_settle(*args):
+            counts["settle"] = counts.get("settle") + 1
+            return settle(*args)
+        return counting_settle
 
     monkeypatch.setattr(Engine, "solve_tuple", counting_solve_tuple)
-    monkeypatch.setattr(checker, "_settle", counting_settle)
+    monkeypatch.setattr(checker, "_kernel", counting_kernel)
     return counts
 
 
@@ -661,32 +679,62 @@ def _chain(n):
     )
 
 
-def test_a_pin_re_solves_only_its_descendants(monkeypatch):
-    # U -> X0 -> ... -> X5: pinning X_k re-runs the equations of X_{k+1}..X5
-    # alone, and pinning the sink re-runs none.
+def test_a_pin_re_solves_only_its_descendants():
+    # U -> X0 -> ... -> X5: pinning X_k runs the equations of X_{k+1}..X5
+    # alone, and pinning the sink runs none.  The engine's context is then
+    # switched to U=0, under which every equation gives 0, so a re-run
+    # equation shows as a 0 where the actual world has 1.
     n = 6
     model = _chain(n)
-    target = {model.equations[name].body: name for name in model.endogenous}
-    evaluated = []
-    compile_equation = model_module._compile
-
-    def counting_compile(expr, positions):
-        compiled = compile_equation(expr, positions)
-
-        def run(env):
-            evaluated.append(target[expr])
-            return compiled(env)
-        return run
-
-    monkeypatch.setattr(model_module, "_compile", counting_compile)
     engine = Engine(model, {"U": 1})
-    assert evaluated == list(model.endogenous)
+    assert engine.actual == (1,) * n
+    engine._env[model.exogenous.index("U") + n] = 0
     for k in range(n):
-        evaluated.clear()
         key = [None] * n
+        key[k] = 1
+        below = sum(1 << i for i in range(k + 1, n))
+        assert engine.plan(1 << k) == below
+        assert engine.solve_tuple(tuple(key)) == (1,) * n
+        # Running the other equations too reads the switched context.
+        rerun = engine._settle(tuple(key), (1 << n) - 1 - (1 << k), engine._env)
+        assert rerun == (0,) * k + (1,) * (n - k)
         key[k] = 0
         assert engine.solve_tuple(tuple(key)) == (1,) * k + (0,) * (n - k)
-        assert evaluated == [f"X{i}" for i in range(k + 1, n)]
+
+
+def test_one_solve_of_a_vote_adds_the_votes_once():
+    # W tests the voters' sum at each of its five levels: the kernel adds the
+    # nine votes once, 8 additions, where evaluating each level's copy of the
+    # sum makes 40.
+    model, context = _wide_model("vote", 9, 5)
+    settle = model_module._kernel(model)
+    adds = {i.offset for i in dis.get_instructions(settle)
+            if i.opname == "BINARY_ADD" or i.opname == "BINARY_OP" and i.argrepr == "+"}
+    count = 0
+
+    def count_adds(frame, kind, arg):
+        nonlocal count
+        count += kind == "opcode" and frame.f_lasti in adds
+        return count_adds
+
+    def trace(frame, kind, arg):
+        if frame.f_code is settle.__code__:
+            frame.f_trace_opcodes = True
+            return count_adds
+        return None
+
+    # CPython 3.13 sends no opcode events in the first traced session, so
+    # the count is that of the second solve; each solve runs every equation.
+    previous = sys.gettrace()
+    for _ in range(2):
+        count = 0
+        sys.settrace(trace)
+        try:
+            world = solve(model, context)
+        finally:
+            sys.settrace(previous)
+    assert world["F"] == 1
+    assert count == 8
 
 
 def test_pins_that_cannot_reach_the_effect_are_not_solved(monkeypatch):
@@ -709,14 +757,22 @@ def test_each_pin_mask_is_planned_once(monkeypatch):
     # The search looks a contingency set's plan up once for all its settings
     # and AC2(b) looks up the plan of each sub-assignment's mask: across the
     # 243 records, each mask whose key missed the solve cache has its plan
-    # built exactly once.  The empty mask's plan comes with the engine.
+    # built exactly once.  The engine solves the actual world, of the empty
+    # mask, with no plan.
     built, missed = [], set()
     plan, solve_tuple = Engine.plan, Engine.solve_tuple
 
     def counting_plan(engine, pinned):
         if pinned not in engine._plans:
             built.append(pinned)
-        return plan(engine, pinned)
+        run = plan(engine, pinned)
+        # The plan is the run mask: below some pin, and held by none.
+        below = 0
+        for i in range(len(engine.endo)):
+            if pinned >> i & 1:
+                below |= engine.reach[i]
+        assert run == below & ~pinned
+        return run
 
     def recording_solve_tuple(engine, key, *args):
         if key not in engine._cache:
@@ -755,7 +811,7 @@ def test_refutation_follows_a_non_increasing_edge():
     relevant, signs, paths = checker._effect_signs(model, ("A",), {"F"})
     assert relevant == sum(1 << model.endo_index(name) for name in "BCF")
     assert signs == {"F": -1}
-    assert paths == {"F": {"F": 1, "B": 1, "C": 1, "A": -1, "UC": 1}}
+    assert paths == {"F": {"F": 1, "B": 1, "C": 1, "A": -1}}
     verdict = is_actual_cause(model, context, cand(event("A", 0)), event("F", 1))
     assert verdict.is_cause
     assert [r.x_prime for r in verdict.hp_witnesses] == [(1,), (1,)]

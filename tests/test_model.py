@@ -1,5 +1,7 @@
 """Model construction, validation, solving, intervention, and graphs."""
 
+import os
+
 import pytest
 
 from actualcause import (
@@ -146,12 +148,12 @@ def test_the_first_of_repeated_table_rows_counts():
                          "var Y : {0,1} = table(X){(0) -> 1, (1) -> 0, (0) -> 3}\n"
                          "context c : U=0\n")
     table = doc.model.equations["Y"].body
-    assert model_module._compile(table, {"X": 0})([0]) == 1
+    assert model_module._compile((table,), {"X": 0})[0]([0]) == 1
     assert validate_model(doc.model).ok
     assert solve(doc.model, doc.contexts["c"]).as_dict() == {"X": 0, "Y": 1}
     assert semantic_parents(doc.model, "Y") == ("X",)
     nested = Table(("X",), (((0,), 0), ((1,), 1), ((1,), 0)))
-    assert model_module._compile(BinOp("+", nested, Const(0)), {"X": 0})([1]) == 1
+    assert model_module._compile((BinOp("+", nested, Const(0)),), {"X": 0})[0]([1]) == 1
 
 
 def test_wide_sum_is_proved_total_by_its_interval():
@@ -274,14 +276,15 @@ def test_intervene_is_idempotent(disjunctive):
 
 
 def test_intervene_reuses_the_compiled_equations_it_keeps(monkeypatch):
-    compiled = []
-    compile_expr = model_module._compile
+    # A child runs its origin's kernel with its pins held, so neither it nor
+    # a grandchild generates code of its own.
+    generated = []
 
-    def counting_compile(expr, positions):
-        compiled.append(expr)
-        return compile_expr(expr, positions)
+    def counting_exec(code, names):
+        generated.append(code)
+        return exec(code, names)
 
-    monkeypatch.setattr(model_module, "_compile", counting_compile)
+    monkeypatch.setattr(model_module, "exec", counting_exec, raising=False)
     model = CausalModel(
         [binary("UL", "exogenous"), binary("UM", "exogenous"),
          binary("L"), binary("M"), binary("F")],
@@ -289,12 +292,47 @@ def test_intervene_reuses_the_compiled_equations_it_keeps(monkeypatch):
          Equation("F", BinOp("max", Ref("L"), Ref("M")))],
     )
     assert solve(model, {"UL": 1, "UM": 1})["F"] == 1
-    compiled.clear()
+    assert len(generated) == 1
     child = intervene(model, {"L": 0})
     assert solve(child, {"UL": 1, "UM": 0}).as_dict() == {"L": 0, "M": 0, "F": 0}
     grandchild = intervene(child, {"M": 1})
     assert solve(grandchild, {"UL": 1, "UM": 0}).as_dict() == {"L": 0, "M": 1, "F": 1}
-    assert compiled == [Const(0), Const(1)]
+    assert intervene(grandchild, {"L": 1, "F": 0})._pins == (1, 1, 0)
+    assert len(generated) == 1
+
+
+def test_generated_code_is_filed_under_the_package(disjunctive):
+    # What tells the package's frames by their file name, such as the
+    # checker's bytecode bound, sees the kernel's and a compiled body's.
+    package = os.path.dirname(model_module.__file__) + os.sep
+    settle = model_module._kernel(disjunctive.model)
+    [body] = model_module._compile((BinOp("max", Ref("X"), Const(1)),), {"X": 0})
+    assert settle.__code__.co_filename.startswith(package)
+    assert body.__code__.co_filename.startswith(package)
+    assert body([0]) == 1
+
+
+def test_a_wide_model_solves_through_one_function_per_chunk():
+    # 600 links make three chunks of the order; each reads the values of the
+    # chunks before it from the list they pass on.
+    from actualcause import CausalFormula, PrimitiveEvent, satisfies
+    from actualcause.checker import Engine
+
+    n = 600
+    model = CausalModel(
+        [binary("U", "exogenous")] + [binary(f"X{i}") for i in range(n)],
+        [Equation("X0", Ref("U"))]
+        + [Equation(f"X{i}", Ref(f"X{i - 1}")) for i in range(1, n)],
+    )
+    assert solve(model, {"U": 1}).values == (1,) * n
+    assert model_module._kernel(model).__code__.co_name == "settle"
+    prefix = (("X300", 0),)
+    assert satisfies(model, {"U": 1}, CausalFormula(prefix, PrimitiveEvent(f"X{n - 1}", 0)))
+    assert solve(intervene(model, dict(prefix)), {"U": 1}).values == (1,) * 300 + (0,) * 300
+    engine = Engine(model, {"U": 1})
+    key = [None] * n
+    key[520] = 0
+    assert engine.solve_tuple(tuple(key)) == (1,) * 520 + (0,) * 80
 
 
 def test_intervene_rejects_exogenous(disjunctive):

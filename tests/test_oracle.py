@@ -13,6 +13,8 @@ from actualcause import (
     is_actual_cause,
     is_extended_cause,
 )
+from actualcause import model as model_module
+from actualcause.corpus import load_document
 from actualcause.oracle import oracle_is_cause, oracle_is_extended_cause
 
 
@@ -29,6 +31,22 @@ def test_oracle_forest_fire(documents):
     u11 = doc.contexts["u11"]
     assert oracle_is_cause(doc.model, u11, [event("L", 1)], event("F", 1))
     assert oracle_is_cause(doc.model, u11, [event("M", 1)], event("F", 1))
+
+
+def test_the_oracle_generates_one_kernel_per_model(monkeypatch):
+    # The oracle solves each counterfactual as solve(intervene(model, ...)):
+    # every intervened model runs the kernel of the model it came from.
+    doc = load_document("poisoning.scm.txt")
+    generated = []
+
+    def counting_exec(code, names):
+        generated.append(code)
+        return exec(code, names)
+
+    monkeypatch.setattr(model_module, "exec", counting_exec, raising=False)
+    for context in doc.contexts.values():
+        oracle_is_cause(doc.model, context, [event("A", 1)], event("D", 1))
+    assert len(generated) == 1
 
 
 def test_oracle_poisoning(documents):

@@ -10,15 +10,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actualcause import (
+    BinOp,
     CandidateCause,
     CausalFormula,
     CausalModel,
+    Const,
+    Equation,
     ExtendedCausalModel,
+    Ite,
     ModelError,
     Negation,
     PrimitiveEvent,
+    Ref,
     SearchBudgetExceeded,
+    Table,
     TrivialOrder,
+    Variable,
     derive_from_typicality,
     enumerate_witnesses,
     evaluate,
@@ -34,9 +41,9 @@ from actualcause import checker, oracle
 from actualcause import model as model_module
 from actualcause.checker import CauseSearch, Engine
 from actualcause.corpus import fixture_dir
-from actualcause.dsl import DslError, parse_document, parse_query
+from actualcause.dsl import MAX_NESTING, DslError, parse_document, parse_query
 from actualcause.model import (
-    _MissingRow, _bounds, _compile, _directions, _reach_masks, _walk,
+    Expr, _MissingRow, _bounds, _compile, _directions, _reach_masks, _walk,
 )
 
 from random_models import (
@@ -314,7 +321,7 @@ def test_compiled_equation_agrees_with_evaluate(seed, ragged):
     names = sorted(EXPRESSION_RANGES)
     rng.shuffle(names)
     # Position 0 holds no variable, so a misplaced read meets None.
-    compiled = _compile(body, {name: i + 1 for i, name in enumerate(names)})
+    [compiled] = _compile((body,), {name: i + 1 for i, name in enumerate(names)})
     for combo in itertools.product(*(EXPRESSION_RANGES[name] for name in names)):
         try:
             expected = tree_value(body, dict(zip(names, combo)))
@@ -358,6 +365,87 @@ def test_incremental_solve_equals_a_full_walk(seed):
                 assert key_first.solve_tuple(tuple(key)) == expected
                 assert key_first.solve_tuple(tuple(key), key_first.plan(mask)) == expected
                 assert plan_first.solve_tuple(tuple(key)) == expected
+
+
+def _kernel_body(rng: random.Random, ranges: dict) -> Expr:
+    """A body over the variables of ``ranges``: a random expression, or one
+    that repeats a subtree, holds a table under ite whose rows cover only
+    the branch's side of the test, or is a left-deep chain of
+    ``MAX_NESTING`` operators."""
+    names = sorted(ranges)
+    sub = random_expression(rng, 2, ranges=ranges)
+    shape = rng.randrange(4)
+    if shape == 0:
+        op = rng.choice(("min", "max", "+", "-", "*"))
+        return Ite(sub, Const(rng.randint(-2, 2)), BinOp(op, sub, sub), BinOp("-", Const(-3), sub))
+    if shape == 1:
+        name = rng.choice(names)
+        value = rng.choice(ranges[name])
+        args = tuple(sorted({name, rng.choice(names)}))
+        rows = tuple((combo, rng.randint(-3, 3))
+                     for combo in itertools.product(*map(ranges.get, args))
+                     if combo[args.index(name)] == value)
+        return Ite(Ref(name), Const(value), Table(args, rows), sub)
+    if shape == 2:
+        body = Ref(rng.choice(names))
+        for _ in range(MAX_NESTING):
+            term = Ref(rng.choice(names)) if rng.random() < 0.7 else Const(rng.randint(-2, 2))
+            body = BinOp(rng.choice(("+", "-", "min", "max")), body, term)
+        return body
+    return random_expression(rng, 3, ranges=ranges)
+
+
+@given(SEEDS)
+@settings(max_examples=50, deadline=None)
+def test_the_kernel_equals_the_tree_walk(seed):
+    # A plain solve, a satisfies prefix, an intervened model's solve and an
+    # engine on it all run the model's one generated kernel; each equals the
+    # walk over every equation's tree, in order, with the pins held.  Each
+    # range is declared shuffled, and a kernel may be split into functions
+    # of one or two positions, as a wide model's is.
+    rng = random.Random(seed)
+    chunk = mock.patch.object(model_module, "_CHUNK", rng.choice((1, 2, model_module._CHUNK)))
+    ranges = dict(EXPRESSION_RANGES)
+    variables = [Variable(name, "exogenous", values) for name, values in ranges.items()]
+    equations = []
+    for name in ("P", "Q", "R"):
+        body = _kernel_body(rng, ranges)
+        refs = sorted(body.referenced())
+        outputs = {tree_value(body, dict(zip(refs, combo)))
+                   for combo in itertools.product(*map(ranges.get, refs))}
+        if len(outputs) > 6:
+            body = BinOp("min", Const(2), BinOp("max", Const(-2), body))
+            outputs = {min(2, max(-2, value)) for value in outputs}
+        ranges[name] = tuple(rng.sample(sorted(outputs), len(outputs)))
+        variables.append(Variable(name, "endogenous", ranges[name]))
+        equations.append(Equation(name, body))
+    model = CausalModel(variables, equations)
+    assert validate_model(model).ok
+
+    def walk(context, pins):
+        env = dict(context)
+        for name in model.endogenous:
+            env[name] = (pins[name] if name in pins
+                         else tree_value(model.equations[name].body, env))
+        return tuple(env[name] for name in model.endogenous)
+
+    for context in rng.sample(list(all_contexts(model)), 4):
+        with chunk:
+            assert solve(model, context).values == walk(context, {})
+        pins = {name: rng.choice(ranges[name])
+                for name in rng.sample(model.endogenous, rng.randint(1, 2))}
+        expected = walk(context, pins)
+        for name, value in zip(model.endogenous, expected):
+            prefix = tuple(pins.items())
+            assert satisfies(model, context, CausalFormula(prefix, PrimitiveEvent(name, value)))
+            for other in set(ranges[name]) - {value}:
+                assert not satisfies(model, context,
+                                     CausalFormula(prefix, PrimitiveEvent(name, other)))
+        child = intervene(model, pins)
+        assert solve(child, context).values == expected
+        assert Engine(child, context).actual == expected
+        more = {name: rng.choice(ranges[name]) for name in rng.sample(model.endogenous, 1)}
+        assert solve(intervene(child, more), context).values == walk(context, {**pins, **more})
 
 
 # -- refutation by monotonicity ----------------------------------------------------
