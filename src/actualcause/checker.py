@@ -88,6 +88,21 @@ re-imposed, and the others keep that world's value, the pinned one.  A set
 adding irrelevant pins to such a set is skipped as well, so the dead-set
 bookkeeping is unchanged.
 
+The candidate sweep searches one candidate per orbit (the rule
+``symmetry``).  Two endogenous variables are interchangeable when swapping
+them maps the equations under the context onto themselves, as
+``model._classes`` finds once per model and context values.  Such a swap is
+an automorphism of (M, u): it maps the actual world onto itself, so it
+carries a candidate at its actual values onto another one at theirs, and
+each witness of the one onto a witness of the other, pins swapped along,
+as long as the effect reads the swapped worlds as it read the first ones.
+So the sweep splits the effect's variables out of their classes: every swap
+it uses then fixes each event of the effect.  A candidate's orbit is the
+sorted tuple of its variables' class labels, and the first candidate of an
+orbit decides the answer of all.  Swapped variables have equal range tuples,
+so every member of an orbit has the same budget, and the first one raises
+where any would.
+
 Each of these rules has a name in ``_RULES``; the soundness tests switch
 them off one at a time and check that no answer moves.
 """
@@ -115,8 +130,9 @@ from .model import (
     Record,
     World,
     _check_events,
+    _classes,
     _kernel,
-    _moving_parents,
+    _lineage,
     _reach_masks,
     _set,
     _start,
@@ -246,7 +262,7 @@ _WitnessFilter = Optional[Callable[[World], bool]]
 # rule's work is done and the answers stay the same, which the soundness
 # tests check one rule at a time.
 _RULES = dict.fromkeys(("no-reach", "monotone-alternatives", "decided-sets", "effect-mask",
-                        "ac2b-changed", "sweep-subsets", "monotone-pins"), True)
+                        "ac2b-changed", "sweep-subsets", "monotone-pins", "symmetry"), True)
 
 
 class CauseSearch:
@@ -512,7 +528,6 @@ def _effect_signs(model: CausalModel, x_vars: Sequence[str],
     candidate's sign of each effect variable (the common sign over its
     variables) and the passes' signs by effect variable, read for pins."""
     index = model._endo_index
-    order = model.topological_order()
     paths: dict[str, _Signs] = {}
     relevant = 0
     for target in effect_vars:
@@ -520,12 +535,12 @@ def _effect_signs(model: CausalModel, x_vars: Sequence[str],
         paths[target] = found
         if target in x_vars:
             continue
-        for name in reversed(order[:order.index(target) + 1]):
+        for name, parents in _lineage(model, target):
             sign = found.get(name, 0)
             if sign == 0 or name in x_vars:
                 continue
             relevant |= 1 << index[name]
-            for parent, way in _moving_parents(model, name):
+            for parent, way in parents:
                 step = sign * way if sign and way else None
                 found[parent] = step if found.get(parent, step) == step else None
     signs = {}
@@ -805,7 +820,9 @@ def find_all_causes(
     holding, and is asked once.  AC3 runs no search: a candidate fails it
     exactly when its variables hold those of a cause already found.  When
     some strict sub-conjunction has a witness, a minimal one does too, and
-    sizes go up, so that one was found.
+    sizes go up, so that one was found.  Candidates that a swap of
+    interchangeable variables off the effect maps onto each other share one
+    witness search (see the module docstring).
     """
     if max_conjuncts < 1:
         raise FormulaError("max_conjuncts must be at least 1")
@@ -815,6 +832,14 @@ def find_all_causes(
     found: list[CandidateCause] = []
     if not search.ac1(()):
         return found
+    # Per variable, its class's label: an effect variable is its own class,
+    # and a class's other variables take the first of them.  A candidate's
+    # orbit is the sorted tuple of its labels, and decides its answer.
+    classes = _classes(model, context) if _RULES["symmetry"] else {}
+    firsts: dict[str, str] = {}
+    labels = {name: name if name in search._effect_vars
+              else firsts.setdefault(classes.get(name, name), name) for name in engine.endo}
+    answers: dict[tuple, bool] = {}
     for size in range(1, min(max_conjuncts, len(engine.endo)) + 1):
         for names in itertools.combinations(engine.endo, size):
             conjuncts = tuple(
@@ -828,9 +853,11 @@ def find_all_causes(
                     continue
             elif not search.ac3(conjuncts):
                 continue
-            if not search.has_witness(conjuncts):
-                continue
-            found.append(CandidateCause(conjuncts))
+            orbit = tuple(sorted(map(labels.__getitem__, names)))
+            if orbit not in answers:
+                answers[orbit] = search.has_witness(conjuncts)
+            if answers[orbit]:
+                found.append(CandidateCause(conjuncts))
     return found
 
 

@@ -240,6 +240,9 @@ class CausalModel:
         self._pins: tuple[Optional[int], ...] = (None,) * len(self.endogenous)
         self._directions: dict[str, dict[str, Optional[int]]] = {}
         self._moving: dict[str, tuple[tuple[str, Optional[int]], ...]] = {}
+        self._lineage: dict[str, tuple[tuple[str, tuple], ...]] = {}
+        # Per tuple of context values, each endogenous variable's class head.
+        self._classes: dict[tuple, dict[str, str]] = {}
 
     # -- lookups --------------------------------------------------------------
 
@@ -766,6 +769,89 @@ def _moving_parents(model: CausalModel, target: str) -> tuple[tuple[str, Optiona
         found = model._moving[target] = tuple(
             (name, way) for name, way in _directions(model, target).items()
             if way != 0 and name in model._endo_index)
+    return found
+
+
+def _lineage(model: CausalModel, target: str) -> tuple[tuple[str, tuple], ...]:
+    """The target and each variable with a path of moving references to it,
+    latest in the topological order first, each with ``_moving_parents``:
+    the variables a backward pass from the target can reach, worked out once
+    per model and target."""
+    found = model._lineage.get(target)
+    if found is None:
+        reached, found = {target}, []
+        for name in reversed(model.topological_order()):
+            if name in reached:
+                parents = _moving_parents(model, name)
+                found.append((name, parents))
+                reached.update(parent for parent, _ in parents)
+        found = model._lineage[target] = tuple(found)
+    return found
+
+
+# The operators whose chains a key flattens, sorting their operands.
+_COMMUTATIVE = frozenset(("+", "*", "min", "max"))
+
+
+def _canonical(expr: Expr, values: Mapping[str, int], swap: Mapping[str, str]) -> tuple:
+    """A key two bodies share only when they agree under the context
+    ``values``: an exogenous reference reads its value, a chain of one
+    ``_COMMUTATIVE`` operator is flattened with its operands sorted, and an
+    ite's two compared sides are sorted; ``-`` and tables keep their
+    operands' order.  Endogenous references are renamed by ``swap``."""
+    if isinstance(expr, Const):
+        return 0, expr.value
+    if isinstance(expr, Ref):
+        name = expr.name
+        return (0, values[name]) if name in values else (1, swap.get(name, name))
+    if isinstance(expr, Table):
+        return 4, tuple(_canonical(Ref(a), values, swap) for a in expr.args), expr.rows
+    if isinstance(expr, Ite):
+        left, right = (_canonical(e, values, swap) for e in (expr.left, expr.right))
+        return (3, *sorted((left, right)), _canonical(expr.then, values, swap),
+                _canonical(expr.other, values, swap))
+    op = expr.op
+    if op not in _COMMUTATIVE:
+        return 2, op, _canonical(expr.left, values, swap), _canonical(expr.right, values, swap)
+    operands, stack = [], [expr.left, expr.right]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BinOp) and e.op == op:
+            stack += e.left, e.right
+        else:
+            operands.append(_canonical(e, values, swap))
+    return 2, op, *sorted(operands)
+
+
+def _classes(model: CausalModel, context: Context) -> dict[str, str]:
+    """Per endogenous variable, the head of its class of interchangeable
+    variables under the context, worked out once per model and context
+    values.  A class is the first variable, in declaration order, of a range
+    tuple and equation key, and each other variable of that pair that may be
+    swapped with it: the swap maps the equations onto themselves when every
+    equation that reads either keeps its key.  Equal keys also mean neither
+    reads the other, since no equation reads its own variable.  Swaps
+    compose, so any two variables of a class may be swapped."""
+    values = tuple(map(context.__getitem__, model.exogenous))
+    found = model._classes.get(values)
+    if found is None:
+        reads = dict(zip(model.exogenous, values))
+        bodies = {name: model.equations[name].body for name in model.endogenous}
+        keys = {name: _canonical(body, reads, {}) for name, body in bodies.items()}
+        readers: dict[str, set[str]] = {}
+        groups: dict[tuple, list[str]] = {}
+        for name, body in bodies.items():
+            for ref in body.referenced():
+                readers.setdefault(ref, set()).add(name)
+            groups.setdefault((model.range_of(name), keys[name]), []).append(name)
+        found = model._classes[values] = {}
+        for head, *rest in groups.values():
+            found[head] = head
+            for name in rest:
+                swap = {head: name, name: head}
+                found[name] = head if all(
+                    _canonical(bodies[reader], reads, swap) == keys[reader]
+                    for reader in readers.get(head, set()) | readers.get(name, set())) else name
     return found
 
 

@@ -223,6 +223,61 @@ def random_typicality(rng: random.Random, model: CausalModel) -> TypicalitySpec:
     )
 
 
+def random_symmetric_model(rng: random.Random, max_endo: int = 5) -> CausalModel:
+    """Random model with a planted class of 2 or 3 variables ``V0``.. over
+    one range, often declared out of order, which feed a commutative chain.
+
+    The members copy their own exogenous drivers, so a context that gives
+    the drivers different values makes a member a decoy, or all run one table
+    of a shared endogenous parent ``P``.  The chain, a random tree of one of
+    ``+``, ``*``, ``min`` and ``max`` over the members and maybe a constant,
+    is ``W``'s value or is tested in ``W``'s ite against a value it takes.
+    With room left, a decoy ``X`` reads two members through ``-`` or a
+    table."""
+    size = rng.choice((2, 3))
+    values = tuple(rng.sample(range(3), rng.choice((2, 3))))
+    members = [f"V{i}" for i in range(size)]
+    variables = [Variable(name, "endogenous", values) for name in members]
+    if rng.random() < 0.7:
+        variables += [Variable(f"U{i}", "exogenous", values) for i in range(size)]
+        equations = [Equation(name, Ref(f"U{i}")) for i, name in enumerate(members)]
+    else:
+        parent = tuple(rng.sample(range(2), 2))
+        rows = tuple(((v,), rng.choice(values)) for v in parent)
+        variables += [Variable("U", "exogenous", parent), Variable("P", "endogenous", parent)]
+        equations = [Equation("P", Ref("U"))]
+        equations += [Equation(name, Table(("P",), rows)) for name in members]
+    op = rng.choice(("+", "*", "min", "max"))
+    nodes = [Ref(name) for name in members] + [Const(rng.choice(values))] * (rng.random() < 0.4)
+    rng.shuffle(nodes)
+    while len(nodes) > 1:
+        i = rng.randrange(len(nodes) - 1)
+        nodes[i:i + 2] = [BinOp(op, nodes[i], nodes[i + 1])]
+    chain = nodes[0]
+    if op in ("min", "max") and rng.random() < 0.3:
+        variables.append(Variable("W", "endogenous", values))
+        equations.append(Equation("W", chain))
+    else:
+        taken = sorted({tree_value(chain, dict(zip(members, combo)))
+                        for combo in itertools.product(values, repeat=size)})
+        sides = [chain, Const(rng.choice(taken))]
+        rng.shuffle(sides)
+        variables.append(Variable("W", "endogenous", tuple(rng.sample((0, 1), 2))))
+        equations.append(Equation("W", Ite(*sides, Const(1), Const(0))))
+    if len(equations) < max_endo and rng.random() < 0.5:
+        a, b = rng.sample(members, 2)
+        if rng.random() < 0.5:
+            gap = rng.choice([x - y for x in values for y in values if x != y])
+            body = Ite(BinOp("-", Ref(a), Ref(b)), Const(gap), Const(1), Const(0))
+        else:
+            body = Table((a, b), tuple((combo, rng.randint(0, 1))
+                                       for combo in itertools.product(values, repeat=2)))
+        variables.append(Variable("X", "endogenous", (0, 1)))
+        equations.append(Equation("X", body))
+    variables.sort(key=lambda v: (v.kind != "exogenous", v.name))
+    return CausalModel(variables, equations)
+
+
 def shuffled_ranges(rng: random.Random, model: CausalModel) -> CausalModel:
     """The model with every variable's range declared in a random order."""
     return CausalModel(

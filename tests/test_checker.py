@@ -569,22 +569,25 @@ def _count_lookups(monkeypatch):
 
 
 def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
-    # Guards the sweep's subset rule, the AC2(b) restriction and the
-    # refutation by monotonicity, each taken out alone: a sweep deciding AC3
-    # by searching the single conjuncts again makes 34 counterfactual
-    # lookups; without the restriction AC2(b) solves no-op re-impositions
-    # (34 lookups, 24 distinct solves); without the refutation the unlit
-    # source is searched in full (28 lookups, 22 distinct solves).  Without
-    # all three: 49 lookups, 27 distinct solves.  Every pair holds a cause
-    # found at size 1, so the subset rule refutes it without a search.
+    # Guards the sweep's subset rule, the AC2(b) restriction, the refutation
+    # by monotonicity and the symmetry rule, each taken out alone: a sweep
+    # deciding AC3 by searching the single conjuncts again makes 32
+    # counterfactual lookups; without the restriction AC2(b) solves no-op
+    # re-impositions (27 lookups, 20 distinct solves); without the
+    # refutation the unlit source is searched in full (20 lookups, 16
+    # distinct solves); without the symmetry rule the two lit sources of
+    # u11, L and M, are searched apart (25 lookups, 19 distinct solves).
+    # Without the first three: 45 lookups, 26 distinct solves.  Every pair
+    # holds a cause found at size 1, so the subset rule refutes it without a
+    # search.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     counts = _count_lookups(monkeypatch)
     found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
                                                      max_conjuncts=2)]
              for name, context in doc.contexts.items()}
     assert found == {"u11": ["L=1", "M=1", "F=1"], "u10": ["L=1", "F=1"]}
-    assert counts["solve_tuple"] <= 25
-    assert counts["settle"] <= 19
+    assert counts["solve_tuple"] <= 18
+    assert counts["settle"] <= 14
 
 
 def _wide_model(kind, n=7, on=4):
@@ -611,23 +614,86 @@ def _wide_model(kind, n=7, on=4):
     return model, {f"U{p}": int(p in lit) for p in range(n)}
 
 
+def _count_searches(monkeypatch):
+    """The candidates whose witness search runs from here on, as tuples of
+    their variables."""
+    searched = []
+    has_witness = CauseSearch.has_witness
+
+    def recording_has_witness(search, conjuncts, *args):
+        searched.append(tuple(c.variable for c in conjuncts))
+        return has_witness(search, conjuncts, *args)
+
+    monkeypatch.setattr(CauseSearch, "has_witness", recording_has_witness)
+    return searched
+
+
 @pytest.mark.parametrize("kind", ["disjunctive", "vote"])
 def test_wide_sweeps_refute_larger_candidates_without_a_search(kind, monkeypatch):
     # Each lit source passes alone, so every larger candidate holding one, or
     # holding F, fails AC3; monotonicity refutes the unlit sources, and any
     # set of them, without a lookup.
     # AC3 is read off the causes found at size 1, so sizes 2 and 3 look up
-    # no more counterfactuals than size 1.
+    # no more counterfactuals than size 1.  The lit sources are
+    # interchangeable, and so are the unlit ones: at size 1 one search
+    # decides each class, 3 searches where one per variable makes 8, and the
+    # first set of unlit sources of each larger size decides all of them.
     model, context = _wide_model(kind)
     counts = _count_lookups(monkeypatch)
+    searched = _count_searches(monkeypatch)
     lookups = {}
     for k in (1, 2, 3):
         before = counts["solve_tuple"]
+        searched.clear()
         found = find_all_causes(model, context, event("F", 1), max_conjuncts=k)
         assert [str(c) for c in found] == ["L0=1", "L2=1", "L4=1", "L6=1", "F=1"]
+        assert searched == [("L0",), ("L1",), ("F",), ("L1", "L3"), ("L1", "L3", "L5")][:k + 2]
         lookups[k] = counts["solve_tuple"] - before
     assert lookups[2] <= lookups[1]
     assert lookups[3] <= lookups[1]
+
+
+@pytest.mark.parametrize("kind, on", [("disjunctive", 3), ("vote", 7)])
+def test_thirteen_sources_take_one_search_per_class(kind, on, monkeypatch):
+    # F's 13 references have more than DIRECTION_CAP combinations, so no
+    # monotonicity rule fires and each source's search takes seconds: one
+    # search per source made the K=1 sweep take some 16 s (disjunctive) and
+    # 9 s (vote).  One search per class of interchangeable sources, and one
+    # for F, still give the closed form.
+    model, context = _wide_model(kind, 13, on)
+    searched = _count_searches(monkeypatch)
+    found = find_all_causes(model, context, event("F", 1), max_conjuncts=1)
+    lit = sorted((list(range(0, 13, 2)) + list(range(1, 13, 2)))[:on])
+    assert [str(c) for c in found] == [f"L{p}=1" for p in lit] + ["F=1"]
+    assert len(searched) <= 3
+
+
+def test_the_classes_are_found_once_per_model_and_context(monkeypatch):
+    # Repeated sweeps of one model and context read the classes the first
+    # one found; another context finds its own.  The vote's sources are
+    # compared through F under a swap; a chain's equations all differ, so its
+    # sweep compares no equation under a swap.
+    swaps = []
+    canonical = model_module._canonical
+
+    def recording_canonical(expr, values, swap):
+        swaps.append(bool(swap))
+        return canonical(expr, values, swap)
+
+    monkeypatch.setattr(model_module, "_canonical", recording_canonical)
+    model, context = _wide_model("vote")
+    find_all_causes(model, context, event("F", 1), max_conjuncts=2)
+    first = len(swaps)
+    assert first and any(swaps)
+    for k in (1, 2):
+        find_all_causes(model, context, event("F", 1), max_conjuncts=k)
+    assert len(swaps) == first
+    find_all_causes(model, {**context, "U1": 1}, event("F", 1))
+    assert len(swaps) > first and len(model._classes) == 2
+    swaps.clear()
+    found = find_all_causes(_chain(9), {"U": 1}, event("X8", 1), max_conjuncts=2)
+    assert [str(c) for c in found] == [f"X{i}=1" for i in range(9)]
+    assert swaps and not any(swaps)
 
 
 @pytest.mark.parametrize("kind, records, bound", [("disjunctive", 8, 188),
@@ -928,14 +994,15 @@ def test_each_direction_of_the_alternatives_is_checked_once(monkeypatch):
 def test_a_monotone_pin_decides_the_settings_above_a_held_one(monkeypatch):
     # F = max of the lights never falls as a light rises, so once F=1 holds
     # under x' at a setting, every setting above it in one light holds too
-    # and is not solved.  The K=1 sweep of the 7-light model makes 632
-    # lookups (450 distinct solves) without that rule.
+    # and is not solved.  The K=1 sweep of the 7-light model, which searches
+    # one lit light, one unlit light and F, makes 207 lookups (205 distinct
+    # solves) without that rule.
     model, context = _wide_model("disjunctive")
     counts = _count_lookups(monkeypatch)
     found = find_all_causes(model, context, event("F", 1), max_conjuncts=1)
     assert [str(c) for c in found] == ["L0=1", "L2=1", "L4=1", "L6=1", "F=1"]
-    assert counts["solve_tuple"] <= 197
-    assert counts["settle"] <= 138
+    assert counts["solve_tuple"] <= 58
+    assert counts["settle"] <= 56
 
 
 def _severity(n=5):

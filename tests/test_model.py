@@ -12,6 +12,7 @@ from actualcause import (
     Ite,
     ModelError,
     Ref,
+    Table,
     Variable,
     dependence_graph,
     intervene,
@@ -424,3 +425,38 @@ def test_world_accessors(disjunctive):
     assert str(world) == "(L=1, M=0, F=1)"
     with pytest.raises(KeyError):
         world["UL"]
+
+
+def _three_sources(reader):
+    """Sources A, B and C copying their own drivers, and R reading them."""
+    names = ("A", "B", "C")
+    return CausalModel(
+        [Variable(f"U{n}", "exogenous", (0, 1)) for n in names]
+        + [Variable(n, "endogenous", (0, 1)) for n in names]
+        + [Variable("R", "endogenous", (-1, 0, 1, 2))],
+        [Equation(n, Ref(f"U{n}")) for n in names] + [Equation("R", reader)],
+    )
+
+
+def _sum(*names):
+    return BinOp("+", Ref(names[0]), _sum(*names[1:])) if len(names) > 1 else Ref(names[0])
+
+
+@pytest.mark.parametrize("reader, heads", [
+    # A chain of max, nested either way round, and an ite's compared sides
+    # in either order, read the three alike.
+    (BinOp("max", BinOp("max", Ref("A"), Const(0)), BinOp("max", Ref("C"), Ref("B"))), "AAA"),
+    (Ite(Const(2), _sum("C", "A", "B"), Const(1), Const(0)), "AAA"),
+    # - and tables keep their operands' order, so A and B are apart.
+    (BinOp("-", Ref("A"), Ref("B")), "ABC"),
+    (Table(("A", "B"), (((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 0))), "ABC"),
+    (BinOp("max", BinOp("-", Ref("A"), Ref("B")), Ref("C")), "ABC"),
+])
+def test_variables_a_swap_maps_onto_themselves_share_a_class(reader, heads):
+    model = _three_sources(reader)
+    classes = model_module._classes(model, {"UA": 1, "UB": 1, "UC": 1})
+    assert classes == {**dict(zip("ABC", heads)), "R": "R"}
+    assert model_module._classes(model, {"UA": 1, "UB": 1, "UC": 1}) is classes
+    # A source whose driver reads another value is no longer like the others.
+    apart = model_module._classes(model, {"UA": 1, "UB": 0, "UC": 1})
+    assert apart == {**dict(zip("ABC", heads.replace("AAA", "ABA"))), "R": "R"}

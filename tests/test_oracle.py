@@ -246,3 +246,40 @@ def test_sweep_and_extended_verdicts_match_oracle_on_compound_effects():
                 assert got == oracle_is_extended_cause(ext, context, conjuncts, effect), (
                     conjuncts, context, effect)
     assert negated
+
+
+def test_sweeps_match_oracle_on_symmetric_models():
+    # Planted classes of interchangeable variables and their decoys: a
+    # member whose driver's value differs, a consumer reading two members
+    # through - or a table, and effects naming a member.  The K=1 and K=2
+    # sweeps, which search one candidate per orbit, list exactly the
+    # candidates the oracle finds causes, for single, negated and compound
+    # effects, in two contexts of each model.
+    import itertools
+    import random
+
+    from actualcause import find_all_causes, solve
+    from random_models import all_contexts, random_effect, random_symmetric_model
+
+    rng = random.Random(737)
+    negated = compound = 0
+    for _ in range(30):
+        model = random_symmetric_model(rng)
+        contexts = list(all_contexts(model))
+        for context in rng.sample(contexts, min(2, len(contexts))):
+            actual = solve(model, context)
+            name = rng.choice(model.endogenous)
+            other = rng.choice([v for v in model.range_of(name) if v != actual[name]])
+            effect = rng.choice((event(name, actual[name]), Negation(event(name, other)),
+                                 random_effect(rng, model, actual)))
+            negated += _negated(effect)
+            compound += isinstance(effect, (Conjunction, Disjunction))
+            expected = [conjuncts
+                        for size in (1, 2)
+                        for names in itertools.combinations(model.endogenous, size)
+                        for conjuncts in [tuple(event(n, actual[n]) for n in names)]
+                        if oracle_is_cause(model, context, conjuncts, effect)]
+            for k in (1, 2):
+                swept = [c.conjuncts for c in find_all_causes(model, context, effect, k)]
+                assert swept == [c for c in expected if len(c) <= k], (context, effect, k)
+    assert negated and compound

@@ -55,6 +55,7 @@ from random_models import (
     random_expression,
     random_model,
     random_monotone_model,
+    random_symmetric_model,
     random_typicality,
     shuffled_ranges,
     tree_value,
@@ -627,15 +628,21 @@ def test_witness_search_equals_an_exhaustive_walk(seed):
 
 def _rule_draw(rng: random.Random):
     """A model, context, effect and candidate of the shapes where the
-    search's pruning rules fire: mostly monotone models, most with their
+    search's pruning rules fire: a third of the models with a planted class
+    of interchangeable variables, the rest mostly monotone, most with their
     ranges declared out of order; single events at an end of their range,
-    half of them on the last variable, which has the longest past, negated
-    events, and compound effects, now and then negated; candidates beside
-    the effect's variables in three draws of five, holding them in one,
-    anywhere in one."""
-    model = (random_monotone_model if rng.random() < 0.75 else random_model)(rng, 5, 4)
-    if rng.random() < 0.7:
-        model = shuffled_ranges(rng, model)
+    half of them on the last variable, which has the longest past (in
+    planted models on a member, on the chain's consumer or on the last
+    variable), negated events, and compound effects, now and then negated;
+    candidates beside the effect's variables in three draws of five, holding
+    them in one, anywhere in one."""
+    symmetric = rng.random() < 1 / 3
+    if symmetric:
+        model = random_symmetric_model(rng)
+    else:
+        model = (random_monotone_model if rng.random() < 0.75 else random_model)(rng, 5, 4)
+        if rng.random() < 0.7:
+            model = shuffled_ranges(rng, model)
     context = rng.choice(list(all_contexts(model)))
     actual = solve(model, context)
     # An event at an end of its variable's range can be monotone.
@@ -644,6 +651,9 @@ def _rule_draw(rng: random.Random):
     name = rng.choice(ends or model.endogenous)
     if rng.random() < 0.5:
         name = (ends or model.endogenous)[-1]
+    if symmetric:
+        # A member of the class, the chain's consumer, or the decoy when there is one.
+        name = rng.choice(("V0", "W", model.endogenous[-1]))
     shape = rng.choices(range(4), (4, 1, 4, 1))[0]
     if shape == 0:
         effect = PrimitiveEvent(name, actual[name])
@@ -675,9 +685,10 @@ def test_every_pruning_rule_is_exact(seed):
     # filtered and plain has_witness answers, the filtered and plain AC3 and
     # the K=2 sweep are those with every rule on, and the records are the
     # exhaustive walk's.  On scratch copies this fails when a monotone pin
-    # takes its neighbour in range order rather than numeric order, and
-    # when the effect-mask skip fires on any overlap with the effect's
-    # variables.
+    # takes its neighbour in range order rather than numeric order, when
+    # the effect-mask skip fires on any overlap with the effect's
+    # variables, and when the symmetry rule ignores context values, keeps
+    # the effect's variables in their classes or sorts the operands of -.
     rng = random.Random(seed)
     model, context, effect, conjuncts = _rule_draw(rng)
     salt = rng.randrange(3)
