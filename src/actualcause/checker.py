@@ -42,20 +42,21 @@ combinations of its references.  The sign is the common product of the
 directions along the paths of non-zero direction from v to Y that pass
 through no variable of X, None when two paths disagree or a direction is
 None: how Y moves as v rises, X held.  A variable off X is relevant when a
-pass reaches it, and the candidate's sign of Y is the common value of Y's
-signs over X (+1 when Y is in X).  Take an alternative x' >= x
-componentwise (s = +1) or x' <= x (s = -1), x the candidate's actual
+pass reaches it.  One reader, ``_kept_ways``, reads these passes for the
+effect's monotonicity along a set of variables that rise together: Y moves
+with them by the common value of Y's signs over them, 0 when the pass
+reaches none of them (along X, +1 when Y is in X).  Take an alternative
+x' >= x componentwise (s = +1) or x' <= x (s = -1), x the candidate's actual
 values.  When the effect is built from events with & and | alone, and each
-event Y=v has sign 0, or sign times s = +1 with v the top of Y's range, or
--1 with v its bottom, then the effect
-under x and any pins implies the effect under x' and the same pins.  AC2(b)
-needs the former and AC2(a) the negation of the latter, so no witness uses
-x', in plain and normality-aware tests alike, and the search drops x'.  When
-every effect variable has sign 0, no candidate variable reaches the effect
-and the search refutes the candidate outright.  The candidate is pinned in
-every world the test solves, to x or to x', so a pin off the relevant set
-moves no effect variable: a setting passes AC2(a) with an alternative, and
-AC2(b), exactly when its relevant part does.  Sets are visited by size, so a
+event Y=v has sign 0 along X, or sign times s = +1 with v the top of Y's
+range, or -1 with v its bottom, then the effect under x and any pins implies
+the effect under x' and the same pins.  AC2(b) needs the former and AC2(a)
+the negation of the latter, so no witness uses x', in plain and
+normality-aware tests alike, and the search drops x'.  When no pass reaches
+a candidate variable, the search refutes the candidate outright.  The
+candidate is pinned in every world the test solves, to x or to x', so a pin
+off the relevant set moves no effect variable: a setting passes AC2(a) with
+an alternative, and AC2(b), exactly when its relevant part does.  Sets are visited by size, so a
 relevant pin set is decided before any set that adds irrelevant pins to it.
 If none of its settings passed, it is dead and those sets are skipped
 without a solve; otherwise they take the alternatives that passed without
@@ -64,20 +65,20 @@ filter sees.  When the reach masks leave no variable below a pin or the
 candidate unpinned, the plan is empty and that world is the actual one with
 the pins and x' laid over it: no solve and no cache entry.
 
-The same test makes a pin v monotone.  Read the effect's events against
-v's signs instead of the candidate's: when they pass with s = +1, the effect
-holding with v at a implies it holding with v at any b >= a, X and the other
-pins held alike, since pinning a variable only cuts paths; with s = -1 the
-same holds downwards.  So AC2(a) with x' fails at a setting one step above,
-in v, a setting where the effect held under x'.  The search keeps, per
-setting of a relevant pin set, the alternatives under which the effect held,
-solved or taken over in this way, and solves at a setting only the
-alternatives that its earlier neighbours along its monotone pins leave
-open; a setting they all close is not solved, nor is AC2(b) asked there.
-The neighbour is v's numeric one, read in product order only when it comes
-earlier in v's range: with v : {2,1,0} the value below 1 is 0, which comes
-later, so the setting at 1 is solved.  The records and their order are
-unchanged, as an alternative whose effect holds yields none.
+The same reader makes a pin v monotone, read along v instead of X: when
+the effect's events pass with s = +1, the effect holding with v at a implies
+it holding with v at any b >= a, X and the other pins held alike, since
+pinning a variable only cuts paths; with s = -1 the same holds downwards.
+So AC2(a) with x' fails at a setting one step above, in v, a setting where
+the effect held under x'.  The search keeps, per setting of a relevant pin
+set, the alternatives under which the effect held, solved or taken over in
+this way, and solves at a setting only the alternatives that its earlier
+neighbours along its monotone pins leave open; a setting they all close is
+not solved, nor is AC2(b) asked there.  The neighbour is v's numeric one,
+read in product order only when it comes earlier in v's range: with
+v : {2,1,0} the value below 1 is 0, which comes later, so the setting at 1
+is solved.  The records and their order are unchanged, as an alternative
+whose effect holds yields none.
 
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
@@ -378,16 +379,13 @@ class CauseSearch:
         rules = _RULES
         x_vars = tuple(c.variable for c in conjuncts)
         actual_x = tuple(c.value for c in conjuncts)
-        relevant, signs, paths = _effect_signs(model, x_vars, self._effect_vars)
-        if rules["no-reach"] and all(signs[name] == 0 for name in self._effect_vars):
+        relevant, paths = _effect_signs(model, x_vars, self._effect_vars)
+        if rules["no-reach"] and all(map(set(x_vars).isdisjoint, paths.values())):
             return  # no candidate variable reaches the effect
         ranges = engine.ranges
-        combos = [combo for combo in itertools.product(*map(ranges.__getitem__, x_vars))
-                  if combo != actual_x]
-        shifts = [_shift(actual_x, combo) for combo in combos]
-        preserved = {s: s != 0 and rules["monotone-alternatives"]
-                     and _preserved(model, self.effect, signs, s) for s in set(shifts)}
-        alternatives = [combo for combo, s in zip(combos, shifts) if not preserved[s]]
+        kept = rules["monotone-alternatives"] and _kept_ways(model, self.effect, paths, x_vars)
+        alternatives = [combo for combo in itertools.product(*map(ranges.__getitem__, x_vars))
+                        if combo != actual_x and not kept & _shift(actual_x, combo)]
         if not alternatives:
             return
         # Sets of alternatives are bits: each alternative goes with its own.
@@ -421,10 +419,11 @@ class CauseSearch:
                 # sits: 0 when none does, it comes later or the effect is not
                 # known to be monotone along the pin.
                 backs = {name: (0,) * len(ranges[name]) for name in pool}
-                if rules["monotone-pins"]:
-                    pins = [name for name in pool if relevant & bits[name]]
-                    for name, way in _pin_ways(model, self.effect, paths, pins).items():
-                        backs[name] = _neighbours(ranges[name], way)
+                for name in pool:
+                    way = rules["monotone-pins"] and relevant & bits[name] and _kept_ways(
+                        model, self.effect, paths, (name,))
+                    if way:
+                        backs[name] = _neighbours(ranges[name], 1 if way & _UP else -1)
                 monotone = {name for name, back in backs.items() if any(back)}
             for w_vars in itertools.combinations(pool, size):
                 w_mask = sum(map(bits.__getitem__, w_vars))
@@ -516,17 +515,17 @@ _Signs = dict[str, Optional[int]]
 
 
 def _effect_signs(model: CausalModel, x_vars: Sequence[str],
-                  effect_vars: set[str]) -> tuple[int, _Signs, dict[str, _Signs]]:
+                  effect_vars: set[str]) -> tuple[int, dict[str, _Signs]]:
     """One backward pass per effect variable, up its references and stopping
     at the candidate's variables, which every world of the test pins.
 
     The pass from Y gives Y's sign with respect to each variable it reaches
     along references of direction other than 0: how Y moves when that
     variable rises, the candidate and nothing else held; +1 on Y itself, and
-    None when paths disagree or a direction is None.  Returns the relevant
-    mask (the positions off the candidate that some pass reaches), the
-    candidate's sign of each effect variable (the common sign over its
-    variables) and the passes' signs by effect variable, read for pins."""
+    None when paths disagree or a direction is None; no sign is 0, so a
+    variable the pass reaches is one it holds.  Returns the relevant mask
+    (the positions off the candidate that some pass reaches) and the
+    passes' signs by effect variable, which ``_kept_ways`` reads."""
     index = model._endo_index
     paths: dict[str, _Signs] = {}
     relevant = 0
@@ -543,15 +542,7 @@ def _effect_signs(model: CausalModel, x_vars: Sequence[str],
             for parent, way in parents:
                 step = sign * way if sign and way else None
                 found[parent] = step if found.get(parent, step) == step else None
-    signs = {}
-    for target, found in paths.items():
-        sign = 0
-        for name in x_vars:
-            value = found.get(name, 0)
-            if value != 0:
-                sign = value if sign in (0, value) else None
-        signs[target] = sign
-    return relevant, signs, paths
+    return relevant, paths
 
 
 def _event_variables(body: BooleanFormula) -> set[str]:
@@ -562,40 +553,24 @@ def _event_variables(body: BooleanFormula) -> set[str]:
     return set().union(*map(_event_variables, operands))
 
 
-def _preserved(model: CausalModel, body: BooleanFormula, signs: _Signs, s: int) -> bool:
-    """Whether the effect holding under the candidate's actual values implies
-    it holding under any alternative shifted the way ``s`` says, the pins
-    held alike in both worlds."""
-    return bool(_kept_ways(model, body, signs) & (_UP if s > 0 else _DOWN))
-
-
-def _pin_ways(model: CausalModel, body: BooleanFormula, paths: dict[str, _Signs],
-              names: Iterable[str]) -> dict[str, int]:
-    """Per pin that is known to keep the effect holding when it rises (1) or
-    falls (-1), the candidate and every other pin held, that way;
-    ``paths`` are ``_effect_signs``' passes."""
-    ways = {}
-    for name in names:
-        kept = _kept_ways(model, body, {target: found.get(name, 0)
-                                        for target, found in paths.items()})
-        if kept:
-            ways[name] = 1 if kept & _UP else -1
-    return ways
-
-
 # Shifts of some variables, as bits: up and down.
 _UP, _DOWN = 1, 2
 
 
-def _kept_ways(model: CausalModel, body: BooleanFormula, signs: _Signs) -> int:
-    """The shifts of some variables that keep the effect holding, everything
-    else alike, given how each effect variable moves when they rise: an
-    event Y=v is kept by a shift that never moves Y, or moves it towards v
-    at the top or the bottom of Y's range."""
+def _kept_ways(model: CausalModel, body: BooleanFormula, paths: dict[str, _Signs],
+               names: Sequence[str]) -> int:
+    """The shifts of ``names``, all up (``_UP``) or all down (``_DOWN``),
+    that keep the effect holding, everything else alike: Y moves with them by
+    the common sign over them of its pass in ``paths``, 0 when it reaches
+    none.  An event Y=v is kept by a shift that never moves Y, or moves it
+    towards v at the top or the bottom of Y's range."""
     if isinstance(body, PrimitiveEvent):
-        sign = signs[body.variable]
-        if sign is None:
-            return 0
+        found, sign = paths[body.variable], 0
+        for name in names:
+            step = found.get(name, 0)
+            if step is None or step * sign < 0:
+                return 0  # unknown, or the names move Y both ways
+            sign = sign or step
         if sign == 0:
             return _UP | _DOWN
         values = model.range_of(body.variable)
@@ -606,7 +581,7 @@ def _kept_ways(model: CausalModel, body: BooleanFormula, signs: _Signs) -> int:
     if isinstance(body, (Conjunction, Disjunction)):
         ways = _UP | _DOWN
         for operand in body.operands:
-            ways &= _kept_ways(model, operand, signs)
+            ways &= _kept_ways(model, operand, paths, names)
         return ways
     return 0
 
@@ -625,12 +600,12 @@ def _neighbours(values: tuple[int, ...], way: int) -> tuple[int, ...]:
 
 
 def _shift(actual: tuple[int, ...], alternative: tuple[int, ...]) -> int:
-    """1 when the alternative is componentwise at or above the actual
-    values, -1 when at or below, 0 otherwise."""
+    """``_UP`` when the alternative is componentwise at or above the actual
+    values, ``_DOWN`` when at or below, 0 otherwise."""
     if all(a >= b for a, b in zip(alternative, actual)):
-        return 1
+        return _UP
     if all(a <= b for a, b in zip(alternative, actual)):
-        return -1
+        return _DOWN
     return 0
 
 

@@ -72,7 +72,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .normality import NormalityOrder, TypicalitySpec
+    from .normality import BehaviorRanking, NormalityOrder, TypicalitySpec, ValueRanking
 
 _QUERY_KEYWORDS = ("cause", "grade", "witnesses", "solve", "satisfies")
 
@@ -226,11 +226,6 @@ def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[Token], l
     return tokens, errors
 
 
-class _LineSyntaxError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
 # -- raw per-line records (phase A output) ----------------------------------------
 
 
@@ -238,22 +233,6 @@ class _RawVar(Record, frozen=False):
     def __init__(self, name: str, span: SourceSpan, kind: str, values: tuple[int, ...],
                  body: Optional[Expr] = None, refs: tuple[tuple[str, SourceSpan], ...] = ()):
         super().__init__(name, span, kind, values, body, refs)
-
-
-class _RawTypical(Record, frozen=False):
-    def __init__(self, name: str, span: SourceSpan, ranking: tuple[int, ...]):
-        super().__init__(name, span, ranking)
-
-
-class _RawSeverity(Record, frozen=False):
-    def __init__(self, span: SourceSpan, chain: tuple[tuple[str, int, SourceSpan], ...]):
-        super().__init__(span, chain)
-
-
-class _RawBehavior(Record, frozen=False):
-    def __init__(self, name: str, span: SourceSpan, behaviors: tuple[tuple[str, Expr], ...],
-                 refs: tuple[tuple[str, SourceSpan], ...]):
-        super().__init__(name, span, behaviors, refs)
 
 
 class _RawNorm(Record, frozen=False):
@@ -320,7 +299,7 @@ class _LineParser:
 
     def fail(self, message: str, token: Optional[Token] = None):
         """Raise a diagnostic at ``token``, by default the next one."""
-        raise _LineSyntaxError(Diagnostic((token or self.peek()).span, message))
+        raise DslError([Diagnostic((token or self.peek()).span, message)])
 
     def enter(self):
         """Open one more level of nesting (the caller closes it by
@@ -533,10 +512,13 @@ class _DocumentBuilder:
     def __init__(self):
         self.errors: list[Diagnostic] = []
         self.variables: list[_RawVar] = []
-        self.typicals: list[_RawTypical] = []
-        self.severities: list[_RawSeverity] = []
+        self.rankings: list[ValueRanking] = []
+        self.chains: list[tuple[tuple[str, int], ...]] = []
         self.mechanism: Optional[tuple[bool, SourceSpan]] = None
-        self.behaviors: list[_RawBehavior] = []
+        self.behaviors: list[BehaviorRanking] = []
+        # Where each typicality declaration sits, by the place that
+        # ``normality._spec_faults`` gives its faults.
+        self.places: dict[tuple, SourceSpan] = {}
         self.norms: list[_RawNorm] = []
         self.contexts: list[_RawContext] = []
         self.queries: list[_RawQuery] = []
@@ -569,11 +551,18 @@ class _DocumentBuilder:
                 line.expect("=")
                 ranking = line.items(">", line.int_value)
                 line.expect_end()
-                self.typicals.append(_RawTypical(name.text, name.span, tuple(ranking)))
+                from .normality import ValueRanking
+
+                self.places["ranking", len(self.rankings)] = name.span
+                self.rankings.append(ValueRanking(name.text, tuple(ranking)))
             elif keyword.text == "severity":
                 chain = line.events("=", "<")
                 line.expect_end()
-                self.severities.append(_RawSeverity(keyword.span, chain))
+                i = len(self.chains)
+                self.places["severity", i, None] = keyword.span
+                for j, (_, _, span) in enumerate(chain):
+                    self.places["severity", i, j] = span
+                self.chains.append(tuple((n, v) for n, v, _ in chain))
             elif keyword.text == "mechanism":
                 token = line.word(("on", "off"), "'on' or 'off'")
                 line.expect_end()
@@ -585,8 +574,14 @@ class _DocumentBuilder:
                 line.expect(":")
                 behaviors = line.items(">", line.behavior)
                 line.expect_end()
-                self.behaviors.append(_RawBehavior(name.text, name.span, tuple(behaviors),
-                                                   tuple(line.refs)))
+                from .normality import Behavior, BehaviorRanking
+
+                i = len(self.behaviors)
+                self.places["behavior", i] = name.span
+                for ref, span in line.refs:
+                    self.places.setdefault(("reference", i, ref), span)
+                self.behaviors.append(BehaviorRanking(
+                    name.text, tuple(Behavior(*behavior) for behavior in behaviors)))
             elif keyword.text == "norm":
                 left = line.world()
                 op = line.accept("==") or line.accept(">")
@@ -605,8 +600,8 @@ class _DocumentBuilder:
                 self.queries.append(line.query(keyword))
             else:
                 self.error(keyword.span, f"unknown keyword {keyword.text!r}")
-        except _LineSyntaxError as exc:
-            self.errors.append(exc.diagnostic)
+        except DslError as exc:
+            self.errors.extend(exc.diagnostics)
 
     # phase B: cross-line checks and assembly ---------------------------------
 
@@ -635,24 +630,17 @@ class _DocumentBuilder:
 
         # typicality section: its rules are normality's
         typicality = None
-        if self.typicals or self.severities or self.behaviors or self.mechanism:
-            from .normality import (
-                Behavior, BehaviorRanking, TypicalitySpec, ValueRanking, _spec_faults)
+        if self.rankings or self.chains or self.behaviors or self.mechanism:
+            from .normality import TypicalitySpec, _spec_faults
 
             typicality = TypicalitySpec(
-                value_rankings=tuple(ValueRanking(raw.name, raw.ranking)
-                                     for raw in self.typicals),
-                severity_chains=tuple(tuple((n, v) for n, v, _ in raw.chain)
-                                      for raw in self.severities),
+                value_rankings=tuple(self.rankings),
+                severity_chains=tuple(self.chains),
                 mechanism=self.mechanism is not None and self.mechanism[0],
-                behavior_rankings=tuple(
-                    BehaviorRanking(raw.name, tuple(Behavior(label, body)
-                                                    for label, body in raw.behaviors))
-                    for raw in self.behaviors
-                ),
+                behavior_rankings=tuple(self.behaviors),
             )
             for place, message in _spec_faults(model, typicality):
-                self.error(self._spec_span(place), message)
+                self.error(self.places[place], message)
 
         # explicit norm relations: their order's rule is normality's
         norms = []
@@ -706,18 +694,6 @@ class _DocumentBuilder:
             queries=tuple(queries),
         )
 
-    def _spec_span(self, place: tuple) -> SourceSpan:
-        """Where a fault of the typicality spec sits in the source."""
-        section, i = place[:2]
-        if section == "ranking":
-            return self.typicals[i].span
-        if section == "behavior":
-            return self.behaviors[i].span
-        if section == "reference":
-            return next(span for name, span in self.behaviors[i].refs if name == place[2])
-        raw = self.severities[i]
-        return raw.span if place[2] is None else raw.chain[place[2]][2]
-
 
 def parse_document(text: str) -> ParsedDocument:
     """Parse a full document; raises DslError carrying every diagnostic,
@@ -747,10 +723,7 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
     if keyword.kind != "ident" or keyword.text not in _QUERY_KEYWORDS:
         raise DslError([Diagnostic(keyword.span, "expected a query keyword")])
     line.next()
-    try:
-        raw = line.query(keyword)
-    except _LineSyntaxError as exc:
-        raise DslError([exc.diagnostic]) from None
+    raw = line.query(keyword)
     errors: list[Diagnostic] = []
     if document is None:
         query = _check_query(raw, None, (), errors)

@@ -239,7 +239,6 @@ class CausalModel:
         self._compiled: Optional[Callable] = None
         self._pins: tuple[Optional[int], ...] = (None,) * len(self.endogenous)
         self._directions: dict[str, dict[str, Optional[int]]] = {}
-        self._moving: dict[str, tuple[tuple[str, Optional[int]], ...]] = {}
         self._lineage: dict[str, tuple[tuple[str, tuple], ...]] = {}
         # Per tuple of context values, each endogenous variable's class head.
         self._classes: dict[tuple, dict[str, str]] = {}
@@ -703,12 +702,9 @@ class DependenceGraph(Record):
 def dependence_graph(model: CausalModel) -> DependenceGraph:
     """Graph of semantic (not merely syntactic) dependencies."""
     model.require_valid()
-    edges = set()
-    for target in model.endogenous:
-        for parent in semantic_parents(model, target):
-            if parent in model._endo_index:
-                edges.add((parent, target))
-    return DependenceGraph(model.endogenous, frozenset(edges))
+    return DependenceGraph(model.endogenous, frozenset(
+        (parent, target) for target in model.endogenous
+        for parent, _ in _moving_parents(model, target)))
 
 
 def semantic_parents(model: CausalModel, target: str) -> tuple[str, ...]:
@@ -763,13 +759,10 @@ def _directions(model: CausalModel, target: str) -> dict[str, Optional[int]]:
 
 
 def _moving_parents(model: CausalModel, target: str) -> tuple[tuple[str, Optional[int]], ...]:
-    """The target's endogenous references whose direction is not 0, each with it."""
-    found = model._moving.get(target)
-    if found is None:
-        found = model._moving[target] = tuple(
-            (name, way) for name, way in _directions(model, target).items()
-            if way != 0 and name in model._endo_index)
-    return found
+    """The target's endogenous references whose direction is not 0, each with it:
+    its parents in ``dependence_graph``."""
+    return tuple((name, way) for name, way in _directions(model, target).items()
+                 if way != 0 and name in model._endo_index)
 
 
 def _lineage(model: CausalModel, target: str) -> tuple[tuple[str, tuple], ...]:

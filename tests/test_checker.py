@@ -874,9 +874,8 @@ def test_refutation_follows_a_non_increasing_edge():
     )
     context = {"U": 0, "UC": 0}
     # B, C and F all lead to F, so each is relevant and gets its sign.
-    relevant, signs, paths = checker._effect_signs(model, ("A",), {"F"})
+    relevant, paths = checker._effect_signs(model, ("A",), {"F"})
     assert relevant == sum(1 << model.endo_index(name) for name in "BCF")
-    assert signs == {"F": -1}
     assert paths == {"F": {"F": 1, "B": 1, "C": 1, "A": -1}}
     verdict = is_actual_cause(model, context, cand(event("A", 0)), event("F", 1))
     assert verdict.is_cause
@@ -885,11 +884,10 @@ def test_refutation_follows_a_non_increasing_edge():
                                event("F", 1)).hp_witnesses
     # F=0 is the bottom of F's range, so raising A keeps it and lowering A
     # may not.
-    assert checker._preserved(model, event("F", 0), signs, 1)
-    assert not checker._preserved(model, event("F", 0), signs, -1)
+    assert checker._kept_ways(model, event("F", 0), paths, ("A",)) == checker._UP
     # A negation is never taken as kept: !(F=0) is F=1 here, which raising A
     # can break.
-    assert not checker._preserved(model, Negation(event("F", 0)), signs, 1)
+    assert checker._kept_ways(model, Negation(event("F", 0)), paths, ("A",)) == 0
 
 
 def _typical_lights(n=8):
@@ -971,24 +969,47 @@ def test_an_output_bound_query_runs_few_bytecodes_per_record():
     assert count <= 234 * 3 ** 8
 
 
-def test_each_direction_of_the_alternatives_is_checked_once(monkeypatch):
-    # A binary candidate has one alternative, so one direction to refute.  A
-    # pair at (1, 0) has three: one down, one up, and one mixed, which no
-    # monotonicity refutes and so is not checked.
+def _record_kept_ways(monkeypatch):
+    """The names and the ways of every ``_kept_ways`` read from here on, in
+    order; an effect of one event makes one read per question."""
     calls = []
-    preserved = checker._preserved
+    kept_ways = checker._kept_ways
 
-    def recording_preserved(model, body, signs, s):
-        calls.append(s)
-        return preserved(model, body, signs, s)
+    def recording_kept_ways(model, body, paths, names):
+        ways = kept_ways(model, body, paths, names)
+        calls.append((tuple(names), ways))
+        return ways
 
-    monkeypatch.setattr(checker, "_preserved", recording_preserved)
+    monkeypatch.setattr(checker, "_kept_ways", recording_kept_ways)
+    return calls
+
+
+def test_each_direction_of_the_alternatives_is_checked_once(monkeypatch):
+    # The candidate's ways are read once per search, both directions at
+    # once: F=1 is the top of F's range and F never falls as a light rises,
+    # so raising lights keeps it and lowering them may not.  A pair at (1, 0)
+    # has three alternatives: (0, 0) down, (1, 1) up, which is refuted, and
+    # the mixed (0, 1), which no monotonicity refutes, so it is tried.
     model, context = _wide_model("disjunctive")
+    calls = _record_kept_ways(monkeypatch)
     is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1))
-    assert calls == [-1]
+    assert [ways for names, ways in calls if names == ("L0",)] == [checker._UP]
     calls.clear()
+    tried = []
+    compile_body = checker.compile_body
+
+    def recording_compile_body(model, body):
+        phi = compile_body(model, body)
+
+        def recording_phi(values):
+            tried.append(values[:2])
+            return phi(values)
+        return recording_phi
+
+    monkeypatch.setattr(checker, "compile_body", recording_compile_body)
     enumerate_witnesses(model, context, cand(event("L0", 1), event("L1", 0)), event("F", 1))
-    assert sorted(calls) == [-1, 1]
+    assert [ways for names, ways in calls if names == ("L0", "L1")] == [checker._UP]
+    assert (0, 1) in tried and (1, 1) not in tried
 
 
 def test_a_monotone_pin_decides_the_settings_above_a_held_one(monkeypatch):
@@ -1044,22 +1065,29 @@ def test_three_valued_pins_decide_the_settings_above_a_held_one(cause, bound, mo
 def test_searches_that_end_before_the_contingencies_work_out_no_pin(monkeypatch):
     # A search refuted because no candidate variable reaches the effect, or
     # because every alternative keeps it, never asks how a pin moves it.  A
-    # search that goes on past the empty set asks once.
-    calls = []
-    pin_ways = checker._pin_ways
-
-    def recording_pin_ways(*args):
-        calls.append(args[-1])
-        return pin_ways(*args)
-
-    monkeypatch.setattr(checker, "_pin_ways", recording_pin_ways)
+    # search that goes on past the empty set reads each relevant pin once,
+    # after the candidate, and only once the empty set is decided.
+    calls = _record_kept_ways(monkeypatch)
     assert not is_actual_cause(_chain(9), {"U": 1}, cand(event("X8", 1)),
                                Negation(event("X3", 0))).hp_witnesses
+    assert calls == []  # refuted by no-reach, before any read
     model, context = _wide_model("disjunctive")
     assert not is_actual_cause(model, context, cand(event("L1", 0)), event("F", 1)).hp_witnesses
-    assert calls == []
+    assert calls == [(("L1",), checker._UP)]
+    calls.clear()
+    solve_tuple, solved = Engine.solve_tuple, []
+
+    def recording_solve_tuple(engine, key, *args):
+        solved.append(len(calls))
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
     assert is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1)).is_cause
-    assert len(calls) == 1
+    pins = [f"L{p}" for p in range(1, 7)]
+    assert calls == [(("L0",), checker._UP)] + [((name,), checker._UP) for name in pins]
+    # The empty set's setting is solved under the alternative after the
+    # candidate's read and before any pin's.
+    assert 1 in solved
 
 
 def test_best_witnesses_ask_the_reverse_only_where_the_forward_holds(monkeypatch):

@@ -285,14 +285,16 @@ def test_a_query_of_another_kind_is_a_usage_error():
 
 
 def test_grade_reports_the_candidate_above_the_other():
-    argv = ["grade", fx("omission_a.scm.txt"), "grade {W=0, H=1} for D=1 @ main",
-            "--mode", "extended"]
-    code, out, _ = run(argv + ["--format", "json"])
-    assert code == 0
-    assert json.loads(out)["grading"] == [{"above": "H=1", "below": "W=0"}]
-    code, out, _ = run(argv)
-    assert code == 0
-    assert "  H=1 above W=0" in out.splitlines()
+    # In omission (a) W=0 is no cause; in (c) both are, and H=1's best
+    # witness wins.
+    for name in ("omission_a.scm.txt", "omission_c.scm.txt"):
+        argv = ["grade", fx(name), "grade {W=0, H=1} for D=1 @ main", "--mode", "extended"]
+        code, out, _ = run(argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["grading"] == [{"above": "H=1", "below": "W=0"}]
+        code, out, _ = run(argv)
+        assert code == 0
+        assert "  H=1 above W=0" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv", [

@@ -38,6 +38,7 @@ from actualcause.dsl import (
     SourceSpan,
     WitnessQuery,
     _lex_line,
+    format_query,
     parse_document,
     parse_query,
     pretty_print,
@@ -391,9 +392,21 @@ def test_query_faults_read_the_same_in_documents_and_inline(line, message):
 
 
 def test_boolean_bodies_in_queries(documents):
+    # A negated group keeps its brackets, so the printed line reads back.
+    for name, line in (("poisoning.scm.txt", "cause A=1 for D=1 | !(B=0 & R=1) @ u11"),
+                       ("forest_fire_disjunctive.scm.txt", "cause L=1 for !(F=1 & M=1) @ u10")):
+        doc = documents[name]
+        query = parse_query(line, doc)
+        assert isinstance(query, CauseQuery)
+        assert format_query(query) == line
+        assert parse_query(format_query(query), doc) == query
+
+
+def test_a_document_without_normality_has_no_order(documents):
     doc = documents["poisoning.scm.txt"]
-    query = parse_query("cause A=1 for D=1 | !(B=0 & R=1) @ u11", doc)
-    assert isinstance(query, CauseQuery)
+    assert not doc.has_normality()
+    with pytest.raises(ActualCauseError, match="declares no normality information"):
+        doc.normality_order()
 
 
 def test_parser_never_crashes_on_garbage():
@@ -557,6 +570,7 @@ NO_POISON = Behavior("no poison", Const(0))
 @pytest.mark.parametrize("spec, keyword", [
     (TypicalitySpec((ValueRanking("A", (0, 1)), ValueRanking("A", (1, 0)))), "typical"),
     (TypicalitySpec((ValueRanking("A", (0,)),)), "typical"),
+    (TypicalitySpec((ValueRanking("U", (0, 1)),)), "typical"),
     (TypicalitySpec(RANKED[:1], ((("A", 1), ("B", 1)),)), "severity"),
     (TypicalitySpec(RANKED, ((("A", 0), ("B", 1)),)), "severity"),
     (TypicalitySpec(RANKED, ((("A", 1), ("B", 1), ("A", 1)),)), "severity"),
@@ -567,9 +581,11 @@ NO_POISON = Behavior("no poison", Const(0))
         BehaviorRanking("B", (NO_POISON, NO_POISON)),)), "behavior"),
     (TypicalitySpec(mechanism=True, behavior_rankings=(
         BehaviorRanking("B", (NO_POISON, Behavior("follows", Ref("U")))),)), "behavior"),
-], ids=["typical-twice", "ranking-misses-a-value", "unranked-feature", "typical-feature",
-        "repeated-feature", "one-feature", "behavior-without-mechanism",
-        "repeated-label", "exogenous-reference"])
+    (TypicalitySpec(mechanism=True, behavior_rankings=(
+        BehaviorRanking("B", (NO_POISON,)), BehaviorRanking("B", (NO_POISON,)))), "behavior"),
+], ids=["typical-twice", "ranking-misses-a-value", "exogenous-ranking", "unranked-feature",
+        "typical-feature", "repeated-feature", "one-feature", "behavior-without-mechanism",
+        "repeated-label", "exogenous-reference", "behaviors-twice"])
 def test_spec_faults_read_the_same_in_documents_and_the_library(spec, keyword):
     base = parse_document(RULE_BASE)
     text = pretty_print(ParsedDocument(base.model, spec, (), base.contexts, ()))

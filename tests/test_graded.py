@@ -195,6 +195,19 @@ def test_chain_grading(documents):
         result.verdict_for(cand(event("ES", 1)))
 
 
+def test_the_higher_candidate_listed_second_grades_second_above(documents):
+    # Omission (c): both are causes and H=1's best witness is more normal
+    # than W=0's, so listing W=0 first makes the pair "second_above", and
+    # asking for it the other way round flips it.
+    doc = documents["omission_c.scm.txt"]
+    h, w = cand(event("H", 1)), cand(event("W", 0))
+    result = grade_candidates(ext_of(doc), doc.contexts["main"], [w, h], event("D", 1))
+    assert all(v.is_cause for v in result.verdicts)
+    assert result.pairs[0].relation == "second_above"
+    assert result.relation(h, w) == "first_above"
+    assert result.relation(w, h) == "second_above"
+
+
 def test_candidate_grades_equal_to_itself(documents):
     doc = documents["office_pens.scm.txt"]
     result = grade_candidates(ext_of(doc), doc.contexts["main"],

@@ -14,6 +14,7 @@ from actualcause import (
     Ref,
     Table,
     Variable,
+    World,
     dependence_graph,
     intervene,
     semantic_parents,
@@ -377,6 +378,9 @@ def test_dependence_graph_legal_model(documents):
         ("BM", "BT"),
         ("BT", "F"),
     )
+    assert graph.children("AS") == ("BT", "F")
+    assert graph.children("F") == ()
+    assert graph.parents("BT") == ("AS", "BC", "BM")
 
 
 def test_dependence_graph_acyclic_on_fixtures(documents):
@@ -425,6 +429,20 @@ def test_world_accessors(disjunctive):
     assert str(world) == "(L=1, M=0, F=1)"
     with pytest.raises(KeyError):
         world["UL"]
+    with pytest.raises(ModelError, match=r"missing endogenous variables: \['F'\]"):
+        disjunctive.model.world({"L": 1, "M": 0})
+    with pytest.raises(ModelError, match="mismatched variable/value counts"):
+        World(("L", "M"), (1,))
+
+
+@pytest.mark.parametrize("kind, values, message", [
+    ("latent", (0, 1), "variable X: unknown kind 'latent'"),
+    ("endogenous", (), "variable X: range is empty"),
+    ("endogenous", (0, 1, 0), "variable X: duplicate values in range"),
+], ids=["unknown-kind", "empty-range", "repeated-value"])
+def test_a_variable_rejects_an_unknown_kind_or_a_bad_range(kind, values, message):
+    with pytest.raises(ModelError, match=message):
+        Variable("X", kind, values)
 
 
 def _three_sources(reader):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actualcause import (
+    BehaviorRanking,
     CausalModel,
     Equation,
     NormalityError,
@@ -176,6 +177,10 @@ def test_spec_validation_errors(documents):
             value_rankings=(ValueRanking("A", (0, 1)),),
             severity_chains=((("A", 0), ("A", 1)),),  # 0 is the typical value
         ))
+    # No document line can declare an empty behavior ranking; the library can.
+    with pytest.raises(NormalityError, match="behavior ranking for B is empty"):
+        derive_from_typicality(model, TypicalitySpec(
+            mechanism=True, behavior_rankings=(BehaviorRanking("B", ()),)))
 
 
 def test_renaming_invariance(documents):
@@ -272,6 +277,14 @@ def test_explicit_strictness_violation(documents):
     b = {"H": 1, "W": 1, "D": 0}
     with pytest.raises(NormalityError):
         explicit_order(model, [(a, ">", b), (b, ">", a)])
+
+
+def test_explicit_order_rejects_an_unknown_operator(documents):
+    model = documents["omission_a.scm.txt"].model
+    a = {"H": 0, "W": 0, "D": 0}
+    b = {"H": 1, "W": 1, "D": 0}
+    with pytest.raises(NormalityError, match="unknown relation operator '>='"):
+        explicit_order(model, [(a, ">=", b)])
 
 
 def test_explicit_equivalence_combines_with_strict(documents):

@@ -167,10 +167,10 @@ def _twin_of(twin, record):
 
 
 def test_the_package_has_the_expected_records():
-    assert len(RECORDS) == 44
+    assert len(RECORDS) == 41
     assert all(cls.__hash__ is None for cls in RECORDS
                if cls is dsl.ParsedDocument or cls.__name__.startswith("_Raw"))
-    assert sum(cls.__hash__ is None for cls in RECORDS) == 8
+    assert sum(cls.__hash__ is None for cls in RECORDS) == 5
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: f"{c.__module__}.{c.__qualname__}")

@@ -482,16 +482,14 @@ def test_refuted_alternatives_have_no_witness(seed):
     names = rng.sample(model.endogenous, rng.randint(1, 2))
     conjuncts = tuple(PrimitiveEvent(n, actual[n]) for n in names)
     actual_x = tuple(c.value for c in conjuncts)
-    _, signs, _ = checker._effect_signs(model, tuple(names),
-                                        checker._event_variables(effect))
-    preserved = {0: False, 1: checker._preserved(model, effect, signs, 1),
-                 -1: checker._preserved(model, effect, signs, -1)}
+    _, paths = checker._effect_signs(model, tuple(names), checker._event_variables(effect))
+    kept = checker._kept_ways(model, effect, paths, names)
     refuted = {
         alt for alt in itertools.product(*(model.range_of(n) for n in names))
-        if alt != actual_x and preserved[checker._shift(actual_x, alt)]
+        if alt != actual_x and kept & checker._shift(actual_x, alt)
     }
     pruned = CauseSearch(Engine(model, context), effect).enumerate(conjuncts)
-    with mock.patch.object(checker, "_preserved", return_value=False):
+    with mock.patch.dict(checker._RULES, {"monotone-alternatives": False}):
         unpruned = CauseSearch(Engine(model, context), effect).enumerate(conjuncts)
     assert pruned == unpruned
     assert not refuted & {record.x_prime for record in unpruned}
@@ -555,14 +553,21 @@ def test_one_reach_pass_gives_the_relevance_and_the_effect_signs(seed):
         effect = Negation(effect)
     effect_vars = checker._event_variables(effect)
     x_vars = tuple(rng.sample(model.endogenous, rng.randint(1, 2)))
-    relevant, signs, _ = checker._effect_signs(model, x_vars, effect_vars)
+    relevant, paths = checker._effect_signs(model, x_vars, effect_vars)
     assert relevant == _relevance(model, set(x_vars), effect_vars)
     expected = _signs(model, x_vars)
-    assert {name: signs[name] for name in effect_vars} \
-        == {name: expected[name] for name in effect_vars}
-    for s in (1, -1):
-        assert checker._preserved(model, effect, signs, s) \
-            == checker._preserved(model, effect, expected, s)
+    # The common sign of each pass over the candidate: 0 when it reaches no
+    # candidate variable, None when two of their signs differ or one is None.
+    common = {}
+    for name in effect_vars:
+        reached = {paths[name][v] for v in x_vars if v in paths[name]}
+        common[name] = reached.pop() if len(reached) == 1 else None if reached else 0
+    assert common == {name: expected[name] for name in effect_vars}
+    # The reader gives the same ways from the passes as from passes that
+    # hold the reference's sign on the candidate's first variable alone.
+    reference = {name: {x_vars[0]: expected[name]} for name in effect_vars}
+    assert checker._kept_ways(model, effect, paths, x_vars) \
+        == checker._kept_ways(model, effect, reference, x_vars)
 
 
 # -- the witness search against an exhaustive walk ---------------------------------
@@ -745,11 +750,13 @@ def test_every_pin_direction_agrees_with_brute_force(seed):
     contexts = list(all_contexts(model))
     effect = random_effect(rng, model, solve(model, rng.choice(contexts)))
     x_vars = tuple(rng.sample(model.endogenous, rng.randint(1, 2)))
-    _, _, paths = checker._effect_signs(model, x_vars, checker._event_variables(effect))
-    rest = [n for n in model.endogenous if n not in x_vars]
-    for name, way in checker._pin_ways(model, effect, paths, rest).items():
-        for context in contexts:
-            assert _monotone_along(model, context, effect, x_vars, name, way)
+    _, paths = checker._effect_signs(model, x_vars, checker._event_variables(effect))
+    for name in model.endogenous:
+        ways = name not in x_vars and checker._kept_ways(model, effect, paths, (name,))
+        if ways:
+            way = 1 if ways & checker._UP else -1
+            for context in contexts:
+                assert _monotone_along(model, context, effect, x_vars, name, way)
 
 
 # -- the candidate sweep against one that searches before AC3 ----------------------
