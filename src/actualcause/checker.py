@@ -80,6 +80,30 @@ v : {2,1,0} the value below 1 is 0, which comes later, so the setting at 1
 is solved.  The records and their order are unchanged, as an alternative
 whose effect holds yields none.
 
+A relevant pin set whose pins are all monotone is decided at its corner
+(the rule ``monotone-sets``): each pin at the value where the effect holds
+least, the bottom of its range when the effect rises with the pin, else
+the top.  If the effect holds there under every alternative left, then,
+moving one pin at a time, it holds at every setting, so no setting passes
+AC2(a): the set yields nothing and is dead, just as when every setting is
+solved.  The corner is solved ahead of the set when product order reaches
+it later; when it is the set's first setting, the search stops after it.
+
+The reader settles AC2(b) too (the rule ``monotone-ac2b``).  Take a
+position v that AC2(b) would vary, d its merged value.  A sub-assignment
+that leaves v out solves v to some a, and re-imposing d moves v from a to
+d.  When the effect's ways along v keep every move onto d (d the top of
+v's range and the up way kept, the bottom and the down way, or both ways,
+as when the effect does not read v), re-imposing d can only help, so v is
+never re-imposed.  When they keep every move off d (d the bottom and the
+up way kept, or the top and the down way), re-imposing d can only hurt, so
+v is re-imposed in every sub-assignment.  This holds under any other pins,
+since pins only cut paths, so each step from a sub-assignment towards the
+worst one, adding a hurting position or dropping a helping one, never
+makes the effect hold where it failed.  The effect thus holds under every
+sub-assignment when it holds under every sub-assignment of the positions
+left open, each with the hurting positions re-imposed.
+
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
 AC2(a) needs the effect false on the pinned values of its variables, and
@@ -263,7 +287,8 @@ _WitnessFilter = Optional[Callable[[World], bool]]
 # rule's work is done and the answers stay the same, which the soundness
 # tests check one rule at a time.
 _RULES = dict.fromkeys(("no-reach", "monotone-alternatives", "decided-sets", "effect-mask",
-                        "ac2b-changed", "sweep-subsets", "monotone-pins", "symmetry"), True)
+                        "ac2b-changed", "sweep-subsets", "monotone-pins", "symmetry",
+                        "monotone-ac2b", "monotone-sets"), True)
 
 
 class CauseSearch:
@@ -286,6 +311,45 @@ class CauseSearch:
         self._ac2b_cache: dict[tuple, bool] = {}
         self._effect_vars = _event_variables(effect)
         self._effect_mask = sum(1 << engine.index[v] for v in self._effect_vars)
+        # Per candidate mask, its ``_effect_signs`` passes; per candidate
+        # mask and position, what ``_side`` found.
+        self._passes: dict[int, tuple[int, dict[str, _Signs]]] = {}
+        self._sides: dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+    def _signs(self, x_mask: int) -> tuple[int, dict[str, _Signs]]:
+        """The relevant mask and the effect passes of the candidate at
+        ``x_mask``: the search's, or worked out here when AC2(b) is asked
+        with no search (``check_ac2``)."""
+        passes = self._passes.get(x_mask)
+        if passes is None:
+            x_vars = [n for k, n in enumerate(self.engine.endo) if x_mask >> k & 1]
+            passes = self._passes[x_mask] = _effect_signs(self.engine.model, x_vars,
+                                                          self._effect_vars)
+        return passes
+
+    def _side(self, x_mask: int, paths: dict[str, _Signs],
+              i: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The effect's ways along the relevant variable at position ``i``,
+        read from the passes ``paths`` of the candidate at ``x_mask``; then
+        the values whose re-imposition can only help the effect, and those
+        whose re-imposition can only hurt it.  Read once per mask and
+        position."""
+        side = self._sides.get((x_mask, i))
+        if side is None:
+            engine = self.engine
+            name = engine.endo[i]
+            values = engine.ranges[name]
+            way = _kept_ways(engine.model, self.effect, paths, (name,))
+            if way == _UP | _DOWN:
+                helps, hurts = values, ()
+            elif way == _UP:
+                helps, hurts = (max(values),), (min(values),)
+            elif way == _DOWN:
+                helps, hurts = (min(values),), (max(values),)
+            else:
+                helps = hurts = ()
+            side = self._sides[x_mask, i] = way, helps, hurts
+        return side
 
     # -- clause checks ---------------------------------------------------------
 
@@ -303,7 +367,10 @@ class CauseSearch:
 
         Only positions downstream of a merged value that differs from
         ``base``, the world under the candidate alone, can change a solution,
-        so only their sub-assignments are enumerated."""
+        so only their sub-assignments are enumerated.  Of those, a position
+        where every move onto its merged value keeps the effect is never
+        re-imposed, and one where every move off it does is re-imposed in
+        every sub-assignment (the rule ``monotone-ac2b``)."""
         engine = self.engine
         designated = list(engine.actual)
         for i, value in zip(w_positions, w_values):
@@ -323,12 +390,30 @@ class CauseSearch:
                 changed |= reach[i]
         if not _RULES["ac2b-changed"]:
             changed = -1  # every position
+        fixed, fixed_mask = list(x_key), x_mask
+        monotone = changed and _RULES["monotone-ac2b"]
+        if monotone:
+            relevant, paths = self._signs(x_mask)
+            changed &= relevant  # a position no effect pass reaches moves no effect variable
         positions = [i for i in rest if changed >> i & 1]
+        if monotone:
+            free = []
+            for i in positions:
+                _, helps, hurts = self._side(x_mask, paths, i)
+                value = designated[i]
+                if value in helps:
+                    continue
+                if value in hurts:
+                    fixed[i] = value
+                    fixed_mask |= 1 << i
+                else:
+                    free.append(i)
+            positions = free
         result = True
         for size in range(len(positions) + 1):
             for subset in itertools.combinations(positions, size):
-                assignment = list(x_key)
-                pinned = x_mask
+                assignment = fixed.copy()
+                pinned = fixed_mask
                 for i in subset:
                     assignment[i] = designated[i]
                     pinned |= 1 << i
@@ -394,6 +479,7 @@ class CauseSearch:
         index, endo = engine.index, engine.endo
         x_positions = [index[v] for v in x_vars]
         x_mask = sum(1 << i for i in x_positions)
+        self._passes[x_mask] = relevant, paths  # for ``_signs``
         x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in endo if n not in x_vars)
         bits = {n: 1 << index[n] for n in rest}
@@ -419,12 +505,23 @@ class CauseSearch:
                 # sits: 0 when none does, it comes later or the effect is not
                 # known to be monotone along the pin.
                 backs = {name: (0,) * len(ranges[name]) for name in pool}
+                # Per monotone relevant pin, its corner: the value where the
+                # effect holds least; ``firsts`` holds the pins whose corner
+                # leads its range.
+                corners: dict[str, int] = {}
+                firsts: set[str] = set()
                 for name in pool:
-                    way = rules["monotone-pins"] and relevant & bits[name] and _kept_ways(
-                        model, self.effect, paths, (name,))
+                    way = relevant & bits[name] and self._side(x_mask, paths, index[name])[0]
                     if way:
-                        backs[name] = _neighbours(ranges[name], 1 if way & _UP else -1)
+                        values = ranges[name]
+                        if rules["monotone-pins"]:
+                            backs[name] = _neighbours(values, 1 if way & _UP else -1)
+                        if rules["monotone-sets"]:
+                            corners[name] = corner = min(values) if way & _UP else max(values)
+                            if corner == values[0]:
+                                firsts.add(name)
                 monotone = {name for name, back in backs.items() if any(back)}
+                cornered = set(corners)
             for w_vars in itertools.combinations(pool, size):
                 w_mask = sum(map(bits.__getitem__, w_vars))
                 if w_mask & effect_mask == effect_mask:
@@ -463,6 +560,16 @@ class CauseSearch:
                                 yield _witness(w_vars, w_values, alt, endo, values)
                     continue
                 plan = engine.plan(pinned)
+                # With every pin monotone, the effect holding at the corner
+                # under each alternative holds at every setting, which then
+                # yield nothing: decide the corner first, or, when product
+                # order reaches it first, stop after that setting.
+                at_corner = w_vars and cornered.issuperset(w_vars)
+                if at_corner and not firsts.issuperset(w_vars):
+                    head = x_key + tuple(map(corners.__getitem__, w_vars))
+                    if all(phi(solve(overlay(head + alt), plan)) for alt, _ in alternatives):
+                        continue
+                    at_corner = False
                 # Per setting in product order, the earlier settings that are
                 # its numeric neighbours along a monotone pin, as distances,
                 # and the alternatives (bits) under which the effect held at
@@ -494,6 +601,10 @@ class CauseSearch:
                             else:
                                 falsifying.append((alt, witness))
                     holds.append(held)
+                    if at_corner:  # the first setting is the corner
+                        if not falsifying:
+                            break
+                        at_corner = False
                     if falsifying and self.ac2b(x_key, w_positions, w_values):
                         passed.setdefault(w_mask, {})[w_values] = [alt for alt, _ in falsifying]
                         for alt, witness in falsifying:

@@ -405,9 +405,15 @@ def _embeds(
     into: Sequence[Mark],
     dominance: frozenset[tuple[Mark, Mark]],
 ) -> bool:
-    """Injective matching where each mark maps to a dominating mark."""
+    """Injective matching where each mark maps to a dominating mark.
+
+    A world's marks are distinct (at most one value mark and one behavior
+    mark per variable), so marks that all appear in ``into`` map onto
+    themselves."""
     if len(marks) > len(into):
         return False
+    if set(marks).issubset(into):
+        return True
     options = [
         [j for j, g in enumerate(into) if f == g or (f, g) in dominance]
         for f in marks

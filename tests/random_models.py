@@ -278,6 +278,37 @@ def random_symmetric_model(rng: random.Random, max_endo: int = 5) -> CausalModel
     return CausalModel(variables, equations)
 
 
+def random_two_way_model(rng: random.Random) -> CausalModel:
+    """Random model whose sink ``Z`` moves both ways as ``V`` rises, so
+    that the backward pass from ``Z`` gives ``V`` an unknown sign: through
+    two paths of opposite sign, ``A = min(V, 1)`` up and ``B = ite(V == 2,
+    0, 1)`` down into ``min(A, B)``, or through a parity test ``ite(V == W,
+    1, 0)``, where ``W`` copies its own driver or runs a random table of
+    ``V``.  ``Z`` is the min of that and of ``X``, a root off both paths.
+    ``V`` is ternary; roots copy their drivers."""
+    variables = [Variable("UV", "exogenous", (0, 1, 2)), Variable("V", "endogenous", (0, 1, 2)),
+                 Variable("UX", "exogenous", (0, 1)), Variable("X", "endogenous", (0, 1)),
+                 Variable("Z", "endogenous", (0, 1))]
+    equations = [Equation("V", Ref("UV")), Equation("X", Ref("UX"))]
+    if rng.random() < 0.5:
+        variables += [Variable("A", "endogenous", (0, 1)), Variable("B", "endogenous", (0, 1))]
+        equations += [Equation("A", BinOp("min", Ref("V"), Const(1))),
+                      Equation("B", Ite(Ref("V"), Const(2), Const(0), Const(1)))]
+        both = BinOp("min", Ref("A"), Ref("B"))
+    else:
+        variables.append(Variable("W", "endogenous", (0, 1, 2)))
+        if rng.random() < 0.5:
+            variables.append(Variable("UW", "exogenous", (0, 1, 2)))
+            equations.append(Equation("W", Ref("UW")))
+        else:
+            rows = tuple(((v,), rng.randrange(3)) for v in range(3))
+            equations.append(Equation("W", Table(("V",), rows)))
+        both = Ite(Ref("V"), Ref("W"), Const(1), Const(0))
+    equations.append(Equation("Z", BinOp("min", both, Ref("X"))))
+    variables.sort(key=lambda v: (v.kind != "exogenous", v.name))
+    return CausalModel(variables, equations)
+
+
 def shuffled_ranges(rng: random.Random, model: CausalModel) -> CausalModel:
     """The model with every variable's range declared in a random order."""
     return CausalModel(

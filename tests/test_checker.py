@@ -44,7 +44,13 @@ from actualcause.dsl import parse_document
 from actualcause.formula import evaluate
 from actualcause.oracle import oracle_is_cause
 
-from random_models import all_contexts, exhaustive_witnesses, random_model
+from random_models import (
+    all_contexts,
+    exhaustive_witnesses,
+    random_effect,
+    random_model,
+    random_monotone_model,
+)
 
 
 def event(name, value):
@@ -315,9 +321,71 @@ def test_ac2_restriction_matches_direct_expansion_on_ternary_models():
     assert dropped >= 75
 
 
+def test_check_ac2_matches_direct_expansion_with_each_rule_off(monkeypatch):
+    # AC2(b) re-imposes only what the changed pins reach, and of that only
+    # what monotonicity leaves open; the literal expansion tries every
+    # sub-assignment.  check_ac2 agrees with it with every rule on and with
+    # each one off.  The models are monotone but for some mixed tables; the
+    # effects are the last variable's actual value or compounds; the
+    # candidate and pins now and then take other than their actual values,
+    # so the world under the candidate alone can differ from the actual one.
+    # Draws whose AC2(a) fails never reach AC2(b), so they are not counted.
+    rng = random.Random(57)
+    lookups = [0]
+    solve_tuple = Engine.solve_tuple
+
+    def counting_solve_tuple(engine, key, *args):
+        lookups[0] += 1
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", counting_solve_tuple)
+    verdicts, settled = [], 0
+    while len(verdicts) < 200:
+        model = random_monotone_model(rng, 5, 3)
+        context = rng.choice(list(all_contexts(model)))
+        actual = solve(model, context)
+        name = model.endogenous[-1]
+        if rng.random() < 0.5:
+            effect = event(name, actual[name])
+        else:
+            effect = random_effect(rng, model, actual)
+        x_var = rng.choice(model.endogenous)
+        x_value = actual[x_var] if rng.random() < 0.7 else rng.choice(model.range_of(x_var))
+        conjuncts = (event(x_var, x_value),)
+        others = [v for v in model.endogenous if v != x_var]
+        w_set = tuple(rng.sample(others, rng.randint(0, len(others))))
+        w_values = tuple(actual[v] if rng.random() < 0.5 else rng.choice(model.range_of(v))
+                         for v in w_set)
+        x_prime = (rng.choice(model.range_of(x_var)),)
+        args = (model, context, cand(*conjuncts), effect, w_set, w_values, x_prime)
+        setting = {x_var: x_prime[0], **dict(zip(w_set, w_values))}
+        if evaluate(effect, solve(intervene(model, setting), context)):
+            continue
+        expected = _direct_ac2(model, context, conjuncts, effect, w_set, w_values, x_prime)
+        counts = {}
+        for rule in (None, *checker._RULES):
+            with monkeypatch.context() as patch:
+                if rule:
+                    patch.setitem(checker._RULES, rule, False)
+                lookups[0] = 0
+                assert check_ac2(*args) == expected, rule
+                counts[rule] = lookups[0]
+        settled += counts[None] < counts["monotone-ac2b"]
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+    # Draws where monotone-ac2b saved a lookup: 46 of the 200.
+    assert settled >= 35
+
+
 def test_ac2b_skips_a_variable_off_every_changed_path(monkeypatch):
     # S is pinned at its actual value and nothing reaches it from the
-    # changed pin M=0, so no AC2(b) sub-assignment re-imposes it.
+    # changed pin M=0, so no AC2(b) sub-assignment re-imposes it.  Of the
+    # changed positions, ``monotone-ac2b`` settles each: F = max(L, M) never
+    # falls as M rises, so M=0, the bottom of M's range, can only hurt F=1
+    # and is re-imposed in every sub-assignment; F=1, the top of F's range,
+    # can only help and is never re-imposed; and F=1 does not read G.  One
+    # sub-assignment is left, after the world under the candidate alone.
+    # Without the rule, the full re-imposition is among those solved.
     model = CausalModel(
         [Variable("UL", "exogenous", (0, 1)), Variable("UM", "exogenous", (0, 1)),
          Variable("US", "exogenous", (0, 1)),
@@ -338,11 +406,17 @@ def test_ac2b_skips_a_variable_off_every_changed_path(monkeypatch):
         return original(engine, key, *args)
 
     monkeypatch.setattr(Engine, "solve_tuple", spy)
-    assert check_ac2(model, context, *args) is True
     assert _direct_ac2(model, context, (event("L", 1),), *args[1:]) is True
-    ac2b_solves = [s for s in solved if s.get("L") == 1]
-    assert {"L": 1, "M": 0, "F": 1, "G": 1} in ac2b_solves
-    assert not [s for s in ac2b_solves if "S" in s]
+    for monotone in (True, False):
+        solved.clear()
+        monkeypatch.setitem(checker._RULES, "monotone-ac2b", monotone)
+        assert check_ac2(model, context, *args) is True
+        ac2b_solves = [s for s in solved if s.get("L") == 1]
+        if monotone:
+            assert ac2b_solves == [{"L": 1}, {"L": 1, "M": 0}]
+        else:
+            assert {"L": 1, "M": 0, "F": 1, "G": 1} in ac2b_solves
+        assert not [s for s in ac2b_solves if "S" in s]
 
 
 # -- witness enumeration -------------------------------------------------------
@@ -570,24 +644,26 @@ def _count_lookups(monkeypatch):
 
 def test_sweep_work_stays_within_the_counted_bound(documents, monkeypatch):
     # Guards the sweep's subset rule, the AC2(b) restriction, the refutation
-    # by monotonicity and the symmetry rule, each taken out alone: a sweep
-    # deciding AC3 by searching the single conjuncts again makes 32
-    # counterfactual lookups; without the restriction AC2(b) solves no-op
-    # re-impositions (27 lookups, 20 distinct solves); without the
-    # refutation the unlit source is searched in full (20 lookups, 16
-    # distinct solves); without the symmetry rule the two lit sources of
-    # u11, L and M, are searched apart (25 lookups, 19 distinct solves).
-    # Without the first three: 45 lookups, 26 distinct solves.  Every pair
-    # holds a cause found at size 1, so the subset rule refutes it without a
-    # search.
+    # by monotonicity, the symmetry rule and AC2(b) at its worst
+    # re-imposition, each taken out alone: a sweep deciding AC3 by
+    # searching the single conjuncts again makes 26 counterfactual lookups;
+    # without the restriction AC2(b) solves a no-op re-imposition (13
+    # distinct solves); without the refutation the unlit source is searched
+    # in full (17 lookups, 14 distinct solves); without the symmetry rule
+    # the two lit sources of u11, L and M, are searched apart (19 lookups,
+    # 15 distinct solves); without ``monotone-ac2b`` AC2(b) re-imposes
+    # values that can only help or only hurt F=1 (18 lookups, 14 distinct
+    # solves).  Without the first three: 30 lookups, 18 distinct solves.
+    # Every pair holds a cause found at size 1, so the subset rule refutes
+    # it without a search.
     doc = documents["forest_fire_disjunctive.scm.txt"]
     counts = _count_lookups(monkeypatch)
     found = {name: [str(c) for c in find_all_causes(doc.model, context, event("F", 1),
                                                      max_conjuncts=2)]
              for name, context in doc.contexts.items()}
     assert found == {"u11": ["L=1", "M=1", "F=1"], "u10": ["L=1", "F=1"]}
-    assert counts["solve_tuple"] <= 18
-    assert counts["settle"] <= 14
+    assert counts["solve_tuple"] <= 15
+    assert counts["settle"] <= 12
 
 
 def _wide_model(kind, n=7, on=4):
@@ -701,11 +777,13 @@ def test_the_classes_are_found_once_per_model_and_context(monkeypatch):
 def test_sets_that_pin_the_whole_effect_are_not_solved(kind, records, bound, monkeypatch):
     # A set pinning F makes AC2(a) and AC2(b) read the same F, so no witness
     # uses it and the search skips it unsolved, here and in AC3's searches of
-    # L0 and L2: F is pinned only where AC2(b) re-imposes its actual value.
-    # The search that solves those sets makes 2,707 and 2,433 lookups.  F
+    # L0 and L2.  F=1 is the top of F's range, so re-imposing it in AC2(b)
+    # can only help, and F is pinned nowhere (``monotone-ac2b``).
+    # The search that solves those sets makes 1,131 and 1,606 lookups.  F
     # never falls as a light rises, so a setting above one where F=1 held is
-    # not solved either: without that rule the two make 942 and 839 lookups,
-    # with it 188 and 771.
+    # not solved either: without that rule the two make 438 and 785
+    # lookups.  With every rule on they make 166 and 717, and without
+    # ``monotone-ac2b`` 188 and 771.
     model, context = _wide_model(kind)
     f = model.endo_index("F")
     keys = []
@@ -720,7 +798,7 @@ def test_sets_that_pin_the_whole_effect_are_not_solved(kind, records, bound, mon
                               event("F", 1))
     assert verdict.ac1 and not verdict.ac3 and verdict.failed_clause == "AC3"
     assert len(verdict.hp_witnesses) == records
-    assert {key[f] for key in keys} == {None, 1}
+    assert {key[f] for key in keys} == {None}
     assert len(keys) <= bound
 
 
@@ -888,6 +966,27 @@ def test_refutation_follows_a_non_increasing_edge():
     # A negation is never taken as kept: !(F=0) is F=1 here, which raising A
     # can break.
     assert checker._kept_ways(model, Negation(event("F", 0)), paths, ("A",)) == 0
+
+
+@pytest.mark.parametrize("both", ["min(A, B)", "ite(V == W, 1, 0)"])
+def test_a_pin_of_unknown_sign_keeps_no_shift(both):
+    # Z moves both ways as V rises: through A = min(V, 1) up and
+    # B = ite(V == 2, 0, 1) down, or through a parity test of V against W.
+    # The pass from Z gives V an unknown sign, so the reader keeps no shift
+    # along V for either end of Z's range; taking the unknown sign for "does
+    # not move" would keep both.
+    doc = parse_document(
+        "exo UV : {0,1,2}\nexo UW : {0,1,2}\nexo UX : {0,1}\n"
+        "var V : {0,1,2} = UV\nvar W : {0,1,2} = UW\nvar X : {0,1} = UX\n"
+        "var A : {0,1} = min(V, 1)\nvar B : {0,1} = ite(V == 2, 0, 1)\n"
+        f"var Z : {{0,1}} = min({both}, X)\n"
+        "context c : UV=1, UW=1, UX=1\n")
+    model, context = doc.model, doc.contexts["c"]
+    _, paths = checker._effect_signs(model, ("X",), {"Z"})
+    assert paths["Z"]["V"] is None
+    for value in (0, 1):
+        assert checker._kept_ways(model, event("Z", value), paths, ("V",)) == 0
+    assert [solve(intervene(model, {"V": v}), context)["Z"] for v in (0, 1, 2)] == [0, 1, 0]
 
 
 def _typical_lights(n=8):
@@ -1084,10 +1183,142 @@ def test_searches_that_end_before_the_contingencies_work_out_no_pin(monkeypatch)
     monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
     assert is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1)).is_cause
     pins = [f"L{p}" for p in range(1, 7)]
-    assert calls == [(("L0",), checker._UP)] + [((name,), checker._UP) for name in pins]
+    # AC2(b) then reads F, the one changed position that no set pins.
+    assert calls == [(("L0",), checker._UP)] + [((name,), checker._UP) for name in pins] \
+        + [(("F",), checker._UP)]
     # The empty set's setting is solved under the alternative after the
     # candidate's read and before any pin's.
     assert 1 in solved
+
+
+def _count_ac2b_lookups(monkeypatch):
+    """The counterfactual lookups made inside AC2(b) from here on, as a
+    one-entry list."""
+    count, inside = [0], [False]
+    ac2b, solve_tuple = CauseSearch.ac2b, Engine.solve_tuple
+
+    def recording_ac2b(search, *args):
+        inside[0] = True
+        try:
+            return ac2b(search, *args)
+        finally:
+            inside[0] = False
+
+    def recording_solve_tuple(engine, key, *args):
+        count[0] += inside[0]
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(CauseSearch, "ac2b", recording_ac2b)
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    return count
+
+
+def _severity_ext(n=6):
+    """``_severity`` under the benchmark's severity-family order: every
+    agent typically 0 > 1 > 2, and a severity chain across the agents at
+    their actual levels."""
+    model, context = _severity(n)
+    agents = model.endogenous[:n]
+    spec = TypicalitySpec(tuple(ValueRanking(name, (0, 1, 2)) for name in agents),
+                          (tuple((name, context[f"U{p}"]) for p, name in enumerate(agents)),))
+    return ExtendedCausalModel(model, derive_from_typicality(model, spec)), context
+
+
+@pytest.mark.parametrize("family", ["typical-lights", "severity"])
+def test_ac2b_decides_monotone_re_impositions_at_the_worst_one(family, monkeypatch):
+    # Grading lists every witness of both candidates, so AC2(b) runs at each
+    # setting that passes AC2(a): the ones with every other source or agent
+    # pinned at 0.  The effect never falls as a pin rises, so a pin at the
+    # bottom of its range can only hurt it and is re-imposed in every
+    # sub-assignment, and the effect's variable at the top of its range
+    # can only help and is never re-imposed.  Each call then solves the
+    # worst sub-assignment alone.  Without ``monotone-ac2b`` the two grades
+    # make 514 and 130 lookups inside AC2(b).
+    if family == "typical-lights":
+        ext, context = _typical_lights()
+        candidates, effect = [cand(event("L0", 1)), cand(event("L7", 1))], event("F", 1)
+    else:
+        ext, context = _severity_ext()
+        candidates, effect = [cand(event("A0", 1)), cand(event("A1", 2))], event("H", 1)
+    count = _count_ac2b_lookups(monkeypatch)
+    result = grade_candidates(ext, context, candidates, effect)
+    assert count[0] <= 4
+    assert all(verdict.is_cause for verdict in result.verdicts)
+    monkeypatch.setitem(checker._RULES, "monotone-ac2b", False)
+    assert grade_candidates(ext, context, candidates, effect) == result
+
+
+@pytest.mark.parametrize("text, with_v", [
+    # F reads V directly and through N = 1 - V, so F's sign along V is
+    # unknown; the sub-assignment that breaks F leaves V out.
+    ("var N : {0,1} = 1 - V\n"
+     "var F : {0,1} = min(X, ite(W == 0, V, max(V, N)))\n", False),
+    # F tests V == W, so F's direction in V is mixed; the sub-assignment
+    # that breaks F re-imposes V.
+    ("var F : {0,1} = min(X, ite(V == W, 1, 0))\n", True),
+], ids=["opposite-paths", "parity"])
+def test_ac2b_enumerates_a_variable_no_monotonicity_settles(text, with_v, monkeypatch):
+    # The pin W=0 moves V off its actual 1, and AC2(b) fails at one
+    # sub-assignment alone: taking V's way as "re-impose it always" misses
+    # the first, and as "never re-impose it" the second.
+    doc = parse_document(
+        "exo UX : {0,1}\nexo UW : {0,1}\n"
+        "var X : {0,1} = UX\nvar W : {0,1} = UW\nvar V : {0,1} = W\n"
+        + text + "context c : UX=1, UW=1\n")
+    model, context = doc.model, doc.contexts["c"]
+    cause, effect = (event("X", 1),), event("F", 1)
+    search = CauseSearch(Engine(model, context), effect)
+    x_mask = 1 << model.endo_index("X")
+    assert search._side(x_mask, search._signs(x_mask)[1], model.endo_index("V")) == (0, (), ())
+    keys = []
+    solve_tuple = Engine.solve_tuple
+
+    def recording_solve_tuple(engine, key, *args):
+        keys.append({engine.endo[i]: v for i, v in enumerate(key) if v is not None})
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    assert check_ac2(model, context, cand(*cause), effect, ("W",), (0,), (0,)) is False
+    broken = [key for key in keys if key.get("X") == 1
+              and not evaluate(effect, solve(intervene(model, key), context))]
+    assert len(broken) == 1 and broken[0]["W"] == 0 and ("V" in broken[0]) == with_v
+    monkeypatch.undo()
+    assert not _direct_ac2(model, context, cause, effect, ("W",), (0,), (0,))
+    assert enumerate_witnesses(model, context, cand(*cause), effect) \
+        == exhaustive_witnesses(model, context, cause, effect)
+
+
+def test_a_corner_that_product_order_reaches_last_is_decided_first(monkeypatch):
+    # V : {2,1,0} lowers F only at 0, and Y only at 0, so the effect holds
+    # least at V=0 and Y=0: V's corner comes last in its range, Y's first.
+    # The set {V} holds F=1 at its corner, so it holds everywhere, and its
+    # other settings are not solved; {Y} and {Y, V} fail there, go on in
+    # product order, and give the witnesses.  Taken at the wrong end, the
+    # corner of {Y} would hold and hide its witness.
+    doc = parse_document(
+        "exo UX : {0,1}\nexo UY : {0,1}\nexo UV : {0,1,2}\n"
+        "var X : {0,1} = UX\nvar Y : {0,1} = UY\nvar V : {2,1,0} = UV\n"
+        "var F : {0,1} = max(X, max(Y, min(V, 1)))\n"
+        "context c : UX=1, UY=1, UV=0\n")
+    model, context = doc.model, doc.contexts["c"]
+    cause, effect = (event("X", 1),), event("F", 1)
+    y, v = model.endo_index("Y"), model.endo_index("V")
+    for corners in (True, False):
+        monkeypatch.setitem(checker._RULES, "monotone-sets", corners)
+        keys = []
+        solve_tuple = Engine.solve_tuple
+
+        def recording_solve_tuple(engine, key, *args):
+            keys.append(key)
+            return solve_tuple(engine, key, *args)
+
+        monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+        records = enumerate_witnesses(model, context, cand(*cause), effect)
+        monkeypatch.setattr(Engine, "solve_tuple", solve_tuple)
+        assert records == exhaustive_witnesses(model, context, cause, effect)
+        assert [(r.w_set, r.w_values) for r in records] == [(("Y",), (0,)), (("Y", "V"), (0, 0))]
+        alone = [key[v] for key in keys if key[y] is None and key[v] is not None]
+        assert alone == ([0] if corners else [2, 1, 0])
 
 
 def test_best_witnesses_ask_the_reverse_only_where_the_forward_holds(monkeypatch):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from actualcause import (
+    Behavior,
     BehaviorRanking,
     CausalModel,
+    Const,
     Equation,
     NormalityError,
     Ref,
@@ -22,7 +24,7 @@ from actualcause import (
     derive_from_typicality,
     explicit_order,
 )
-from actualcause.normality import DerivedOrder, _QueryOrder, world_marks
+from actualcause.normality import DerivedOrder, _embeds, _QueryOrder, world_marks
 
 from random_models import random_model, random_typicality, tree_value
 
@@ -516,3 +518,46 @@ def test_admits_is_the_weak_relation_on_random_orders(seed):
     order = derive_from_typicality(model, random_typicality(rng, model))
     worlds = _all_worlds(model)
     _check_weak_relation_and_marks(order, worlds, itertools.product(worlds, repeat=2))
+
+
+def _matches(marks, into, dominance) -> bool:
+    """Whether each mark maps to a distinct mark of ``into`` equal to or
+    dominating it, by backtracking over the first mark's choices."""
+    if not marks:
+        return True
+    first, rest = marks[0], marks[1:]
+    return any((first == g or (first, g) in dominance)
+               and _matches(rest, into[:j] + into[j + 1:], dominance)
+               for j, g in enumerate(into))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_marks_found_in_the_other_world_embed_as_the_full_matching_says(seed):
+    # _embeds answers True at once when every mark of the first world is
+    # one of the second's; a world's marks are distinct, at most one value
+    # and one behavior mark per variable, so the identity is a matching.
+    # Over every pair of worlds of random derived orders, half of them in
+    # mechanism mode with a behavior ranking on some variables (its own
+    # equation among them where that reads no driver), it agrees
+    # with a matching that tries every assignment.
+    rng = random.Random(seed)
+    model = random_model(rng, max_endo=4)
+    spec = random_typicality(rng, model)
+    if rng.random() < 0.5:
+        rankings = []
+        for name in model.endogenous:
+            if rng.random() < 0.6:
+                behaviors = [Behavior("off", Const(0)), Behavior("on", Const(1))]
+                body = model.equations[name].body
+                if body.referenced() <= set(model.endogenous):
+                    behaviors.append(Behavior("planned", body))
+                rng.shuffle(behaviors)
+                rankings.append(BehaviorRanking(name, tuple(behaviors)))
+        spec = TypicalitySpec(spec.value_rankings, spec.severity_chains, True, tuple(rankings))
+    order = derive_from_typicality(model, spec)
+    keys = [order.marks(world) for world in _all_worlds(model)]
+    for marks, into in itertools.product(keys, repeat=2):
+        assert len(set(marks)) == len(marks)
+        assert _embeds(marks, into, order._dominance) \
+            == _matches(marks, into, order._dominance)
