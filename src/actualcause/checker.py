@@ -31,7 +31,10 @@ does not depend on the filter, so a plain and a filtered AC3 on one search
 share its AC2(b) memo.  Both tests assemble their verdicts in one place,
 ``_verdicts``, which decides every candidate of a call on one search.  Its
 filter is one closure per call that asks the order once per distinct witness
-world; that memo, like the search's, lives as long as the call.
+world; that memo, like the search's, lives as long as the call.  The search
+builds each witness world once, for every candidate and AC3 sub-search of
+the call: records on one world share one ``World`` object, by which
+``_verdicts`` tells the distinct worlds apart without hashing their values.
 
 Before the search, one backward pass per effect variable Y, up its
 references and stopping at the candidate's variables X, gives Y's sign with
@@ -173,7 +176,9 @@ class WitnessRecord(Record):
 
     ``world`` is the solved result of imposing the alternative candidate
     values and the pins; distinct (w_set, w_values, x_prime) triples are kept
-    separately even when they land on the same world.
+    separately even when they land on the same world.  Records of one search
+    that land on one world may share one ``World`` object, so compare worlds
+    with ``==``, not ``is``.
     """
 
     def __init__(self, w_set: tuple[str, ...], w_values: tuple[int, ...],
@@ -184,13 +189,18 @@ class WitnessRecord(Record):
         _set(self, "world", world)
 
 
-def _witness(w_set: tuple[str, ...], w_values: tuple[int, ...], x_prime: tuple[int, ...],
-             variables: tuple[str, ...], values: tuple[int, ...]) -> WitnessRecord:
+def _witness(worlds: dict[tuple, World], variables: tuple[str, ...], w_set: tuple[str, ...],
+             w_values: tuple[int, ...], x_prime: tuple[int, ...],
+             values: tuple[int, ...]) -> WitnessRecord:
     """The witness record of values the search built, one per record it
-    yields; its world skips ``World``'s length check, which they pass."""
-    world = object.__new__(World)
-    _set(world, "variables", variables)
-    _set(world, "values", values)
+    yields.  Its world is the one in ``worlds``, the search's worlds by
+    value tuple, built on first use; it skips ``World``'s length check,
+    which the values pass."""
+    world = worlds.get(values)
+    if world is None:
+        world = worlds[values] = object.__new__(World)
+        _set(world, "variables", variables)
+        _set(world, "values", values)
     return WitnessRecord(w_set, w_values, x_prime, world)
 
 
@@ -309,6 +319,9 @@ class CauseSearch:
         self.effect = effect
         self.max_search = max_search
         self._ac2b_cache: dict[tuple, bool] = {}
+        # Every witness world the search built, by value tuple: records on
+        # one world share it.
+        self._worlds: dict[tuple, World] = {}
         self._effect_vars = _event_variables(effect)
         self._effect_mask = sum(1 << engine.index[v] for v in self._effect_vars)
         # Per candidate mask, its ``_effect_signs`` passes; per candidate
@@ -488,6 +501,7 @@ class CauseSearch:
         monotone: set[str] = set()
         phi = self._phi
         solve = engine.solve_tuple
+        worlds = self._worlds
         # The passing alternatives of each passing setting of a relevant pin
         # set, by the set's mask, then by the setting's values.
         passed: dict[int, dict[tuple, list]] = {}
@@ -535,11 +549,13 @@ class CauseSearch:
                 w_positions = [index[v] for v in w_vars]
                 settings = itertools.product(*map(ranges.__getitem__, w_vars))
                 # ``overlay`` lays the pins and x' over a vector of values or
-                # pins: ``overlay(base + w_values + alt)``.
+                # pins: ``overlay(base + w_values + alt)``.  An itemgetter of
+                # one position returns a bare value, not a tuple.
                 source = list(range(len(endo)))
                 for k, i in enumerate(w_positions + x_positions):
                     source[i] = len(endo) + k
-                overlay = operator.itemgetter(*source)
+                overlay = (operator.itemgetter(*source) if len(source) > 1
+                           else lambda row, i=source[0]: (row[i],))
                 if decided is not None:
                     # Pins off the relevant set move no effect variable, so the
                     # relevant part's passing alternatives pass here unasked.
@@ -557,7 +573,7 @@ class CauseSearch:
                                 values = overlay(head + alt)
                                 if plan:
                                     values = solve(values, plan)
-                                yield _witness(w_vars, w_values, alt, endo, values)
+                                yield _witness(worlds, endo, w_vars, w_values, alt, values)
                     continue
                 plan = engine.plan(pinned)
                 # With every pin monotone, the effect holding at the corner
@@ -608,7 +624,7 @@ class CauseSearch:
                     if falsifying and self.ac2b(x_key, w_positions, w_values):
                         passed.setdefault(w_mask, {})[w_values] = [alt for alt, _ in falsifying]
                         for alt, witness in falsifying:
-                            yield _witness(w_vars, w_values, alt, endo, witness)
+                            yield _witness(worlds, endo, w_vars, w_values, alt, witness)
 
     def ac3(self, conjuncts: Sequence[PrimitiveEvent],
             witness_filter: _WitnessFilter = None) -> bool:
@@ -817,12 +833,13 @@ def _verdicts(
     search = CauseSearch(engine, effect, max_search=max_search)
     if order is not None:
         actual = engine.actual_world()
-        admitted: dict[tuple, bool] = {}
+        # By world object, which the search keeps for the call.
+        admitted: dict[int, bool] = {}
 
         def admits(world: World) -> bool:
-            found = admitted.get(world.values)
+            found = admitted.get(id(world))
             if found is None:
-                found = admitted[world.values] = order.admits(world, actual)
+                found = admitted[id(world)] = order.admits(world, actual)
             return found
 
     verdicts = []
@@ -833,14 +850,18 @@ def _verdicts(
         hp_witnesses = tuple(search.enumerate(conjuncts))
         ac3_hp = search.ac3(conjuncts)
         is_hp = bool(ac1 and hp_witnesses and ac3_hp)
-        values = list(map(operator.attrgetter("world.values"), hp_witnesses))
+        # The distinct witness worlds, told apart by object: the search
+        # builds one per value tuple.
+        worlds = list(map(operator.attrgetter("world"), hp_witnesses))
+        ids = list(map(id, worlds))
+        distinct = dict(zip(ids, worlds)).values()
         if order is None:
             admissible, ac3, is_extended = hp_witnesses, ac3_hp, None
-            best = tuple(map(engine.world, sorted(set(values))))
+            best = tuple(sorted(distinct, key=operator.attrgetter("values")))
         else:
-            admitted_worlds = [w for w in map(engine.world, set(values)) if admits(w)]
-            kept = {w.values for w in admitted_worlds}
-            admissible = tuple(itertools.compress(hp_witnesses, map(kept.__contains__, values)))
+            admitted_worlds = list(filter(admits, distinct))
+            kept = set(map(id, admitted_worlds))
+            admissible = tuple(itertools.compress(hp_witnesses, map(kept.__contains__, ids)))
             ac3 = search.ac3(conjuncts, admits)
             is_extended = bool(ac1 and admissible and ac3)
             best = best_witnesses(order, admitted_worlds)
@@ -916,6 +937,7 @@ def find_all_causes(
     search = CauseSearch(engine, effect, max_search=max_search)
     actual = engine.actual
     found: list[CandidateCause] = []
+    held: list[set[str]] = []  # each found cause's variables
     if not search.ac1(()):
         return found
     # Per variable, its class's label: an effect variable is its own class,
@@ -935,7 +957,7 @@ def find_all_causes(
             # at size 1, so no search skipped here could go over the budget.
             chosen = set(names)
             if _RULES["sweep-subsets"]:
-                if any(chosen.issuperset(cause.variables()) for cause in found):
+                if any(map(chosen.issuperset, held)):
                     continue
             elif not search.ac3(conjuncts):
                 continue
@@ -944,6 +966,7 @@ def find_all_causes(
                 answers[orbit] = search.has_witness(conjuncts)
             if answers[orbit]:
                 found.append(CandidateCause(conjuncts))
+                held.append(chosen)
     return found
 
 

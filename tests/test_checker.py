@@ -582,6 +582,56 @@ def test_sweep_rejects_bad_size(documents):
                         max_conjuncts=0)
 
 
+def _oracle_sweep(model, context, effect, max_conjuncts):
+    """The candidates up to the given size, at their actual values, that the
+    oracle calls causes, in the sweep's order."""
+    actual = solve(model, context)
+    found = []
+    for size in range(1, max_conjuncts + 1):
+        for names in itertools.combinations(model.endogenous, size):
+            conjuncts = tuple(event(n, actual[n]) for n in names)
+            if oracle_is_cause(model, context, conjuncts, effect):
+                found.append(CandidateCause(conjuncts))
+    return found
+
+
+@pytest.mark.parametrize("text, effect, causes", [
+    # A and B share an equation key only when the context's values are
+    # ignored: A reads U1=1, B reads U2=0, so A=1 is a cause and B=0 is not.
+    ("exo U1 : {0,1}\nexo U2 : {0,1}\nvar A : {0,1} = U1\nvar B : {0,1} = U2\n"
+     "var E : {0,1} = max(A, B)\ncontext c : U1=1, U2=0\n", event("E", 1),
+     ["A=1", "E=1"]),
+    # A and B have one equation, but the decoy D reads them through -, which
+    # keeps its operands' order: B=1 is a but-for cause of D=0, A=1 is none.
+    ("exo U : {0,1}\nvar A : {0,1} = U\nvar B : {0,1} = U\n"
+     "var D : {0,1} = max(0, A - B)\ncontext c : U=1\n", event("D", 0),
+     ["B=1", "D=0"]),
+], ids=["context-values", "decoy-minus"])
+def test_the_symmetry_rule_keeps_apart_variables_no_swap_maps(text, effect, causes):
+    # One search per orbit is exact only when the swap is an automorphism
+    # of the model under the context.  Each sweep fails when the classes
+    # ignore context values or sort the operands of -.
+    doc = parse_document(text)
+    model, context = doc.model, doc.contexts["c"]
+    for k in (1, 2):
+        found = find_all_causes(model, context, effect, max_conjuncts=k)
+        assert found == _oracle_sweep(model, context, effect, k)
+        assert [str(c) for c in found] == causes
+
+
+def test_a_model_of_one_endogenous_variable_is_decided():
+    # With one position the search's overlay of x' over the actual world
+    # has one item; it must still be a tuple.
+    doc = parse_document("exo U : {0,1}\nvar X : {0,1} = U\ncontext c : U=1\n")
+    model, context = doc.model, doc.contexts["c"]
+    verdict = is_actual_cause(model, context, cand(event("X", 1)), event("X", 1))
+    assert verdict.is_cause == oracle_is_cause(model, context, (event("X", 1),), event("X", 1))
+    assert verdict.is_cause
+    assert [(r.w_set, r.w_values, r.x_prime) for r in verdict.hp_witnesses] == [((), (), (0,))]
+    assert verdict.best_witnesses == (World(("X",), (0,)),)
+    assert [str(c) for c in find_all_causes(model, context, event("X", 1))] == ["X=1"]
+
+
 def test_candidate_cause_invariants():
     with pytest.raises(FormulaError):
         CandidateCause(())
@@ -1346,3 +1396,26 @@ def test_best_witnesses_ask_the_reverse_only_where_the_forward_holds(monkeypatch
         if not any(ext.order.compare(other, world) is Relation.MORE_NORMAL
                    for key, other in distinct if key != values))
     assert best == verdict.best_witnesses
+
+
+def test_records_on_one_world_share_it():
+    # F=1 for F=1 over 8 typical lights: 3^8 records land on 2^8 worlds,
+    # and the search builds each world once.  The admissible records and
+    # the best witnesses are those read off fresh worlds of the same values.
+    ext, context = _typical_lights()
+    model = ext.base
+    verdict = is_extended_cause(ext, context, cand(event("F", 1)), event("F", 1))
+    records = verdict.hp_witnesses
+    assert len(records) == 3 ** 8
+    assert len({id(r.world) for r in records}) == len({r.world for r in records}) == 2 ** 8
+    actual = solve(model, context)
+    fresh = [World(model.endogenous, r.world.values) for r in records]
+    assert verdict.admissible_witnesses == tuple(
+        r for r, world in zip(records, fresh) if ext.order.admits(world, actual))
+    assert verdict.admissible_witnesses == records
+    assert verdict.best_witnesses == checker.best_witnesses(ext.order, fresh)
+    assert verdict.best_witnesses == (World(model.endogenous, (0,) * 9),)
+    plain = is_actual_cause(model, context, cand(event("F", 1)), event("F", 1))
+    assert plain.hp_witnesses == records
+    assert plain.best_witnesses == tuple(World(model.endogenous, values)
+                                         for values in sorted({w.values for w in fresh}))

@@ -172,6 +172,19 @@ def _document(tmp_path, text):
 DEEP_MODEL = "exo U : {0,1}\nvar F : {0,1} = U\ncontext c : U=1\n"
 
 
+def test_a_model_of_one_endogenous_variable_is_answered(tmp_path):
+    path = _document(tmp_path, DEEP_MODEL + "typical F = 0 > 1\n")
+    for argv in (["check", path, "cause F=1 for F=1 @ c"],
+                 ["check", path, "cause F=1 for F=1 @ c", "--all-causes", "1"],
+                 ["witnesses", path, "cause F=1 for F=1 @ c"],
+                 ["grade", path, "grade {F=1} for F=1 @ c", "--mode", "extended"]):
+        code, out, err = run(argv + ["--format", "json"])
+        assert (code, err) == (0, ""), argv
+    assert json.loads(out)["candidates"][0]["best_witnesses"] == [{"F": 0}]
+    code, out, _ = run(["check", path, "cause F=1 for F=1 @ c", "--all-causes", "1"])
+    assert (code, out) == (0, "query: all-causes k=1 for F=1 @ c\ncauses:\n  F=1\n")
+
+
 def test_deep_parentheses_exit_one(tmp_path):
     body = "(" * 2000 + "F=1" + ")" * 2000
     path = _document(tmp_path, DEEP_MODEL + f"satisfies {body} @ c\n")

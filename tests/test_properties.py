@@ -26,10 +26,12 @@ from actualcause import (
     Table,
     TrivialOrder,
     Variable,
+    World,
     derive_from_typicality,
     enumerate_witnesses,
     evaluate,
     find_all_causes,
+    grade_candidates,
     intervene,
     is_actual_cause,
     is_extended_cause,
@@ -169,6 +171,43 @@ def test_trivial_order_changes_nothing(seed):
             plain = is_actual_cause(model, context, candidate, effect)
             for field in fields:
                 assert getattr(extended, field) == getattr(plain, field), field
+
+
+def _shared_worlds(records, shared):
+    """Whether every record's world is the one object ``shared`` holds for
+    its values, after adding the worlds of values not seen yet."""
+    return all(shared.setdefault(r.world.values, r.world) is r.world for r in records)
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_verdicts_share_each_witness_world_and_read_as_fresh_ones(seed):
+    # A grading decides every candidate on one search, which builds each
+    # witness world once: records on equal worlds share one object, across
+    # candidates too.  The admissible records and the best witnesses are
+    # those read off fresh worlds of the records' value tuples.
+    rng = random.Random(seed)
+    model = random_model(rng)
+    ext = ExtendedCausalModel(model, derive_from_typicality(model, random_typicality(rng, model)))
+    context = rng.choice(list(all_contexts(model)))
+    actual = solve(model, context)
+    effect = random_effect(rng, model, actual)
+    candidates = [CandidateCause(tuple(PrimitiveEvent(n, actual[n]) for n in names))
+                  for size in (1, 2) for names in itertools.combinations(model.endogenous, size)]
+    verdicts = grade_candidates(ext, context, candidates, effect).verdicts
+    shared: dict = {}
+    for candidate, verdict in zip(candidates, verdicts):
+        records = verdict.hp_witnesses
+        assert _shared_worlds(records, shared)
+        fresh = [World(model.endogenous, r.world.values) for r in records]
+        admits = [ext.order.admits(world, actual) for world in fresh]
+        assert verdict.admissible_witnesses == tuple(itertools.compress(records, admits))
+        assert verdict.best_witnesses == checker.best_witnesses(
+            ext.order, itertools.compress(fresh, admits))
+        plain = is_actual_cause(model, context, candidate, effect)
+        assert plain.hp_witnesses == records and _shared_worlds(plain.hp_witnesses, {})
+        assert plain.best_witnesses == tuple(World(model.endogenous, values)
+                                             for values in sorted({w.values for w in fresh}))
 
 
 @given(SEEDS)
