@@ -26,8 +26,11 @@ document or a list of diagnostics, each carrying a source span.
 Lines end at LF, CR LF or CR, and nowhere else; blanks are space, tab and CR.
 Tokens are ``"..."`` strings, integers (decimal digits, as ``int()`` reads
 them; ``²`` is none), names (a word character that is no decimal digit, then
-word characters) and punctuation.  Columns count characters; a span's
-offset and length count UTF-8 bytes of the text as passed.
+word characters) and punctuation.  The lexer makes each token a plain
+``(kind, text, column, offset, size)`` tuple: columns count characters,
+offsets and sizes UTF-8 bytes of the text as passed.  A ``SourceSpan`` is
+built from a token only where the parse keeps one (a declared name, a
+keyword, a reference, an event) or raises a diagnostic at it.
 
 Each line is read by one ``_LineParser``, a recursive-descent parser that is
 both the cursor over the line's tokens and the grammar; its ``items`` reads
@@ -193,25 +196,17 @@ _TOKEN = re.compile(r"""
 _LINE_BREAK = re.compile(r"(\r\n|\r|\n)")
 
 
-class Token(Record):
-    def __init__(self, kind: str, text: str, span: SourceSpan):
-        """``kind`` is "ident", "int", "string", "eol" or the punctuation
-        itself."""
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "span", span)
-
-
-def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize one line; ``line_offset`` is the line's byte offset.  Columns
-    count characters; offsets and lengths count UTF-8 bytes, a lone surrogate
-    as three."""
-    tokens: list[Token] = []
+def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[tuple], list[Diagnostic]]:
+    """Tokenize one line, the last token of kind "eol"; ``line_offset`` is
+    the line's byte offset.  ``kind`` is "ident", "int", "string" or the
+    punctuation itself; a lone surrogate counts three bytes."""
+    tokens: list[tuple] = []
     errors: list[Diagnostic] = []
     offset = line_offset
+    one_byte = line.isascii()  # then each character is one UTF-8 byte
     for match in _TOKEN.finditer(line):
         kind, text = match.lastgroup, match.group()
-        size = len(text.encode("utf-8", "surrogatepass"))
+        size = len(text) if one_byte else len(text.encode("utf-8", "surrogatepass"))
         if kind == "unterminated":
             errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset),
                                      "unterminated string"))
@@ -219,10 +214,10 @@ def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[Token], l
             errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset, size),
                                      f"unexpected character {text!r}"))
         elif kind is not None:
-            tokens.append(Token(text if kind == "punct" else kind, match.group(kind),
-                                SourceSpan(line_no, match.start() + 1, offset, size)))
+            tokens.append((text if kind == "punct" else kind, match.group(kind),
+                           match.start() + 1, offset, size))
         offset += size
-    tokens.append(Token("eol", "", SourceSpan(line_no, len(line) + 1, offset)))
+    tokens.append(("eol", "", len(line) + 1, offset, 1))
     return tokens, errors
 
 
@@ -262,44 +257,49 @@ class _RawQuery(Record, frozen=False):
 class _LineParser:
     """Recursive descent over one line's tokens: the cursor, then the grammar.
     ``refs`` collects the line's references, ``(name, span)`` in equation
-    bodies and ``(name, value, span)`` in formula bodies."""
+    bodies and ``(name, value, span)`` in formula bodies.  A token's span is
+    built by ``span`` only where one is kept or raised."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple], line_no: int):
         self.tokens = tokens
+        self.line_no = line_no
         self.pos = 0
         self.depth = 0
         self.refs: list[tuple] = []
 
     # the cursor -------------------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         token = self.tokens[self.pos]
-        if token.kind != "eol":
+        if token[0] != "eol":
             self.pos += 1
         return token
 
-    def accept(self, kind: str) -> Optional[Token]:
-        if self.peek().kind == kind:
+    def accept(self, kind: str) -> Optional[tuple]:
+        if self.tokens[self.pos][0] == kind:
             return self.next()
         return None
 
-    def expect(self, kind: str, what: str = "") -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            self.fail(f"expected {what or kind}, found {token.text or 'end of line'!r}")
+    def expect(self, kind: str, what: str = "") -> tuple:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            self.fail(f"expected {what or kind}, found {token[1] or 'end of line'!r}")
         return self.next()
 
     def expect_end(self):
         token = self.peek()
-        if token.kind != "eol":
-            self.fail(f"unexpected trailing input {token.text!r}")
+        if token[0] != "eol":
+            self.fail(f"unexpected trailing input {token[1]!r}")
 
-    def fail(self, message: str, token: Optional[Token] = None):
+    def span(self, token: tuple) -> SourceSpan:
+        return SourceSpan(self.line_no, *token[2:])
+
+    def fail(self, message: str, token: Optional[tuple] = None):
         """Raise a diagnostic at ``token``, by default the next one."""
-        raise DslError([Diagnostic((token or self.peek()).span, message)])
+        raise DslError([Diagnostic(self.span(token or self.peek()), message)])
 
     def enter(self):
         """Open one more level of nesting (the caller closes it by
@@ -317,24 +317,24 @@ class _LineParser:
 
     # words, integers and events -------------------------------------------------
 
-    def word(self, words: Container[str], what: str) -> Token:
+    def word(self, words: Container[str], what: str) -> tuple:
         """A name among ``words``, which ``what`` spells out."""
         token = self.expect("ident", what)
-        if token.text not in words:
+        if token[1] not in words:
             self.fail(f"expected {what}", token)
         return token
 
-    def name(self, what: str) -> Token:
+    def name(self, what: str) -> tuple:
         token = self.expect("ident", what)
-        if token.text in RESERVED:
-            self.fail(f"{token.text!r} is a reserved word", token)
+        if token[1] in RESERVED:
+            self.fail(f"{token[1]!r} is a reserved word", token)
         return token
 
     def int_value(self) -> int:
         sign = -1 if self.accept("-") else 1
         token = self.expect("int", "integer")
         try:
-            return sign * int(token.text)
+            return sign * int(token[1])
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             self.fail("integer literal has too many digits", token)
 
@@ -352,7 +352,7 @@ class _LineParser:
     def _event(self, op: str) -> tuple[str, int, SourceSpan]:
         name = self.name("variable name")
         self.expect(op)
-        return name.text, self.int_value(), name.span
+        return name[1], self.int_value(), self.span(name)
 
     def world(self) -> tuple[tuple[str, int, SourceSpan], ...]:
         self.expect("(")
@@ -371,36 +371,35 @@ class _LineParser:
         # left-deep tree that deep, and the tree is walked recursively.
         node = operand(*args)
         opened = 0
-        while self.peek().kind in ops:
+        while self.peek()[0] in ops:
             self.enter()
             opened += 1
-            node = BinOp(self.next().kind, node, operand(*args))
+            node = BinOp(self.next()[0], node, operand(*args))
         self.depth -= opened
         return node
 
     def _atom(self) -> Expr:
-        token = self.peek()
-        if token.kind == "int":
+        kind, text = self.peek()[:2]
+        if kind == "int":
             return Const(self.int_value())
-        if token.kind == "(":
+        if kind == "(":
             self.enter()
             self.next()
             node = self.expr()
             self.expect(")")
             self.depth -= 1
             return node
-        if token.kind == "ident":
-            if token.text in ("min", "max"):
-                return BinOp(token.text, *self._call(","))
-            if token.text == "ite":
+        if kind == "ident":
+            if text in ("min", "max"):
+                return BinOp(text, *self._call(","))
+            if text == "ite":
                 return Ite(*self._call("==", ",", ","))
-            if token.text == "table":
+            if text == "table":
                 return self._table()
-            if token.text in RESERVED:
-                self.fail(f"{token.text!r} is a reserved word")
-            self.next()
-            self.refs.append((token.text, token.span))
-            return Ref(token.text)
+            if text in RESERVED:
+                self.fail(f"{text!r} is a reserved word")
+            self.refs.append((text, self.span(self.next())))
+            return Ref(text)
         self.fail("expected an expression")
 
     def _call(self, *separators: str) -> list[Expr]:
@@ -422,11 +421,11 @@ class _LineParser:
         self.expect("(")
         args = self.items(",", self.name, "argument name")
         self.expect(")")
-        self.refs.extend((token.text, token.span) for token in args)
+        self.refs.extend((token[1], self.span(token)) for token in args)
         self.expect("{")
         rows = self.items(",", self._row, len(args))
         self.expect("}")
-        return Table(tuple(token.text for token in args), tuple(rows))
+        return Table(tuple(token[1] for token in args), tuple(rows))
 
     def _row(self, width: int) -> tuple[tuple[int, ...], int]:
         opening = self.expect("(")
@@ -441,7 +440,7 @@ class _LineParser:
     def behavior(self) -> tuple[str, Expr]:
         label = self.expect("string", "behavior label")
         self.expect("=")
-        return label.text, self.expr()
+        return label[1], self.expr()
 
     # formula bodies: ! binds tightest, then &, then | -------------------------
 
@@ -454,7 +453,7 @@ class _LineParser:
         return operands[0] if len(operands) == 1 else Conjunction(tuple(operands))
 
     def _negation(self) -> BooleanFormula:
-        if self.peek().kind in ("!", "("):
+        if self.peek()[0] in ("!", "("):
             self.enter()
             if self.accept("!"):
                 node = Negation(self._negation())
@@ -470,20 +469,20 @@ class _LineParser:
 
     # query lines ----------------------------------------------------------------
 
-    def query(self, keyword: Token) -> _RawQuery:
+    def query(self, keyword: tuple) -> _RawQuery:
         """The rest of a query line after its keyword."""
-        kind = keyword.text
+        kind = keyword[1]
         causes: list[tuple[tuple[str, int, SourceSpan], ...]] = []
         interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
         body = None
         if kind == "satisfies":
             if self.accept("["):
-                if self.peek().kind != "]":
+                if self.peek()[0] != "]":
                     interventions = self.events("<-", ",")
                 self.expect("]")
             # The brackets that format_formula puts around a body are not
             # counted, so that a body at the nesting cap round-trips.
-            enclosed = self.peek().kind == "("
+            enclosed = self.peek()[0] == "("
             self.depth -= enclosed
             body = self.formula()
             self.depth += enclosed
@@ -500,7 +499,7 @@ class _LineParser:
         ctx = self.name("context name")
         self.expect_end()
         return _RawQuery(
-            kind, keyword.span, (ctx.text, ctx.span), causes=tuple(causes),
+            kind, self.span(keyword), (ctx[1], self.span(ctx)), causes=tuple(causes),
             effect=body, effect_refs=tuple(self.refs), interventions=interventions,
         )
 
@@ -514,7 +513,7 @@ class _DocumentBuilder:
         self.variables: list[_RawVar] = []
         self.rankings: list[ValueRanking] = []
         self.chains: list[tuple[tuple[str, int], ...]] = []
-        self.mechanism: Optional[tuple[bool, SourceSpan]] = None
+        self.mechanism: Optional[bool] = None
         self.behaviors: list[BehaviorRanking] = []
         # Where each typicality declaration sits, by the place that
         # ``normality._spec_faults`` gives its faults.
@@ -528,48 +527,48 @@ class _DocumentBuilder:
 
     # phase A: one line ------------------------------------------------------
 
-    def add_line(self, tokens: list[Token]):
-        line = _LineParser(tokens)
-        if line.peek().kind == "eol":
+    def add_line(self, line: _LineParser):
+        if line.peek()[0] == "eol":
             return
         try:
             keyword = line.expect("ident", "a declaration or query keyword")
-            if keyword.text in ("exo", "var"):
+            word = keyword[1]
+            if word in ("exo", "var"):
                 name = line.name("variable name")
                 line.expect(":")
                 values = line.int_range()
                 body = None
-                if keyword.text == "var":
+                if word == "var":
                     line.expect("=")
                     body = line.expr()
                 line.expect_end()
-                kind = EXOGENOUS if keyword.text == "exo" else ENDOGENOUS
-                self.variables.append(_RawVar(name.text, name.span, kind, values, body,
+                kind = EXOGENOUS if word == "exo" else ENDOGENOUS
+                self.variables.append(_RawVar(name[1], line.span(name), kind, values, body,
                                               tuple(line.refs)))
-            elif keyword.text == "typical":
+            elif word == "typical":
                 name = line.name("variable name")
                 line.expect("=")
                 ranking = line.items(">", line.int_value)
                 line.expect_end()
                 from .normality import ValueRanking
 
-                self.places["ranking", len(self.rankings)] = name.span
-                self.rankings.append(ValueRanking(name.text, tuple(ranking)))
-            elif keyword.text == "severity":
+                self.places["ranking", len(self.rankings)] = line.span(name)
+                self.rankings.append(ValueRanking(name[1], tuple(ranking)))
+            elif word == "severity":
                 chain = line.events("=", "<")
                 line.expect_end()
                 i = len(self.chains)
-                self.places["severity", i, None] = keyword.span
+                self.places["severity", i, None] = line.span(keyword)
                 for j, (_, _, span) in enumerate(chain):
                     self.places["severity", i, j] = span
                 self.chains.append(tuple((n, v) for n, v, _ in chain))
-            elif keyword.text == "mechanism":
+            elif word == "mechanism":
                 token = line.word(("on", "off"), "'on' or 'off'")
                 line.expect_end()
                 if self.mechanism is not None:
-                    self.error(token.span, "mechanism declared twice")
-                self.mechanism = (token.text == "on", token.span)
-            elif keyword.text == "behavior":
+                    self.error(line.span(token), "mechanism declared twice")
+                self.mechanism = token[1] == "on"
+            elif word == "behavior":
                 name = line.name("variable name")
                 line.expect(":")
                 behaviors = line.items(">", line.behavior)
@@ -577,29 +576,29 @@ class _DocumentBuilder:
                 from .normality import Behavior, BehaviorRanking
 
                 i = len(self.behaviors)
-                self.places["behavior", i] = name.span
+                self.places["behavior", i] = line.span(name)
                 for ref, span in line.refs:
                     self.places.setdefault(("reference", i, ref), span)
                 self.behaviors.append(BehaviorRanking(
-                    name.text, tuple(Behavior(*behavior) for behavior in behaviors)))
-            elif keyword.text == "norm":
+                    name[1], tuple(Behavior(*behavior) for behavior in behaviors)))
+            elif word == "norm":
                 left = line.world()
                 op = line.accept("==") or line.accept(">")
                 if op is None:
                     line.fail("expected '>' or '==' between worlds")
                 right = line.world()
                 line.expect_end()
-                self.norms.append(_RawNorm(left, op.kind, right, keyword.span))
-            elif keyword.text == "context":
+                self.norms.append(_RawNorm(left, op[0], right, line.span(keyword)))
+            elif word == "context":
                 name = line.name("context name")
                 line.expect(":")
                 items = line.events("=", ",")
                 line.expect_end()
-                self.contexts.append(_RawContext(name.text, name.span, items))
-            elif keyword.text in _QUERY_KEYWORDS:
+                self.contexts.append(_RawContext(name[1], line.span(name), items))
+            elif word in _QUERY_KEYWORDS:
                 self.queries.append(line.query(keyword))
             else:
-                self.error(keyword.span, f"unknown keyword {keyword.text!r}")
+                self.error(line.span(keyword), f"unknown keyword {word!r}")
         except DslError as exc:
             self.errors.extend(exc.diagnostics)
 
@@ -630,13 +629,13 @@ class _DocumentBuilder:
 
         # typicality section: its rules are normality's
         typicality = None
-        if self.rankings or self.chains or self.behaviors or self.mechanism:
+        if self.rankings or self.chains or self.behaviors or self.mechanism is not None:
             from .normality import TypicalitySpec, _spec_faults
 
             typicality = TypicalitySpec(
                 value_rankings=tuple(self.rankings),
                 severity_chains=tuple(self.chains),
-                mechanism=self.mechanism is not None and self.mechanism[0],
+                mechanism=bool(self.mechanism),
                 behavior_rankings=tuple(self.behaviors),
             )
             for place, message in _spec_faults(model, typicality):
@@ -705,8 +704,8 @@ def parse_document(text: str) -> ParsedDocument:
             zip(parts[::2], parts[1::2] + [""]), start=1):
         tokens, errors = _lex_line(line, line_no, offset)
         builder.errors.extend(errors)
-        builder.add_line(tokens)
-        offset = tokens[-1].span.offset + len(line_break)  # eol ends the line
+        builder.add_line(_LineParser(tokens, line_no))
+        offset = tokens[-1][3] + len(line_break)  # eol ends the line
     document = builder.build()
     if document is None:
         raise DslError(sorted(builder.errors, key=_position))
@@ -718,10 +717,10 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
     tokens, lex_errors = _lex_line(text.replace("\n", " "), 1, 0)
     if lex_errors:
         raise DslError(lex_errors)
-    line = _LineParser(tokens)
+    line = _LineParser(tokens, 1)
     keyword = line.peek()
-    if keyword.kind != "ident" or keyword.text not in _QUERY_KEYWORDS:
-        raise DslError([Diagnostic(keyword.span, "expected a query keyword")])
+    if keyword[0] != "ident" or keyword[1] not in _QUERY_KEYWORDS:
+        line.fail("expected a query keyword")
     line.next()
     raw = line.query(keyword)
     errors: list[Diagnostic] = []

@@ -1086,13 +1086,19 @@ def test_pins_off_the_relevant_set_are_neither_tested_nor_solved(monkeypatch):
         model, context, (event("F", 1),), event("F", 1))
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="bytecode counts are those of CPython 3.11")
+# Package bytecodes per record of the query below, about 1.15 times the
+# count of each CPython the suite runs on: 127.3 (3.10), 138.5 (3.11) and
+# 120.0 (3.13).  Under 3.12.1 the opcode trace counted nothing.
+_BYTECODES_PER_RECORD = {(3, 10): 146, (3, 11): 159, (3, 13): 138}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in _BYTECODES_PER_RECORD,
+                    reason="bytecode counts are those of CPython 3.10, 3.11 and 3.13")
 def test_an_output_bound_query_runs_few_bytecodes_per_record():
     # Every bytecode the package runs for the 6,561 records above, the
-    # filter and the best-witness pass included: 468 per record when each
-    # setting was solved and tested, about 184 once they are laid over the
-    # actual world unasked.
+    # filter and the best-witness pass included: under 3.11, 468 per record
+    # when each setting was solved and tested, about 184 once they are laid
+    # over the actual world unasked.
     ext, context = _typical_lights()
     package = os.path.dirname(checker.__file__) + os.sep
     count = 0
@@ -1115,7 +1121,7 @@ def test_an_output_bound_query_runs_few_bytecodes_per_record():
     finally:
         sys.settrace(previous)
     assert len(verdict.hp_witnesses) == 3 ** 8
-    assert count <= 234 * 3 ** 8
+    assert count <= _BYTECODES_PER_RECORD[sys.version_info[:2]] * 3 ** 8
 
 
 def _record_kept_ways(monkeypatch):

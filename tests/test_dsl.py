@@ -1,5 +1,6 @@
 """Parsing, diagnostics, spans, queries, and the round-trip printer."""
 
+import itertools
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from actualcause.dsl import (
     SolveQuery,
     SourceSpan,
     WitnessQuery,
+    _LineParser,
     _lex_line,
     format_query,
     parse_document,
@@ -207,16 +209,72 @@ def test_newline_styles_agree():
     assert pretty_print(unix) == pretty_print(dos)
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_spans_slice_the_text_as_given_in_every_newline_style(newline):
-    text = newline.join(["# café", "exo U : {0,1}", "var G : {0,1} = Q", ""])
+_HEAD = ["exo U : {0,1}", "var G : {0,1} = U"]
+_UNDECLARED_Q = "undeclared variable Q"
+
+# Each site that builds a span from a token where the parse keeps it or
+# raises it: the lines after a "# café" line, the one diagnostic's message,
+# its (line, column) and the token it names.  The equation body keeps the
+# ids the test had when it was the only case.
+_SPAN_SITES = {
+    "": (["exo U : {0,1}", "var G : {0,1} = Q"], _UNDECLARED_Q, (3, 17), "Q"),
+    "table": (["exo U : {0,1}", "var G : {0,1} = table(U, Q){(0, 0) -> 0}"],
+              _UNDECLARED_Q, (3, 26), "Q"),
+    "behavior": ([*_HEAD, "mechanism on", 'behavior G : "off" = 0 > "on" = Q'],
+                 _UNDECLARED_Q, (5, 33), "Q"),
+    "norm": ([*_HEAD, "norm (G=0) > (G=1, Q=1)"], _UNDECLARED_Q, (4, 20), "Q"),
+    "context": ([*_HEAD, "context c : U=1, Q=1"], _UNDECLARED_Q, (4, 18), "Q"),
+    "severity": ([*_HEAD, "typical G = 0 > 1", "severity G=1 < Q=1"],
+                 "severity feature Q=1 has no typicality ranking", (5, 16), "Q"),
+    "cause": ([*_HEAD, "context c : U=1", "cause Q=1 for G=1 @ c"],
+              _UNDECLARED_Q, (5, 7), "Q"),
+    "intervention": ([*_HEAD, "context c : U=1", "satisfies [Q<-1](G=1) @ c"],
+                     _UNDECLARED_Q, (5, 12), "Q"),
+    "mechanism": ([*_HEAD, "mechanism on", "mechanism off"],
+                  "mechanism declared twice", (5, 11), "off"),
+    "keyword": ([*_HEAD, "frobnicate G"], "unknown keyword 'frobnicate'", (4, 1),
+                "frobnicate"),
+}
+
+
+@pytest.mark.parametrize("newline, site", [
+    pytest.param(newline, site, id="-".join(filter(None, (name, site))))
+    for site in _SPAN_SITES
+    for newline, name in (("\n", "lf"), ("\r\n", "crlf"), ("\r", "cr"))
+])
+def test_spans_slice_the_text_as_given_in_every_newline_style(newline, site):
+    lines, message, position, token = _SPAN_SITES[site]
+    text = newline.join(["# café", *lines, ""])
     with pytest.raises(DslError) as excinfo:
         parse_document(text)
     [diagnostic] = excinfo.value.diagnostics
-    assert diagnostic.message == "undeclared variable Q"
+    assert diagnostic.message == message
     span = diagnostic.span
-    assert (span.line, span.column) == (3, 17)
-    assert text.encode("utf-8")[span.offset:span.offset + span.length] == b"Q"
+    assert (span.line, span.column) == position
+    assert text.encode("utf-8")[span.offset:span.offset + span.length] == token.encode()
+
+
+def test_a_wide_table_builds_few_spans(monkeypatch):
+    # A span is built where the parse keeps one or raises one, not per
+    # token: here the seven declared names and the table's six arguments.
+    # A span per token made 11,758 here.
+    names = [f"A{i}" for i in range(6)]
+    rows = ", ".join(f"({', '.join(map(str, key))}) -> {sum(key) % 3}"
+                     for key in itertools.product(range(3), repeat=6))
+    text = "".join(f"exo {name} : {{0,1,2}}\n" for name in names)
+    text += f"var Y : {{0,1,2}} = table({', '.join(names)}){{{rows}}}\n"
+    built = 0
+    init = SourceSpan.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SourceSpan, "__init__", counting_init)
+    table = parse_document(text).model.equations["Y"].body
+    assert len(table.rows) == 3 ** 6
+    assert built < 100
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -225,7 +283,7 @@ def test_spans_slice_the_text_as_given_in_every_newline_style(newline):
 def _lexed(line):
     tokens, errors = _lex_line(line, 1, 0)
     assert not errors
-    return [(token.kind, token.text) for token in tokens[:-1]]
+    return [(kind, text) for kind, text, *_ in tokens[:-1]]
 
 
 def test_unexpected_character_span_counts_its_bytes():
@@ -242,7 +300,7 @@ def test_unterminated_string_is_located_at_its_quote():
     tokens, errors = _lex_line('behavior P : "stays empty = 0', 4, 10)
     assert [str(e) for e in errors] == ["4:14: unterminated string"]
     assert errors[0].span == SourceSpan(4, 14, 23, 1)
-    assert [token.kind for token in tokens] == ["ident", "ident", ":", "eol"]
+    assert [token[0] for token in tokens] == ["ident", "ident", ":", "eol"]
 
 
 def test_hash_inside_a_string_is_not_a_comment():
@@ -267,14 +325,16 @@ def test_two_character_punctuation_matches_first():
 @settings(max_examples=300, deadline=None)
 def test_every_token_span_slices_its_source_text(line):
     tokens, _ = _lex_line(line, 3, 0)
+    parser = _LineParser(tokens, 3)
     blob = line.encode("utf-8")
     for token in tokens[:-1]:
-        source = f'"{token.text}"' if token.kind == "string" else token.text
-        span = token.span
+        kind, text = token[:2]
+        source = f'"{text}"' if kind == "string" else text
+        span = parser.span(token)
         assert span.line == 3
         assert blob[span.offset:span.offset + span.length] == source.encode("utf-8")
         assert line[span.column - 1:span.column - 1 + len(source)] == source
-    eol = tokens[-1].span
+    eol = parser.span(tokens[-1])
     assert (eol.column, eol.offset) == (len(line) + 1, len(blob))
 
 

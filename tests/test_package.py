@@ -167,7 +167,7 @@ def _twin_of(twin, record):
 
 
 def test_the_package_has_the_expected_records():
-    assert len(RECORDS) == 41
+    assert len(RECORDS) == 40
     assert all(cls.__hash__ is None for cls in RECORDS
                if cls is dsl.ParsedDocument or cls.__name__.startswith("_Raw"))
     assert sum(cls.__hash__ is None for cls in RECORDS) == 5
