@@ -68,44 +68,43 @@ filter sees.  When the reach masks leave no variable below a pin or the
 candidate unpinned, the plan is empty and that world is the actual one with
 the pins and x' laid over it: no solve and no cache entry.
 
-The same reader makes a pin v monotone, read along v instead of X: when
-the effect's events pass with s = +1, the effect holding with v at a implies
-it holding with v at any b >= a, X and the other pins held alike, since
-pinning a variable only cuts paths; with s = -1 the same holds downwards.
-So AC2(a) with x' fails at a setting one step above, in v, a setting where
-the effect held under x'.  The search keeps, per setting of a relevant pin
-set, the alternatives under which the effect held, solved or taken over in
-this way, and solves at a setting only the alternatives that its earlier
-neighbours along its monotone pins leave open; a setting they all close is
-not solved, nor is AC2(b) asked there.  The neighbour is v's numeric one,
-read in product order only when it comes earlier in v's range: with
-v : {2,1,0} the value below 1 is 0, which comes later, so the setting at 1
-is solved.  The records and their order are unchanged, as an alternative
-whose effect holds yields none.
+The same reader, read along one variable v off X, gives v's monotonicity
+record (``CauseSearch._side``), one per candidate and variable: the kept
+ways, v's worst value, where the effect holds least, and its best, where it
+holds most (the bottom and the top of v's range when the up way is kept,
+else the top and the bottom).  A pin with a kept way is monotone (the rule
+``monotone-pins``): the effect holding with v at a implies it holding with
+v at any b nearer v's best value, X and the other pins held alike, since
+pinning a variable only cuts paths.  So AC2(a) with x' fails at a setting
+one step towards v's best value from a setting where the effect held.  The
+search keeps, per setting of a relevant pin set, the alternatives under
+which the effect held, solved or taken over in this way, and solves at a
+setting only the alternatives that its earlier neighbours along its
+monotone pins leave open; a setting they all close is not solved, nor is
+AC2(b) asked there.  The neighbour is v's numeric one, read in product order
+only when it comes earlier in v's range: with v : {2,1,0} the value below 1
+is 0, which comes later, so the setting at 1 is solved.  The records and
+their order are unchanged: an alternative whose effect holds yields none.
 
-A relevant pin set whose pins are all monotone is decided at its corner
-(the rule ``monotone-sets``): each pin at the value where the effect holds
-least, the bottom of its range when the effect rises with the pin, else
-the top.  If the effect holds there under every alternative left, then,
-moving one pin at a time, it holds at every setting, so no setting passes
-AC2(a): the set yields nothing and is dead, just as when every setting is
-solved.  The corner is solved ahead of the set when product order reaches
-it later; when it is the set's first setting, the search stops after it.
+A relevant pin set whose pins are all monotone is decided at its corner,
+each pin at its worst value (the rule ``monotone-sets``).  If the effect
+holds there under every alternative left, then, moving one pin at a time,
+it holds at every setting, so no setting passes AC2(a): the set yields
+nothing and is dead, just as when every setting is solved.  The corner is
+solved ahead of the set when product order reaches it later; when it is
+the set's first setting, the search stops after it.
 
-The reader settles AC2(b) too (the rule ``monotone-ac2b``).  Take a
-position v that AC2(b) would vary, d its merged value.  A sub-assignment
-that leaves v out solves v to some a, and re-imposing d moves v from a to
-d.  When the effect's ways along v keep every move onto d (d the top of
-v's range and the up way kept, the bottom and the down way, or both ways,
-as when the effect does not read v), re-imposing d can only help, so v is
-never re-imposed.  When they keep every move off d (d the bottom and the
-up way kept, or the top and the down way), re-imposing d can only hurt, so
-v is re-imposed in every sub-assignment.  This holds under any other pins,
-since pins only cut paths, so each step from a sub-assignment towards the
-worst one, adding a hurting position or dropping a helping one, never
-makes the effect hold where it failed.  The effect thus holds under every
-sub-assignment when it holds under every sub-assignment of the positions
-left open, each with the hurting positions re-imposed.
+The record settles AC2(b) too (the rule ``monotone-ac2b``).  Take a position
+v that AC2(b) would vary, d its merged value.  A sub-assignment that leaves
+v out solves v to some a, and re-imposing d moves v from a to d.  When d is
+v's best value, or both ways are kept, as when the effect does not read v,
+re-imposing d can only help, so v is never re-imposed; when d is v's worst
+value, it can only hurt, so v is re-imposed in every sub-assignment.  This
+holds under any other pins, since pins only cut paths, so each step from a
+sub-assignment towards the worst one, adding a hurting position or dropping
+a helping one, never makes the effect hold where it failed.  The effect thus
+holds under every sub-assignment when it holds under every sub-assignment
+of the positions left open, each with the hurting positions re-imposed.
 
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
@@ -325,43 +324,38 @@ class CauseSearch:
         self._effect_vars = _event_variables(effect)
         self._effect_mask = sum(1 << engine.index[v] for v in self._effect_vars)
         # Per candidate mask, its ``_effect_signs`` passes; per candidate
-        # mask and position, what ``_side`` found.
+        # mask and position, its ``_side`` record.
         self._passes: dict[int, tuple[int, dict[str, _Signs]]] = {}
-        self._sides: dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+        self._sides: dict[tuple[int, int], tuple[int, Optional[int], Optional[int]]] = {}
 
-    def _signs(self, x_mask: int) -> tuple[int, dict[str, _Signs]]:
+    def _signs(self, x_mask: int,
+               x_vars: Optional[Sequence[str]] = None) -> tuple[int, dict[str, _Signs]]:
         """The relevant mask and the effect passes of the candidate at
-        ``x_mask``: the search's, or worked out here when AC2(b) is asked
-        with no search (``check_ac2``)."""
+        ``x_mask``, worked out on first use from its variables ``x_vars``,
+        read off the mask when not given."""
         passes = self._passes.get(x_mask)
         if passes is None:
-            x_vars = [n for k, n in enumerate(self.engine.endo) if x_mask >> k & 1]
+            if x_vars is None:
+                x_vars = [n for k, n in enumerate(self.engine.endo) if x_mask >> k & 1]
             passes = self._passes[x_mask] = _effect_signs(self.engine.model, x_vars,
                                                           self._effect_vars)
         return passes
 
     def _side(self, x_mask: int, paths: dict[str, _Signs],
-              i: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The effect's ways along the relevant variable at position ``i``,
-        read from the passes ``paths`` of the candidate at ``x_mask``; then
-        the values whose re-imposition can only help the effect, and those
-        whose re-imposition can only hurt it.  Read once per mask and
-        position."""
+              i: int) -> tuple[int, Optional[int], Optional[int]]:
+        """The monotonicity record of the relevant variable at position
+        ``i``, read once from the passes ``paths`` of the candidate at
+        ``x_mask``: the kept ways along it, its worst value and its best, both
+        None when no way is kept.  ``monotone-pins`` reads its ways,
+        ``monotone-sets`` its worst value and ``monotone-ac2b`` all three."""
         side = self._sides.get((x_mask, i))
         if side is None:
-            engine = self.engine
-            name = engine.endo[i]
-            values = engine.ranges[name]
-            way = _kept_ways(engine.model, self.effect, paths, (name,))
-            if way == _UP | _DOWN:
-                helps, hurts = values, ()
-            elif way == _UP:
-                helps, hurts = (max(values),), (min(values),)
-            elif way == _DOWN:
-                helps, hurts = (min(values),), (max(values),)
-            else:
-                helps = hurts = ()
-            side = self._sides[x_mask, i] = way, helps, hurts
+            name = self.engine.endo[i]
+            values = self.engine.ranges[name]
+            way = _kept_ways(self.engine.model, self.effect, paths, (name,))
+            low, high = min(values), max(values)
+            side = self._sides[x_mask, i] = ((way, low, high) if way & _UP else
+                                             (way, high, low) if way else (0, None, None))
         return side
 
     # -- clause checks ---------------------------------------------------------
@@ -381,9 +375,8 @@ class CauseSearch:
         Only positions downstream of a merged value that differs from
         ``base``, the world under the candidate alone, can change a solution,
         so only their sub-assignments are enumerated.  Of those, a position
-        where every move onto its merged value keeps the effect is never
-        re-imposed, and one where every move off it does is re-imposed in
-        every sub-assignment (the rule ``monotone-ac2b``)."""
+        whose merged value is its best is never re-imposed, and one whose
+        merged value is its worst always is (the rule ``monotone-ac2b``)."""
         engine = self.engine
         designated = list(engine.actual)
         for i, value in zip(w_positions, w_values):
@@ -412,11 +405,11 @@ class CauseSearch:
         if monotone:
             free = []
             for i in positions:
-                _, helps, hurts = self._side(x_mask, paths, i)
+                way, worst, best = self._side(x_mask, paths, i)
                 value = designated[i]
-                if value in helps:
-                    continue
-                if value in hurts:
+                if value == best or way == _UP | _DOWN:
+                    continue  # re-imposing it can only help
+                if value == worst:
                     fixed[i] = value
                     fixed_mask |= 1 << i
                 else:
@@ -475,9 +468,12 @@ class CauseSearch:
             raise SearchBudgetExceeded(budget, self.max_search)
         model = engine.model
         rules = _RULES
+        index, endo = engine.index, engine.endo
         x_vars = tuple(c.variable for c in conjuncts)
         actual_x = tuple(c.value for c in conjuncts)
-        relevant, paths = _effect_signs(model, x_vars, self._effect_vars)
+        x_positions = [index[v] for v in x_vars]
+        x_mask = sum(1 << i for i in x_positions)
+        relevant, paths = self._signs(x_mask, x_vars)
         if rules["no-reach"] and all(map(set(x_vars).isdisjoint, paths.values())):
             return  # no candidate variable reaches the effect
         ranges = engine.ranges
@@ -489,10 +485,6 @@ class CauseSearch:
         # Sets of alternatives are bits: each alternative goes with its own.
         full = (1 << len(alternatives)) - 1
         alternatives = [(alt, 1 << j) for j, alt in enumerate(alternatives)]
-        index, endo = engine.index, engine.endo
-        x_positions = [index[v] for v in x_vars]
-        x_mask = sum(1 << i for i in x_positions)
-        self._passes[x_mask] = relevant, paths  # for ``_signs``
         x_key = engine.key({c.variable: c.value for c in conjuncts})
         rest = tuple(n for n in endo if n not in x_vars)
         bits = {n: 1 << index[n] for n in rest}
@@ -519,19 +511,19 @@ class CauseSearch:
                 # sits: 0 when none does, it comes later or the effect is not
                 # known to be monotone along the pin.
                 backs = {name: (0,) * len(ranges[name]) for name in pool}
-                # Per monotone relevant pin, its corner: the value where the
-                # effect holds least; ``firsts`` holds the pins whose corner
-                # leads its range.
+                # Per monotone relevant pin, its corner, its worst value;
+                # ``firsts`` holds the pins whose corner leads its range.
                 corners: dict[str, int] = {}
                 firsts: set[str] = set()
                 for name in pool:
-                    way = relevant & bits[name] and self._side(x_mask, paths, index[name])[0]
+                    way, corner, _ = (self._side(x_mask, paths, index[name])
+                                      if relevant & bits[name] else (0, None, None))
                     if way:
                         values = ranges[name]
                         if rules["monotone-pins"]:
                             backs[name] = _neighbours(values, 1 if way & _UP else -1)
                         if rules["monotone-sets"]:
-                            corners[name] = corner = min(values) if way & _UP else max(values)
+                            corners[name] = corner
                             if corner == values[0]:
                                 firsts.add(name)
                 monotone = {name for name, back in backs.items() if any(back)}
@@ -901,8 +893,6 @@ def best_witnesses(
     for world in worlds:
         distinct.setdefault(world.values, world)
     candidates = [distinct[k] for k in sorted(distinct)]
-    if len(candidates) < 2:
-        return tuple(candidates)  # compared with nothing, so not checked
     for world in candidates:
         order._check_world(world)
     keys = list(map(order._key, candidates))

@@ -30,7 +30,7 @@ word characters) and punctuation.  The lexer makes each token a plain
 ``(kind, text, column, offset, size)`` tuple: columns count characters,
 offsets and sizes UTF-8 bytes of the text as passed.  A ``SourceSpan`` is
 built from a token only where the parse keeps one (a declared name, a
-keyword, a reference, an event) or raises a diagnostic at it.
+keyword, a reference) or raises a diagnostic at it; an event keeps its token.
 
 Each line is read by one ``_LineParser``, a recursive-descent parser that is
 both the cursor over the line's tokens and the grammar; its ``items`` reads
@@ -230,25 +230,26 @@ class _RawVar(Record, frozen=False):
         super().__init__(name, span, kind, values, body, refs)
 
 
+_Event = tuple[str, int, int, tuple]  # name, value, line number, the name's token
+
+
 class _RawNorm(Record, frozen=False):
-    def __init__(self, left: tuple[tuple[str, int, SourceSpan], ...], op: str,
-                 right: tuple[tuple[str, int, SourceSpan], ...], span: SourceSpan):
+    def __init__(self, left: tuple[_Event, ...], op: str, right: tuple[_Event, ...],
+                 span: SourceSpan):
         super().__init__(left, op, right, span)
 
 
 class _RawContext(Record, frozen=False):
-    def __init__(self, name: str, span: SourceSpan,
-                 items: tuple[tuple[str, int, SourceSpan], ...]):
+    def __init__(self, name: str, span: SourceSpan, items: tuple[_Event, ...]):
         super().__init__(name, span, items)
 
 
 class _RawQuery(Record, frozen=False):
-    def __init__(self, kind: str, span: SourceSpan, context: tuple[str, SourceSpan],
-                 causes: tuple[tuple[tuple[str, int, SourceSpan], ...], ...] = (),
-                 effect: Optional[BooleanFormula] = None,
-                 effect_refs: tuple[tuple[str, int, SourceSpan], ...] = (),
-                 interventions: tuple[tuple[str, int, SourceSpan], ...] = ()):
-        super().__init__(kind, span, context, causes, effect, effect_refs, interventions)
+    def __init__(self, kind: str, context: tuple[str, SourceSpan],
+                 causes: tuple[tuple[_Event, ...], ...] = (),
+                 effect: Optional[BooleanFormula] = None, effect_refs: tuple[_Event, ...] = (),
+                 interventions: tuple[_Event, ...] = ()):
+        super().__init__(kind, context, causes, effect, effect_refs, interventions)
 
 
 # -- the line parser ---------------------------------------------------------------
@@ -257,8 +258,8 @@ class _RawQuery(Record, frozen=False):
 class _LineParser:
     """Recursive descent over one line's tokens: the cursor, then the grammar.
     ``refs`` collects the line's references, ``(name, span)`` in equation
-    bodies and ``(name, value, span)`` in formula bodies.  A token's span is
-    built by ``span`` only where one is kept or raised."""
+    bodies and events in formula bodies.  A token's span is built by
+    ``span`` only where one is kept or raised."""
 
     def __init__(self, tokens: list[tuple], line_no: int):
         self.tokens = tokens
@@ -344,17 +345,17 @@ class _LineParser:
         self.expect("}")
         return tuple(values)
 
-    def events(self, op: str, sep: str) -> tuple[tuple[str, int, SourceSpan], ...]:
+    def events(self, op: str, sep: str) -> tuple[_Event, ...]:
         """``name op value (sep name op value)*``: contexts, world literals,
         severity chains, candidate causes and intervention prefixes."""
         return tuple(self.items(sep, self._event, op))
 
-    def _event(self, op: str) -> tuple[str, int, SourceSpan]:
+    def _event(self, op: str) -> _Event:
         name = self.name("variable name")
         self.expect(op)
-        return name[1], self.int_value(), self.span(name)
+        return name[1], self.int_value(), self.line_no, name
 
-    def world(self) -> tuple[tuple[str, int, SourceSpan], ...]:
+    def world(self) -> tuple[_Event, ...]:
         self.expect("(")
         items = self.events("=", ",")
         self.expect(")")
@@ -463,17 +464,17 @@ class _LineParser:
                 self.expect(")")
             self.depth -= 1
             return node
-        name, value, span = self._event("=")
-        self.refs.append((name, value, span))
-        return PrimitiveEvent(name, value)
+        event = self._event("=")
+        self.refs.append(event)
+        return PrimitiveEvent(*event[:2])
 
     # query lines ----------------------------------------------------------------
 
     def query(self, keyword: tuple) -> _RawQuery:
         """The rest of a query line after its keyword."""
         kind = keyword[1]
-        causes: list[tuple[tuple[str, int, SourceSpan], ...]] = []
-        interventions: tuple[tuple[str, int, SourceSpan], ...] = ()
+        causes: list[tuple[_Event, ...]] = []
+        interventions: tuple[_Event, ...] = ()
         body = None
         if kind == "satisfies":
             if self.accept("["):
@@ -498,10 +499,8 @@ class _LineParser:
         self.expect("@")
         ctx = self.name("context name")
         self.expect_end()
-        return _RawQuery(
-            kind, self.span(keyword), (ctx[1], self.span(ctx)), causes=tuple(causes),
-            effect=body, effect_refs=tuple(self.refs), interventions=interventions,
-        )
+        return _RawQuery(kind, (ctx[1], self.span(ctx)), causes=tuple(causes), effect=body,
+                         effect_refs=tuple(self.refs), interventions=interventions)
 
 
 # -- document assembly --------------------------------------------------------------
@@ -559,9 +558,9 @@ class _DocumentBuilder:
                 line.expect_end()
                 i = len(self.chains)
                 self.places["severity", i, None] = line.span(keyword)
-                for j, (_, _, span) in enumerate(chain):
-                    self.places["severity", i, j] = span
-                self.chains.append(tuple((n, v) for n, v, _ in chain))
+                for j, event in enumerate(chain):
+                    self.places["severity", i, j] = line.span(event[3])
+                self.chains.append(tuple(event[:2] for event in chain))
             elif word == "mechanism":
                 token = line.word(("on", "off"), "'on' or 'off'")
                 line.expect_end()
@@ -770,19 +769,19 @@ def _check_query(raw: _RawQuery, model: Optional[CausalModel],
     return GradeQuery(tuple(causes), raw.effect, ctx_name)
 
 
-def _events(refs, model: Optional[CausalModel], where: str, repeat: str,
+def _events(refs: tuple[_Event, ...], model: Optional[CausalModel], where: str, repeat: str,
             errors: list[Diagnostic], kind: str = ENDOGENOUS) -> dict[str, int]:
-    """The events of a list, each ``(name, value, span)``, that keep the event
-    rule for ``kind`` (checked only given a model) and, when ``repeat`` is a
-    message, do not repeat a variable; each fault is appended to errors,
-    ``repeat`` formatted with the repeated name."""
+    """The events of a list that keep the event rule for ``kind`` (checked
+    only given a model) and, when ``repeat`` is a message, do not repeat a
+    variable; each fault is appended to errors, at a span built from the
+    event's token, ``repeat`` formatted with the repeated name."""
     found: dict[str, int] = {}
-    for name, value, span in refs:
+    for name, value, line_no, token in refs:
         fault = None if model is None else _event_fault(model, name, value, where, kind)
         if fault is None and repeat and name in found:
             fault = repeat.format(name)
         if fault is not None:
-            errors.append(Diagnostic(span, fault))
+            errors.append(Diagnostic(SourceSpan(line_no, *token[2:]), fault))
             continue
         found[name] = value
     return found

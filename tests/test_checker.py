@@ -1325,7 +1325,7 @@ def test_ac2b_enumerates_a_variable_no_monotonicity_settles(text, with_v, monkey
     cause, effect = (event("X", 1),), event("F", 1)
     search = CauseSearch(Engine(model, context), effect)
     x_mask = 1 << model.endo_index("X")
-    assert search._side(x_mask, search._signs(x_mask)[1], model.endo_index("V")) == (0, (), ())
+    assert search._side(x_mask, search._signs(x_mask)[1], model.endo_index("V")) == (0, None, None)
     keys = []
     solve_tuple = Engine.solve_tuple
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from actualcause import cli
 from actualcause.cli import main
 from actualcause.corpus import fixture_path
 
@@ -41,6 +42,16 @@ def test_unknown_context_exits_one():
                         "cause A=1 for D=1 @ missing"])
     assert code == 1
     assert "missing" in err
+
+
+def test_an_unexpected_fault_in_a_runner_exits_three(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("invariant broken")
+
+    kinds, _ = cli._QUERY_COMMANDS["check"]
+    monkeypatch.setitem(cli._QUERY_COMMANDS, "check", (kinds, fail))
+    code, out, err = run(["check", fx("poisoning.scm.txt"), "cause R=1 for D=1 @ u11"])
+    assert (code, out, err) == (3, "", "internal error: invariant broken\n")
 
 
 def test_budget_cap_exits_two():

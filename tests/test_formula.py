@@ -109,6 +109,18 @@ def test_intervention_screening_makes_context_irrelevant(documents):
     assert len(verdicts) == 1
 
 
+def test_a_candidate_cause_reads_its_variables_and_values():
+    cause = actualcause.CandidateCause((PrimitiveEvent("L", 1), PrimitiveEvent("M", 0)))
+    assert cause.variables() == ("L", "M")
+    assert cause.values() == (1, 0)
+
+
+@pytest.mark.parametrize("connective", [Conjunction, Disjunction])
+def test_a_connective_of_one_operand_is_rejected(connective):
+    with pytest.raises(FormulaError, match="at least two operands"):
+        connective((PrimitiveEvent("F", 1),))
+
+
 def test_candidate_cause_is_one_class_beside_the_events():
     assert actualcause.CandidateCause is formula.CandidateCause
     assert checker.CandidateCause is formula.CandidateCause

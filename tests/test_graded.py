@@ -9,9 +9,11 @@ import pytest
 from actualcause import (
     CandidateCause,
     ExtendedCausalModel,
+    NormalityError,
     PrimitiveEvent,
     Relation,
     TrivialOrder,
+    World,
     best_witnesses,
     compare,
     grade_candidates,
@@ -136,6 +138,20 @@ def test_singleton_witness_set_is_its_own_best(documents):
     worlds = {r.world.values for r in verdict.admissible_witnesses}
     if len(worlds) == 1:
         assert [w.values for w in verdict.best_witnesses] == sorted(worlds)
+
+
+def test_a_lone_world_is_checked_against_the_model(documents):
+    # One world is compared with nothing, yet it must range over the
+    # model's endogenous variables, as each of two worlds must.
+    doc = documents["office_pens.scm.txt"]
+    order = doc.normality_order()
+    foreign = World(("Q",), (0,))
+    for worlds in ([foreign], [foreign, World(("Q",), (1,))]):
+        with pytest.raises(NormalityError, match="endogenous variables"):
+            best_witnesses(order, worlds)
+    lone = doc.model.world({"PT": 0, "AT": 1, "PO": 0})
+    assert best_witnesses(order, [lone, lone]) == (lone,)
+    assert best_witnesses(order, []) == ()
 
 
 def test_best_witness_maximality(documents):
@@ -268,6 +284,16 @@ def test_omission_viewpoints_have_distinct_patterns(documents):
     assert patterns["c"] == (True, True, "first_above")
     assert patterns["d"] == (True, True, "incomparable")
     assert len(set(patterns.values())) == 4
+
+
+@pytest.mark.parametrize("variant, relation", [("b", "equal"), ("d", "incomparable")])
+def test_a_symmetric_relation_reads_the_same_either_way(documents, variant, relation):
+    doc = documents[f"omission_{variant}.scm.txt"]
+    h, w = cand(event("H", 1)), cand(event("W", 0))
+    result = grade_candidates(ext_of(doc), doc.contexts["main"], [h, w], event("D", 1))
+    assert result.relation(h, w) == result.relation(w, h) == relation
+    with pytest.raises(KeyError):
+        result.relation(h, cand(event("D", 1)))
 
 
 # -- conservativity and filtering ----------------------------------------------------

@@ -16,6 +16,7 @@ from actualcause import (
     Variable,
     World,
     dependence_graph,
+    equation_isomorphism,
     intervene,
     semantic_parents,
     solve,
@@ -433,6 +434,21 @@ def test_world_accessors(disjunctive):
         disjunctive.model.world({"L": 1, "M": 0})
     with pytest.raises(ModelError, match="mismatched variable/value counts"):
         World(("L", "M"), (1,))
+    assert disjunctive.model.variable("L").range == (0, 1)
+    with pytest.raises(ModelError, match="unknown variable 'Q'"):
+        disjunctive.model.variable("Q")
+
+
+def test_an_isomorphism_map_must_cover_both_models(disjunctive, documents):
+    # The identity is an isomorphism; a map that misses a variable of the
+    # first model, or whose image misses one of the second, is none.
+    model, other = disjunctive.model, documents["bogus_prevention.scm.txt"].model
+    names = [v.name for v in model.variables]
+    same = {name: {0: 0, 1: 1} for name in names}
+    assert equation_isomorphism(model, model, dict(zip(names, names)), same)
+    partial = dict(zip(names[1:], names[1:]))
+    assert not equation_isomorphism(model, model, partial, same)
+    assert not equation_isomorphism(model, other, dict(zip(names, names)), same)
 
 
 @pytest.mark.parametrize("kind, values, message", [

@@ -362,6 +362,13 @@ def test_explicit_closure_is_reachability(case):
 # -- behavior assignment ----------------------------------------------------------------
 
 
+def test_assign_behavior_needs_behavior_rankings(documents):
+    doc = documents["short_circuit.scm.txt"]
+    spec = TypicalitySpec(value_rankings=doc.typicality.value_rankings, mechanism=True)
+    with pytest.raises(NormalityError, match="no behavior rankings declared"):
+        assign_behavior(doc.model, spec, world_of(doc.model, A=1, P=1, VS=1))
+
+
 def test_assign_behavior_actual_short_circuit_world(documents):
     doc = documents["short_circuit.scm.txt"]
     labels = assign_behavior(doc.model, doc.typicality,
