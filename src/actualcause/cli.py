@@ -154,7 +154,11 @@ def _prepare_mode(document, args) -> Optional[NormalityOrder]:
             "extended mode needs typicality declarations or norm relations "
             "in the document"
         )
-    return document.normality_order()
+    from .normality import _QueryOrder
+
+    # One memo of world keys for every query of the run: the search, the
+    # witness relations and the grading read each world's marks once.
+    return _QueryOrder(document.normality_order())
 
 
 def _same_context(flag: Optional[str], named: str):
@@ -170,7 +174,7 @@ def _context(document: dsl.ParsedDocument, name: str) -> dict[str, int]:
         raise UsageError(f"unknown context {name}") from None
 
 
-def _run_validate(document: dsl.ParsedDocument) -> dict:
+def _run_validate(document: dsl.ParsedDocument) -> tuple[str, dict]:
     report = validate_model(document.model)
     return ("validate", {
         "ok": report.ok,
@@ -180,7 +184,7 @@ def _run_validate(document: dsl.ParsedDocument) -> dict:
     })
 
 
-def _run_solve(document: dsl.ParsedDocument, args) -> dict:
+def _run_solve(document: dsl.ParsedDocument, args) -> tuple[str, dict]:
     name = None
     if args.selector:
         name = args.selector.removeprefix("@")
@@ -204,7 +208,7 @@ def _run_solve(document: dsl.ParsedDocument, args) -> dict:
 
 
 def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery,
-                   args, order) -> dict:
+                   args, order) -> tuple[str, dict]:
     from .formula import satisfies
 
     context = _context(document, query.context)
@@ -215,14 +219,10 @@ def _run_satisfies(document: dsl.ParsedDocument, query: dsl.SatisfiesQuery,
     })
 
 
-def _witness_payload(record: WitnessRecord, relation: Optional[Relation]) -> dict:
+def _witness_payload(record: WitnessRecord, admissible: bool,
+                     relation: Optional[Relation]) -> dict:
     """One witness; ``relation`` is its world's relation to the actual world,
-    None in plain mode, where every witness is admissible."""
-    admissible = relation is None
-    if not admissible:
-        from .normality import Relation
-
-        admissible = relation in (Relation.MORE_NORMAL, Relation.EQUALLY_NORMAL)
+    None in plain mode."""
     return {
         "w_set": list(record.w_set),
         "w_values": list(record.w_values),
@@ -238,7 +238,8 @@ def _verdict_payload(
     verdict: CauseVerdict,
     order: Optional[NormalityOrder],
     actual: Optional[World],
-) -> dict:
+) -> tuple[str, dict]:
+    admitted = {record.world.values for record in verdict.admissible_witnesses}
     relations: dict[tuple, Relation] = {}  # per distinct witness world
     if order is not None:
         for record in verdict.hp_witnesses:
@@ -250,7 +251,8 @@ def _verdict_payload(
         "ac1": verdict.ac1,
         "is_cause": verdict.is_cause,
         "witnesses": [
-            _witness_payload(record, relations.get(record.world.values))
+            _witness_payload(record, record.world.values in admitted,
+                             relations.get(record.world.values))
             for record in verdict.hp_witnesses
         ],
         "best_witnesses": [world.as_dict() for world in verdict.best_witnesses],
@@ -259,7 +261,7 @@ def _verdict_payload(
     })
 
 
-def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
+def _run_check(document, query, args, order: Optional[NormalityOrder]) -> tuple[str, dict]:
     if getattr(args, "all_causes", None) is not None:
         return _run_all_causes(document, query, args, order)
     context = _context(document, query.context)
@@ -279,7 +281,7 @@ def _run_check(document, query, args, order: Optional[NormalityOrder]) -> dict:
     return _verdict_payload(text, verdict, order, actual)
 
 
-def _run_all_causes(document, query, args, order) -> dict:
+def _run_all_causes(document, query, args, order) -> tuple[str, dict]:
     if order is not None:
         raise UsageError("--all-causes sweeps run in plain mode")
     from .checker import find_all_causes
@@ -295,7 +297,7 @@ def _run_all_causes(document, query, args, order) -> dict:
     })
 
 
-def _run_grade(document, query: dsl.GradeQuery, args, order) -> dict:
+def _run_grade(document, query: dsl.GradeQuery, args, order) -> tuple[str, dict]:
     context = _context(document, query.context)
     if order is None:
         raise UsageError("grading needs --mode extended and a normality section")

@@ -27,10 +27,12 @@ Lines end at LF, CR LF or CR, and nowhere else; blanks are space, tab and CR.
 Tokens are ``"..."`` strings, integers (decimal digits, as ``int()`` reads
 them; ``²`` is none), names (a word character that is no decimal digit, then
 word characters) and punctuation.  The lexer makes each token a plain
-``(kind, text, column, offset, size)`` tuple: columns count characters,
-offsets and sizes UTF-8 bytes of the text as passed.  A ``SourceSpan`` is
-built from a token only where the parse keeps one (a declared name, a
-keyword, a reference) or raises a diagnostic at it; an event keeps its token.
+``(kind, text, line, column, offset, size)`` tuple: columns count
+characters, offsets and sizes UTF-8 bytes of the text as passed, and
+``SourceSpan(*token[2:])`` is the token's span.  The parse keeps tokens as
+its only locations (declared names, keywords, references, events, a query's
+context) and builds a span only for a diagnostic, so a valid document builds
+none.
 
 Each line is read by one ``_LineParser``, a recursive-descent parser that is
 both the cursor over the line's tokens and the grammar; its ``items`` reads
@@ -214,10 +216,10 @@ def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[tuple], l
             errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset, size),
                                      f"unexpected character {text!r}"))
         elif kind is not None:
-            tokens.append((text if kind == "punct" else kind, match.group(kind),
+            tokens.append((text if kind == "punct" else kind, match.group(kind), line_no,
                            match.start() + 1, offset, size))
         offset += size
-    tokens.append(("eol", "", len(line) + 1, offset, 1))
+    tokens.append(("eol", "", line_no, len(line) + 1, offset, 1))
     return tokens, errors
 
 
@@ -225,27 +227,27 @@ def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[tuple], l
 
 
 class _RawVar(Record, frozen=False):
-    def __init__(self, name: str, span: SourceSpan, kind: str, values: tuple[int, ...],
-                 body: Optional[Expr] = None, refs: tuple[tuple[str, SourceSpan], ...] = ()):
-        super().__init__(name, span, kind, values, body, refs)
+    def __init__(self, name: str, token: tuple, kind: str, values: tuple[int, ...],
+                 body: Optional[Expr] = None, refs: tuple[tuple, ...] = ()):
+        super().__init__(name, token, kind, values, body, refs)
 
 
-_Event = tuple[str, int, int, tuple]  # name, value, line number, the name's token
+_Event = tuple[str, int, tuple]  # name, value, the name's token
 
 
 class _RawNorm(Record, frozen=False):
     def __init__(self, left: tuple[_Event, ...], op: str, right: tuple[_Event, ...],
-                 span: SourceSpan):
-        super().__init__(left, op, right, span)
+                 token: tuple):
+        super().__init__(left, op, right, token)
 
 
 class _RawContext(Record, frozen=False):
-    def __init__(self, name: str, span: SourceSpan, items: tuple[_Event, ...]):
-        super().__init__(name, span, items)
+    def __init__(self, name: str, token: tuple, items: tuple[_Event, ...]):
+        super().__init__(name, token, items)
 
 
 class _RawQuery(Record, frozen=False):
-    def __init__(self, kind: str, context: tuple[str, SourceSpan],
+    def __init__(self, kind: str, context: tuple,
                  causes: tuple[tuple[_Event, ...], ...] = (),
                  effect: Optional[BooleanFormula] = None, effect_refs: tuple[_Event, ...] = (),
                  interventions: tuple[_Event, ...] = ()):
@@ -257,13 +259,11 @@ class _RawQuery(Record, frozen=False):
 
 class _LineParser:
     """Recursive descent over one line's tokens: the cursor, then the grammar.
-    ``refs`` collects the line's references, ``(name, span)`` in equation
-    bodies and events in formula bodies.  A token's span is built by
-    ``span`` only where one is kept or raised."""
+    ``refs`` collects the line's references: name tokens in equation bodies,
+    events in formula bodies."""
 
-    def __init__(self, tokens: list[tuple], line_no: int):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
-        self.line_no = line_no
         self.pos = 0
         self.depth = 0
         self.refs: list[tuple] = []
@@ -295,12 +295,9 @@ class _LineParser:
         if token[0] != "eol":
             self.fail(f"unexpected trailing input {token[1]!r}")
 
-    def span(self, token: tuple) -> SourceSpan:
-        return SourceSpan(self.line_no, *token[2:])
-
     def fail(self, message: str, token: Optional[tuple] = None):
         """Raise a diagnostic at ``token``, by default the next one."""
-        raise DslError([Diagnostic(self.span(token or self.peek()), message)])
+        raise DslError([Diagnostic(SourceSpan(*(token or self.peek())[2:]), message)])
 
     def enter(self):
         """Open one more level of nesting (the caller closes it by
@@ -353,7 +350,7 @@ class _LineParser:
     def _event(self, op: str) -> _Event:
         name = self.name("variable name")
         self.expect(op)
-        return name[1], self.int_value(), self.line_no, name
+        return name[1], self.int_value(), name
 
     def world(self) -> tuple[_Event, ...]:
         self.expect("(")
@@ -399,7 +396,7 @@ class _LineParser:
                 return self._table()
             if text in RESERVED:
                 self.fail(f"{text!r} is a reserved word")
-            self.refs.append((text, self.span(self.next())))
+            self.refs.append(self.next())
             return Ref(text)
         self.fail("expected an expression")
 
@@ -422,7 +419,7 @@ class _LineParser:
         self.expect("(")
         args = self.items(",", self.name, "argument name")
         self.expect(")")
-        self.refs.extend((token[1], self.span(token)) for token in args)
+        self.refs.extend(args)
         self.expect("{")
         rows = self.items(",", self._row, len(args))
         self.expect("}")
@@ -499,7 +496,7 @@ class _LineParser:
         self.expect("@")
         ctx = self.name("context name")
         self.expect_end()
-        return _RawQuery(kind, (ctx[1], self.span(ctx)), causes=tuple(causes), effect=body,
+        return _RawQuery(kind, ctx, causes=tuple(causes), effect=body,
                          effect_refs=tuple(self.refs), interventions=interventions)
 
 
@@ -516,13 +513,13 @@ class _DocumentBuilder:
         self.behaviors: list[BehaviorRanking] = []
         # Where each typicality declaration sits, by the place that
         # ``normality._spec_faults`` gives its faults.
-        self.places: dict[tuple, SourceSpan] = {}
+        self.places: dict[tuple, tuple] = {}
         self.norms: list[_RawNorm] = []
         self.contexts: list[_RawContext] = []
         self.queries: list[_RawQuery] = []
 
-    def error(self, span: SourceSpan, message: str):
-        self.errors.append(Diagnostic(span, message))
+    def error(self, token: tuple, message: str):
+        self.errors.append(Diagnostic(SourceSpan(*token[2:]), message))
 
     # phase A: one line ------------------------------------------------------
 
@@ -542,7 +539,7 @@ class _DocumentBuilder:
                     body = line.expr()
                 line.expect_end()
                 kind = EXOGENOUS if word == "exo" else ENDOGENOUS
-                self.variables.append(_RawVar(name[1], line.span(name), kind, values, body,
+                self.variables.append(_RawVar(name[1], name, kind, values, body,
                                               tuple(line.refs)))
             elif word == "typical":
                 name = line.name("variable name")
@@ -551,21 +548,21 @@ class _DocumentBuilder:
                 line.expect_end()
                 from .normality import ValueRanking
 
-                self.places["ranking", len(self.rankings)] = line.span(name)
+                self.places["ranking", len(self.rankings)] = name
                 self.rankings.append(ValueRanking(name[1], tuple(ranking)))
             elif word == "severity":
                 chain = line.events("=", "<")
                 line.expect_end()
                 i = len(self.chains)
-                self.places["severity", i, None] = line.span(keyword)
+                self.places["severity", i, None] = keyword
                 for j, event in enumerate(chain):
-                    self.places["severity", i, j] = line.span(event[3])
+                    self.places["severity", i, j] = event[2]
                 self.chains.append(tuple(event[:2] for event in chain))
             elif word == "mechanism":
                 token = line.word(("on", "off"), "'on' or 'off'")
                 line.expect_end()
                 if self.mechanism is not None:
-                    self.error(line.span(token), "mechanism declared twice")
+                    self.error(token, "mechanism declared twice")
                 self.mechanism = token[1] == "on"
             elif word == "behavior":
                 name = line.name("variable name")
@@ -575,9 +572,9 @@ class _DocumentBuilder:
                 from .normality import Behavior, BehaviorRanking
 
                 i = len(self.behaviors)
-                self.places["behavior", i] = line.span(name)
-                for ref, span in line.refs:
-                    self.places.setdefault(("reference", i, ref), span)
+                self.places["behavior", i] = name
+                for ref in line.refs:
+                    self.places.setdefault(("reference", i, ref[1]), ref)
                 self.behaviors.append(BehaviorRanking(
                     name[1], tuple(Behavior(*behavior) for behavior in behaviors)))
             elif word == "norm":
@@ -587,17 +584,17 @@ class _DocumentBuilder:
                     line.fail("expected '>' or '==' between worlds")
                 right = line.world()
                 line.expect_end()
-                self.norms.append(_RawNorm(left, op[0], right, line.span(keyword)))
+                self.norms.append(_RawNorm(left, op[0], right, keyword))
             elif word == "context":
                 name = line.name("context name")
                 line.expect(":")
                 items = line.events("=", ",")
                 line.expect_end()
-                self.contexts.append(_RawContext(name[1], line.span(name), items))
+                self.contexts.append(_RawContext(name[1], name, items))
             elif word in _QUERY_KEYWORDS:
                 self.queries.append(line.query(keyword))
             else:
-                self.error(line.span(keyword), f"unknown keyword {word!r}")
+                self.error(keyword, f"unknown keyword {word!r}")
         except DslError as exc:
             self.errors.extend(exc.diagnostics)
 
@@ -609,14 +606,14 @@ class _DocumentBuilder:
         declared: set[str] = set()
         for raw in self.variables:
             if raw.name in declared:
-                self.error(raw.span, f"variable {raw.name} declared twice")
+                self.error(raw.token, f"variable {raw.name} declared twice")
             if len(set(raw.values)) != len(raw.values):
-                self.error(raw.span, f"range of {raw.name} repeats a value")
+                self.error(raw.token, f"range of {raw.name} repeats a value")
             declared.add(raw.name)
         for raw in self.variables:
-            for name, span in raw.refs:
-                if name not in declared:
-                    self.error(span, f"undeclared variable {name}")
+            for token in raw.refs:
+                if token[1] not in declared:
+                    self.error(token, f"undeclared variable {token[1]}")
         if self.errors:
             return None
 
@@ -650,31 +647,31 @@ class _DocumentBuilder:
                                 self.errors)
                 missing = [n for n in model.endogenous if n not in world]
                 if missing:
-                    self.error(raw.span,
+                    self.error(raw.token,
                                f"norm world is missing variables: {', '.join(missing)}")
                 sides.append(world)
             norms.append((sides[0], raw.op, sides[1]))
         if norms and typicality is not None:
-            self.error(self.norms[0].span, _BOTH_SOURCES)
+            self.error(self.norms[0].token, _BOTH_SOURCES)
         elif norms and len(self.errors) == located:
             from .normality import _explicit_closure
 
             stated = [(model.world(a), op, model.world(b)) for a, op, b in norms]
             for i, message in _explicit_closure(model, stated)[1]:
-                self.error(self.norms[i].span, message)
+                self.error(self.norms[i].token, message)
 
         # contexts
         contexts: dict[str, dict[str, int]] = {}
         for raw in self.contexts:
             if raw.name in contexts:
-                self.error(raw.span, f"context {raw.name} declared twice")
+                self.error(raw.token, f"context {raw.name} declared twice")
                 continue
             assignment = contexts[raw.name] = _events(
                 raw.items, model, "context", "context assigns {} twice", self.errors,
                 EXOGENOUS)
             missing = [n for n in model.exogenous if n not in assignment]
             if missing:
-                self.error(raw.span,
+                self.error(raw.token,
                            f"context {raw.name} is missing exogenous variables: "
                            f"{', '.join(missing)}")
 
@@ -703,8 +700,8 @@ def parse_document(text: str) -> ParsedDocument:
             zip(parts[::2], parts[1::2] + [""]), start=1):
         tokens, errors = _lex_line(line, line_no, offset)
         builder.errors.extend(errors)
-        builder.add_line(_LineParser(tokens, line_no))
-        offset = tokens[-1][3] + len(line_break)  # eol ends the line
+        builder.add_line(_LineParser(tokens))
+        offset = tokens[-1][4] + len(line_break)  # eol ends the line
     document = builder.build()
     if document is None:
         raise DslError(sorted(builder.errors, key=_position))
@@ -716,7 +713,7 @@ def parse_query(text: str, document: Optional[ParsedDocument] = None) -> Query:
     tokens, lex_errors = _lex_line(text.replace("\n", " "), 1, 0)
     if lex_errors:
         raise DslError(lex_errors)
-    line = _LineParser(tokens, 1)
+    line = _LineParser(tokens)
     keyword = line.peek()
     if keyword[0] != "ident" or keyword[1] not in _QUERY_KEYWORDS:
         line.fail("expected a query keyword")
@@ -744,9 +741,9 @@ def _check_query(raw: _RawQuery, model: Optional[CausalModel],
     as a diagnostic.  Without a model only the shape of the candidate causes
     and of the intervention prefix is checked."""
     count = len(errors)
-    ctx_name, ctx_span = raw.context
+    ctx_name = raw.context[1]
     if model is not None and ctx_name not in context_names:
-        errors.append(Diagnostic(ctx_span, f"unknown context {ctx_name}"))
+        errors.append(Diagnostic(SourceSpan(*raw.context[2:]), f"unknown context {ctx_name}"))
     _events(raw.effect_refs, model, "a formula", "", errors)
     interventions = _events(raw.interventions, model, "an intervention",
                             "intervention repeats variable {}", errors)
@@ -776,12 +773,12 @@ def _events(refs: tuple[_Event, ...], model: Optional[CausalModel], where: str, 
     variable; each fault is appended to errors, at a span built from the
     event's token, ``repeat`` formatted with the repeated name."""
     found: dict[str, int] = {}
-    for name, value, line_no, token in refs:
+    for name, value, token in refs:
         fault = None if model is None else _event_fault(model, name, value, where, kind)
         if fault is None and repeat and name in found:
             fault = repeat.format(name)
         if fault is not None:
-            errors.append(Diagnostic(SourceSpan(line_no, *token[2:]), fault))
+            errors.append(Diagnostic(SourceSpan(*token[2:]), fault))
             continue
         found[name] = value
     return found

@@ -17,7 +17,9 @@ keeps genuinely conflicting worlds incomparable.
 
 Both kinds of order are reflexive-transitive closures of a stated relation:
 over marks for derived orders, over worlds for explicit ones.  One routine,
-``_closure``, computes both, by a search from each node.
+``_closure``, computes both, by a search from each node.  A derived order
+states only each mark's step to the next rank of its kind and variable, and
+the severity chains' steps; the closure supplies every worse rank.
 
 Every order decides its weak relation on a key it reads off each world: the
 marks for derived orders, the values for explicit ones.  ``world_marks``
@@ -31,6 +33,7 @@ on the order itself.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -355,7 +358,9 @@ def _close_dominance(
     """Reflexive-transitive 'may stand in for' relation over possible marks.
 
     Within one variable a mark is covered by any equal-or-worse rank of the
-    same kind; severity chains add cross-variable steps between value marks.
+    same kind: each mark steps to the next rank of its kind and variable, and
+    the closure reaches every worse one.  Severity chains add cross-variable
+    steps between value marks.
     """
     universe: list[Mark] = []
     for ranking in spec.value_rankings:
@@ -369,11 +374,8 @@ def _close_dominance(
                     universe.append(
                         ("behavior", ranking.variable, rank, behavior.label)
                     )
-    edges: set[tuple[Mark, Mark]] = set()
-    for a in universe:
-        for b in universe:
-            if a[0] == b[0] and a[1] == b[1] and a[2] <= b[2]:
-                edges.add((a, b))
+    # A variable's marks of one kind sit together in rank order.
+    edges = {(a, b) for a, b in zip(universe, universe[1:]) if a[:2] == b[:2]}
     by_feature = {("value", m[1], m[3]): m for m in universe if m[0] == "value"}
     for chain in spec.severity_chains:
         for (n1, v1), (n2, v2) in zip(chain, chain[1:]):
@@ -476,9 +478,13 @@ def _explicit_closure(
             edges.add((right.values, left.values))
     closure = _closure(nodes, edges)
     faults = []
+    successors: dict[tuple, list[tuple]] = {}  # in sorted order, built at the first fault
     for i, (left, op, right) in enumerate(stated):
         if op == ">" and (right.values, left.values) in closure:
-            cycle = _find_path(nodes, edges, right.values, left.values)
+            if not successors:
+                for a, b in sorted(edges):
+                    successors.setdefault(a, []).append(b)
+            cycle = _find_path(successors, right.values, left.values)
             pretty = " >= ".join(str(model.world_from_values(v)) for v in cycle)
             faults.append((i, (
                 f"relations make {model.world_from_values(left.values)} and "
@@ -500,17 +506,22 @@ def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:
 
 
 def _find_path(
-    nodes: set[tuple], edges: set[tuple[tuple, tuple]], start: tuple, goal: tuple
+    successors: dict[tuple, list[tuple]], start: tuple, goal: tuple
 ) -> list[tuple]:
-    """BFS path along stated edges, for error reporting."""
-    frontier = [[start]]
-    seen = {start}
-    while frontier:
-        path = frontier.pop(0)
-        if path[-1] == goal:
-            return path
-        for a, b in sorted(edges):
-            if a == path[-1] and b not in seen:
-                seen.add(b)
-                frontier.append(path + [b])
+    """Breadth-first path along stated edges, each node's successors taken
+    in order, for error reporting."""
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            path = []
+            while node is not None:
+                path.append(node)
+                node = parents[node]
+            return path[::-1]
+        for nxt in successors.get(node, ()):
+            if nxt not in parents:
+                parents[nxt] = node
+                queue.append(nxt)
     return [start, goal]

@@ -147,6 +147,35 @@ def test_json_and_text_cover_same_verdict():
     assert "incomparable" in text_out and "inadmissible" in text_out
 
 
+@pytest.mark.parametrize("name, query", [
+    ("causal_chain.scm.txt", "cause LL=1 for ES=1 @ main"),
+    ("short_circuit_intentions.scm.txt", "cause A=1 for VS=1 @ main"),
+])
+def test_an_extended_check_marks_no_world_the_search_did_not(name, query, monkeypatch):
+    # The run wraps the document's order once, so each witness's relation to
+    # the actual world reads the marks that the search already computed.
+    from actualcause import dsl, normality
+    from actualcause.graded import ExtendedCausalModel, is_extended_cause
+
+    marked = []
+    world_marks = normality.world_marks
+
+    def counting_marks(order, world):
+        marked.append(world.values)
+        return world_marks(order, world)
+
+    monkeypatch.setattr(normality, "world_marks", counting_marks)
+    code, out, _ = run(["check", fx(name), query, "--mode", "extended", "--format", "json"])
+    assert code == 0 and json.loads(out)["witnesses"]
+    by_cli = len(marked)
+    marked.clear()
+    document = dsl.parse_document(fixture_path(name).read_text(encoding="utf-8"))
+    parsed = dsl.parse_query(query, document)
+    is_extended_cause(ExtendedCausalModel(document.model, document.normality_order()),
+                      document.contexts[parsed.context], parsed.cause, parsed.effect)
+    assert by_cli <= len(marked)
+
+
 def test_missing_file_exits_one():
     code, _, err = run(["check", "nope.scm.txt", "cause A=1 for B=1 @ c"])
     assert code == 1

@@ -38,7 +38,6 @@ from actualcause.dsl import (
     SolveQuery,
     SourceSpan,
     WitnessQuery,
-    _LineParser,
     _lex_line,
     format_query,
     parse_document,
@@ -255,9 +254,8 @@ def test_spans_slice_the_text_as_given_in_every_newline_style(newline, site):
 
 
 def test_a_wide_table_builds_few_spans(monkeypatch):
-    # A span is built where the parse keeps one or raises one, not per
-    # token: here the seven declared names and the table's six arguments.
-    # A span per token made 11,758 here.
+    # A span is built only for a diagnostic, not per token.  A span per
+    # token made 11,758 here.
     names = [f"A{i}" for i in range(6)]
     rows = ", ".join(f"({', '.join(map(str, key))}) -> {sum(key) % 3}"
                      for key in itertools.product(range(3), repeat=6))
@@ -275,6 +273,40 @@ def test_a_wide_table_builds_few_spans(monkeypatch):
     table = parse_document(text).model.equations["Y"].body
     assert len(table.rows) == 3 ** 6
     assert built < 100
+
+
+def test_a_valid_document_builds_no_span(monkeypatch):
+    # The parse keeps tokens as its locations and builds a span only for a
+    # diagnostic: declared names, references, typicality places, norm
+    # keywords, contexts and events cost none in a document without faults.
+    n = 40
+    lines = ["exo U : {0,1,2}", "var X0 : {0,1,2} = U"]
+    lines += [f"var X{i} : {{0,1,2}} = max(X{i - 1}, table(U){{(0) -> 0, (1) -> 1, "
+              f"(2) -> {i % 3}}})" for i in range(1, n)]
+    lines += [f"typical X{i} = {i % 3} > {(i + 1) % 3} > {(i + 2) % 3}" for i in range(n)]
+    lines += ["severity X1=2 < X2=0 < X3=1", "context c : U=1", "solve @ c",
+              f"satisfies [X0<-2, X1<-0](X{n - 1}=2 | !X2=1) @ c",
+              f"cause X1=1 & X2=1 for X{n - 1}=1 @ c", f"witnesses X3=1 for X{n - 1}=1 @ c",
+              f"grade {{X1=1, X2=1}} for X{n - 1}=1 @ c"]
+    texts = [fixture_path(name).read_text(encoding="utf-8") for name in ALL_FIXTURES]
+    texts.append("\n".join(lines))
+    built = 0
+    init = SourceSpan.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SourceSpan, "__init__", counting_init)
+    for text in texts:
+        document = parse_document(text)
+        assert document.queries
+        for query in document.queries:
+            assert parse_query(format_query(query), document) == query
+        if document.has_normality():
+            document.normality_order()
+    assert built == 0
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -325,16 +357,15 @@ def test_two_character_punctuation_matches_first():
 @settings(max_examples=300, deadline=None)
 def test_every_token_span_slices_its_source_text(line):
     tokens, _ = _lex_line(line, 3, 0)
-    parser = _LineParser(tokens, 3)
     blob = line.encode("utf-8")
     for token in tokens[:-1]:
         kind, text = token[:2]
         source = f'"{text}"' if kind == "string" else text
-        span = parser.span(token)
+        span = SourceSpan(*token[2:])
         assert span.line == 3
         assert blob[span.offset:span.offset + span.length] == source.encode("utf-8")
         assert line[span.column - 1:span.column - 1 + len(source)] == source
-    eol = parser.span(tokens[-1])
+    eol = SourceSpan(*tokens[-1][2:])
     assert (eol.column, eol.offset) == (len(line) + 1, len(blob))
 
 

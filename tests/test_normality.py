@@ -24,6 +24,7 @@ from actualcause import (
     derive_from_typicality,
     explicit_order,
 )
+from actualcause import normality
 from actualcause.normality import DerivedOrder, _embeds, _QueryOrder, world_marks
 
 from random_models import random_model, random_typicality, tree_value
@@ -239,6 +240,43 @@ def _rename_expr(expr, mapping):
     if isinstance(expr, Table):
         return Table(tuple(mapping[a] for a in expr.args), expr.rows)
     raise TypeError(expr)
+
+
+def test_dominance_states_one_step_per_mark(monkeypatch):
+    # Each mark steps to the next rank of its kind and variable and the
+    # closure reaches every worse one, so the stated relation grows with the
+    # marks, not with the pairs of ranks (a 2,000-value ranking once took
+    # about a minute to order).
+    n = 200
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1)), Variable("X", "endogenous", tuple(range(n))),
+         Variable("Y", "endogenous", (0, 1, 2))],
+        [Equation("X", Ref("U")), Equation("Y", Ref("U"))],
+    )
+    spec = TypicalitySpec(
+        value_rankings=(ValueRanking("X", tuple(range(n))), ValueRanking("Y", (2, 1, 0))),
+        severity_chains=((("Y", 1), ("X", 5)),),
+        mechanism=True,
+        behavior_rankings=(BehaviorRanking(
+            "Y", tuple(Behavior(f"b{i}", Const(i % 3)) for i in range(4))),),
+    )
+    stated = []
+    closure = normality._closure
+
+    def counting_closure(nodes, edges):
+        stated.append(len(edges))
+        return closure(nodes, edges)
+
+    monkeypatch.setattr(normality, "_closure", counting_closure)
+    order = derive_from_typicality(model, spec)
+    marks = ([("value", "X", rank, rank) for rank in range(1, n)]
+             + [("value", "Y", 1, 1), ("value", "Y", 2, 0)]
+             + [("behavior", "Y", rank, f"b{rank}") for rank in range(1, 4)])
+    # one step per mark but the last of each kind and variable, and the link
+    assert stated == [len(marks) - 3 + 1]
+    worse = {(a, b) for a in marks for b in marks if a[:2] == b[:2] and a[2] <= b[2]}
+    linked = {(("value", "Y", 1, 1), ("value", "X", rank, rank)) for rank in range(5, n)}
+    assert order._dominance == worse | linked
 
 
 # -- explicit orders -----------------------------------------------------------------
