@@ -16,11 +16,12 @@ _EXPORTS = {
     "graded": ("ExtendedCausalModel", "GradedPair", "GradingResult", "best_witnesses",
                "grade_candidates", "is_extended_cause"),
     "model": ("BinOp", "CausalModel", "Const", "Equation", "Ite", "Ref", "Table", "Variable",
-              "World", "dependence_graph", "equation_isomorphism", "intervene",
-              "semantic_parents", "solve", "validate_model"),
+              "World", "dependence_graph", "intervene", "semantic_parents", "solve",
+              "validate_model"),
     "normality": ("Behavior", "BehaviorRanking", "NormalityOrder", "Relation",
                   "TrivialOrder", "TypicalitySpec", "ValueRanking", "assign_behavior",
                   "compare", "derive_from_typicality", "explicit_order"),
+    "symmetry": ("equation_isomorphism",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

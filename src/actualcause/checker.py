@@ -118,7 +118,7 @@ bookkeeping is unchanged.
 The candidate sweep searches one candidate per orbit (the rule
 ``symmetry``).  Two endogenous variables are interchangeable when swapping
 them maps the equations under the context onto themselves, as
-``model._classes`` finds once per model and context values.  Such a swap is
+``symmetry._classes`` finds once per model and context values.  Such a swap is
 an automorphism of (M, u): it maps the actual world onto itself, so it
 carries a candidate at its actual values onto another one at theirs, and
 each witness of the one onto a witness of the other, pins swapped along,
@@ -157,7 +157,6 @@ from .model import (
     Record,
     World,
     _check_events,
-    _classes,
     _kernel,
     _lineage,
     _reach_masks,
@@ -933,6 +932,8 @@ def find_all_causes(
     # Per variable, its class's label: an effect variable is its own class,
     # and a class's other variables take the first of them.  A candidate's
     # orbit is the sorted tuple of its labels, and decides its answer.
+    from .symmetry import _classes
+
     classes = _classes(model, context) if _RULES["symmetry"] else {}
     firsts: dict[str, str] = {}
     labels = {name: name if name in search._effect_vars

@@ -102,6 +102,8 @@ def main(argv: Optional[list[str]] = None, stdout: Optional[TextIO] = None,
         body = payloads[0] if len(payloads) == 1 else payloads
         print(json.dumps(body, indent=2), file=out)
     else:
+        from .printer import _render_text
+
         blocks = [_render_text(kind, payload) for kind, payload in results]
         print("\n\n".join(blocks), file=out)
     return 0
@@ -341,78 +343,6 @@ _QUERY_COMMANDS = {
     "witnesses": ((dsl.WitnessQuery, dsl.CauseQuery), _run_check),
     "grade": ((dsl.GradeQuery,), _run_grade),
 }
-
-
-# -- text rendering -----------------------------------------------------------------
-
-
-def _format_world_dict(world: dict[str, int]) -> str:
-    return "(" + ", ".join(f"{n}={v}" for n, v in world.items()) + ")"
-
-
-def _render_text(kind: str, result: dict) -> str:
-    if kind == "validate":
-        if result["ok"]:
-            return "model: ok"
-        lines = ["model: invalid"]
-        lines += [f"  {p['kind']}: {p['message']}" for p in result["problems"]]
-        return "\n".join(lines)
-    if kind == "solve":
-        return (f"query: {result['query']}\n"
-                f"world: {_format_world_dict(result['world'])}")
-    if kind == "satisfies":
-        return (f"query: {result['query']}\n"
-                f"holds: {'yes' if result['holds'] else 'no'}")
-    if kind == "all-causes":
-        lines = [f"query: {result['query']}", "causes:"]
-        lines += [f"  {c}" for c in result["causes"]]
-        return "\n".join(lines)
-    if kind == "check":
-        lines = [
-            f"query: {result['query']}",
-            f"mode: {result['mode']}",
-            f"is_cause: {'yes' if result['is_cause'] else 'no'} "
-            f"(AC1 {'yes' if result['ac1'] else 'no'}, "
-            f"{len(result['witnesses'])} witness record(s), "
-            f"AC3 {'yes' if result['ac3'] else 'no'})",
-        ]
-        if result["witnesses"]:
-            lines.append("witnesses:")
-            for witness in result["witnesses"]:
-                w_pairs = ", ".join(
-                    f"{n}={v}" for n, v in zip(witness["w_set"], witness["w_values"])
-                )
-                note = ""
-                if witness["relation_to_actual"] is not None:
-                    note = f" [{witness['relation_to_actual'].replace('_', ' ')}" \
-                           f"{'' if witness['admissible'] else ', inadmissible'}]"
-                alt = ", ".join(str(v) for v in witness["x_prime"])
-                lines.append(
-                    f"  W={{{w_pairs}}}, x'=({alt}) -> "
-                    f"{_format_world_dict(witness['world'])}{note}"
-                )
-        if result["best_witnesses"]:
-            lines.append("best witnesses:")
-            lines += [f"  {_format_world_dict(w)}" for w in result["best_witnesses"]]
-        return "\n".join(lines)
-    if kind == "grade":
-        lines = [f"query: {result['query']}", f"mode: {result['mode']}",
-                 "candidates:"]
-        for cand in result["candidates"]:
-            verdict = "cause" if cand["is_cause"] else "not a cause"
-            best = ", ".join(_format_world_dict(w) for w in cand["best_witnesses"])
-            suffix = f" (best: {best})" if best else ""
-            lines.append(f"  {cand['cause']}: {verdict}{suffix}")
-        lines.append("grading:")
-        for entry in result["grading"]:
-            if entry == "incomparable":
-                lines.append("  incomparable pair")
-            elif "equal" in entry:
-                lines.append(f"  {entry['equal'][0]} == {entry['equal'][1]}")
-            else:
-                lines.append(f"  {entry['above']} above {entry['below']}")
-        return "\n".join(lines)
-    raise ActualCauseError(f"unknown result kind {kind}")
 
 
 if __name__ == "__main__":

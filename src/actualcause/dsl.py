@@ -784,33 +784,7 @@ def _events(refs: tuple[_Event, ...], model: Optional[CausalModel], where: str, 
     return found
 
 
-# -- pretty printer -----------------------------------------------------------------
-
-
-def format_expr(expr: Expr, parent_level: int = 0, right_side: bool = False) -> str:
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Ref):
-        return expr.name
-    if isinstance(expr, BinOp):
-        if expr.op in ("min", "max"):
-            return f"{expr.op}({format_expr(expr.left)}, {format_expr(expr.right)})"
-        level = 2 if expr.op == "*" else 1
-        text = (f"{format_expr(expr.left, level, False)} {expr.op} "
-                f"{format_expr(expr.right, level, True)}")
-        if level < parent_level or (level == parent_level and right_side):
-            return f"({text})"
-        return text
-    if isinstance(expr, Ite):
-        return (f"ite({format_expr(expr.left)} == {format_expr(expr.right)}, "
-                f"{format_expr(expr.then)}, {format_expr(expr.other)})")
-    if isinstance(expr, Table):
-        rows = ", ".join(
-            "(" + ", ".join(str(v) for v in key) + f") -> {value}"
-            for key, value in expr.rows
-        )
-        return f"table({', '.join(expr.args)}){{{rows}}}"
-    raise TypeError(f"unexpected expression node {expr!r}")
+# -- query text ------------------------------------------------------------------
 
 
 def format_query(query: Query) -> str:
@@ -828,46 +802,3 @@ def format_query(query: Query) -> str:
         return (f"grade {{{causes}}} for {format_body(query.effect)} "
                 f"@ {query.context}")
     raise TypeError(f"unexpected query {query!r}")
-
-
-def pretty_print(document: ParsedDocument) -> str:
-    """Canonical rendering; printing a parsed document and reparsing is a
-    fixed point on the text."""
-    lines = []
-    model = document.model
-    for variable in model.variables:
-        values = ",".join(str(v) for v in variable.range)
-        if variable.kind == EXOGENOUS:
-            lines.append(f"exo {variable.name} : {{{values}}}")
-        else:
-            body = format_expr(model.equations[variable.name].body)
-            lines.append(f"var {variable.name} : {{{values}}} = {body}")
-    spec = document.typicality
-    if spec is not None:
-        for ranking in spec.value_rankings:
-            order = " > ".join(str(v) for v in ranking.ranking)
-            lines.append(f"typical {ranking.variable} = {order}")
-        for chain in spec.severity_chains:
-            text = " < ".join(f"{n}={v}" for n, v in chain)
-            lines.append(f"severity {text}")
-        if spec.mechanism:
-            lines.append("mechanism on")
-        for ranking in spec.behavior_rankings:
-            parts = " > ".join(
-                f'"{b.label}" = {format_expr(b.body)}' for b in ranking.behaviors
-            )
-            lines.append(f"behavior {ranking.variable} : {parts}")
-    for left, op, right in document.explicit_norms:
-        lines.append(f"norm {_format_world_literal(model, left)} {op} "
-                     f"{_format_world_literal(model, right)}")
-    for name, assignment in document.contexts.items():
-        items = ", ".join(f"{n}={assignment[n]}" for n in model.exogenous)
-        lines.append(f"context {name} : {items}")
-    for query in document.queries:
-        lines.append(format_query(query))
-    return "\n".join(lines) + "\n"
-
-
-def _format_world_literal(model: CausalModel, assignment: dict[str, int]) -> str:
-    items = ", ".join(f"{n}={assignment[n]}" for n in model.endogenous)
-    return f"({items})"

@@ -421,19 +421,27 @@ def _embeds(
         for f in marks
     ]
     matched: list[Optional[int]] = [None] * len(into)
-
-    def try_assign(i: int, taken: set[int]) -> bool:
-        for j in options[i]:
-            if j in taken:
+    for first in range(len(marks)):
+        # A depth-first search for an augmenting path from ``first``, on an
+        # explicit stack: along a severity chain each path is one step longer
+        # than the last.  ``slots[k]`` is the slot that ``path[k]`` tries.
+        taken: set[int] = set()
+        path, slots = [(first, iter(options[first]))], []
+        while path:
+            j = next((j for j in path[-1][1] if j not in taken), None)
+            if j is None:
+                path.pop()
+                if slots:
+                    slots.pop()
                 continue
             taken.add(j)
-            if matched[j] is None or try_assign(matched[j], taken):
-                matched[j] = i
-                return True
-        return False
-
-    for i in range(len(marks)):
-        if not try_assign(i, set()):
+            slots.append(j)
+            if matched[j] is None:
+                for (i, _), j in zip(path, slots):
+                    matched[j] = i
+                break
+            path.append((matched[j], iter(options[matched[j]])))
+        else:
             return False
     return True
 

@@ -38,7 +38,7 @@ from actualcause import (
     is_extended_cause,
     solve,
 )
-from actualcause import checker, model as model_module
+from actualcause import checker, model as model_module, symmetry
 from actualcause.checker import CauseSearch, Engine
 from actualcause.dsl import parse_document
 from actualcause.formula import evaluate
@@ -800,13 +800,13 @@ def test_the_classes_are_found_once_per_model_and_context(monkeypatch):
     # compared through F under a swap; a chain's equations all differ, so its
     # sweep compares no equation under a swap.
     swaps = []
-    canonical = model_module._canonical
+    canonical = symmetry._canonical
 
     def recording_canonical(expr, values, swap):
         swaps.append(bool(swap))
         return canonical(expr, values, swap)
 
-    monkeypatch.setattr(model_module, "_canonical", recording_canonical)
+    monkeypatch.setattr(symmetry, "_canonical", recording_canonical)
     model, context = _wide_model("vote")
     find_all_causes(model, context, event("F", 1), max_conjuncts=2)
     first = len(swaps)

@@ -42,9 +42,9 @@ from actualcause.dsl import (
     format_query,
     parse_document,
     parse_query,
-    pretty_print,
 )
 from actualcause.formula import compile_body
+from actualcause.printer import pretty_print
 
 ALL_FIXTURES = sorted(path.name for path in fixture_dir().glob("*.scm.txt"))
 

@@ -22,7 +22,7 @@ from actualcause import (
     solve,
     validate_model,
 )
-from actualcause import model as model_module
+from actualcause import model as model_module, symmetry
 from actualcause.model import ValidationProblem
 
 
@@ -488,9 +488,9 @@ def _sum(*names):
 ])
 def test_variables_a_swap_maps_onto_themselves_share_a_class(reader, heads):
     model = _three_sources(reader)
-    classes = model_module._classes(model, {"UA": 1, "UB": 1, "UC": 1})
+    classes = symmetry._classes(model, {"UA": 1, "UB": 1, "UC": 1})
     assert classes == {**dict(zip("ABC", heads)), "R": "R"}
-    assert model_module._classes(model, {"UA": 1, "UB": 1, "UC": 1}) is classes
+    assert symmetry._classes(model, {"UA": 1, "UB": 1, "UC": 1}) is classes
     # A source whose driver reads another value is no longer like the others.
-    apart = model_module._classes(model, {"UA": 1, "UB": 0, "UC": 1})
+    apart = symmetry._classes(model, {"UA": 1, "UB": 0, "UC": 1})
     assert apart == {**dict(zip("ABC", heads.replace("AAA", "ABA"))), "R": "R"}

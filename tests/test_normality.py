@@ -606,3 +606,23 @@ def test_marks_found_in_the_other_world_embed_as_the_full_matching_says(seed):
         assert len(set(marks)) == len(marks)
         assert _embeds(marks, into, order._dominance) \
             == _matches(marks, into, order._dominance)
+
+
+def test_a_long_severity_chain_compares_without_recursion():
+    # Each of 1,100 binary variables is typical at 0, and one severity chain
+    # A0=1 < A1=1 < ... links their deviations.  Matching the marks of "all
+    # but the last at 1" into "all but the first at 1" takes augmenting paths
+    # that each run one step further along the chain, past the interpreter's
+    # recursion limit when each step is a call.
+    names = [f"A{i}" for i in range(1100)]
+    model = CausalModel(
+        [Variable("U", "exogenous", (0, 1)), *(Variable(x, "endogenous", (0, 1)) for x in names)],
+        [Equation(x, Ref("U")) for x in names],
+    )
+    spec = TypicalitySpec(value_rankings=tuple(ValueRanking(x, (0, 1)) for x in names),
+                          severity_chains=(tuple((x, 1) for x in names),))
+    order = derive_from_typicality(model, spec)
+    late = model.world_from_values((1,) * (len(names) - 1) + (0,))
+    early = model.world_from_values((0,) + (1,) * (len(names) - 1))
+    assert compare(order, late, early) is Relation.MORE_NORMAL
+    assert compare(order, early, late) is Relation.LESS_NORMAL

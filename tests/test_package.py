@@ -82,6 +82,64 @@ def test_validate_and_solve_load_neither_the_search_nor_normality(argv):
         assert module not in loaded[1]
 
 
+
+# Text output, document printing and the sweep's symmetries live in modules
+# that a JSON query does not load, so its process does not compile them.
+APART = {"actualcause.printer", "actualcause.symmetry"}
+
+
+def _main_loads(argv):
+    """The exit code of ``cli.main(argv)`` in a fresh process, and the
+    package modules it loaded."""
+    code, loaded = _python(code=(
+        "import io, json, sys\nfrom actualcause.cli import main\n"
+        f"code = main({argv!r}, stdout=io.StringIO(), stderr=io.StringIO())\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"))
+    return code, {name for name in loaded if name.startswith("actualcause")}
+
+
+@pytest.mark.parametrize("mode", ["hp", "extended"])
+@pytest.mark.parametrize("command, filename", [
+    ("check", "bogus_prevention.scm.txt"), ("witnesses", "bogus_prevention.scm.txt"),
+    ("grade", "legal_fire.scm.txt")])
+def test_a_json_query_loads_neither_the_printer_nor_the_symmetries(command, filename, mode):
+    path = str(corpus.fixture_path(filename))
+    code, loaded = _main_loads([command, path, "--mode", mode, "--format", "json"])
+    # Grading runs in extended mode only; in hp mode it is a usage error.
+    if (command, mode) == ("grade", "hp"):
+        assert code == 1
+    else:
+        assert code == 0 and "actualcause.checker" in loaded
+    assert not loaded & APART
+
+
+def test_text_output_loads_the_printer():
+    path = str(corpus.fixture_path("bogus_prevention.scm.txt"))
+    code, loaded = _main_loads(["check", path, "--format", "text"])
+    assert code == 0
+    assert loaded & APART == {"actualcause.printer"}
+
+
+def test_a_sweep_loads_the_symmetries():
+    path = str(corpus.fixture_path("bogus_prevention.scm.txt"))
+    code, loaded = _main_loads(["check", path, "--all-causes", "1", "--format", "json"])
+    assert code == 0
+    assert loaded & APART == {"actualcause.symmetry"}
+
+
+@pytest.mark.parametrize("filename", ["legal_fire.scm.txt", "omission_b.scm.txt"])
+def test_setting_up_a_document_loads_neither_the_printer_nor_the_symmetries(filename):
+    path = str(corpus.fixture_path(filename))
+    loaded = _python(code=(
+        "import json, sys\nfrom actualcause import validate_model\n"
+        "from actualcause.dsl import parse_document\n"
+        f"doc = parse_document(open({path!r}, encoding='utf-8').read())\n"
+        "assert validate_model(doc.model).ok\ndoc.normality_order()\n"
+        "print(json.dumps(sorted(sys.modules)))"))
+    assert "actualcause.normality" in loaded
+    assert not set(loaded) & APART
+
+
 # -- the record contract ---------------------------------------------------------
 
 EXTRA = """\
