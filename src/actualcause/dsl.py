@@ -158,6 +158,10 @@ _BOTH_SOURCES = ("document declares both typicality and explicit norm relations;
 
 
 class ParsedDocument(Record, frozen=False):
+    # (explicit_norms, order): the order the parse closed to locate
+    # contradictions, returned while its relations and model are the fields.
+    _closed = None
+
     def __init__(self, model: CausalModel, typicality: Optional[TypicalitySpec],
                  explicit_norms: tuple[tuple[dict[str, int], str, dict[str, int]], ...],
                  contexts: dict[str, dict[str, int]], queries: tuple[Query, ...]):
@@ -172,6 +176,10 @@ class ParsedDocument(Record, frozen=False):
         if self.typicality is not None and self.explicit_norms:
             raise ActualCauseError(_BOTH_SOURCES)
         if self.explicit_norms:
+            closed = self._closed
+            if closed and closed[0] is self.explicit_norms and closed[1].model is self.model:
+                self.model.require_valid()
+                return closed[1]
             return explicit_order(
                 self.model,
                 [(dict(a), op, dict(b)) for a, op, b in self.explicit_norms],
@@ -638,7 +646,7 @@ class _DocumentBuilder:
                 self.error(self.places[place], message)
 
         # explicit norm relations: their order's rule is normality's
-        norms = []
+        norms, order = [], None
         located = len(self.errors)
         for raw in self.norms:
             sides = []
@@ -657,7 +665,8 @@ class _DocumentBuilder:
             from .normality import _explicit_closure
 
             stated = [(model.world(a), op, model.world(b)) for a, op, b in norms]
-            for i, message in _explicit_closure(model, stated)[1]:
+            order, faults = _explicit_closure(model, stated)
+            for i, message in faults:
                 self.error(self.norms[i].token, message)
 
         # contexts
@@ -681,13 +690,16 @@ class _DocumentBuilder:
 
         if self.errors:
             return None
-        return ParsedDocument(
+        document = ParsedDocument(
             model=model,
             typicality=typicality,
             explicit_norms=tuple(norms),
             contexts=contexts,
             queries=tuple(queries),
         )
+        if order is not None:
+            document._closed = (document.explicit_norms, order)
+        return document
 
 
 def parse_document(text: str) -> ParsedDocument:

@@ -17,9 +17,10 @@ keeps genuinely conflicting worlds incomparable.
 
 Both kinds of order are reflexive-transitive closures of a stated relation:
 over marks for derived orders, over worlds for explicit ones.  One routine,
-``_closure``, computes both, by a search from each node.  A derived order
-states only each mark's step to the next rank of its kind and variable, and
-the severity chains' steps; the closure supplies every worse rank.
+``_closure``, computes both, as one ``int`` of reach bits per node closed by
+Warshall's algorithm; a reader tests one bit.  A derived order states only
+each mark's step to the next rank of its kind and variable, and the severity
+chains' steps; the closure supplies every worse rank.
 
 Every order decides its weak relation on a key it reads off each world: the
 marks for derived orders, the values for explicit ones.  ``world_marks``
@@ -75,16 +76,10 @@ class TypicalitySpec(Record):
         super().__init__(value_rankings, severity_chains, mechanism, behavior_rankings)
 
     def ranking_for(self, variable: str) -> Optional[ValueRanking]:
-        for ranking in self.value_rankings:
-            if ranking.variable == variable:
-                return ranking
-        return None
+        return next((r for r in self.value_rankings if r.variable == variable), None)
 
     def behaviors_for(self, variable: str) -> Optional[BehaviorRanking]:
-        for ranking in self.behavior_rankings:
-            if ranking.variable == variable:
-                return ranking
-        return None
+        return next((r for r in self.behavior_rankings if r.variable == variable), None)
 
 
 # A mark is (kind, variable, rank, token): kind "value" carries the value as
@@ -175,14 +170,19 @@ class DerivedOrder(NormalityOrder):
 
 
 class ExplicitOrder(NormalityOrder):
+    """``_closure`` of stated relations over world values; a world they never
+    mention is related only to itself."""
+
     provenance = "explicit"
 
-    def __init__(self, model: CausalModel, closure: frozenset[tuple[tuple, tuple]]):
+    def __init__(self, model: CausalModel, closure: tuple[dict[tuple, int], list[int]]):
         super().__init__(model)
-        self._closure = closure
+        self._index, self._rows = closure
 
     def _weak(self, key, key2) -> bool:
-        return key == key2 or (key, key2) in self._closure
+        index = self._index
+        return key == key2 or (key in index and key2 in index
+                               and self._rows[index[key]] >> index[key2] & 1 == 1)
 
 
 class _QueryOrder(NormalityOrder):
@@ -302,7 +302,8 @@ def assign_behavior(
         raise NormalityError("no behavior rankings declared")
     validate_spec(model, spec)
     return {
-        ranking.variable: _consistent_behavior(ranking.variable, behaviors, world)[1]
+        ranking.variable: _consistent_behavior(ranking.variable, world[ranking.variable],
+                                               behaviors, world)[1]
         for ranking, behaviors in zip(spec.behavior_rankings,
                                       _compiled_behaviors(model, spec.behavior_rankings))
     }
@@ -318,7 +319,7 @@ def world_marks(order: DerivedOrder, world: World) -> tuple[Mark, ...]:
             if rank > 0:
                 marks.append(("value", name, rank, value))
         if behaviors is not None:
-            rank, label = _consistent_behavior(name, behaviors, world)
+            rank, label = _consistent_behavior(name, value, behaviors, world)
             if rank > 0:
                 marks.append(("behavior", name, rank, label))
     return tuple(marks)
@@ -340,10 +341,9 @@ def _compiled_behaviors(model: CausalModel, rankings: Sequence[Optional[Behavior
             for ranking in rankings]
 
 
-def _consistent_behavior(name: str, behaviors: tuple, world: World) -> tuple[int, str]:
+def _consistent_behavior(name: str, value: int, behaviors: tuple, world: World) -> tuple[int, str]:
     """Rank and label of the most typical of the compiled behaviors that
-    reproduces the variable's value given the rest of the world."""
-    value = world[name]
+    reproduces the variable's value in the world given the rest of it."""
     for rank, (label, body) in enumerate(behaviors):
         if body(world.values) == value:
             return rank, label
@@ -354,26 +354,22 @@ def _consistent_behavior(name: str, behaviors: tuple, world: World) -> tuple[int
 
 def _close_dominance(
     model: CausalModel, spec: TypicalitySpec
-) -> frozenset[tuple[Mark, Mark]]:
-    """Reflexive-transitive 'may stand in for' relation over possible marks.
+) -> tuple[dict[Mark, int], list[int]]:
+    """Reflexive-transitive 'may stand in for' relation over possible marks,
+    as ``_closure``'s index and rows.
 
     Within one variable a mark is covered by any equal-or-worse rank of the
     same kind: each mark steps to the next rank of its kind and variable, and
     the closure reaches every worse one.  Severity chains add cross-variable
     steps between value marks.
     """
-    universe: list[Mark] = []
-    for ranking in spec.value_rankings:
-        for rank, value in enumerate(ranking.ranking):
-            if rank > 0:
-                universe.append(("value", ranking.variable, rank, value))
+    universe: list[Mark] = [("value", ranking.variable, rank, value)
+                            for ranking in spec.value_rankings
+                            for rank, value in enumerate(ranking.ranking) if rank > 0]
     if spec.mechanism:
-        for ranking in spec.behavior_rankings:
-            for rank, behavior in enumerate(ranking.behaviors):
-                if rank > 0:
-                    universe.append(
-                        ("behavior", ranking.variable, rank, behavior.label)
-                    )
+        universe += [("behavior", ranking.variable, rank, behavior.label)
+                     for ranking in spec.behavior_rankings
+                     for rank, behavior in enumerate(ranking.behaviors) if rank > 0]
     # A variable's marks of one kind sit together in rank order.
     edges = {(a, b) for a, b in zip(universe, universe[1:]) if a[:2] == b[:2]}
     by_feature = {("value", m[1], m[3]): m for m in universe if m[0] == "value"}
@@ -383,31 +379,29 @@ def _close_dominance(
     return _closure(universe, edges)
 
 
-def _closure(nodes: Iterable, edges: Iterable[tuple]) -> frozenset[tuple]:
-    """Reflexive-transitive closure: every pair (a, b) of nodes such that b
-    is reachable from a along the edges.  Edge ends must be nodes."""
-    successors: dict = {n: [] for n in nodes}
+def _closure(nodes: Iterable, edges: Iterable[tuple]) -> tuple[dict, list[int]]:
+    """Reflexive-transitive closure as bit rows: each node's index, and per
+    index the mask of the indices it reaches along the edges, its own
+    included.  Warshall's algorithm: once the rows are closed over paths
+    through the nodes before k, every row that reaches k takes in row k.
+    Nodes must be distinct, and edge ends nodes."""
+    index = {node: i for i, node in enumerate(nodes)}
+    rows = [1 << i for i in range(len(index))]
     for a, b in edges:
-        successors[a].append(b)
-    pairs = set()
-    for start in successors:
-        reached = {start}
-        stack = [start]
-        while stack:
-            for nxt in successors[stack.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        pairs.update((start, b) for b in reached)
-    return frozenset(pairs)
+        rows[index[a]] |= 1 << index[b]
+    for k in range(len(rows)):
+        row, bit = rows[k], 1 << k
+        rows = [r | row if r & bit else r for r in rows]
+    return index, rows
 
 
 def _embeds(
     marks: Sequence[Mark],
     into: Sequence[Mark],
-    dominance: frozenset[tuple[Mark, Mark]],
+    dominance: tuple[dict[Mark, int], list[int]],
 ) -> bool:
-    """Injective matching where each mark maps to a dominating mark.
+    """Injective matching where each mark maps to a dominating mark: one
+    whose bit is set in the mark's dominance row.
 
     A world's marks are distinct (at most one value mark and one behavior
     mark per variable), so marks that all appear in ``into`` map onto
@@ -416,10 +410,10 @@ def _embeds(
         return False
     if set(marks).issubset(into):
         return True
-    options = [
-        [j for j, g in enumerate(into) if f == g or (f, g) in dominance]
-        for f in marks
-    ]
+    index, rows = dominance
+    slots = [index[g] for g in into]
+    options = [[j for j, slot in enumerate(slots) if row >> slot & 1]
+               for row in [rows[index[f]] for f in marks]]
     matched: list[Optional[int]] = [None] * len(into)
     for first in range(len(marks)):
         # A depth-first search for an augmenting path from ``first``, on an
@@ -464,31 +458,25 @@ def explicit_order(
         if op not in (">", "=="):
             raise NormalityError(f"unknown relation operator {op!r}")
         stated.append((_as_world(model, left), op, _as_world(model, right)))
-    closure, faults = _explicit_closure(model, stated)
+    order, faults = _explicit_closure(model, stated)
     for _, message in faults:
         raise NormalityError(message)
-    return ExplicitOrder(model, closure)
+    return order
 
 
 def _explicit_closure(
     model: CausalModel, stated: Sequence[tuple[World, str, World]]
-) -> tuple[frozenset[tuple[tuple, tuple]], list[tuple[int, str]]]:
-    """Closure of the stated relations over world values, and the fault of
-    each strict relation that the closure also makes hold the other way
-    around, with that relation's index."""
-    edges: set[tuple[tuple, tuple]] = set()
-    nodes: set[tuple] = set()
-    for left, op, right in stated:
-        nodes.add(left.values)
-        nodes.add(right.values)
-        edges.add((left.values, right.values))
-        if op == "==":
-            edges.add((right.values, left.values))
-    closure = _closure(nodes, edges)
+) -> tuple[ExplicitOrder, list[tuple[int, str]]]:
+    """The order the stated relations close to, and the fault of each strict
+    relation that the closure also makes hold the other way around, with
+    that relation's index."""
+    edges = {(left.values, right.values) for left, _, right in stated}
+    edges |= {(right.values, left.values) for left, op, right in stated if op == "=="}
+    index, rows = _closure({end for edge in edges for end in edge}, edges)
     faults = []
     successors: dict[tuple, list[tuple]] = {}  # in sorted order, built at the first fault
     for i, (left, op, right) in enumerate(stated):
-        if op == ">" and (right.values, left.values) in closure:
+        if op == ">" and rows[index[right.values]] >> index[left.values] & 1:
             if not successors:
                 for a, b in sorted(edges):
                     successors.setdefault(a, []).append(b)
@@ -499,7 +487,7 @@ def _explicit_closure(
                 f"{model.world_from_values(right.values)} strictly more normal "
                 f"than each other (via {pretty})"
             )))
-    return closure, faults
+    return ExplicitOrder(model, (index, rows)), faults
 
 
 def _as_world(model: CausalModel, world: World | Mapping[str, int]) -> World:

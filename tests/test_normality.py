@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actualcause import (
     Behavior,
@@ -12,6 +12,7 @@ from actualcause import (
     CausalModel,
     Const,
     Equation,
+    ModelError,
     NormalityError,
     Ref,
     Relation,
@@ -19,12 +20,15 @@ from actualcause import (
     TypicalitySpec,
     ValueRanking,
     Variable,
+    World,
     assign_behavior,
     compare,
     derive_from_typicality,
     explicit_order,
 )
 from actualcause import normality
+from actualcause.corpus import fixture_path
+from actualcause.dsl import parse_document
 from actualcause.normality import DerivedOrder, _embeds, _QueryOrder, world_marks
 
 from random_models import random_model, random_typicality, tree_value
@@ -242,6 +246,13 @@ def _rename_expr(expr, mapping):
     raise TypeError(expr)
 
 
+def _dominates(dominance, a, b) -> bool:
+    """Whether mark ``b`` may stand in for mark ``a``: the bit of ``b`` in
+    the row of ``a``."""
+    index, rows = dominance
+    return rows[index[a]] >> index[b] & 1 == 1
+
+
 def test_dominance_states_one_step_per_mark(monkeypatch):
     # Each mark steps to the next rank of its kind and variable and the
     # closure reaches every worse one, so the stated relation grows with the
@@ -276,7 +287,10 @@ def test_dominance_states_one_step_per_mark(monkeypatch):
     assert stated == [len(marks) - 3 + 1]
     worse = {(a, b) for a in marks for b in marks if a[:2] == b[:2] and a[2] <= b[2]}
     linked = {(("value", "Y", 1, 1), ("value", "X", rank, rank)) for rank in range(5, n)}
-    assert order._dominance == worse | linked
+    index, _ = order._dominance
+    assert sorted(index) == sorted(marks)
+    assert {(a, b) for a in index for b in index
+            if _dominates(order._dominance, a, b)} == worse | linked
 
 
 # -- explicit orders -----------------------------------------------------------------
@@ -397,6 +411,71 @@ def test_explicit_closure_is_reachability(case):
         ) == (j in reach[i])
 
 
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+    return n, edges
+
+
+@given(digraphs())
+@example((5, [(0, 1), (1, 2), (2, 0), (3, 3), (2, 3)]))  # a cycle, a self-loop, node 4 alone
+@settings(max_examples=200, deadline=None)
+def test_closure_rows_are_breadth_first_reachability(graph):
+    n, edges = graph
+    nodes = [f"n{i}" for i in range(n)]
+    successors = {i: [] for i in range(n)}
+    for a, b in edges:
+        successors[a].append(b)
+    index, rows = normality._closure(nodes, [(nodes[a], nodes[b]) for a, b in edges])
+    assert sorted(index.values()) == list(range(n)) and len(rows) == n
+    for i in range(n):
+        reached, queue = {i}, [i]
+        for node in queue:
+            for nxt in successors[node]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    queue.append(nxt)
+        row = rows[index[nodes[i]]]
+        assert {j for j in range(n) if row >> index[nodes[j]] & 1} == reached
+        assert row < 1 << n
+
+
+def test_a_document_closes_its_norm_relations_once(monkeypatch):
+    # The parse closes the relations to find contradictions and keeps the
+    # order; normality_order returns it rather than closing them again.
+    text = fixture_path("omission_b.scm.txt").read_text(encoding="utf-8")
+    closures = []
+    closure = normality._closure
+
+    def counting_closure(nodes, edges):
+        closures.append(nodes)
+        return closure(nodes, edges)
+
+    monkeypatch.setattr(normality, "_closure", counting_closure)
+    document = parse_document(text)
+    order = document.normality_order()
+    assert len(closures) == 1
+    assert order is document.normality_order()
+    assert len(closures) == 1
+    # The same relations handed to the library close again, to the same order.
+    library = explicit_order(document.model, document.explicit_norms)
+    assert len(closures) == 2
+    worlds = _all_worlds(document.model)
+    assert [order.compare(a, b) for a in worlds for b in worlds] \
+        == [library.compare(a, b) for a in worlds for b in worlds]
+    # A document whose relations were replaced after the parse closes them.
+    document.explicit_norms = document.explicit_norms[:1]
+    assert document.normality_order() is not order
+    assert len(closures) == 3
+    # The kept order is not returned for a model that fails validation.
+    cyclic = parse_document("exo U : {0,1}\nvar A : {0,1} = B\nvar B : {0,1} = A\n"
+                            "norm (A=0, B=0) > (A=1, B=1)\n")
+    with pytest.raises(ModelError, match="equations form a cycle"):
+        cyclic.normality_order()
+
+
 # -- behavior assignment ----------------------------------------------------------------
 
 
@@ -434,6 +513,30 @@ def test_assign_behavior_requires_mechanism(documents):
     with pytest.raises(NormalityError):
         assign_behavior(doc.model, doc.typicality,
                         world_of(doc.model, A=0, B=1, VS=1))
+
+
+def test_marking_a_world_looks_up_no_variable_by_name(documents, monkeypatch):
+    # world_marks reads each value by position.  A lookup by name searches
+    # the world's variables, so marking one world of n behavior-ranked
+    # variables took time quadratic in n.
+    lookups = 0
+    getitem = World.__getitem__
+
+    def counting_getitem(world, name):
+        nonlocal lookups
+        lookups += 1
+        return getitem(world, name)
+
+    for name in ("short_circuit.scm.txt", "short_circuit_intentions.scm.txt"):
+        doc = documents[name]
+        assert doc.typicality.mechanism
+        order = doc.normality_order()
+        worlds = _all_worlds(doc.model)
+        monkeypatch.setattr(World, "__getitem__", counting_getitem)
+        marks = [world_marks(order, world) for world in worlds]
+        monkeypatch.undo()
+        assert lookups == 0
+        assert any(mark[0] == "behavior" for key in marks for mark in key)
 
 
 def test_no_consistent_behavior_is_an_error(documents):
@@ -571,7 +674,7 @@ def _matches(marks, into, dominance) -> bool:
     if not marks:
         return True
     first, rest = marks[0], marks[1:]
-    return any((first == g or (first, g) in dominance)
+    return any((first == g or _dominates(dominance, first, g))
                and _matches(rest, into[:j] + into[j + 1:], dominance)
                for j, g in enumerate(into))
 
