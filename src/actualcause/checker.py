@@ -22,7 +22,8 @@ checks each candidate once, where it enters; the search takes it as valid.
 AC2(b) enumerates only the re-impositions of variables downstream of a pin
 that differs from the world under the candidate alone: by induction in
 topological order, every other variable takes that world's value under any
-sub-assignment, so re-imposing it is a no-op.
+sub-assignment, so re-imposing it is a no-op.  That world, and where it
+differs from the actual one, is worked out once per candidate.
 
 The normality-aware test of the graded module reuses this search: the search
 yields every witness record, and ``has_witness`` and ``ac3`` apply a witness
@@ -63,10 +64,12 @@ an alternative, and AC2(b), exactly when its relevant part does.  Sets are visit
 relevant pin set is decided before any set that adds irrelevant pins to it.
 If none of its settings passed, it is dead and those sets are skipped
 without a solve; otherwise they take the alternatives that passed without
-evaluating the effect, and build only each record's world, which the witness
-filter sees.  When the reach masks leave no variable below a pin or the
-candidate unpinned, the plan is empty and that world is the actual one with
-the pins and x' laid over it: no solve and no cache entry.
+evaluating the effect (a set that adds no relevant pin looks them up once),
+and build only each record's world, which the witness filter sees.  When
+the reach masks leave no variable below a pin or the candidate unpinned,
+the plan is empty and that world is the actual one with the pins and x'
+laid over it: no solve and no cache entry.  One loop builds every record
+in place, with no call per record.
 
 The same reader, read along one variable v off X, gives v's monotonicity
 record (``CauseSearch._side``), one per candidate and variable: the kept
@@ -187,21 +190,6 @@ class WitnessRecord(Record):
         _set(self, "world", world)
 
 
-def _witness(worlds: dict[tuple, World], variables: tuple[str, ...], w_set: tuple[str, ...],
-             w_values: tuple[int, ...], x_prime: tuple[int, ...],
-             values: tuple[int, ...]) -> WitnessRecord:
-    """The witness record of values the search built, one per record it
-    yields.  Its world is the one in ``worlds``, the search's worlds by
-    value tuple, built on first use; it skips ``World``'s length check,
-    which the values pass."""
-    world = worlds.get(values)
-    if world is None:
-        world = worlds[values] = object.__new__(World)
-        _set(world, "variables", variables)
-        _set(world, "values", values)
-    return WitnessRecord(w_set, w_values, x_prime, world)
-
-
 class CauseVerdict(Record):
     """Outcome of one actual-cause query.
 
@@ -317,6 +305,9 @@ class CauseSearch:
         self.effect = effect
         self.max_search = max_search
         self._ac2b_cache: dict[tuple, bool] = {}
+        # Per candidate pin vector, what ``ac2b`` reads of it: the positions
+        # off it, its mask, its world and where that differs from the actual.
+        self._bases: dict[tuple, tuple[list[int], int, tuple[int, ...], list[int]]] = {}
         # Every witness world the search built, by value tuple: records on
         # one world share it.
         self._worlds: dict[tuple, World] = {}
@@ -384,13 +375,20 @@ class CauseSearch:
         cached = self._ac2b_cache.get(key)
         if cached is not None:
             return cached
+        frame = self._bases.get(x_key)
+        if frame is None:
+            rest = [i for i, value in enumerate(x_key) if value is None]
+            x_mask = (1 << len(x_key)) - 1 - sum(1 << i for i in rest)
+            base = engine.solve_tuple(x_key, engine.plan(x_mask))
+            actual = engine.actual  # the base whenever the candidate holds, as in a search
+            moved = [] if base == actual else [i for i in rest if base[i] != actual[i]]
+            frame = self._bases[x_key] = rest, x_mask, base, moved
+        rest, x_mask, base, moved = frame
         phi = self._phi
         reach = engine.reach
-        rest = [i for i, value in enumerate(x_key) if value is None]
-        x_mask = (1 << len(x_key)) - 1 - sum(1 << i for i in rest)
-        base = engine.solve_tuple(x_key, engine.plan(x_mask))
+        # Off the pins, ``designated`` differs from ``base`` at ``moved`` alone.
         changed = 0
-        for i in rest:
+        for i in [*w_positions, *moved]:
             if designated[i] != base[i]:
                 changed |= reach[i]
         if not _RULES["ac2b-changed"]:
@@ -493,6 +491,7 @@ class CauseSearch:
         phi = self._phi
         solve = engine.solve_tuple
         worlds = self._worlds
+        new, setter, memo = object.__new__, _set, engine._cache.__getitem__
         # The passing alternatives of each passing setting of a relevant pin
         # set, by the set's mask, then by the setting's values.
         passed: dict[int, dict[tuple, list]] = {}
@@ -536,42 +535,38 @@ class CauseSearch:
                     decided = passed.get(w_mask & relevant)
                     if decided is None:
                         continue  # every setting of its relevant part fails
-                pinned = x_mask | w_mask
+                plan = engine.plan(x_mask | w_mask)
                 w_positions = [index[v] for v in w_vars]
                 settings = itertools.product(*map(ranges.__getitem__, w_vars))
                 # ``overlay`` lays the pins and x' over a vector of values or
                 # pins: ``overlay(base + w_values + alt)``.  An itemgetter of
-                # one position returns a bare value, not a tuple.
+                # one position returns a bare value, of a slice a tuple.
                 source = list(range(len(endo)))
                 for k, i in enumerate(w_positions + x_positions):
                     source[i] = len(endo) + k
-                overlay = (operator.itemgetter(*source) if len(source) > 1
-                           else lambda row, i=source[0]: (row[i],))
-                if decided is not None:
+                overlay = operator.itemgetter(*source if len(source) > 1
+                                              else [slice(source[0], source[0] + 1)])
+                if decided is None:
+                    # A solved setting's witnesses are in the engine's memo.
+                    base, resolve = x_key, memo
+                else:
                     # Pins off the relevant set move no effect variable, so the
-                    # relevant part's passing alternatives pass here unasked.
+                    # relevant part's passing alternatives pass here unasked,
+                    # looked up once when the set pins no relevant variable.
                     # The witness is the actual world with the pins and x'
                     # laid over it when no variable below a pin is left
                     # unpinned, an empty plan, or else the solve of the pins.
                     kept = [k for k, i in enumerate(w_positions) if relevant >> i & 1]
-                    plan = engine.plan(pinned)
+                    pick = kept and operator.itemgetter(
+                        *kept if len(kept) > 1 else [slice(kept[0], kept[0] + 1)])
+                    tried = None if kept else decided[()]
                     base = x_key if plan else engine.actual
-                    for w_values in settings:
-                        tried = decided.get(tuple(map(w_values.__getitem__, kept)))
-                        if tried:
-                            head = base + w_values
-                            for alt in tried:
-                                values = overlay(head + alt)
-                                if plan:
-                                    values = solve(values, plan)
-                                yield _witness(worlds, endo, w_vars, w_values, alt, values)
-                    continue
-                plan = engine.plan(pinned)
+                    resolve = (lambda key: solve(key, plan)) if plan else None
                 # With every pin monotone, the effect holding at the corner
                 # under each alternative holds at every setting, which then
                 # yield nothing: decide the corner first, or, when product
                 # order reaches it first, stop after that setting.
-                at_corner = w_vars and cornered.issuperset(w_vars)
+                at_corner = decided is None and w_vars and cornered.issuperset(w_vars)
                 if at_corner and not firsts.issuperset(w_vars):
                     head = x_key + tuple(map(corners.__getitem__, w_vars))
                     if all(phi(solve(overlay(head + alt), plan)) for alt, _ in alternatives):
@@ -582,7 +577,7 @@ class CauseSearch:
                 # and the alternatives (bits) under which the effect held at
                 # each setting so far: where it held at a neighbour, it holds.
                 links = itertools.repeat(())
-                if not monotone.isdisjoint(w_vars):
+                if decided is None and not monotone.isdisjoint(w_vars):
                     stride, steps = 1, []
                     for name in reversed(w_vars):
                         steps.append(tuple(map(stride.__mul__, backs[name])))
@@ -590,32 +585,53 @@ class CauseSearch:
                     links = map(filter, itertools.repeat(None), itertools.product(*reversed(steps)))
                 holds: list[int] = []
                 for w_values, link in zip(settings, links):
-                    held = 0
-                    for back in link:
-                        held |= holds[-back]
+                    if decided is None:
+                        held = 0
+                        for back in link:
+                            held |= holds[-back]
+                            if held == full:
+                                break
                         if held == full:
-                            break
-                    if held == full:
+                            holds.append(held)
+                            continue
+                        head = base + w_values
+                        tried = []
+                        for alt, bit in alternatives:
+                            if not held & bit:
+                                if phi(solve(overlay(head + alt), plan)):
+                                    held |= bit
+                                else:
+                                    tried.append(alt)
                         holds.append(held)
-                        continue
-                    head = x_key + w_values
-                    falsifying = []
-                    for alt, bit in alternatives:
-                        if not held & bit:
-                            witness = solve(overlay(head + alt), plan)
-                            if phi(witness):
-                                held |= bit
-                            else:
-                                falsifying.append((alt, witness))
-                    holds.append(held)
-                    if at_corner:  # the first setting is the corner
-                        if not falsifying:
-                            break
-                        at_corner = False
-                    if falsifying and self.ac2b(x_key, w_positions, w_values):
-                        passed.setdefault(w_mask, {})[w_values] = [alt for alt, _ in falsifying]
-                        for alt, witness in falsifying:
-                            yield _witness(worlds, endo, w_vars, w_values, alt, witness)
+                        if at_corner:  # the first setting is the corner
+                            if not tried:
+                                break
+                            at_corner = False
+                        if not tried or not self.ac2b(x_key, w_positions, w_values):
+                            continue
+                        passed.setdefault(w_mask, {})[w_values] = tried
+                    elif pick:
+                        tried = decided.get(pick(w_values))
+                        if not tried:
+                            continue
+                    # Each record, and on first use its world, which skips
+                    # ``World``'s length check, is built in place: records on
+                    # one world share it.
+                    for alt in tried:
+                        values = overlay(base + w_values + alt)
+                        if resolve is not None:
+                            values = resolve(values)
+                        world = worlds.get(values)
+                        if world is None:
+                            world = worlds[values] = new(World)
+                            setter(world, "variables", endo)
+                            setter(world, "values", values)
+                        record = new(WitnessRecord)
+                        setter(record, "w_set", w_vars)
+                        setter(record, "w_values", w_values)
+                        setter(record, "x_prime", alt)
+                        setter(record, "world", world)
+                        yield record
 
     def ac3(self, conjuncts: Sequence[PrimitiveEvent],
             witness_filter: _WitnessFilter = None) -> bool:

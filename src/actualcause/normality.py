@@ -152,12 +152,13 @@ class DerivedOrder(NormalityOrder):
         self._dominance = _close_dominance(model, spec)
         # What world_marks reads per endogenous position: the variable, its
         # value -> rank table and its compiled behaviors (None when undeclared).
-        behaviors = _compiled_behaviors(model, [
-            spec.behaviors_for(name) if spec.mechanism else None for name in model.endogenous])
+        # The first declaration of a variable wins, as in ``ranking_for``.
+        rankings = {r.variable: r for r in reversed(spec.value_rankings)}
+        behaviors = {r.variable: r for r in reversed(spec.behavior_rankings) if spec.mechanism}
         self._positions = tuple(zip(
             model.endogenous,
-            (_value_ranks(spec.ranking_for(name)) for name in model.endogenous),
-            behaviors,
+            (_value_ranks(rankings.get(name)) for name in model.endogenous),
+            _compiled_behaviors(model, list(map(behaviors.get, model.endogenous))),
         ))
 
     def marks(self, world: World) -> tuple[Mark, ...]:
@@ -225,10 +226,10 @@ def _spec_faults(model: CausalModel, spec: TypicalitySpec) -> Iterator[tuple[tup
     for a name its expressions refer to.  Severity features are checked
     against the value rankings that have no fault."""
     rankings: dict[str, ValueRanking] = {}
-    names = [ranking.variable for ranking in spec.value_rankings]
+    names: set[str] = set()
     for i, ranking in enumerate(spec.value_rankings):
         name = ranking.variable
-        if name in names[:i]:
+        if name in names:
             yield ("ranking", i), f"typicality for {name} declared twice"
         elif not model.has_variable(name):
             yield ("ranking", i), f"undeclared variable {name}"
@@ -239,12 +240,14 @@ def _spec_faults(model: CausalModel, spec: TypicalitySpec) -> Iterator[tuple[tup
                                    f"values exactly once")
         else:
             rankings[name] = ranking
+        names.add(name)
     for i, chain in enumerate(spec.severity_chains):
         if len(chain) < 2:
             yield ("severity", i, None), "severity needs at least two features"
+        features: set[tuple[str, int]] = set()
         for j, (name, value) in enumerate(chain):
             ranking = rankings.get(name)
-            if (name, value) in chain[:j]:
+            if (name, value) in features:
                 fault = "severity chain repeats a feature"
             elif ranking is None:
                 fault = f"severity feature {name}={value} has no typicality ranking"
@@ -255,6 +258,7 @@ def _spec_faults(model: CausalModel, spec: TypicalitySpec) -> Iterator[tuple[tup
                              f"typical value")
             if fault is not None:
                 yield ("severity", i, j), fault
+            features.add((name, value))
     targets = set()
     for i, ranking in enumerate(spec.behavior_rankings):
         name = ranking.variable
@@ -391,7 +395,8 @@ def _closure(nodes: Iterable, edges: Iterable[tuple]) -> tuple[dict, list[int]]:
         rows[index[a]] |= 1 << index[b]
     for k in range(len(rows)):
         row, bit = rows[k], 1 << k
-        rows = [r | row if r & bit else r for r in rows]
+        if row != bit:  # a row of its own bit alone adds nothing
+            rows = [r | row if r & bit else r for r in rows]
     return index, rows
 
 

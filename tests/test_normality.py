@@ -419,9 +419,34 @@ def digraphs(draw):
     return n, edges
 
 
-@given(digraphs())
+@st.composite
+def sparse_digraphs(draw):
+    """Isolated nodes, chains and cycles on shuffled node numbers, with a few
+    edges between them: many rows reach only their own node when the
+    closure comes to them."""
+    pieces = draw(st.lists(st.tuples(st.sampled_from(("isolated", "chain", "cycle")),
+                                     st.integers(min_value=1, max_value=6)), max_size=8))
+    n = sum(1 if kind == "isolated" else size for kind, size in pieces)
+    order = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for kind, size in pieces:
+        size = 1 if kind == "isolated" else size
+        piece = order[start:start + size]
+        start += size
+        edges += zip(piece, piece[1:])
+        if kind == "cycle":
+            edges.append((piece[-1], piece[0]))
+    if n:
+        node = st.integers(min_value=0, max_value=n - 1)
+        edges += draw(st.lists(st.tuples(node, node), max_size=3))
+    return n, edges
+
+
+@given(st.one_of(digraphs(), sparse_digraphs()))
 @example((5, [(0, 1), (1, 2), (2, 0), (3, 3), (2, 3)]))  # a cycle, a self-loop, node 4 alone
-@settings(max_examples=200, deadline=None)
+@example((4, []))  # no edges: every row holds its own bit alone
+@example((4, [(3, 2), (2, 1), (1, 0)]))  # a chain against the index order
+@settings(max_examples=300, deadline=None)
 def test_closure_rows_are_breadth_first_reachability(graph):
     n, edges = graph
     nodes = [f"n{i}" for i in range(n)]
@@ -729,3 +754,23 @@ def test_a_long_severity_chain_compares_without_recursion():
     early = model.world_from_values((0,) + (1,) * (len(names) - 1))
     assert compare(order, late, early) is Relation.MORE_NORMAL
     assert compare(order, early, late) is Relation.LESS_NORMAL
+
+
+def test_a_derived_order_reads_the_first_declaration_of_each_variable():
+    # The order reads its rankings and behaviors from one dict per spec. A
+    # repeated declaration, which validation refuses, leaves the first in
+    # force there as in ranking_for and behaviors_for.
+    doc = parse_document("exo U : {0,1}\nvar X : {0,1} = U\nvar Y : {0,1} = X\n"
+                         "mechanism on\ntypical X = 0 > 1\ntypical Y = 0 > 1\n"
+                         'behavior Y : "copy" = X > "flip" = 1 - X\n')
+    model, same = doc.model, doc.typicality
+    spec = TypicalitySpec(
+        same.value_rankings + (ValueRanking("X", (1, 0)),), mechanism=True,
+        behavior_rankings=same.behavior_rankings + tuple(
+            BehaviorRanking("Y", tuple(reversed(r.behaviors))) for r in same.behavior_rankings))
+    assert spec.ranking_for("X") == same.value_rankings[0]
+    assert spec.behaviors_for("Y") == same.behavior_rankings[0]
+    order, first = DerivedOrder(model, spec), DerivedOrder(model, same)
+    for values in itertools.product((0, 1), repeat=2):
+        world = model.world_from_values(values)
+        assert world_marks(order, world) == world_marks(first, world)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import actualcause
-from actualcause import cli, corpus, dsl
+from actualcause import checker, cli, corpus, dsl
 from actualcause.model import Record
 
 SRC = str(Path(actualcause.__file__).resolve().parent.parent)
@@ -189,6 +189,15 @@ def samples(tmp_path_factory):
                 if len(made[_cls]) < 40:
                     made[_cls].append(self)
             monkey.setattr(cls, "__init__", spy)
+        # The search builds its witness records in place, not through
+        # ``__init__``: they are sampled from what it returns.
+        witnesses, enumerate_ = made[checker.WitnessRecord], checker.CauseSearch.enumerate
+
+        def enumerate_spy(self, conjuncts):
+            records = enumerate_(self, conjuncts)
+            witnesses.extend(records[:40 - len(witnesses)])
+            return records
+        monkey.setattr(checker.CauseSearch, "enumerate", enumerate_spy)
         extra = tmp_path_factory.mktemp("records") / "extra.scm.txt"
         extra.write_text(EXTRA, encoding="utf-8")
         paths = [str(p) for p in sorted(corpus.fixture_dir().glob("*.scm.txt"))]
