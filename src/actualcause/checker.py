@@ -19,23 +19,25 @@ quantifier collapses onto the merged pin/actual vector, memoized as well.
 The candidate sweep decides AC3 with no search: it refutes a candidate
 holding the variables of a cause it already found.  A public entry point
 checks each candidate once, where it enters; the search takes it as valid.
-AC2(b) enumerates only the re-impositions of variables downstream of a pin
-that differs from the world under the candidate alone: by induction in
-topological order, every other variable takes that world's value under any
-sub-assignment, so re-imposing it is a no-op.  That world, and where it
-differs from the actual one, is worked out once per candidate.
+AC1 makes the candidate actual, so it leaves the model in the actual world,
+and AC2(b) enumerates only the re-impositions of variables downstream of a
+pin off its actual value: by induction in topological order, every other
+variable keeps its actual value under any sub-assignment, so re-imposing it
+is a no-op.
 
 The normality-aware test of the graded module reuses this search: the search
 yields every witness record, and ``has_witness`` and ``ac3`` apply a witness
 filter to those records, dropping each whose world the filter rejects.  AC2(b)
 does not depend on the filter, so a plain and a filtered AC3 on one search
-share its AC2(b) memo.  Both tests assemble their verdicts in one place,
-``_verdicts``, which decides every candidate of a call on one search.  Its
-filter is one closure per call that asks the order once per distinct witness
-world; that memo, like the search's, lives as long as the call.  The search
-builds each witness world once, for every candidate and AC3 sub-search of
-the call: records on one world share one ``World`` object, by which
-``_verdicts`` tells the distinct worlds apart without hashing their values.
+share its AC2(b) memo; the filter only drops witnesses, so the filtered AC3
+runs only where the plain one fails.  Both tests assemble their verdicts in
+one place, ``_verdicts``, which decides every candidate of a call on one
+search.  Its filter is one closure per call that asks the order once per
+distinct witness world; that memo, like the search's, lives as long as the
+call.  The search builds each witness world once, for every candidate and
+AC3 sub-search of the call: records on one world share one ``World``
+object, by which ``_verdicts`` tells the distinct worlds apart without
+hashing their values.
 
 Before the search, one backward pass per effect variable Y, up its
 references and stopping at the candidate's variables X, gives Y's sign with
@@ -112,11 +114,11 @@ of the positions left open, each with the hurting positions re-imposed.
 A set that pins every effect variable is skipped unsolved, whatever the
 effect's form; when the candidate holds an effect variable, no set does.
 AC2(a) needs the effect false on the pinned values of its variables, and
-AC2(b) at the full re-imposition needs it true on the same values: each
-effect variable that differs from the world under the candidate alone is
-re-imposed, and the others keep that world's value, the pinned one.  A set
-adding irrelevant pins to such a set is skipped as well, so the dead-set
-bookkeeping is unchanged.
+AC2(b) at the full re-imposition needs it true on the same values: an
+effect variable at or below a pin off its actual value is re-imposed, and
+any other keeps its actual value, the pinned one.  A set adding irrelevant
+pins to such a set is skipped as well, so the dead-set bookkeeping is
+unchanged.
 
 The candidate sweep searches one candidate per orbit (the rule
 ``symmetry``).  Two endogenous variables are interchangeable when swapping
@@ -305,9 +307,6 @@ class CauseSearch:
         self.effect = effect
         self.max_search = max_search
         self._ac2b_cache: dict[tuple, bool] = {}
-        # Per candidate pin vector, what ``ac2b`` reads of it: the positions
-        # off it, its mask, its world and where that differs from the actual.
-        self._bases: dict[tuple, tuple[list[int], int, tuple[int, ...], list[int]]] = {}
         # Every witness world the search built, by value tuple: records on
         # one world share it.
         self._worlds: dict[tuple, World] = {}
@@ -356,49 +355,41 @@ class CauseSearch:
             return False
         return self._phi(actual)
 
-    def ac2b(self, x_key: tuple, w_positions: Sequence[int], w_values: Sequence[int]) -> bool:
-        """AC2(b) for the candidate's pin vector and a contingency's positions
-        and values: the effect must survive re-imposing every sub-assignment,
-        off the candidate, of the merged vector: the pins, elsewhere the
-        actual values.
+    def ac2b(self, x_key: tuple, x_mask: int, w_positions: Sequence[int],
+             w_values: Sequence[int]) -> bool:
+        """AC2(b) for the candidate's pin vector and position mask and a
+        contingency's positions and values: the effect must survive
+        re-imposing every sub-assignment, off the candidate, of the merged
+        vector: the pins, elsewhere the actual values.
 
-        Only positions downstream of a merged value that differs from
-        ``base``, the world under the candidate alone, can change a solution,
-        so only their sub-assignments are enumerated.  Of those, a position
-        whose merged value is its best is never re-imposed, and one whose
-        merged value is its worst always is (the rule ``monotone-ac2b``)."""
+        When the candidate holds, only positions downstream of a pin off its
+        actual value can change a solution, so only their sub-assignments
+        are enumerated; a candidate off its actual values re-imposes every
+        position.  Of those, a position whose merged value is its best is
+        never re-imposed, and one whose merged value is its worst always is
+        (the rule ``monotone-ac2b``)."""
         engine = self.engine
-        designated = list(engine.actual)
+        actual, reach = engine.actual, engine.reach
+        designated = list(actual)
+        changed = 0
         for i, value in zip(w_positions, w_values):
-            designated[i] = value
+            if value != actual[i]:
+                designated[i] = value
+                changed |= reach[i]
         key = (x_key, tuple(designated))
         cached = self._ac2b_cache.get(key)
         if cached is not None:
             return cached
-        frame = self._bases.get(x_key)
-        if frame is None:
-            rest = [i for i, value in enumerate(x_key) if value is None]
-            x_mask = (1 << len(x_key)) - 1 - sum(1 << i for i in rest)
-            base = engine.solve_tuple(x_key, engine.plan(x_mask))
-            actual = engine.actual  # the base whenever the candidate holds, as in a search
-            moved = [] if base == actual else [i for i in rest if base[i] != actual[i]]
-            frame = self._bases[x_key] = rest, x_mask, base, moved
-        rest, x_mask, base, moved = frame
         phi = self._phi
-        reach = engine.reach
-        # Off the pins, ``designated`` differs from ``base`` at ``moved`` alone.
-        changed = 0
-        for i in [*w_positions, *moved]:
-            if designated[i] != base[i]:
-                changed |= reach[i]
-        if not _RULES["ac2b-changed"]:
+        if not _RULES["ac2b-changed"] or any(v not in (None, a) for v, a in zip(x_key, actual)):
             changed = -1  # every position
         fixed, fixed_mask = list(x_key), x_mask
         monotone = changed and _RULES["monotone-ac2b"]
         if monotone:
             relevant, paths = self._signs(x_mask)
             changed &= relevant  # a position no effect pass reaches moves no effect variable
-        positions = [i for i in rest if changed >> i & 1]
+        changed &= ~x_mask
+        positions = [i for i in range(len(actual)) if changed >> i & 1]
         if monotone:
             free = []
             for i in positions:
@@ -607,7 +598,7 @@ class CauseSearch:
                             if not tried:
                                 break
                             at_corner = False
-                        if not tried or not self.ac2b(x_key, w_positions, w_values):
+                        if not tried or not self.ac2b(x_key, x_mask, w_positions, w_values):
                             continue
                         passed.setdefault(w_mask, {})[w_values] = tried
                     elif pick:
@@ -768,6 +759,11 @@ def check_ac2(
     w_values: Sequence[int],
     x_prime: Sequence[int],
 ) -> bool:
+    """AC2 for one contingency, the pins ``w_set`` at ``w_values``, and one
+    alternative ``x_prime``: the effect fails under the alternative and the
+    pins (AC2(a)), and survives every AC2(b) re-imposition under the
+    candidate.  A candidate off its actual values is accepted, and AC2(b)
+    then re-imposes every position."""
     conjuncts = _conjuncts(cause)
     engine = Engine(model, context)
     search = CauseSearch(engine, effect)
@@ -786,6 +782,7 @@ def check_ac2(
     if search._phi(witness):  # AC2(a) needs the effect to fail
         return False
     return search.ac2b(engine.key({c.variable: c.value for c in conjuncts}),
+                       sum(1 << engine.index[v] for v in x_vars),
                        list(map(engine.index.get, w_set)), w_values)
 
 
@@ -869,7 +866,7 @@ def _verdicts(
             admitted_worlds = list(filter(admits, distinct))
             kept = set(map(id, admitted_worlds))
             admissible = tuple(itertools.compress(hp_witnesses, map(kept.__contains__, ids)))
-            ac3 = search.ac3(conjuncts, admits)
+            ac3 = ac3_hp or search.ac3(conjuncts, admits)
             is_extended = bool(ac1 and admissible and ac3)
             best = best_witnesses(order, admitted_worlds)
         if not ac1:

@@ -510,7 +510,8 @@ def _find_path(
     successors: dict[tuple, list[tuple]], start: tuple, goal: tuple
 ) -> list[tuple]:
     """Breadth-first path along stated edges, each node's successors taken
-    in order, for error reporting."""
+    in order, for error reporting; the closure must hold a path from
+    ``start`` to ``goal``, or the two must be one node."""
     parents = {start: None}
     queue = deque([start])
     while queue:
@@ -525,4 +526,3 @@ def _find_path(
             if nxt not in parents:
                 parents[nxt] = node
                 queue.append(nxt)
-    return [start, goal]

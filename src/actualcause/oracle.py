@@ -3,9 +3,10 @@
 This is a deliberately naive second implementation of the cause test: every
 quantifier is expanded literally, every counterfactual is solved through a
 freshly intervened model, and nothing is cached or pruned.  It shares only
-the model solver with the rest of the package so that differential runs pit
-two genuinely separate code paths against each other.  Hard-capped at five
-endogenous variables.
+the model solver, and the given normality order, with the rest of the
+package so that differential runs pit two genuinely separate code paths
+against each other: the verdicts of both tests and the normality-aware
+test's best witnesses.  Hard-capped at five endogenous variables.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ def _ac1(model, context, conjuncts, effect) -> bool:
     return _holds(effect, actual)
 
 
-def _ac2_holds_somewhere(model, context, conjuncts, effect, order=None) -> bool:
+def _witness_worlds(model, context, conjuncts, effect, order=None):
     """Literal expansion of the contingency clause.
 
     Loops over every split of the remaining variables, every pin setting, and
     every alternative candidate setting; checks (a), the optional normality
-    clause on the produced world, and (b) over all sub-assignment pairs.
+    clause on the produced world, and (b) over all sub-assignment pairs, and
+    yields each produced world that passes, once per passing triple.
     """
     actual = solve(model, context)
     x_vars = [c.variable for c in conjuncts]
@@ -95,8 +97,11 @@ def _ac2_holds_somewhere(model, context, conjuncts, effect, order=None) -> bool:
                     if _ac2b(
                         model, context, x_actual, w_vars, w_vals, z_rest, actual, effect
                     ):
-                        return True
-    return False
+                        yield witness
+
+
+def _ac2_holds_somewhere(model, context, conjuncts, effect, order=None) -> bool:
+    return next(_witness_worlds(model, context, conjuncts, effect, order), None) is not None
 
 
 def _ac2b(model, context, x_actual, w_vars, w_vals, z_rest, actual, effect) -> bool:
@@ -154,3 +159,25 @@ def oracle_is_extended_cause(
         and _ac2_holds_somewhere(ext.base, context, conjuncts, effect, ext.order)
         and _ac3(ext.base, context, conjuncts, effect, ext.order)
     )
+
+
+def oracle_best_witnesses(
+    ext: ExtendedCausalModel,
+    context: Context,
+    cause: Sequence[PrimitiveEvent],
+    effect: BooleanFormula,
+) -> list[tuple[int, ...]]:
+    """The paper's best witnesses by direct expansion: of the witness worlds
+    the order admits against the actual world, the value tuples of those
+    that no other admitted one is strictly more normal than, sorted; none
+    when AC1 fails."""
+    _check_cap(ext.base)
+    conjuncts = tuple(cause.conjuncts if hasattr(cause, "conjuncts") else cause)
+    if not _ac1(ext.base, context, conjuncts, effect):
+        return []
+    kept = list(_witness_worlds(ext.base, context, conjuncts, effect, ext.order))
+    return sorted({
+        world.values
+        for world in kept
+        if not any(ext.order.compare(other, world) is Relation.MORE_NORMAL for other in kept)
+    })

@@ -54,6 +54,32 @@ def test_bogus_prevention_antidote_not_extended_cause(documents):
     assert verdict.admissible_witnesses == ()
 
 
+def test_filtered_minimality_is_asked_only_where_plain_minimality_fails(documents,
+                                                                       monkeypatch):
+    # The filter only drops witnesses: when no strict sub-conjunction has a
+    # witness, none has an admitted one, so the filtered AC3 is not asked.
+    # Where the plain AC3 fails, the filtered one still decides.
+    calls = []
+    ac3 = checker.CauseSearch.ac3
+
+    def counting_ac3(search, conjuncts, witness_filter=None):
+        calls.append(witness_filter is not None)
+        return ac3(search, conjuncts, witness_filter)
+
+    monkeypatch.setattr(checker.CauseSearch, "ac3", counting_ac3)
+    doc = documents["short_circuit_intentions.scm.txt"]
+    verdict = is_extended_cause(ext_of(doc), doc.contexts["main"],
+                                cand(event("I", 1), event("P", 1)), event("VS", 1))
+    assert verdict.ac1 and verdict.ac3 and verdict.failed_clause == "AC2"
+    assert calls == [False]
+    calls.clear()
+    doc = documents["bogus_prevention.scm.txt"]
+    verdict = is_extended_cause(ext_of(doc), doc.contexts["main"],
+                                cand(event("A", 0), event("B", 1)), event("VS", 1))
+    assert not verdict.is_cause_hp and verdict.hp_witnesses and verdict.ac3
+    assert calls == [False, True]
+
+
 def test_bogus_prevention_nonpoisoning_shares_the_witness(documents):
     doc = documents["bogus_prevention.scm.txt"]
     b = is_extended_cause(ext_of(doc), doc.contexts["main"],

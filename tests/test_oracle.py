@@ -15,7 +15,11 @@ from actualcause import (
 )
 from actualcause import model as model_module
 from actualcause.corpus import load_document
-from actualcause.oracle import oracle_is_cause, oracle_is_extended_cause
+from actualcause.oracle import (
+    oracle_best_witnesses,
+    oracle_is_cause,
+    oracle_is_extended_cause,
+)
 
 
 def event(name, value):
@@ -283,3 +287,79 @@ def test_sweeps_match_oracle_on_symmetric_models():
                 swept = [c.conjuncts for c in find_all_causes(model, context, effect, k)]
                 assert swept == [c for c in expected if len(c) <= k], (context, effect, k)
     assert negated and compound
+
+
+def test_best_witnesses_match_oracle_on_fixtures(documents):
+    # Every candidate over each variable's range, in every context, for the
+    # effects the queries name, on the fixtures with a normality section
+    # within the oracle's cap.
+    compared = several = 0
+    for doc in documents.values():
+        if not doc.has_normality() or len(doc.model.endogenous) > 5:
+            continue
+        ext = ExtendedCausalModel(doc.model, doc.normality_order())
+        effects = {q.effect for q in doc.queries if hasattr(q, "effect")}
+        for context in doc.contexts.values():
+            for effect in effects:
+                for name in doc.model.endogenous:
+                    for value in doc.model.range_of(name):
+                        conjuncts = (event(name, value),)
+                        verdict = is_extended_cause(ext, context, cand(*conjuncts), effect)
+                        got = [world.values for world in verdict.best_witnesses]
+                        assert got == oracle_best_witnesses(ext, context, conjuncts, effect), (
+                            context, name, value, effect)
+                        compared += 1
+                        several += len(got) > 1
+    assert compared >= 75 and several
+
+
+def _consistent_norms(rng, model):
+    """Random stated relations that a random ranking of all worlds
+    satisfies, so that their closure contradicts no strict one: '>' from a
+    higher rank to a lower, '==' within a rank."""
+    import itertools
+
+    worlds = [model.world_from_values(values) for values in
+              itertools.product(*map(model.range_of, model.endogenous))]
+    rank = {world.values: rng.randrange(3) for world in worlds}
+    relations = []
+    for _ in range(rng.randint(1, 2 * len(worlds))):
+        left, right = rng.sample(worlds, 2)
+        if rank[left.values] < rank[right.values]:
+            left, right = right, left
+        relations.append((left, ">" if rank[left.values] > rank[right.values] else "==", right))
+    return relations
+
+
+def test_best_witnesses_match_oracle_on_random_models():
+    # Derived orders from random typicality declarations and explicit orders
+    # from random consistent relations, on one- and two-conjunct candidates
+    # at their actual values, for the last variable's actual event or a
+    # compound effect.
+    import random
+
+    from actualcause import derive_from_typicality, explicit_order, solve
+    from random_models import all_contexts, random_effect, random_model, random_typicality
+
+    rng = random.Random(3030)
+    found = several = dropped = 0
+    for _ in range(300):
+        model = random_model(rng)
+        context = rng.choice(list(all_contexts(model)))
+        actual = solve(model, context)
+        last = model.endogenous[-1]
+        effect = (event(last, actual[last]) if rng.random() < 0.5
+                  else random_effect(rng, model, actual))
+        names = rng.sample(model.endogenous, rng.choice((1, 1, 2)))
+        conjuncts = tuple(event(name, actual[name]) for name in names)
+        for order in (derive_from_typicality(model, random_typicality(rng, model)),
+                      explicit_order(model, _consistent_norms(rng, model))):
+            ext = ExtendedCausalModel(model, order)
+            verdict = is_extended_cause(ext, context, cand(*conjuncts), effect)
+            got = [world.values for world in verdict.best_witnesses]
+            assert got == oracle_best_witnesses(ext, context, conjuncts, effect), (
+                context, conjuncts, effect)
+            found += bool(got)
+            several += len(got) > 1
+            dropped += bool(got) and len(got) < len({r.world.values for r in verdict.hp_witnesses})
+    assert found >= 150 and several >= 50 and dropped >= 100
