@@ -26,19 +26,21 @@ document or a list of diagnostics, each carrying a source span.
 Lines end at LF, CR LF or CR, and nowhere else; blanks are space, tab and CR.
 Tokens are ``"..."`` strings, integers (decimal digits, as ``int()`` reads
 them; ``²`` is none), names (a word character that is no decimal digit, then
-word characters) and punctuation.  The lexer makes each token a plain
-``(kind, text, line, column, offset, size)`` tuple: columns count
+word characters) and punctuation.  The lexer reads a line in one ``findall``
+pass, each match a token with its blanks as prefix, and makes each token a
+plain ``(kind, text, line, column, offset, size)`` tuple: columns count
 characters, offsets and sizes UTF-8 bytes of the text as passed, and
-``SourceSpan(*token[2:])`` is the token's span.  The parse keeps tokens as
-its only locations (declared names, keywords, references, events, a query's
+``SourceSpan(*token[2:])`` is the token's span.  The parse keeps tokens as its
+only locations (declared names, keywords, references, events, a query's
 context) and builds a span only for a diagnostic, so a valid document builds
 none.
 
 Each line is read by one ``_LineParser``, a recursive-descent parser that is
-both the cursor over the line's tokens and the grammar; its ``items`` reads
-every ``item (sep item)*`` list.  An operator chain such as ``a + b + c``
-parses to a left-deep tree, which the validator and the solver walk
-recursively, so ``_chain`` counts one level of nesting per operator against
+both the cursor over the line's tokens (a position that ``accept``, ``expect``
+and the hot rules move by index) and the grammar; its ``items`` reads every
+``item (sep item)*`` list.  An operator chain such as ``a + b + c`` parses to
+a left-deep tree, which the validator and the solver walk recursively, so
+``_chain`` counts one level of nesting per operator against
 ``MAX_NESTING``, as it does each bracket, negation and call.
 """
 
@@ -191,17 +193,15 @@ class ParsedDocument(Record, frozen=False):
 
 # -- lexer -----------------------------------------------------------------------
 
-# One alternative per token class, tried in this order at each position.  The
-# comment and the unterminated-string fault run to the end of the line, so
-# every character of a line is in exactly one match.
-_TOKEN = re.compile(r"""
-    [ \t\r]+ | \#.*                                 # blanks, a comment
-  | "(?P<string>[^"]*)" | (?P<unterminated>".*)
-  | (?P<int>\d+)                                    # decimal digits, as int() reads
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<punct>==|<-|->|[{}()\[\]:,@+*!&|=<>-])
-  | (?P<unexpected>.)
-""", re.VERBOSE | re.DOTALL)
+# Blanks, then one token, its alternatives tried in this order ("==" before
+# "="); with a line's trailing blanks stripped, each character is in one match.
+_TOKEN = re.compile(r"""([ \t\r]*)( \#.* | "[^"]*" | ".* | \d+ | [^\W\d]\w*
+    | == | <- | -> | [{}()\[\]:,@+*!&|=<>-] | . )""", re.VERBOSE | re.DOTALL)
+
+# A token's kind: punctuation's is its text, any other's its first character's class.
+_START = re.compile(r"(?P<int>\d)|(?P<ident>\w)")
+_KINDS = {c: start.lastgroup for c in map(chr, range(128)) if (start := _START.match(c))}
+_PLAIN = {"int", "ident", "==", "<-", "->", *"{}()[]:,@+*!&|=<>-"}
 
 _LINE_BREAK = re.compile(r"(\r\n|\r|\n)")
 
@@ -212,22 +212,29 @@ def _lex_line(line: str, line_no: int, line_offset: int) -> tuple[list[tuple], l
     punctuation itself; a lone surrogate counts three bytes."""
     tokens: list[tuple] = []
     errors: list[Diagnostic] = []
-    offset = line_offset
     one_byte = line.isascii()  # then each character is one UTF-8 byte
-    for match in _TOKEN.finditer(line):
-        kind, text = match.lastgroup, match.group()
-        size = len(text) if one_byte else len(text.encode("utf-8", "surrogatepass"))
-        if kind == "unterminated":
-            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset),
-                                     "unterminated string"))
-        elif kind == "unexpected":
-            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset, size),
-                                     f"unexpected character {text!r}"))
-        elif kind is not None:
-            tokens.append((text if kind == "punct" else kind, match.group(kind), line_no,
-                           match.start() + 1, offset, size))
-        offset += size
-    tokens.append(("eol", "", line_no, len(line) + 1, offset, 1))
+    column, shift = 1, line_offset - 1  # shift: a token's byte offset less its column
+    for blanks, text in _TOKEN.findall(line.rstrip(" \t\r")):
+        column += len(blanks)
+        width = len(text)
+        size = width if one_byte else len(text.encode("utf-8", "surrogatepass"))
+        kind = _KINDS.get(text[0], text)
+        if kind not in _PLAIN:  # a string, a comment, a fault or a start past ASCII
+            start = _START.match(text)
+            kind = start and start.lastgroup
+            if text[0] == '"' and width > 1 and text[-1] == '"':
+                kind, text = "string", text[1:-1]
+            elif text[0] == '"':
+                errors.append(Diagnostic(SourceSpan(line_no, column, column + shift),
+                                         "unterminated string"))
+            elif not kind and text[0] != "#":
+                errors.append(Diagnostic(SourceSpan(line_no, column, column + shift, size),
+                                         f"unexpected character {text!r}"))
+        if kind:
+            tokens.append((kind, text, line_no, column, column + shift, size))
+        column += width
+        shift += size - width
+    tokens.append(("eol", "", line_no, len(line) + 1, len(line) + 1 + shift, 1))
     return tokens, errors
 
 
@@ -266,9 +273,9 @@ class _RawQuery(Record, frozen=False):
 
 
 class _LineParser:
-    """Recursive descent over one line's tokens: the cursor, then the grammar.
-    ``refs`` collects the line's references: name tokens in equation bodies,
-    events in formula bodies."""
+    """Recursive descent over one line's tokens: the cursor, which no rule
+    moves past "eol", then the grammar.  ``refs`` collects the line's
+    references: name tokens in equation bodies, events in formula bodies."""
 
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
@@ -282,21 +289,22 @@ class _LineParser:
         return self.tokens[self.pos]
 
     def next(self) -> tuple:
-        token = self.tokens[self.pos]
-        if token[0] != "eol":
-            self.pos += 1
-        return token
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def accept(self, kind: str) -> Optional[tuple]:
-        if self.tokens[self.pos][0] == kind:
-            return self.next()
+        token = self.tokens[self.pos]
+        if token[0] == kind:
+            self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, what: str = "") -> tuple:
         token = self.tokens[self.pos]
         if token[0] != kind:
             self.fail(f"expected {what or kind}, found {token[1] or 'end of line'!r}")
-        return self.next()
+        self.pos += 1
+        return token
 
     def expect_end(self):
         token = self.peek()
@@ -317,7 +325,8 @@ class _LineParser:
     def items(self, sep: str, parse, *args) -> list:
         """``item (sep item)*``, each item read by ``parse(*args)``."""
         found = [parse(*args)]
-        while self.accept(sep):
+        while self.tokens[self.pos][0] == sep:
+            self.pos += 1
             found.append(parse(*args))
         return found
 
@@ -337,10 +346,11 @@ class _LineParser:
         return token
 
     def int_value(self) -> int:
-        sign = -1 if self.accept("-") else 1
+        negative = self.tokens[self.pos][0] == "-"
+        self.pos += negative
         token = self.expect("int", "integer")
         try:
-            return sign * int(token[1])
+            return -int(token[1]) if negative else int(token[1])
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             self.fail("integer literal has too many digits", token)
 
@@ -356,8 +366,11 @@ class _LineParser:
         return tuple(self.items(sep, self._event, op))
 
     def _event(self, op: str) -> _Event:
-        name = self.name("variable name")
-        self.expect(op)
+        name = self.tokens[self.pos]
+        if name[0] != "ident" or name[1] in RESERVED or self.tokens[self.pos + 1][0] != op:
+            self.name("variable name")  # one of the two raises the fault
+            self.expect(op)
+        self.pos += 2
         return name[1], self.int_value(), name
 
     def world(self) -> tuple[_Event, ...]:
@@ -664,7 +677,9 @@ class _DocumentBuilder:
         elif norms and len(self.errors) == located:
             from .normality import _explicit_closure
 
-            stated = [(model.world(a), op, model.world(b)) for a, op, b in norms]
+            names = model.endogenous  # each world is total, its events checked
+            stated = [(model.world_from_values(tuple(a[n] for n in names)), op,
+                       model.world_from_values(tuple(b[n] for n in names))) for a, op, b in norms]
             order, faults = _explicit_closure(model, stated)
             for i, message in faults:
                 self.error(self.norms[i].token, message)

@@ -942,10 +942,10 @@ def test_one_solve_of_a_vote_adds_the_votes_once():
 def test_pins_that_cannot_reach_the_effect_are_not_solved(monkeypatch):
     # On a 9-chain a pin upstream of the candidate, or below the effect,
     # changes no effect variable: each setting is decided on its pins between
-    # the two, and solved in full only to give a witness its world.  The
-    # search that solves every setting makes 10,919 and 12,805 lookups, and
-    # the one that also solves the sets pinning the effect variable, 209 and
-    # 293.
+    # the two, and solved in full only to give a witness its world.  Without
+    # that rule (decided-sets) the searches make 1,375 and 1,440 lookups, and
+    # with the sets pinning the effect variable also solved (effect-mask
+    # off), 153 and 272.
     model = _chain(9)
     counts = _count_lookups(monkeypatch)
     for cause, effect, records, bound in (("X4", "X8", 81, 130), ("X2", "X5", 243, 262)):
@@ -1180,14 +1180,23 @@ def test_a_monotone_pin_decides_the_settings_above_a_held_one(monkeypatch):
     # F = max of the lights never falls as a light rises, so once F=1 holds
     # under x' at a setting, every setting above it in one light holds too
     # and is not solved.  The K=1 sweep of the 7-light model, which searches
-    # one lit light, one unlit light and F, makes 207 lookups (205 distinct
-    # solves) without that rule.
+    # one lit light, one unlit light and F, stops at each first witness and
+    # makes 41 lookups (41 distinct solves) with or without that rule.
+    # Enumerating every witness of L0=1 makes 102 lookups, and 274 without it.
     model, context = _wide_model("disjunctive")
     counts = _count_lookups(monkeypatch)
     found = find_all_causes(model, context, event("F", 1), max_conjuncts=1)
     assert [str(c) for c in found] == ["L0=1", "L2=1", "L4=1", "L6=1", "F=1"]
     assert counts["solve_tuple"] <= 56
     assert counts["settle"] <= 55
+    counts["solve_tuple"] = 0
+    verdict = is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1))
+    assert counts["solve_tuple"] <= 120
+    monkeypatch.setitem(checker._RULES, "monotone-pins", False)
+    counts["solve_tuple"] = 0
+    unpruned = is_actual_cause(model, context, cand(event("L0", 1)), event("F", 1))
+    assert unpruned.hp_witnesses == verdict.hp_witnesses
+    assert counts["solve_tuple"] > 120
 
 
 def _severity(n=5):
@@ -1213,7 +1222,7 @@ def test_three_valued_pins_decide_the_settings_above_a_held_one(cause, bound, mo
     # H never falls as an agent's level rises, so with the candidate held,
     # a setting one level above one where H=1 held under x' holds as well.
     # Only the setting with every other agent at 0 is a witness.  Without
-    # the rule the two searches make 290 and 546 lookups.
+    # the rule (monotone-pins) the two searches make 98 and 194 lookups.
     model, context = _severity()
     counts = _count_lookups(monkeypatch)
     verdict = is_actual_cause(model, context, cand(event(*cause)), event("H", 1))

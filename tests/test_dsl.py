@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +28,13 @@ from actualcause import (
     satisfies,
     solve,
 )
+from actualcause import dsl as dsl_module, model as model_module
 from actualcause.corpus import fixture_dir, fixture_path
 from actualcause.dsl import (
+    _LINE_BREAK,
     MAX_NESTING,
     CauseQuery,
+    Diagnostic,
     DslError,
     GradeQuery,
     ParsedDocument,
@@ -120,6 +124,34 @@ def test_norm_world_must_be_total():
     with pytest.raises(DslError) as excinfo:
         parse_document(text)
     assert any("missing variables" in str(d) for d in excinfo.value.diagnostics)
+
+
+def test_each_norm_event_is_checked_once(monkeypatch):
+    # The stated worlds are built from the events the parse already checked:
+    # N norm events and C context events make N + C checks of the event rule
+    # (2N + C when each world was checked again as it was built).
+    names = [f"X{i}" for i in range(6)]
+
+    def world(value):
+        return "(" + ", ".join(f"{x}={value}" for x in names) + ")"
+
+    text = "\n".join(["exo U : {0,1}", "exo V : {0,1}",
+                      *(f"var {x} : {{0,1}} = U" for x in names),
+                      f"norm {world(0)} > {world(1)}", f"norm {world(1)} == {world(1)}",
+                      "context c : U=1, V=0"])
+    checks = 0
+    fault = model_module._event_fault
+
+    def counting_fault(*args):
+        nonlocal checks
+        checks += 1
+        return fault(*args)
+
+    monkeypatch.setattr(model_module, "_event_fault", counting_fault)
+    monkeypatch.setattr(dsl_module, "_event_fault", counting_fault)
+    document = parse_document(text)
+    assert len(document.explicit_norms) == 2 and document._closed is not None
+    assert checks == 4 * len(names) + 2
 
 
 def test_behavior_requires_mechanism():
@@ -367,6 +399,60 @@ def test_every_token_span_slices_its_source_text(line):
         assert line[span.column - 1:span.column - 1 + len(source)] == source
     eol = SourceSpan(*tokens[-1][2:])
     assert (eol.column, eol.offset) == (len(line) + 1, len(blob))
+
+
+# The lexer as one ``finditer`` pass over every blank run and token, each
+# match read through its groups: the reference that ``_lex_line`` must equal.
+_REFERENCE_TOKEN = re.compile(r"""
+    [ \t\r]+ | \#.*                                 # blanks, a comment
+  | "(?P<string>[^"]*)" | (?P<unterminated>".*)
+  | (?P<int>\d+)                                    # decimal digits, as int() reads
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>==|<-|->|[{}()\[\]:,@+*!&|=<>-])
+  | (?P<unexpected>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _reference_lex(line, line_no, line_offset):
+    tokens, errors = [], []
+    offset = line_offset
+    for match in _REFERENCE_TOKEN.finditer(line):
+        kind, text = match.lastgroup, match.group()
+        size = len(text.encode("utf-8", "surrogatepass"))
+        if kind == "unterminated":
+            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset),
+                                     "unterminated string"))
+        elif kind == "unexpected":
+            errors.append(Diagnostic(SourceSpan(line_no, match.start() + 1, offset, size),
+                                     f"unexpected character {text!r}"))
+        elif kind is not None:
+            tokens.append((text if kind == "punct" else kind, match.group(kind), line_no,
+                           match.start() + 1, offset, size))
+        offset += size
+    tokens.append(("eol", "", line_no, len(line) + 1, offset, 1))
+    return tokens, errors
+
+
+_FIXTURE_LINES = sorted({
+    line for name in ALL_FIXTURES
+    for line in _LINE_BREAK.split(fixture_path(name).read_text(encoding="utf-8"))[::2]})
+# Every punctuation form, comment and string marks, blanks, ASCII letters and
+# digits, a non-ASCII name character, decimal digit, numeric character that
+# is no digit and symbol, and lone surrogates.
+_LEX_ALPHABET = [*"{}()[]:,@+*!&|=<>-", "==", "<-", "->", "#", '"', " ", "\t", "\r",
+                 *"aZ_09", "é", "١", "²", "§", "\ud800", "\udfff"]
+
+
+def test_the_lexer_equals_the_reference_on_every_fixture_line():
+    for line in _FIXTURE_LINES:
+        assert _lex_line(line, 9, 77) == _reference_lex(line, 9, 77)
+
+
+@given(st.lists(st.sampled_from(_LEX_ALPHABET), max_size=30).map("".join),
+       st.integers(1, 500), st.integers(1, 10 ** 6))
+@settings(max_examples=500, deadline=None)
+def test_the_lexer_equals_the_reference_on_random_lines(line, line_no, line_offset):
+    assert _lex_line(line, line_no, line_offset) == _reference_lex(line, line_no, line_offset)
 
 
 def test_a_numeric_character_that_is_no_decimal_digit_is_not_an_integer():
