@@ -71,7 +71,9 @@ and build only each record's world, which the witness filter sees.  When
 the reach masks leave no variable below a pin or the candidate unpinned,
 the plan is empty and that world is the actual one with the pins and x'
 laid over it: no solve and no cache entry.  One loop builds every record
-in place, with no call per record.
+in place, skipping ``__init__``: records and worlds keep their fields in
+slots, which the loop fills through the slots' setters, bound once per
+search.
 
 The same reader, read along one variable v off X, gives v's monotonicity
 record (``CauseSearch._side``), one per candidate and variable: the kept
@@ -183,6 +185,8 @@ class WitnessRecord(Record):
     that land on one world may share one ``World`` object, so compare worlds
     with ``==``, not ``is``.
     """
+
+    __slots__ = ("w_set", "w_values", "x_prime", "world")
 
     def __init__(self, w_set: tuple[str, ...], w_values: tuple[int, ...],
                  x_prime: tuple[int, ...], world: World):
@@ -482,7 +486,10 @@ class CauseSearch:
         phi = self._phi
         solve = engine.solve_tuple
         worlds = self._worlds
-        new, setter, memo = object.__new__, _set, engine._cache.__getitem__
+        new, memo = object.__new__, engine._cache.__getitem__
+        # Each slot's own setter, bound once: no attribute lookup by name.
+        set_variables, set_values, set_w_set, set_w_values, set_x_prime, set_world = (
+            getattr(cls, name).__set__ for cls in (World, WitnessRecord) for name in cls._fields)
         # The passing alternatives of each passing setting of a relevant pin
         # set, by the set's mask, then by the setting's values.
         passed: dict[int, dict[tuple, list]] = {}
@@ -606,8 +613,8 @@ class CauseSearch:
                         if not tried:
                             continue
                     # Each record, and on first use its world, which skips
-                    # ``World``'s length check, is built in place: records on
-                    # one world share it.
+                    # ``World``'s length check, is built in place, slot by
+                    # slot: records on one world share it.
                     for alt in tried:
                         values = overlay(base + w_values + alt)
                         if resolve is not None:
@@ -615,13 +622,13 @@ class CauseSearch:
                         world = worlds.get(values)
                         if world is None:
                             world = worlds[values] = new(World)
-                            setter(world, "variables", endo)
-                            setter(world, "values", values)
+                            set_variables(world, endo)
+                            set_values(world, values)
                         record = new(WitnessRecord)
-                        setter(record, "w_set", w_vars)
-                        setter(record, "w_values", w_values)
-                        setter(record, "x_prime", alt)
-                        setter(record, "world", world)
+                        set_w_set(record, w_vars)
+                        set_w_values(record, w_values)
+                        set_x_prime(record, alt)
+                        set_world(record, world)
                         yield record
 
     def ac3(self, conjuncts: Sequence[PrimitiveEvent],

@@ -97,6 +97,8 @@ MAX_NESTING = 100
 
 
 class SourceSpan(Record):
+    __slots__ = ("line", "column", "offset", "length")
+
     def __init__(self, line: int, column: int, offset: int, length: int = 1):
         """``line`` and ``column`` are 1-based; ``offset`` is a byte offset
         into the input."""

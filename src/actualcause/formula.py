@@ -27,6 +27,8 @@ from .model import (
 
 
 class PrimitiveEvent(Record):
+    __slots__ = ("variable", "value")
+
     def __init__(self, variable: str, value: int):
         _set(self, "variable", variable)
         _set(self, "value", value)

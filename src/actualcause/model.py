@@ -23,9 +23,9 @@ EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
 
 
-# Stores an attribute past a record's own __setattr__.  It keeps the
-# instance's attribute values inline, where reading ``self.__dict__`` would
-# make each instance a dict of its own: more memory, slower reads.
+# Stores an attribute past a record's own __setattr__, into its slot or
+# its inline attribute values, where reading ``self.__dict__`` would make
+# each instance a dict of its own: more memory, slower reads.
 _set = object.__setattr__
 
 
@@ -42,12 +42,23 @@ class Record:
     such as ``Table._map``, stays out of equality, hashing and repr.  A
     subclass declared with ``frozen=False`` keeps attribute assignment and
     is unhashable.
+
+    The records built by the thousand, ``World``, ``WitnessRecord``,
+    ``PrimitiveEvent`` and ``SourceSpan``, declare ``__slots__``, the tuple
+    of their fields: no instance dict, so less memory per record, and the
+    search fills them through the slots' own setters.  The others keep their
+    attribute values inline, which costs little for records made a few at a
+    time and lets a record such as ``Table`` store what is not a field.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        if cls.__dict__.get("__slots__", cls._fields) != cls._fields:
+            raise TypeError(f"{cls.__qualname__}: __slots__ must be the tuple of its fields")
         get = operator.attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
         if not frozen:
@@ -69,6 +80,9 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # unpickling slots by setattr would meet __setattr__
+        return self.__class__, self._key(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -186,6 +200,8 @@ class World(Record):
     A world need not satisfy the model's equations; witness worlds produced by
     interventions usually break at least one.
     """
+
+    __slots__ = ("variables", "values")
 
     def __init__(self, variables: tuple[str, ...], values: tuple[int, ...]):
         if len(variables) != len(values):

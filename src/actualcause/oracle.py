@@ -1,18 +1,21 @@
 """Brute-force reference checker, used only by the test suite.
 
 This is a deliberately naive second implementation of the cause test: every
-quantifier is expanded literally, every counterfactual is solved through a
-freshly intervened model, and nothing is cached or pruned.  It shares only
-the model solver, and the given normality order, with the rest of the
-package so that differential runs pit two genuinely separate code paths
-against each other: the verdicts of both tests and the normality-aware
-test's best witnesses.  Hard-capped at five endogenous variables.
+quantifier is expanded literally, every counterfactual is solved by its own
+walk over the equation trees with the pins held, and nothing is cached or
+pruned.  It shares only the model's records and validation, and the given
+normality order, with the rest of the package, and neither the search nor
+the solve kernel, so that differential runs pit two genuinely separate code
+paths against each other: the verdicts of both tests and the
+normality-aware test's best witnesses.  Hard-capped at five endogenous
+variables.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import operator
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import OracleCapExceeded
 from .formula import (
@@ -22,11 +25,15 @@ from .formula import (
     Negation,
     PrimitiveEvent,
 )
-from .graded import ExtendedCausalModel
-from .model import CausalModel, Context, World, intervene, solve
+from .model import CausalModel, Const, Context, Expr, Ite, Ref, Table, World, check_context
 from .normality import Relation
 
+if TYPE_CHECKING:
+    from .graded import ExtendedCausalModel
+
 ORACLE_MAX_ENDOGENOUS = 5
+
+_OPERATORS = {"min": min, "max": max, "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _holds(body: BooleanFormula, world: World) -> bool:
@@ -48,19 +55,46 @@ def _holds(body: BooleanFormula, world: World) -> bool:
     raise TypeError(f"unexpected formula node {body!r}")
 
 
+def _value(body: Expr, read) -> int:
+    # Re-derived on purpose; do not replace with the solve kernel.
+    if isinstance(body, Const):
+        return body.value
+    if isinstance(body, Ref):
+        return read(body.name)
+    if isinstance(body, Ite):
+        equal = _value(body.left, read) == _value(body.right, read)
+        return _value(body.then if equal else body.other, read)
+    if isinstance(body, Table):
+        args = tuple(map(read, body.args))
+        return next(output for row, output in body.rows if row == args)
+    return _OPERATORS[body.op](_value(body.left, read), _value(body.right, read))
+
+
 def _solve_with(model: CausalModel, context: Context, setting: dict[str, int]) -> World:
-    return solve(intervene(model, setting), context) if setting else solve(model, context)
+    """The world of the context with the pins of ``setting`` held: each other
+    variable takes its equation's value, worked out on its first read."""
+    values = {**context, **setting}
+
+    def read(name: str) -> int:
+        if name not in values:
+            values[name] = _value(model.equations[name].body, read)
+        return values[name]
+
+    return World(model.endogenous, tuple(map(read, model.endogenous)))
 
 
-def _check_cap(model: CausalModel):
+def _check_cap(model: CausalModel, context: Context):
+    """The cap, and what every solve needs: a valid model and a full context."""
     if len(model.endogenous) > ORACLE_MAX_ENDOGENOUS:
         raise OracleCapExceeded(
             f"oracle handles at most {ORACLE_MAX_ENDOGENOUS} endogenous variables"
         )
+    model.require_valid()
+    check_context(model, context)
 
 
 def _ac1(model, context, conjuncts, effect) -> bool:
-    actual = solve(model, context)
+    actual = _solve_with(model, context, {})
     for event in conjuncts:
         if actual[event.variable] != event.value:
             return False
@@ -75,7 +109,7 @@ def _witness_worlds(model, context, conjuncts, effect, order=None):
     clause on the produced world, and (b) over all sub-assignment pairs, and
     yields each produced world that passes, once per passing triple.
     """
-    actual = solve(model, context)
+    actual = _solve_with(model, context, {})
     x_vars = [c.variable for c in conjuncts]
     x_actual = {c.variable: c.value for c in conjuncts}
     others = [v for v in model.endogenous if v not in x_vars]
@@ -136,7 +170,7 @@ def oracle_is_cause(
     effect: BooleanFormula,
 ) -> bool:
     """Plain-mode verdict by direct expansion of all three clauses."""
-    _check_cap(model)
+    _check_cap(model, context)
     conjuncts = tuple(cause.conjuncts if hasattr(cause, "conjuncts") else cause)
     return (
         _ac1(model, context, conjuncts, effect)
@@ -152,7 +186,7 @@ def oracle_is_extended_cause(
     effect: BooleanFormula,
 ) -> bool:
     """Extended-mode verdict: the witness world must also be admissible."""
-    _check_cap(ext.base)
+    _check_cap(ext.base, context)
     conjuncts = tuple(cause.conjuncts if hasattr(cause, "conjuncts") else cause)
     return (
         _ac1(ext.base, context, conjuncts, effect)
@@ -171,7 +205,7 @@ def oracle_best_witnesses(
     the order admits against the actual world, the value tuples of those
     that no other admitted one is strictly more normal than, sorted; none
     when AC1 fails."""
-    _check_cap(ext.base)
+    _check_cap(ext.base, context)
     conjuncts = tuple(cause.conjuncts if hasattr(cause, "conjuncts") else cause)
     if not _ac1(ext.base, context, conjuncts, effect):
         return []

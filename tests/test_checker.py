@@ -1,10 +1,12 @@
 """Clause checks, witness enumeration, verdicts, and the candidate sweep."""
 
 import dis
+import gc
 import itertools
 import os
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -1095,9 +1097,9 @@ def test_pins_off_the_relevant_set_are_neither_tested_nor_solved(monkeypatch):
 
 
 # Package bytecodes per record of the query below, about 1.15 times the
-# count of each CPython the suite runs on: 111.5 (3.10), 119.8 (3.11) and
-# 109.7 (3.13).  Under 3.12.1 the opcode trace counted nothing.
-_BYTECODES_PER_RECORD = {(3, 10): 128, (3, 11): 138, (3, 13): 126}
+# count of each CPython the suite runs on: 107.4 (3.10), 115.8 (3.11) and
+# 105.4 (3.13).  Under 3.12.1 the opcode trace counted nothing.
+_BYTECODES_PER_RECORD = {(3, 10): 123, (3, 11): 133, (3, 13): 121}
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in _BYTECODES_PER_RECORD,
@@ -1106,8 +1108,9 @@ def test_an_output_bound_query_runs_few_bytecodes_per_record():
     # Every bytecode the package runs for the 6,561 records above, the
     # filter and the best-witness pass included: under 3.11, 468 per record
     # when each setting was solved and tested, about 184 once they are laid
-    # over the actual world unasked, and 138.5 when each record was built by
-    # two calls.
+    # over the actual world unasked, 138.5 when each record was built by
+    # two calls, and 119.8 when its fields were stored by name rather than
+    # through their slots' setters.
     ext, context = _typical_lights()
     package = os.path.dirname(checker.__file__) + os.sep
     count = 0
@@ -1131,6 +1134,25 @@ def test_an_output_bound_query_runs_few_bytecodes_per_record():
         sys.settrace(previous)
     assert len(verdict.hp_witnesses) == 3 ** 8
     assert count <= _BYTECODES_PER_RECORD[sys.version_info[:2]] * 3 ** 8
+
+
+def test_an_output_bound_query_retains_few_bytes_per_record():
+    # What the verdict of the 6,561 records above holds once the caches are
+    # warm: 187.4-187.7 bytes per record (3.10, 3.11 and 3.13) with records
+    # and worlds in slots, against 279.8 (3.10) and 228.9 (3.11, 3.13) with
+    # a dict or inline attribute values per instance.
+    ext, context = _typical_lights()
+    query = (ext, context, cand(event("F", 1)), event("F", 1))
+    is_extended_cause(*query)
+    gc.collect()  # also empties the free lists, which tracemalloc does not see
+    tracemalloc.start()
+    try:
+        verdict = is_extended_cause(*query)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(verdict.hp_witnesses) == 3 ** 8
+    assert retained <= 205 * 3 ** 8
 
 
 def _record_kept_ways(monkeypatch):
@@ -1393,6 +1415,35 @@ def test_a_corner_that_product_order_reaches_last_is_decided_first(monkeypatch):
         assert [(r.w_set, r.w_values) for r in records] == [(("Y",), (0,)), (("Y", "V"), (0, 0))]
         alone = [key[v] for key in keys if key[y] is None and key[v] is not None]
         assert alone == ([0] if corners else [2, 1, 0])
+
+
+def test_corners_save_solves_under_the_default_rules(monkeypatch):
+    # The rules as shipped, none switched by the test: three sources
+    # V : {2,1,0} lower F only with X and Y at 0, so each set of them holds
+    # F=1 at its corner, all at 0, which product order reaches last, and is
+    # dead after that one solve.  The search makes 82 distinct solves, and
+    # 138 with ``monotone-sets`` off, when every setting of those sets is
+    # solved: their corners come last, so no monotone pin closes one.
+    sources = ("V0", "V1", "V2")
+    doc = parse_document(
+        "exo UX : {0,1}\nexo UY : {0,1}\nexo UV : {0,1,2}\n"
+        "var X : {0,1} = UX\nvar Y : {0,1} = UY\n"
+        + "".join(f"var {v} : {{2,1,0}} = UV\n" for v in sources)
+        + f"var F : {{0,1}} = max(X, max(Y, min({' + '.join(sources)}, 1)))\n"
+        "context c : UX=1, UY=1, UV=0\n")
+    model, context = doc.model, doc.contexts["c"]
+    keys = set()
+    solve_tuple = Engine.solve_tuple
+
+    def recording_solve_tuple(engine, key, *args):
+        keys.add(key)
+        return solve_tuple(engine, key, *args)
+
+    monkeypatch.setattr(Engine, "solve_tuple", recording_solve_tuple)
+    records = enumerate_witnesses(model, context, cand(event("X", 1)), event("F", 1))
+    monkeypatch.undo()
+    assert records == exhaustive_witnesses(model, context, (event("X", 1),), event("F", 1))
+    assert len(records) == 8 and len(keys) <= 82
 
 
 def test_best_witnesses_ask_the_reverse_only_where_the_forward_holds(monkeypatch):

@@ -37,9 +37,9 @@ def test_oracle_forest_fire(documents):
     assert oracle_is_cause(doc.model, u11, [event("M", 1)], event("F", 1))
 
 
-def test_the_oracle_generates_one_kernel_per_model(monkeypatch):
-    # The oracle solves each counterfactual as solve(intervene(model, ...)):
-    # every intervened model runs the kernel of the model it came from.
+def test_the_oracle_generates_no_kernel(monkeypatch):
+    # The oracle solves each counterfactual by its own walk over the
+    # equation trees: it builds no solve kernel and runs no generated code.
     doc = load_document("poisoning.scm.txt")
     generated = []
 
@@ -50,7 +50,7 @@ def test_the_oracle_generates_one_kernel_per_model(monkeypatch):
     monkeypatch.setattr(model_module, "exec", counting_exec, raising=False)
     for context in doc.contexts.values():
         oracle_is_cause(doc.model, context, [event("A", 1)], event("D", 1))
-    assert len(generated) == 1
+    assert generated == [] and doc.model._compiled is None
 
 
 def test_oracle_poisoning(documents):

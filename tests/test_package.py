@@ -2,12 +2,14 @@
 types' contract (equality, hashing, repr and immutability), checked against
 a dataclass twin of each."""
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import itertools
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -81,6 +83,31 @@ def test_validate_and_solve_load_neither_the_search_nor_normality(argv):
     for module in ("actualcause.checker", "actualcause.graded", "actualcause.normality"):
         assert module not in loaded[1]
 
+
+def test_an_oracle_query_loads_neither_the_search_nor_grading():
+    # The oracle walks the equation trees itself and reads an extended
+    # model's ``base`` and ``order`` only, so neither the search, nor
+    # grading, nor the model's solve kernel serves it.
+    path = str(corpus.fixture_path("office_pens.scm.txt"))
+    loaded = _python(code=(
+        "import json, sys, types\nfrom actualcause import model\n"
+        "from actualcause.dsl import parse_document, parse_query\n"
+        "from actualcause.oracle import oracle_best_witnesses, oracle_is_cause, "
+        "oracle_is_extended_cause\n"
+        "def refused(*args):\n    raise AssertionError('the oracle ran the kernel')\n"
+        "for module in list(sys.modules.values()):\n"
+        "    if module.__name__.startswith('actualcause') and hasattr(module, '_kernel'):\n"
+        "        module._kernel = refused\n"
+        f"doc = parse_document(open({path!r}, encoding='utf-8').read())\n"
+        "query = parse_query('cause PT=1 for PO=1 @ main', doc)\n"
+        "ext = types.SimpleNamespace(base=doc.model, order=doc.normality_order())\n"
+        "args = (doc.contexts['main'], query.cause, query.effect)\n"
+        "answers = [oracle_is_cause(doc.model, *args), oracle_is_extended_cause(ext, *args),\n"
+        "           oracle_best_witnesses(ext, *args), doc.model._compiled is None]\n"
+        "print(json.dumps([answers, sorted(sys.modules)]))"))
+    assert loaded[0] == [True, True, [[0, 1, 0]], True]
+    assert "actualcause.oracle" in loaded[1] and "actualcause.normality" in loaded[1]
+    assert not {"actualcause.checker", "actualcause.graded"} & set(loaded[1])
 
 
 # Text output, document printing and the sweep's symmetries live in modules
@@ -298,6 +325,78 @@ def test_a_private_cache_stays_out_of_equality_hash_and_repr():
     assert repr(table) == f"Table(args=('U',), rows={rows!r})"
     assert hash(table) == hash((("U",), rows))
     assert table == actualcause.Table(("U",), rows)
+
+
+# The records built by the thousand keep their fields in slots.
+SLOTTED = (checker.WitnessRecord, dsl.SourceSpan, actualcause.PrimitiveEvent, actualcause.World)
+
+
+def test_only_the_records_built_in_bulk_declare_slots():
+    assert [cls for cls in RECORDS if "__slots__" in vars(cls)] == sorted(
+        SLOTTED, key=lambda c: (c.__module__, c.__qualname__))
+    assert Record.__slots__ == ()
+    assert all(hasattr(cls, "__dict__") for cls in RECORDS)  # the classes, not instances
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda c: c.__qualname__)
+def test_a_slotted_record_has_no_instance_dict_and_no_assignment(cls, samples):
+    assert cls.__slots__ == cls._fields
+    for record in samples[cls]:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(TypeError):
+            vars(record)
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "unrelated", 1)  # no slot, and no dict
+
+
+def test_records_the_search_builds_equal_their_constructed_twins(samples):
+    # The search fills each record and world slot by slot, with no
+    # ``__init__``: each equals the record built through the constructors.
+    World = actualcause.World
+    records = samples[checker.WitnessRecord]
+    assert len(records) == 40
+    for record in records:
+        world = record.world
+        twin = checker.WitnessRecord(record.w_set, record.w_values, record.x_prime,
+                                     World(world.variables, world.values))
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+        assert twin.world == world and hash(twin.world) == hash(world)
+        assert repr(twin.world) == repr(world) and str(twin.world) == str(world)
+
+
+@pytest.mark.parametrize("slots", [("a",), ("b", "a"), ["a", "b"], (), ("a", "b", "c")])
+def test_a_record_whose_slots_are_not_its_fields_fails_where_it_is_defined(slots):
+    with pytest.raises(TypeError, match="__slots__ must be the tuple of its fields"):
+        class Pair(Record):
+            __slots__ = slots
+
+            def __init__(self, a, b):
+                super().__init__(a, b)
+
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b):
+            super().__init__(a, b)
+
+    pair = Pair(1, 2)
+    assert repr(pair).endswith("Pair(a=1, b=2)") and not hasattr(pair, "__dict__")
+
+
+@pytest.mark.parametrize("cls", [*SLOTTED, checker.CauseVerdict, actualcause.Table],
+                         ids=lambda c: c.__qualname__)
+def test_a_record_survives_pickling_and_copying(cls, samples):
+    # Unpickled and copied records are rebuilt from their fields, slotted
+    # ones included, and keep what their constructor stores besides.
+    for record in samples[cls][:10]:
+        for other in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert other.__class__ is cls and other == record and repr(other) == repr(record)
+            if cls is actualcause.Table:
+                assert other._map == record._map
 
 
 # -- the README ------------------------------------------------------------------
